@@ -3,10 +3,8 @@ package client
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 
-	"infinicache/internal/bufpool"
 	"infinicache/internal/protocol"
 )
 
@@ -38,8 +36,7 @@ type PutResult struct {
 // shared response channel — N keys cost one windowed round trip per
 // owning proxy instead of N sequential ones. Results are positionally
 // aligned with keys; each successful Object must be Released by the
-// caller. Transient per-key failures are retried individually after
-// the burst.
+// caller.
 func (c *Client) MGet(ctx context.Context, keys ...string) []GetResult {
 	res := make([]GetResult, len(keys))
 	groups := make(map[string][]int)
@@ -62,179 +59,86 @@ func (c *Client) MGet(ctx context.Context, keys ...string) []GetResult {
 		}(addr, idxs)
 	}
 	wg.Wait()
-	// Per-key transient failures (a backup swap mid-burst) retry on the
-	// single-key path. The burst was attempt 1, so a key gets the same
-	// getRetries total attempts it would on the GetObject path.
-	// WRONG_OWNER results (an epoch bump mid-burst) refresh the ring
-	// view once and re-run the full single-key machinery, which follows
-	// any further redirect or fallback hop itself.
-	refreshed := false
+	// The burst was attempt 1 of every key. Each key it did not settle
+	// goes to the op driver with that outcome, and from there gets
+	// exactly the treatment GetObject gives it: transients retried,
+	// busy-write windows waited out, redirects and fallbacks followed,
+	// a dead proxy re-routed, a streamed object re-read ranged.
 	for i := range res {
-		var wo *wrongOwnerError
-		var eso errStreamObject
-		switch {
-		case errors.As(res[i].Err, &eso):
-			// A streamed object in the batch reads through the ranged
-			// plane, as on the single-key path.
-			res[i].Object, res[i].Err = c.streamObjectFallback(ctx, keys[i], eso.size)
-		case errors.As(res[i].Err, &wo):
-			c.stats.Redirects.Add(1)
-			if !refreshed {
-				c.refreshRing(ctx, wo.owner)
-				refreshed = true
-			}
-			res[i].Object, res[i].Err = c.getWithRetries(ctx, keys[i])
-		case errors.Is(res[i].Err, errConnClosed):
-			// The burst's proxy died or left the cluster mid-flight:
-			// refresh once and re-route each key through the ring.
-			if !refreshed {
-				c.refreshRing(ctx, "")
-				refreshed = true
-			}
-			res[i].Object, res[i].Err = c.getWithRetries(ctx, keys[i])
-		case errors.Is(res[i].Err, errTransient):
-			var obj *Object
-			err := res[i].Err
-			for attempt := 1; attempt < getRetries && errors.Is(err, errTransient); attempt++ {
-				obj, err = c.getOnce(ctx, keys[i])
-			}
-			if errors.Is(err, errTransient) {
-				err = fmt.Errorf("%w (after %d attempts): %v", ErrRejected, getRetries, err)
-			}
-			if errors.Is(err, ErrMiss) {
-				c.stats.ColdMisses.Add(1)
-			}
-			res[i].Object, res[i].Err = obj, err
+		if res[i].Err != nil {
+			res[i].Object, res[i].Err = c.getObject(ctx, keys[i], res[i].Err)
 		}
 	}
 	return res
 }
 
-// mgetKey tracks one key of an MGet burst through its DATA fan-in.
-type mgetKey struct {
-	idx  int // position in keys/res
-	g    gather
-	done bool // result recorded; further frames are stragglers
-}
-
-// mgetBurst runs one proxy's share of an MGet: register every key's
-// seq on one shared channel, write all GET frames, then collect.
+// mgetBurst runs one proxy's share of an MGet: claim one seq per key on
+// one shared channel, write all GET frames, then collect. (Unlike the
+// single-key path, MGet does not re-insert missing chunks; the burst
+// stays read-only.)
 func (c *Client) mgetBurst(ctx context.Context, addr string, keys []string, idxs []int, res []GetResult) {
-	fail := func(err error) {
+	total := c.codec.TotalShards()
+	// The shared channel must buffer every frame the burst can receive:
+	// up to total DATA frames plus a MISS/ERR per key.
+	w, err := c.claimBurst(addr, len(idxs), len(idxs)*(total+2))
+	if err != nil {
 		for _, i := range idxs {
 			res[i].Err = err
 		}
-	}
-	pc, err := c.conn(addr)
-	if err != nil {
-		fail(err)
 		return
 	}
-	total := c.codec.TotalShards()
-	d := c.codec.DataShards()
-	// The shared channel must buffer every frame the burst can receive:
-	// up to total DATA frames plus a MISS/ERR per key (the dispatcher
-	// drops, and recycles, on overflow rather than blocking).
-	ch := make(chan *protocol.Message, len(idxs)*(total+2))
-	states := make(map[uint64]*mgetKey, len(idxs))
+	defer w.release()
+	gathers := make([]gather, len(idxs))
 	defer func() {
-		for seq, st := range states {
-			pc.deregister(seq)
-			if !st.done {
-				st.g.obj.Release()
+		// Every gather not handed to a result returns its partial shards
+		// to the pool.
+		for k, i := range idxs {
+			if res[i].Object == nil {
+				gathers[k].obj.Release()
 			}
 		}
-		drainRecycle(ch)
 	}()
-
 	// One windowed burst: all GET frames are staged back to back under
 	// one Pin window and the closing Flush ships them in one write —
-	// which must happen before the collect loop blocks on responses.
-	active := 0
-	pc.conn.Pin()
-	for _, i := range idxs {
-		seq := c.seq.Add(1)
-		if !pc.registerWith(seq, ch) {
-			res[i].Err = errConnClosed
-			continue
-		}
-		if err := pc.conn.Forward(protocol.TGet, seq, keys[i], "", nil, nil); err != nil {
-			pc.deregister(seq)
+	// which must happen before collect blocks on responses.
+	w.pc.conn.Pin()
+	for k, i := range idxs {
+		gathers[k].obj = newObject(total)
+		if err := w.pc.conn.Forward(protocol.TGet, w.seq(k), keys[i], "", nil, nil); err != nil {
 			res[i].Err = connErr("get", err)
-			continue
+			w.finish(k)
 		}
-		states[seq] = &mgetKey{idx: i, g: gather{obj: newObject(total), size: -1}}
-		active++
 	}
-	if err := pc.conn.Flush(); err != nil {
-		fail(err)
-		return
-	}
-
-	// Any abandon (timeout or cancellation) CANCELs the keys still
-	// collecting so the proxy releases their window slots.
-	abandon := func(err error) {
-		for seq, st := range states {
-			if !st.done {
-				pc.cancel(seq)
-			}
-		}
-		c.finishBurstKeys(states, res, err)
-	}
-	// One timer covers the whole collect (fixed deadline).
-	timeout := c.cfg.Clock.After(c.cfg.RequestTimeout)
-	for active > 0 {
-		select {
-		case msg, ok := <-ch:
-			if !ok {
-				c.finishBurstKeys(states, res, errConnClosed)
-				return
-			}
-			st := states[msg.Seq]
-			if st == nil || st.done {
-				msg.Free() // straggler past first-d, or a stale frame
-				continue
-			}
-			// The per-frame state machine is the single-key one; only
-			// the result recording differs. (Unlike the single-key
-			// path, MGet does not re-insert missing chunks; the burst
-			// stays read-only.)
-			done, err := c.applyGetFrame(&st.g, keys[st.idx], msg, d, total)
-			if !done {
-				continue
-			}
-			st.done = true
-			active--
-			if err != nil {
-				if errors.Is(err, ErrMiss) {
-					// Final for the burst: misses are not retried below.
-					c.stats.ColdMisses.Add(1)
+	if err = connErr("get flush", w.pc.conn.Flush()); err == nil {
+		err = c.collect(ctx, &w, func(k int, msg *protocol.Message) bool {
+			// The per-frame state machine is the single-key one; only the
+			// result recording differs.
+			i := idxs[k]
+			done, ferr := c.applyGetFrame(&gathers[k], keys[i], msg)
+			if done {
+				res[i].Err = ferr
+				if ferr == nil {
+					res[i].Object = gathers[k].obj
 				}
-				st.g.obj.Release()
-				res[st.idx].Err = err
-			} else {
-				res[st.idx].Object = st.g.obj
 			}
-		case <-ctx.Done():
-			abandon(ctx.Err())
-			return
-		case <-timeout:
-			abandon(ErrTimeout)
-			return
+			return done
+		})
+	}
+	for k, i := range idxs {
+		if err != nil && w.pending(k) {
+			res[i].Err = err
 		}
 	}
 }
 
-// finishBurstKeys records err for every key of a burst still pending
-// and releases their partial objects.
-func (c *Client) finishBurstKeys(states map[uint64]*mgetKey, res []GetResult, err error) {
-	for _, st := range states {
-		if !st.done {
-			st.done = true
-			st.g.obj.Release()
-			res[st.idx].Err = err
-		}
+// claimBurst claims n seqs on the connection to addr for one proxy's
+// share of a batch.
+func (c *Client) claimBurst(addr string, n, buf int) (wait, error) {
+	pc, err := c.conn(addr)
+	if err != nil {
+		return wait{}, err
 	}
+	return c.claim(pc, n, buf)
 }
 
 // MPut stores a batch of key/value pairs. Pairs are grouped by owning
@@ -269,151 +173,66 @@ func (c *Client) MPut(ctx context.Context, pairs ...KV) []PutResult {
 		}(addr, idxs)
 	}
 	wg.Wait()
-	// Pairs refused with WRONG_OWNER (an epoch bump mid-burst) refresh
-	// the ring view once and retry on the single-key path, which follows
-	// any further redirect itself. The proxy failed the whole refused
-	// generation, so the retry writes from a clean slate.
-	refreshed := false
+	// As in MGet, the burst was attempt 1: every pair it left failed
+	// goes to the op driver with that outcome (the driver returns final
+	// errors as they are). The proxy failed any refused or transient
+	// generation wholesale, so a retry writes from a clean slate.
 	for i := range res {
-		var wo *wrongOwnerError
-		hint := ""
-		switch {
-		case errors.As(res[i].Err, &wo):
-			c.stats.Redirects.Add(1)
-			hint = wo.owner
-		case errors.Is(res[i].Err, errConnClosed):
-			// The burst's proxy died or left the cluster mid-flight.
-		case errors.Is(res[i].Err, errTransient), errors.Is(res[i].Err, errBusyWrite):
-			// Transient generation failure mid-burst: retry the pair on
-			// the single-key path (which budgets its own retries) without
-			// a ring refresh.
-			res[i].Err = c.putObject(ctx, pairs[i].Key, pairs[i].Value)
-			continue
-		default:
-			continue
+		if first := res[i].Err; first != nil {
+			res[i].Err = c.do(ctx, pairs[i].Key, func(rt route) error {
+				err := first
+				first = nil
+				if err == nil {
+					err = c.tryPut(ctx, rt, pairs[i].Key, pairs[i].Value, nil)
+				}
+				return err
+			})
 		}
-		if !refreshed {
-			c.refreshRing(ctx, hint)
-			refreshed = true
-		}
-		res[i].Err = c.putObject(ctx, pairs[i].Key, pairs[i].Value)
 	}
 	return res
 }
 
-// mputChunk links one in-flight chunk SET back to its pair.
-type mputChunk struct {
-	resIdx int
-	chunk  int
-}
-
-// mputBurst runs one proxy's share of an MPut.
+// mputBurst runs one proxy's share of an MPut: pair k of the group owns
+// tags k·(d+p) .. k·(d+p)+d+p-1 of one claim.
 func (c *Client) mputBurst(ctx context.Context, addr string, pairs []KV, idxs []int, res []PutResult) {
-	info := c.proxyInfo(addr)
-	pc, err := c.conn(addr)
+	total := c.codec.TotalShards()
+	// The op budget starts before encoding, as on the single-key path.
+	w, err := c.claimBurst(addr, len(idxs)*total, len(idxs)*total+1)
 	if err != nil {
 		for _, i := range idxs {
 			res[i].Err = err
 		}
 		return
 	}
-	total := c.codec.TotalShards()
-	d := c.codec.DataShards()
-	// The op budget starts before encoding, as on the single-key path.
-	deadline := c.cfg.Clock.Now().Add(c.cfg.RequestTimeout)
-
-	ch := make(chan *protocol.Message, len(idxs)*total+1)
-	seqIdx := make(map[uint64]mputChunk, len(idxs)*total)
-	defer func() {
-		for seq := range seqIdx {
-			pc.deregister(seq)
-		}
-		drainRecycle(ch)
-	}()
-
-	// Encode-and-send one pair at a time: Forward copies the payload
-	// into the socket synchronously, so each pair's pooled shard set is
+	defer w.release()
+	// Encode-and-send one pair at a time: staging copies the payload into
+	// the socket synchronously, so each pair's pooled shard set is
 	// recycled as soon as its frames are written — the burst holds one
 	// shard set at peak, not the whole batch, and the writer still sees
-	// every SET back to back before any ACK is read.
-	shards := make([][]byte, total)
-	var args [9]int64
-	for _, i := range idxs {
-		value := pairs[i].Value
-		shardSize := c.codec.ShardSize(len(value))
-		for j := range shards {
-			shards[j] = bufpool.Get(shardSize)
-		}
-		if err := c.codec.SplitInto(value, shards); err != nil {
-			res[i].Err = err
-			bufpool.PutAll(shards)
-			continue
-		}
-		if err := c.codec.Encode(shards); err != nil {
-			res[i].Err = err
-			bufpool.PutAll(shards)
-			continue
-		}
-		nodes := c.placement(info.PoolSize, total)
-		gen := c.putGen.Add(1)
-		// One Pin window per pair: the pair's d+p SETs coalesce into
-		// O(1) writes, while other ops sharing the connection are not
-		// stalled behind the next pair's encode.
-		pc.conn.Pin()
-		for j, shard := range shards {
-			seq := c.seq.Add(1)
-			if !pc.registerWith(seq, ch) {
-				res[i].Err = errConnClosed
-				break
+	// every SET back to back before any ACK is read. One Pin window per
+	// pair: the pair's d+p SETs coalesce into O(1) writes, while other
+	// ops sharing the connection are not stalled behind the next pair's
+	// encode.
+	poolSize := c.proxyInfo(addr).PoolSize
+	for k, i := range idxs {
+		if res[i].Err = c.stageValue(&w, k*total, poolSize, pairs[i].Key, pairs[i].Value, nil); res[i].Err != nil {
+			for j := 0; j < total; j++ {
+				w.finish(k*total + j)
 			}
-			args = [9]int64{
-				int64(j), int64(total), int64(nodes[j]),
-				int64(len(value)), int64(d), gen, 0,
-				0, protocol.ChunkSum(pairs[i].Key, j, shard),
-			}
-			if err := pc.conn.Forward(protocol.TSet, seq, pairs[i].Key, "", args[:], shard); err != nil {
-				pc.deregister(seq)
-				res[i].Err = connErr(fmt.Sprintf("put chunk %d", j), err)
-				break
-			}
-			seqIdx[seq] = mputChunk{resIdx: i, chunk: j}
 		}
-		pc.conn.Flush()
-		bufpool.PutAll(shards)
 	}
-
-	// The ack collection is the shared collectAcks loop (same machinery
-	// as the single-key putChunks); it leaves exactly the unanswered
-	// chunks in seqIdx, already CANCELled at the proxy on abandon, so
-	// the per-pair failures fall out of the survivor set.
-	if err := collectAcks(c, ctx, pc, ch, seqIdx, deadline, func(mc mputChunk, resp *protocol.Message) {
-		switch {
-		case resp.Type == protocol.TWrongOwner:
-			// The redirect outranks any per-chunk error already
-			// recorded: the pair retries wholesale after the burst.
-			if _, isWo := res[mc.resIdx].Err.(*wrongOwnerError); !isWo {
-				res[mc.resIdx].Err = &wrongOwnerError{version: uint64(resp.Arg(0)), owner: resp.Addr}
-			}
-		case resp.Type == protocol.TErr && resp.Arg(0) == protocol.TransientFlag:
-			// Transient generation failure: the pair retries wholesale on
-			// the single-key path after the burst.
-			if res[mc.resIdx].Err == nil {
-				res[mc.resIdx].Err = errTransient
-			}
-		case resp.Type != protocol.TAck && res[mc.resIdx].Err == nil:
-			res[mc.resIdx].Err = fmt.Errorf("chunk %d: %w: %s", mc.chunk, ErrRejected, resp.Payload)
-		}
-	}); err != nil {
-		c.failPendingPuts(seqIdx, res, err)
-	}
-}
-
-// failPendingPuts records err for every pair that still has chunks in
-// flight (first error wins per pair).
-func (c *Client) failPendingPuts(seqIdx map[uint64]mputChunk, res []PutResult, err error) {
-	for _, mc := range seqIdx {
-		if res[mc.resIdx].Err == nil {
-			res[mc.resIdx].Err = err
+	// The shared wait leaves exactly the unanswered chunks pending,
+	// already CANCELled at the proxy on abandon, so the per-pair failures
+	// fall out of the survivor set.
+	err = c.collect(ctx, &w, func(tag int, msg *protocol.Message) bool {
+		i := idxs[tag/total]
+		res[i].Err = c.foldAck(res[i].Err, pairs[i].Key, tag%total, msg)
+		return true
+	})
+	for tag := 0; err != nil && tag < w.n; tag++ {
+		if w.pending(tag) {
+			i := idxs[tag/total]
+			res[i].Err = worse(res[i].Err, err)
 		}
 	}
 }

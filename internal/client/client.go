@@ -18,6 +18,12 @@
 //     and ride each proxy connection as one pipelined burst.
 //   - Get/Put/Del/GetOrLoad remain as thin deprecated wrappers over the
 //     context variants.
+//
+// Inside, every operation is one attempt function (tryGet, tryRange,
+// tryPut, a DEL round trip) run by the single op driver, do, which owns
+// retries, redirects and ring refreshes; every attempt waits in the
+// single collect loop (conn.go), and every reply frame becomes an error
+// in classify.
 package client
 
 import (
@@ -277,21 +283,198 @@ func (e *wrongOwnerError) Error() string {
 	return fmt.Sprintf("client: wrong owner (%s to %s, epoch v%d)", kind, e.owner, e.version)
 }
 
-// redirectBudget bounds how many WRONG_OWNER hops one logical operation
-// follows before giving up. Steady state needs zero (client and proxy
-// rings agree); an epoch bump costs one refresh plus one retry.
-const redirectBudget = 8
+// The op driver's budgets. They are constants of the driver — one rule
+// for every op — not parameters of a caller.
+const (
+	// maxAttempts is how many attempts one logical operation gets.
+	// Node-side transients, busy-write windows and dead connections each
+	// charge one.
+	maxAttempts = 4
+	// redirectBudget bounds how many WRONG_OWNER hops one logical
+	// operation follows before giving up, separately from maxAttempts so
+	// an epoch bump does not eat the failure budget. Steady state needs
+	// zero (client and proxy rings agree); an epoch bump costs one
+	// refresh plus one retry.
+	redirectBudget = 8
+	// busyWriteBackoff is the base delay before retrying a busy-write
+	// transient; it doubles per consecutive busy-write attempt (2, 4,
+	// 8 ms), sized so a typical in-flight PUT window (an RTT plus d+p
+	// chunk acks) has closed by the retry.
+	busyWriteBackoff = 2 * time.Millisecond
+)
+
+// errTransient marks proxy-reported conditions worth retrying at once
+// (chunk timeouts during backup connection swaps).
+var errTransient = errors.New("client: transient proxy failure")
+
+// errBusyWrite marks the epoch-guard transient: the object is
+// mid-overwrite and stays unreadable until the in-flight PUT
+// generation commits. Retrying immediately just burns the retry budget
+// inside the same write window, so the driver backs off first.
+var errBusyWrite = errors.New("client: object write in progress")
+
+// errConnClosed reports a proxy connection that died mid-operation.
+var errConnClosed = errors.New("client: connection closed")
+
+// route is where the driver sends one attempt: the ring owner of the
+// op's route key or, while chasing a fallback redirect, the key's
+// previous owner. The authoritative flag (GET Args[0] = 1) makes that
+// proxy serve regardless of ring ownership and answer a plain MISS
+// instead of a second fallback redirect.
+type route struct {
+	ProxyInfo
+	authoritative bool
+}
+
+// do is the one op driver: every public operation is do around a single
+// attempt function. It owns routing, the attempt and redirect budgets,
+// the membership redirect protocol and the ColdMisses/Redirects
+// counters. A WRONG_OWNER reply refreshes the ring view and retries
+// through it — a refused write failed its whole generation at the
+// proxy, so the retry starts from a clean slate; a fallback redirect
+// (migration window: the new owner misses locally) asks the previous
+// owner authoritatively, whose answer — data or miss — is final.
+func (c *Client) do(ctx context.Context, routeKey string, try func(rt route) error) error {
+	var err error
+	backoff := busyWriteBackoff
+	redirects := 0
+	direct := "" // when set, ask this proxy authoritatively instead of routing by ring
+	fallbackMissRetried := false
+	for attempt := 0; attempt < maxAttempts; {
+		seen := c.epoch.Load().Version()
+		var rt route
+		if direct != "" {
+			rt = route{c.proxyInfo(direct), true}
+		} else if rt.ProxyInfo, err = c.proxyFor(routeKey); err != nil {
+			return err
+		}
+		if err = try(rt); err == nil {
+			return nil
+		}
+		if cerr := ctx.Err(); cerr != nil {
+			return cerr // the caller left; nothing the attempt reported is worth a retry
+		}
+		var wo *wrongOwnerError
+		switch {
+		case rt.authoritative && errors.Is(err, ErrMiss) && !fallbackMissRetried:
+			// A fallback miss can race the handoff completing: the
+			// source streamed the key and dropped its copy between
+			// issuing the redirect and this attempt landing. One pass back
+			// through the ring settles it — the new owner either holds
+			// the key now or the miss is genuine (a second fallback hop
+			// would find it at the source).
+			fallbackMissRetried = true
+			direct = ""
+		case errors.As(err, &wo):
+			redirects++
+			if redirects > redirectBudget {
+				return fmt.Errorf("%w: redirect loop (%d hops): %v", ErrRejected, redirects, err)
+			}
+			c.stats.Redirects.Add(1)
+			// A fallback means the owner is still waiting on the migration
+			// stream: chase the key to its previous owner directly. A
+			// plain redirect: learn the new ring, then route through it.
+			direct = wo.owner
+			if !wo.fallback {
+				c.refreshRing(ctx, wo.owner, wo.version)
+				direct = ""
+			}
+		case errors.Is(err, errBusyWrite):
+			// Adaptive overwrite-retry: the proxy said a PUT generation
+			// is mid-commit. Wait the window out (doubling per repeat)
+			// instead of re-asking inside it — an immediate retry would
+			// spend the whole budget on the same unreadable window.
+			select {
+			case <-c.cfg.Clock.After(backoff):
+				backoff *= 2
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+			attempt++
+		case errors.Is(err, errTransient):
+			// Node-side transient (timeout, backup swap, garbled frame):
+			// the fan-out path usually heals immediately; retry at once —
+			// a PUT with a fresh placement and generation.
+			attempt++
+		case errors.Is(err, errConnClosed):
+			// The proxy likely left the cluster; pick up the epoch that
+			// retired it and retry through the fresh ring.
+			c.refreshRing(ctx, "", seen+1)
+			direct = ""
+			attempt++
+		default:
+			// Counted here, where ErrMiss becomes final: a miss at the
+			// frame level may be provisional (the fallback-race retry
+			// above can still turn it into a hit).
+			if errors.Is(err, ErrMiss) {
+				c.stats.ColdMisses.Add(1)
+			}
+			return err
+		}
+	}
+	return fmt.Errorf("%w (after %d attempts): %v", ErrRejected, maxAttempts, err)
+}
+
+// classify is the one place a reply frame becomes an error: nil for the
+// answer type the request expects (want: DATA, ACK or RING), otherwise
+// one of the sentinel/typed errors the driver acts on.
+func (c *Client) classify(msg *protocol.Message, key string, want protocol.Type) error {
+	// Key echo check: every proxy reply carries the key of the command
+	// it answers. A mismatch means the command's key field was garbled
+	// in transit (the proxy looked up, missed — or deleted — some other
+	// key) or the reply's was; either way the frame proves nothing about
+	// our key, so treat it as a transient failure and retry.
+	if msg.Key != "" && msg.Key != key {
+		c.stats.ChecksumFailures.Add(1)
+		return fmt.Errorf("%w: reply key mismatch", errTransient)
+	}
+	switch msg.Type {
+	case want:
+		return nil
+	case protocol.TMiss:
+		if msg.Arg(0) == 1 {
+			c.stats.Losses.Add(1)
+			return ErrLost
+		}
+		return ErrMiss
+	case protocol.TWrongOwner:
+		return &wrongOwnerError{version: uint64(msg.Arg(0)), owner: msg.Addr, fallback: msg.Arg(1) == 1}
+	case protocol.TErr:
+		switch msg.Arg(0) {
+		case protocol.StreamObjectFlag:
+			// Not an error: the object was streamed in stripes and must be
+			// read through the ranged plane; Args[1] carries its size.
+			return errStreamObject{size: msg.Arg(1)}
+		case protocol.TransientFlag:
+			// The proxy failed the request for a transient reason (a node
+			// timeout, a backup swap, a frame that arrived garbled) — a
+			// retry usually lands, so it must not burn the op as
+			// ErrRejected.
+			if msg.Arg(1) == protocol.TransientBusyWrite {
+				return errBusyWrite
+			}
+			return errTransient
+		}
+		return fmt.Errorf("%w: %s", ErrRejected, msg.Payload)
+	}
+	return fmt.Errorf("%w: unexpected %v reply", ErrRejected, msg.Type)
+}
 
 // refreshRing fetches the current membership epoch with a RING frame
-// and installs it if newer than the client's view. hint (the redirecting
-// proxy or the named owner — it provably has the new epoch) is tried
-// first, then every member of the current view. Serialised so a
-// redirect storm coalesces; callers race ahead on the freshly installed
-// view either way.
-func (c *Client) refreshRing(ctx context.Context, hint string) error {
+// and installs it if newer than the client's view. hint (the
+// redirecting proxy's named owner — it provably has the new epoch) is
+// tried first, then every member of the current view. Serialised so a
+// redirect storm coalesces: whoever waited on the lock while a version
+// >= want was installed (want is the version a redirect named, or one
+// past the view a dead connection was routed under) has nothing left to
+// fetch.
+func (c *Client) refreshRing(ctx context.Context, hint string, want uint64) {
 	c.refreshMu.Lock()
 	defer c.refreshMu.Unlock()
 	cur := c.epoch.Load()
+	if cur.Version() >= want {
+		return
+	}
 	cands := make([]string, 0, len(cur.Members())+1)
 	if hint != "" {
 		cands = append(cands, hint)
@@ -301,10 +484,8 @@ func (c *Client) refreshRing(ctx context.Context, hint string) error {
 			cands = append(cands, m.Addr)
 		}
 	}
-	err := errors.New("client: no ring source reachable")
 	for _, addr := range cands {
-		var e *cluster.Epoch
-		e, err = c.fetchRing(ctx, addr)
+		e, err := c.fetchRing(ctx, addr)
 		if err != nil {
 			continue
 		}
@@ -312,41 +493,22 @@ func (c *Client) refreshRing(ctx context.Context, hint string) error {
 			c.epoch.Store(e)
 			c.stats.RingRefreshes.Add(1)
 		}
-		return nil
+		return
 	}
-	return err
 }
 
 // fetchRing asks one proxy for its epoch. A nil epoch with nil error
 // means the proxy runs without membership (legacy static ring).
 func (c *Client) fetchRing(ctx context.Context, addr string) (*cluster.Epoch, error) {
-	pc, err := c.conn(addr)
-	if err != nil {
-		return nil, err
-	}
-	seq := c.seq.Add(1)
-	ch := pc.register(seq, 2)
-	defer pc.release(seq, ch)
-	if err := pc.conn.Forward(protocol.TRing, seq, "", "", nil, nil); err != nil {
-		return nil, connErr("ring fetch", err)
-	}
-	select {
-	case resp, ok := <-ch:
-		if !ok {
-			return nil, errConnClosed
+	var e *cluster.Epoch
+	err := c.ask(ctx, addr, protocol.TRing, "", nil, 2, func(msg *protocol.Message) (bool, error) {
+		ferr := c.classify(msg, "", protocol.TRing)
+		if ferr == nil && len(msg.Payload) > 0 {
+			e, ferr = cluster.DecodeEpoch(msg.Payload)
 		}
-		defer resp.Free()
-		if resp.Type != protocol.TRing || len(resp.Payload) == 0 {
-			return nil, nil
-		}
-		return cluster.DecodeEpoch(resp.Payload)
-	case <-ctx.Done():
-		pc.cancel(seq)
-		return nil, ctx.Err()
-	case <-c.cfg.Clock.After(c.cfg.RequestTimeout):
-		pc.cancel(seq)
-		return nil, ErrTimeout
-	}
+		return true, ferr
+	})
+	return e, err
 }
 
 // placement draws a vector of n non-repeating Lambda indexes (IDλ,
@@ -387,80 +549,56 @@ func (c *Client) PutCtx(ctx context.Context, key string, value []byte) error {
 		return errors.New("client: empty value")
 	}
 	c.stats.Puts.Add(1)
-	return c.putObject(ctx, key, value)
+	return c.put(ctx, key, key, value, nil)
 }
 
-// putObject routes one whole-object PUT through the ring.
-func (c *Client) putObject(ctx context.Context, key string, value []byte) error {
-	return c.putValue(ctx, key, key, value, nil)
+// put drives one PUT generation through do. routeKey picks the owning
+// proxy while entryKey names the mapping entry written — they differ
+// only on the streaming path, where a stripe entry must land on its
+// parent object's owner so the whole family lives (and dies) together.
+// extra args (the head stripe's stream geometry) are appended to every
+// SET frame of the generation.
+func (c *Client) put(ctx context.Context, routeKey, entryKey string, value []byte, extra []int64) error {
+	return c.do(ctx, routeKey, func(rt route) error {
+		return c.tryPut(ctx, rt, entryKey, value, extra)
+	})
 }
 
-// putValue routes one PUT through the ring, following WRONG_OWNER
-// redirects: a stale-ring write is refused by the proxy (the whole
-// generation fails, nothing partial lingers), the client refreshes its
-// epoch view and retries at the owner with a fresh placement and
-// generation. routeKey picks the owning proxy while entryKey names the
-// mapping entry written — they differ only on the streaming path, where
-// a stripe entry must land on its parent object's owner so the whole
-// family lives (and dies) together. extra args (the head stripe's
-// stream geometry) are appended to every SET frame of the generation.
-func (c *Client) putValue(ctx context.Context, routeKey, entryKey string, value []byte, extra []int64) error {
-	var lastErr error
-	backoff := busyWriteBackoff
-	transients := 0
-	for hop := 0; hop <= redirectBudget; hop++ {
-		info, err := c.proxyFor(routeKey)
-		if err != nil {
-			return err
-		}
-		err = c.putOnce(ctx, info, entryKey, value, extra)
-		var wo *wrongOwnerError
-		switch {
-		case errors.As(err, &wo):
-			c.stats.Redirects.Add(1)
-			lastErr = err
-			c.refreshRing(ctx, wo.owner)
-		case errors.Is(err, errConnClosed):
-			// The owner is unreachable — it likely left the cluster.
-			// Learn the epoch that retired it and re-route.
-			lastErr = err
-			c.refreshRing(ctx, "")
-		case errors.Is(err, errBusyWrite), errors.Is(err, errTransient):
-			// A transient generation failure (node timeout, garbled
-			// frame, racing overwrite): retry with a fresh placement and
-			// generation, budgeted separately from redirect hops.
-			transients++
-			if transients > getRetries {
-				return fmt.Errorf("%w (after %d attempts): %v", ErrRejected, transients, err)
-			}
-			lastErr = err
-			hop--
-			if errors.Is(err, errBusyWrite) {
-				select {
-				case <-c.cfg.Clock.After(backoff):
-					backoff *= 2
-				case <-ctx.Done():
-					return ctx.Err()
-				}
-			}
-		default:
-			return err
-		}
-	}
-	return fmt.Errorf("%w: redirect loop: %v", ErrRejected, lastErr)
-}
-
-// putOnce encodes value and pipelines its chunks to one proxy.
-func (c *Client) putOnce(ctx context.Context, info ProxyInfo, key string, value []byte, extra []int64) error {
-	pc, err := c.conn(info.Addr)
+// tryPut is one PUT attempt: encode value and pipeline its chunks to
+// one proxy.
+func (c *Client) tryPut(ctx context.Context, rt route, key string, value []byte, extra []int64) error {
+	pc, err := c.conn(rt.Addr)
 	if err != nil {
 		return err
 	}
-	// Shard buffers come from (and return to) the pool: putChunks sends
-	// synchronously, so nothing references them once it returns.
 	total := c.codec.TotalShards()
+	// One ACK (or ERR) per chunk lands on the claim; +1 slack for a stale
+	// frame.
+	w, err := c.claim(pc, total, total+1)
+	if err != nil {
+		return err
+	}
+	defer w.release()
+	if err := c.stageValue(&w, 0, rt.PoolSize, key, value, extra); err != nil {
+		return err
+	}
+	return c.collectAcks(ctx, &w, key)
+}
+
+// Put is PutCtx without a context.
+//
+// Deprecated: use PutCtx.
+func (c *Client) Put(key string, value []byte) error {
+	return c.PutCtx(context.Background(), key, value)
+}
+
+// stageValue erasure-codes value and stages its d+p chunk SETs on tags
+// tag0.. of w. The shard buffers come from (and return to) the pool:
+// staging copies or writes each payload synchronously, so nothing
+// references them once it returns.
+func (c *Client) stageValue(w *wait, tag0, poolSize int, key string, value []byte, extra []int64) error {
+	shards := make([][]byte, c.codec.TotalShards())
 	shardSize := c.codec.ShardSize(len(value))
-	shards := make([][]byte, total)
 	for i := range shards {
 		shards[i] = bufpool.Get(shardSize)
 	}
@@ -471,59 +609,34 @@ func (c *Client) putOnce(ctx context.Context, info ProxyInfo, key string, value 
 	if err := c.codec.Encode(shards); err != nil {
 		return err
 	}
-	nodes := c.placement(info.PoolSize, total)
-	gen := c.putGen.Add(1)
-
-	return c.putChunks(ctx, pc, key, int64(len(value)), shards, nodes, gen, false, extra)
+	return c.stageSets(w, tag0, poolSize, key, int64(len(value)), shards, false, extra)
 }
 
-// Put is PutCtx without a context.
+// stageSets is the one SET stager: it draws a fresh placement and
+// generation and pipelines one SET frame per shard (tag tag0+i of w)
+// down the proxy connection's single writer, with no goroutine per
+// shard and no Message allocation per chunk (the header is assembled
+// directly by Conn.Forward around the pooled shard buffer). Nil shards
+// are skipped and their tags finished (the recovery path re-inserts a
+// sparse subset).
 //
-// Deprecated: use PutCtx.
-func (c *Client) Put(key string, value []byte) error {
-	return c.PutCtx(context.Background(), key, value)
-}
-
-// putChunks pipelines a set of chunks down the proxy connection's
-// single writer — every SET frame is written back to back, then the
-// acknowledgements are collected off one shared response channel — with
-// no goroutine per shard and no Message allocation per chunk (the
-// header is assembled directly by Conn.Forward around the pooled shard
-// buffer). Indexes of shards that are nil are skipped (recovery path
-// re-inserts a sparse subset).
-func (c *Client) putChunks(ctx context.Context, pc *proxyConn, key string, objSize int64, shards [][]byte, nodes []int, gen int64, recovery bool, extra []int64) error {
-	deadline := c.cfg.Clock.Now().Add(c.cfg.RequestTimeout)
+// The whole burst rides one Pin window: every SET frame is staged back
+// to back and the closing Flush puts the burst on the wire in O(1)
+// syscalls (large shards vector out as they stage). The Flush must land
+// before collect blocks — an unflushed SET would wait forever for its
+// own ACK.
+func (c *Client) stageSets(w *wait, tag0, poolSize int, key string, objSize int64, shards [][]byte, recovery bool, extra []int64) error {
+	if poolSize < len(shards) {
+		// Only a redirect can route a write to a proxy outside the ring
+		// view (pool size unknown): there is no placement to draw.
+		return fmt.Errorf("%w: no placement for %d chunks in a pool of %d", ErrRejected, len(shards), poolSize)
+	}
+	nodes := c.placement(poolSize, len(shards))
+	gen := c.putGen.Add(1)
 	rec := int64(0)
 	if recovery {
 		rec = 1
 	}
-	inflight := 0
-	for _, s := range shards {
-		if s != nil {
-			inflight++
-		}
-	}
-	if inflight == 0 {
-		return nil
-	}
-	// One ACK (or ERR) per chunk lands here; +1 slack for a stale frame.
-	ch := make(chan *protocol.Message, inflight+1)
-	seqIdx := make(map[uint64]int, inflight)
-	defer func() {
-		for seq := range seqIdx {
-			pc.deregister(seq)
-		}
-		drainRecycle(ch)
-	}()
-
-	// The whole shard burst rides one Pin window: every SET frame is
-	// staged back to back and the closing Flush puts the burst on the
-	// wire in O(1) syscalls (large shards vector out as they stage).
-	// The Flush must land before collectAcks blocks — an unflushed SET
-	// would wait forever for its own ACK.
-	var firstErr error
-	var woErr *wrongOwnerError
-	var transientErr error
 	// Fixed-size scratch keeps the hot path allocation-free; extra is at
 	// most the two stream-geometry args a head stripe carries.
 	var args [11]int64
@@ -531,17 +644,12 @@ func (c *Client) putChunks(ctx context.Context, pc *proxyConn, key string, objSi
 	if nargs > len(args) {
 		return fmt.Errorf("client: %d extra put args exceed frame scratch", len(extra))
 	}
-	pc.conn.Pin()
+	w.pc.conn.Pin()
 	for i, shard := range shards {
 		if shard == nil {
+			w.finish(tag0 + i)
 			continue
 		}
-		seq := c.seq.Add(1)
-		if !pc.registerWith(seq, ch) {
-			pc.conn.Flush()
-			return errConnClosed
-		}
-		seqIdx[seq] = i
 		// Args[7] (migration flag) stays 0 on the client path; the chunk
 		// checksum rides Args[protocol.ChecksumArgSet] so the proxy can
 		// verify the payload — and the (key, idx) routing the sum is
@@ -552,135 +660,62 @@ func (c *Client) putChunks(ctx context.Context, pc *proxyConn, key string, objSi
 			0, protocol.ChunkSum(key, i, shard),
 		}
 		copy(args[9:], extra)
-		if err := pc.conn.Forward(protocol.TSet, seq, key, "", args[:nargs], shard); err != nil {
+		if err := w.pc.conn.Forward(protocol.TSet, w.seq(tag0+i), key, "", args[:nargs], shard); err != nil {
 			// The writer is dead; nothing later in the pipeline can land.
-			pc.conn.Flush()
+			w.pc.conn.Flush()
 			return connErr(fmt.Sprintf("put chunk %d", i), err)
 		}
 	}
-	if err := pc.conn.Flush(); err != nil {
-		return connErr("put flush", err)
-	}
+	return connErr("put flush", w.pc.conn.Flush())
+}
 
-	// Acked seqs are deregistered as they land, so on an abandon seqIdx
-	// names exactly the chunks still in flight — the ones collectAcks
-	// CANCELs at the proxy before giving up.
-	err := collectAcks(c, ctx, pc, ch, seqIdx, deadline, func(idx int, resp *protocol.Message) {
+// worse picks which of two failures a PUT generation surfaces. A
+// redirect outranks per-chunk noise: the proxy failed the whole
+// generation, so the driver's right move is refresh-and-retry, not
+// surfacing a chunk error. A hard failure (rejected chunk, timeout,
+// dead connection) outranks a transient, which alone is retried with a
+// fresh placement. Within a rank the first failure seen stays.
+func worse(cur, next error) error {
+	rank := func(err error) int {
+		if err == nil {
+			return 0
+		}
+		var wo *wrongOwnerError
 		switch {
-		case resp.Type == protocol.TWrongOwner:
-			if woErr == nil {
-				woErr = &wrongOwnerError{version: uint64(resp.Arg(0)), owner: resp.Addr}
-			}
-		case resp.Type == protocol.TErr && resp.Arg(0) == protocol.TransientFlag:
-			// The proxy failed this generation for a transient reason (a
-			// node timeout, a backup swap, a frame that arrived garbled) —
-			// a retry with a fresh placement usually lands, so it must
-			// not burn the op as ErrRejected.
-			if transientErr == nil {
-				if resp.Arg(1) == protocol.TransientBusyWrite {
-					transientErr = errBusyWrite
-				} else {
-					transientErr = errTransient
-				}
-			}
-		case resp.Type != protocol.TAck && firstErr == nil:
-			firstErr = fmt.Errorf("chunk %d: %w: %s", idx, ErrRejected, resp.Payload)
+		case errors.Is(err, errTransient), errors.Is(err, errBusyWrite):
+			return 1
+		case errors.As(err, &wo):
+			return 3
 		}
+		return 2
+	}
+	if rank(next) > rank(cur) {
+		return next
+	}
+	return cur
+}
+
+// foldAck folds one chunk reply into its generation's verdict so far.
+func (c *Client) foldAck(verdict error, key string, chunk int, msg *protocol.Message) error {
+	if err := c.classify(msg, key, protocol.TAck); err != nil {
+		return worse(verdict, fmt.Errorf("chunk %d: %w", chunk, err))
+	}
+	return verdict
+}
+
+// collectAcks waits out one generation's chunk acks (one reply per
+// pending tag of w) and returns its verdict. Acked seqs are
+// deregistered as they land, so on an abandon the pending set names
+// exactly the chunks still in flight — the ones collect CANCELs at the
+// proxy before giving up.
+func (c *Client) collectAcks(ctx context.Context, w *wait, key string) error {
+	var verdict error
+	err := c.collect(ctx, w, func(chunk int, msg *protocol.Message) bool {
+		verdict = c.foldAck(verdict, key, chunk, msg)
+		return true
 	})
-	switch {
-	case err == nil:
-	case errors.Is(err, ErrTimeout) || errors.Is(err, errConnClosed):
-		if firstErr == nil {
-			firstErr = err
-		}
-	default:
-		return err // context cancellation wins over per-chunk errors
-	}
-	// A redirect outranks per-chunk noise: the proxy failed the whole
-	// generation, so the caller's right move is refresh-and-retry, not
-	// surfacing a chunk error.
-	if woErr != nil {
-		return woErr
-	}
-	if firstErr != nil {
-		return firstErr
-	}
-	return transientErr
+	return worse(verdict, err)
 }
-
-// collectAcks collects exactly one response per seq in seqIdx off the
-// shared channel, deregistering each as it lands and routing it to
-// record (called before the frame is recycled). It returns nil once
-// every seq is answered; on timeout or ctx cancellation the seqs still
-// pending are CANCELled at the proxy and ErrTimeout / ctx.Err()
-// returned; a closed channel returns errConnClosed. Whatever remains
-// in seqIdx afterwards is exactly the unanswered set. This is the one
-// ack-collection loop both the single-key PUT and the MPut burst ride.
-func collectAcks[T any](c *Client, ctx context.Context, pc *proxyConn, ch chan *protocol.Message, seqIdx map[uint64]T, deadline time.Time, record func(tag T, resp *protocol.Message)) error {
-	abandon := func() {
-		for seq := range seqIdx {
-			pc.cancel(seq)
-		}
-	}
-	if len(seqIdx) == 0 {
-		return nil
-	}
-	remain := deadline.Sub(c.cfg.Clock.Now())
-	if remain <= 0 {
-		abandon()
-		return ErrTimeout
-	}
-	// The deadline is fixed, so one timer covers the whole wait — the
-	// previous per-iteration Clock.After allocated (and, on the real
-	// clock, leaked until expiry) a timer per received frame.
-	timeout := c.cfg.Clock.After(remain)
-	for len(seqIdx) > 0 {
-		select {
-		case resp, ok := <-ch:
-			if !ok {
-				return errConnClosed
-			}
-			tag, mine := seqIdx[resp.Seq]
-			if !mine {
-				resp.Free() // stale frame from an abandoned request
-				continue
-			}
-			delete(seqIdx, resp.Seq)
-			pc.deregister(resp.Seq)
-			record(tag, resp)
-			resp.Free()
-		case <-ctx.Done():
-			abandon()
-			return ctx.Err()
-		case <-timeout:
-			abandon()
-			return ErrTimeout
-		}
-	}
-	return nil
-}
-
-// errTransient marks proxy-reported conditions worth retrying at once
-// (chunk timeouts during backup connection swaps).
-var errTransient = errors.New("client: transient proxy failure")
-
-// errBusyWrite marks the epoch-guard transient: the object is
-// mid-overwrite and stays unreadable until the in-flight PUT
-// generation commits. Retrying immediately just burns the retry budget
-// inside the same write window, so GetObject backs off first.
-var errBusyWrite = errors.New("client: object write in progress")
-
-// errConnClosed reports a proxy connection that died mid-operation.
-var errConnClosed = errors.New("client: connection closed")
-
-// getRetries is how many times a GET retries a transient failure.
-const getRetries = 3
-
-// busyWriteBackoff is the base delay before retrying a busy-write
-// transient; it doubles per consecutive busy-write attempt (2, 4 ms),
-// sized so a typical in-flight PUT window (an RTT plus d+p chunk acks)
-// has closed by the retry.
-const busyWriteBackoff = 2 * time.Millisecond
 
 // GetObject fetches an object as a zero-copy *Object handle: the
 // pooled first-d shard buffers are handed to the caller without the
@@ -693,87 +728,32 @@ const busyWriteBackoff = 2 * time.Millisecond
 // in-flight request at the proxy.
 func (c *Client) GetObject(ctx context.Context, key string) (*Object, error) {
 	c.stats.Gets.Add(1)
-	return c.getWithRetries(ctx, key)
+	return c.getObject(ctx, key, nil)
 }
 
-// getWithRetries is the full single-key GET state machine: transient
-// retries, busy-write backoff, and the membership redirect protocol.
-// A WRONG_OWNER reply refreshes the ring view and retries through it; a
-// fallback redirect (migration window: the new owner misses locally)
-// asks the previous owner authoritatively, whose answer — data or miss
-// — is final. Redirect hops are budgeted separately from transient
-// retries so an epoch bump does not eat the failure budget.
-func (c *Client) getWithRetries(ctx context.Context, key string) (*Object, error) {
-	var err error
+// getObject drives one whole-object read through do. first, when
+// non-nil, is the outcome of attempt 1 already made in an MGet burst.
+// This is the one place a read switches to its ranged form: the proxy
+// answers a whole-object GET of a multi-stripe streamed object with the
+// object's size, and the same attempt re-reads [0, size) through the
+// ranged plane.
+func (c *Client) getObject(ctx context.Context, key string, first error) (*Object, error) {
 	var obj *Object
-	backoff := busyWriteBackoff
-	redirects := 0
-	direct := "" // when set, ask this proxy instead of routing by ring
-	authoritative := false
-	fallbackMissRetried := false
-	for attempt := 0; attempt < getRetries; {
-		obj, err = c.getFrom(ctx, key, direct, authoritative)
-		var wo *wrongOwnerError
-		var eso errStreamObject
-		switch {
-		case errors.As(err, &eso):
-			// The object was streamed in stripes; a whole-object read is
-			// served by the ranged plane covering [0, size).
-			return c.streamObjectFallback(ctx, key, eso.size)
-		case authoritative && errors.Is(err, ErrMiss) && !fallbackMissRetried:
-			// A fallback miss can race the handoff completing: the
-			// source streamed the key and dropped its copy between
-			// issuing the redirect and this GET landing. One pass back
-			// through the ring settles it — the new owner either holds
-			// the key now or the miss is genuine (a second fallback hop
-			// would find it at the source).
-			fallbackMissRetried = true
-			direct, authoritative = "", false
-		case errors.As(err, &wo):
-			redirects++
-			if redirects > redirectBudget {
-				return nil, fmt.Errorf("%w: redirect loop (%d hops): %v", ErrRejected, redirects, err)
-			}
-			c.stats.Redirects.Add(1)
-			if wo.fallback {
-				// The owner is still waiting on the migration stream;
-				// chase the key to its previous owner directly.
-				direct, authoritative = wo.owner, true
-				continue
-			}
-			// Plain redirect: learn the new ring, then route through it.
-			c.refreshRing(ctx, wo.owner)
-			direct, authoritative = "", false
-		case errors.Is(err, errBusyWrite):
-			// Adaptive overwrite-retry: the proxy said a PUT generation
-			// is mid-commit. Wait the window out (doubling per repeat)
-			// instead of re-asking inside it — an immediate retry would
-			// spend the whole budget on the same unreadable window.
-			select {
-			case <-c.cfg.Clock.After(backoff):
-				backoff *= 2
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-			attempt++
-		case errors.Is(err, errTransient):
-			// Node-side transient (timeout, backup swap): the fan-out
-			// path usually heals immediately; retry at once.
-			attempt++
-		case errors.Is(err, errConnClosed):
-			// The proxy likely left the cluster; pick up the epoch that
-			// retired it and retry through the fresh ring.
-			c.refreshRing(ctx, "")
-			direct, authoritative = "", false
-			attempt++
-		default:
-			if errors.Is(err, ErrMiss) {
-				c.stats.ColdMisses.Add(1)
-			}
-			return obj, err
+	err := c.do(ctx, key, func(rt route) error {
+		err := first
+		first = nil
+		if err == nil {
+			obj, err = c.tryGet(ctx, rt, key)
 		}
-	}
-	return nil, fmt.Errorf("%w (after %d attempts): %v", ErrRejected, getRetries, err)
+		if err != nil {
+			var eso errStreamObject
+			if errors.As(err, &eso) {
+				obj, err = c.rangeObject(ctx, rt, key, eso.size)
+			}
+		}
+		return err
+	})
+	return obj, err
 }
 
 // GetCtx fetches and reassembles an object into a fresh contiguous
@@ -796,11 +776,10 @@ func (c *Client) Get(key string) ([]byte, error) {
 }
 
 // gather accumulates one key's first-d DATA fan-in (shared by the
-// single-key getOnce and the MGet burst collector).
+// single-key tryGet and the MGet burst).
 type gather struct {
 	obj      *Object
 	received int
-	size     int64
 }
 
 // applyGetFrame advances a gather with one inbound frame. done reports
@@ -808,202 +787,90 @@ type gather struct {
 // caller releases the partial object), or with g.obj complete (decoded
 // if one of the first d was a parity chunk, geometry recorded, Hit
 // counted) and ownership ready to hand to the caller.
-func (c *Client) applyGetFrame(g *gather, key string, msg *protocol.Message, d, total int) (done bool, err error) {
-	// Key echo check: every proxy reply carries the key of the command
-	// it answers. A mismatch means the command's key field was garbled
-	// in transit (the proxy looked up — or missed — some other key) or
-	// the reply's was; either way the frame proves nothing about our
-	// key, so treat it as a transient failure and retry.
-	if msg.Key != "" && msg.Key != key {
-		msg.Free()
-		c.stats.ChecksumFailures.Add(1)
-		return true, fmt.Errorf("%w: reply key mismatch", errTransient)
-	}
-	switch msg.Type {
-	case protocol.TData:
-		// Every DATA frame carries the object's true RS geometry; a
-		// client whose codec disagrees (e.g. a per-client WithShards
-		// override against a differently-coded deployment) must fail
-		// loudly here — decoding with the wrong code returns garbage
-		// bytes with no error.
-		if fd, ft := int(msg.Arg(2)), int(msg.Arg(3)); fd != d || ft != total {
-			msg.Free()
-			return true, fmt.Errorf("%w: object is RS(%d+%d) but this client speaks RS(%d+%d)",
-				ErrRejected, fd, ft-fd, d, total-d)
-		}
-		idx := int(msg.Arg(0))
-		if idx < 0 || idx >= total || g.obj.shards[idx] != nil {
-			msg.Free() // duplicate or out-of-range frame
-			return false, nil
-		}
-		// End-to-end integrity: the shard must be the size the geometry
-		// demands and must match the checksum computed at encode time
-		// (when the frame carries one). A mismatch means corruption in
-		// transit or at rest — treat it as a transient node failure so
-		// the retry path re-fetches (and the proxy escalates repeat
-		// offenders into erasures) instead of decoding garbage.
-		if want := c.codec.ShardSize(int(msg.Arg(1))); len(msg.Payload) != want {
-			msg.Free()
-			c.stats.ChecksumFailures.Add(1)
-			return true, fmt.Errorf("%w: chunk %d: bad shard length", errTransient, idx)
-		}
-		if len(msg.Args) > protocol.ChecksumArgData &&
-			protocol.ChunkSum(key, idx, msg.Payload) != msg.Arg(protocol.ChecksumArgData) {
-			msg.Free()
-			c.stats.ChecksumFailures.Add(1)
-			return true, fmt.Errorf("%w: chunk %d: checksum mismatch", errTransient, idx)
-		}
-		g.obj.shards[idx] = msg.Payload // ownership moves to the handle
-		msg.Payload = nil
-		g.size = msg.Arg(1)
-		g.received++
-		msg.Free()
-		if g.received < d {
-			return false, nil
-		}
-		// Reassembly is deferred to the Object handle: if one of the
-		// first d arrivals was a parity chunk, run EC reconstruction
-		// (first-d trade-off, §3.2); either way the data shards are
-		// handed over in place — no Join copy.
-		for i := 0; i < d; i++ {
-			if g.obj.shards[i] == nil {
-				c.stats.Decodes.Add(1)
-				if derr := c.codec.ReconstructData(g.obj.shards); derr != nil {
-					return true, fmt.Errorf("client: decode: %w", derr)
-				}
-				break
-			}
-		}
-		g.obj.d, g.obj.size = d, int(g.size)
-		c.stats.Hits.Add(1)
-		return true, nil
-	case protocol.TMiss:
-		loss := msg.Arg(0) == 1
-		msg.Free()
-		if loss {
-			c.stats.Losses.Add(1)
-			return true, ErrLost
-		}
-		// Not counted here: a miss at the frame level may be provisional
-		// (the fallback-race retry in getWithRetries can still turn it
-		// into a hit). ColdMisses is counted where ErrMiss becomes final.
-		return true, ErrMiss
-	case protocol.TWrongOwner:
-		wo := &wrongOwnerError{
-			version:  uint64(msg.Arg(0)),
-			owner:    msg.Addr,
-			fallback: msg.Arg(1) == 1,
-		}
-		msg.Free()
-		return true, wo
-	case protocol.TErr:
-		if msg.Arg(0) == protocol.StreamObjectFlag {
-			// Not an error: the object was streamed in stripes and must be
-			// read through the ranged plane; Args[1] carries its size.
-			size := msg.Arg(1)
-			msg.Free()
-			return true, errStreamObject{size: size}
-		}
-		if msg.Arg(0) == protocol.TransientFlag {
-			busy := msg.Arg(1) == protocol.TransientBusyWrite
-			msg.Free()
-			if busy {
-				return true, errBusyWrite
-			}
-			return true, errTransient
-		}
-		err = fmt.Errorf("%w: %s", ErrRejected, msg.Payload)
-		msg.Free()
+func (c *Client) applyGetFrame(g *gather, key string, msg *protocol.Message) (done bool, err error) {
+	if err := c.classify(msg, key, protocol.TData); err != nil {
 		return true, err
-	default:
-		msg.Free()
+	}
+	d, total := c.codec.DataShards(), c.codec.TotalShards()
+	// Every DATA frame carries the object's true RS geometry; a
+	// client whose codec disagrees (e.g. a per-client WithShards
+	// override against a differently-coded deployment) must fail
+	// loudly here — decoding with the wrong code returns garbage
+	// bytes with no error.
+	if fd, ft := int(msg.Arg(2)), int(msg.Arg(3)); fd != d || ft != total {
+		return true, fmt.Errorf("%w: object is RS(%d+%d) but this client speaks RS(%d+%d)",
+			ErrRejected, fd, ft-fd, d, total-d)
+	}
+	idx, size := int(msg.Arg(0)), int(msg.Arg(1))
+	if idx < 0 || idx >= total || g.obj.shards[idx] != nil {
+		return false, nil // duplicate or out-of-range frame
+	}
+	// End-to-end integrity: the shard must be the size the geometry
+	// demands and must match the checksum computed at encode time
+	// (when the frame carries one). A mismatch means corruption in
+	// transit or at rest — treat it as a transient node failure so
+	// the retry path re-fetches (and the proxy escalates repeat
+	// offenders into erasures) instead of decoding garbage.
+	if len(msg.Payload) != c.codec.ShardSize(size) {
+		c.stats.ChecksumFailures.Add(1)
+		return true, fmt.Errorf("%w: chunk %d: bad shard length", errTransient, idx)
+	}
+	if len(msg.Args) > protocol.ChecksumArgData &&
+		protocol.ChunkSum(key, idx, msg.Payload) != msg.Arg(protocol.ChecksumArgData) {
+		c.stats.ChecksumFailures.Add(1)
+		return true, fmt.Errorf("%w: chunk %d: checksum mismatch", errTransient, idx)
+	}
+	g.obj.shards[idx] = msg.Payload // ownership moves to the handle
+	msg.Payload = nil
+	g.received++
+	if g.received < d {
 		return false, nil
 	}
-}
-
-// getOnce is one ring-routed, non-authoritative GET attempt (the MGet
-// retry path rides it).
-func (c *Client) getOnce(ctx context.Context, key string) (*Object, error) {
-	return c.getFrom(ctx, key, "", false)
-}
-
-// getFrom runs one GET attempt. With direct == "" the key's ring owner
-// is asked; otherwise direct names the proxy (a fallback target). The
-// authoritative flag (Args[0] = 1) makes the proxy serve regardless of
-// ring ownership and answer a plain MISS instead of a second fallback
-// redirect.
-func (c *Client) getFrom(ctx context.Context, key, direct string, authoritative bool) (*Object, error) {
-	var info ProxyInfo
-	if direct == "" {
-		var err error
-		info, err = c.proxyFor(key)
-		if err != nil {
-			return nil, err
+	// Reassembly is deferred to the Object handle: if one of the
+	// first d arrivals was a parity chunk, run EC reconstruction
+	// (first-d trade-off, §3.2); either way the data shards are
+	// handed over in place — no Join copy.
+	for i := 0; i < d; i++ {
+		if g.obj.shards[i] == nil {
+			c.stats.Decodes.Add(1)
+			if derr := c.codec.ReconstructData(g.obj.shards); derr != nil {
+				return true, fmt.Errorf("client: decode: %w", derr)
+			}
+			break
 		}
-	} else {
-		info = c.proxyInfo(direct)
 	}
-	pc, err := c.conn(info.Addr)
+	g.obj.d, g.obj.size = d, size
+	c.stats.Hits.Add(1)
+	return true, nil
+}
+
+// authArgs is the GET argument vector carrying the authoritative flag.
+var authArgs = []int64{1}
+
+// tryGet runs one whole-object GET attempt against rt.
+func (c *Client) tryGet(ctx context.Context, rt route, key string) (*Object, error) {
+	var args []int64
+	if rt.authoritative {
+		args = authArgs
+	}
+	total := c.codec.TotalShards()
+	g := gather{obj: newObject(total)}
+	err := c.ask(ctx, rt.Addr, protocol.TGet, key, args, total+2, func(msg *protocol.Message) (bool, error) {
+		return c.applyGetFrame(&g, key, msg)
+	})
 	if err != nil {
+		// Every exit short of a complete gather (miss, loss, error,
+		// timeout, cancel) returns the shards received so far to the
+		// pool.
+		g.obj.Release()
 		return nil, err
 	}
-	seq := c.seq.Add(1)
-	total := c.codec.TotalShards()
-	ch := pc.register(seq, total+2)
-	// release also drains straggler DATA frames that landed after the
-	// first d, recycling their pooled payloads.
-	defer pc.release(seq, ch)
-
-	var getArgs []int64
-	if authoritative {
-		getArgs = []int64{1}
+	// No recovery against a proxy outside the epoch view (PoolSize
+	// unknown) — a retired fallback target is about to drain anyway.
+	if c.cfg.EnableRecovery && rt.PoolSize > 0 {
+		c.maybeRecover(ctx, rt, key, int64(g.obj.size), g.obj.shards)
 	}
-	if err := pc.conn.Forward(protocol.TGet, seq, key, "", getArgs, nil); err != nil {
-		return nil, connErr("get", err)
-	}
-
-	d := c.codec.DataShards()
-	g := gather{obj: newObject(total), size: -1}
-	// Until the handle is handed off, every exit (miss, loss, error,
-	// timeout, cancel) returns the shards received so far to the pool.
-	handoff := false
-	defer func() {
-		if !handoff {
-			g.obj.Release()
-		}
-	}()
-	// One timer covers the whole first-d wait (fixed deadline).
-	timeout := c.cfg.Clock.After(c.cfg.RequestTimeout)
-
-	for {
-		select {
-		case msg, ok := <-ch:
-			if !ok {
-				return nil, errConnClosed
-			}
-			done, ferr := c.applyGetFrame(&g, key, msg, d, total)
-			if !done {
-				continue
-			}
-			if ferr != nil {
-				return nil, ferr
-			}
-			// No recovery against a proxy outside the epoch view
-			// (PoolSize unknown) — a retired fallback target is about to
-			// drain anyway.
-			if c.cfg.EnableRecovery && info.PoolSize > 0 {
-				c.maybeRecover(ctx, pc, key, info, int64(g.obj.size), g.obj.shards)
-			}
-			handoff = true
-			return g.obj, nil
-		case <-ctx.Done():
-			pc.cancel(seq)
-			return nil, ctx.Err()
-		case <-timeout:
-			pc.cancel(seq)
-			return nil, ErrTimeout
-		}
-	}
+	return g.obj, nil
 }
 
 // maybeRecover re-encodes and re-inserts chunks that did not arrive
@@ -1017,7 +884,7 @@ func (c *Client) getFrom(ctx context.Context, key, direct string, authoritative 
 // re-insert. A completed repair is remembered (bounded done-memory), so
 // straggler-degraded reads of an already-repaired object do not write
 // again; an epoch bump naturally re-keys the space.
-func (c *Client) maybeRecover(ctx context.Context, pc *proxyConn, key string, info ProxyInfo, objSize int64, shards [][]byte) {
+func (c *Client) maybeRecover(ctx context.Context, rt route, key string, objSize int64, shards [][]byte) {
 	var missing []int
 	for i, s := range shards {
 		if s == nil {
@@ -1041,77 +908,31 @@ func (c *Client) maybeRecover(ctx context.Context, pc *proxyConn, key string, in
 	for _, i := range missing {
 		sparse[i] = shards[i]
 	}
-	nodes := c.placement(info.PoolSize, len(shards))
-	gen := c.putGen.Add(1)
-	if err := c.putChunks(ctx, pc, key, objSize, sparse, nodes, gen, true, nil); err == nil {
+	pc, err := c.conn(rt.Addr)
+	if err != nil {
+		return
+	}
+	w, err := c.claim(pc, len(sparse), len(missing)+1)
+	if err != nil {
+		return
+	}
+	defer w.release()
+	if c.stageSets(&w, 0, rt.PoolSize, key, objSize, sparse, true, nil) == nil && c.collectAcks(ctx, &w, key) == nil {
 		completed = true
 		c.stats.Recoveries.Add(int64(len(missing)))
 	}
 }
 
 // DelCtx invalidates an object (the client library's
-// overwrite/invalidation duty, §3.1), following WRONG_OWNER redirects —
-// the DELETE must land at the ring owner so its tombstone fences any
-// in-flight migration of the key.
+// overwrite/invalidation duty, §3.1). The driver follows WRONG_OWNER
+// redirects — the DELETE must land at the ring owner so its tombstone
+// fences any in-flight migration of the key.
 func (c *Client) DelCtx(ctx context.Context, key string) error {
-	var lastErr error
-	for hop := 0; hop <= redirectBudget; hop++ {
-		info, err := c.proxyFor(key)
-		if err != nil {
-			return err
-		}
-		err = c.delOnce(ctx, key, info.Addr)
-		var wo *wrongOwnerError
-		switch {
-		case errors.As(err, &wo):
-			c.stats.Redirects.Add(1)
-			lastErr = err
-			c.refreshRing(ctx, wo.owner)
-		case errors.Is(err, errConnClosed):
-			lastErr = err
-			c.refreshRing(ctx, "")
-		default:
-			return err
-		}
-	}
-	return fmt.Errorf("%w: redirect loop: %v", ErrRejected, lastErr)
-}
-
-// delOnce sends one DELETE to one proxy and waits for its verdict.
-func (c *Client) delOnce(ctx context.Context, key, addr string) error {
-	pc, err := c.conn(addr)
-	if err != nil {
-		return err
-	}
-	seq := c.seq.Add(1)
-	ch := pc.register(seq, 2)
-	defer pc.release(seq, ch)
-	if err := pc.conn.Forward(protocol.TDel, seq, key, "", nil, nil); err != nil {
-		return connErr("del", err)
-	}
-	select {
-	case resp, ok := <-ch:
-		if !ok {
-			return errConnClosed
-		}
-		if resp.Type == protocol.TWrongOwner {
-			wo := &wrongOwnerError{version: uint64(resp.Arg(0)), owner: resp.Addr}
-			resp.Free()
-			return wo
-		}
-		ok = resp.Type == protocol.TAck
-		resp.Free()
-		if !ok {
-			return ErrRejected
-		}
-		return nil
-	case <-ctx.Done():
-		pc.cancel(seq)
-		return ctx.Err()
-	case <-c.cfg.Clock.After(c.cfg.RequestTimeout):
-		pc.cancel(seq)
-		return ErrTimeout
-	}
+	return c.do(ctx, key, func(rt route) error {
+		return c.ask(ctx, rt.Addr, protocol.TDel, key, nil, 2, func(msg *protocol.Message) (bool, error) {
+			return true, c.classify(msg, key, protocol.TAck)
+		})
+	})
 }
 
 // Del is DelCtx without a context.

@@ -71,14 +71,14 @@ func (c *Client) PutReader(ctx context.Context, key string, size int64, r io.Rea
 		if _, err := io.ReadFull(r, buf); err != nil {
 			return fmt.Errorf("client: stream read: %w", err)
 		}
-		return c.putValue(ctx, key, key, buf, nil)
+		return c.put(ctx, key, key, buf, nil)
 	}
 
 	// The head ships first and alone, carrying the stream geometry.
 	head := bufpool.Get(int(stripeData))
 	_, err := io.ReadFull(r, head)
 	if err == nil {
-		err = c.putValue(ctx, key, key, head, []int64{size, stripeData})
+		err = c.put(ctx, key, key, head, []int64{size, stripeData})
 	} else {
 		err = fmt.Errorf("client: stream read: %w", err)
 	}
@@ -124,7 +124,7 @@ func (c *Client) PutReader(ctx context.Context, key string, size int64, r io.Rea
 				<-sem
 				wg.Done()
 			}()
-			if err := c.putValue(ctx, key, protocol.StripeKey(key, s), buf, nil); err != nil {
+			if err := c.put(ctx, key, protocol.StripeKey(key, s), buf, nil); err != nil {
 				fail(fmt.Errorf("client: stripe %d: %w", s, err))
 			}
 		}(s, buf)
@@ -152,139 +152,63 @@ func (c *Client) GetRange(ctx context.Context, key string, off, n int64) ([]byte
 	if n <= 0 {
 		return []byte{}, nil
 	}
-	return c.rangeWithRetries(ctx, key, off, n)
+	var data []byte
+	err := c.do(ctx, key, func(rt route) (err error) {
+		data, err = c.tryRange(ctx, rt, key, off, n)
+		return err
+	})
+	return data, err
 }
 
-// streamObjectFallback serves a whole-object read of a streamed object
-// through the ranged plane and wraps the bytes as a single-shard Object
-// so the GetObject contract (WriteTo/Read/Bytes + Release) holds.
-func (c *Client) streamObjectFallback(ctx context.Context, key string, size int64) (*Object, error) {
-	data, err := c.rangeWithRetries(ctx, key, 0, size)
+// rangeObject serves a whole-object read of a streamed object through
+// the ranged plane and wraps the bytes as a single-shard Object so the
+// GetObject contract (WriteTo/Read/Bytes + Release) holds.
+func (c *Client) rangeObject(ctx context.Context, rt route, key string, size int64) (*Object, error) {
+	data, err := c.tryRange(ctx, rt, key, 0, size)
 	if err != nil {
 		return nil, err
 	}
 	return &Object{shards: [][]byte{data}, d: 1, size: len(data), valid: true}, nil
 }
 
-// rangeWithRetries is GetRange's state machine — the same transient
-// retry, busy-write backoff and membership redirect handling as
-// getWithRetries, around single rangeOnce attempts.
-func (c *Client) rangeWithRetries(ctx context.Context, key string, off, n int64) ([]byte, error) {
-	var err error
-	var data []byte
-	backoff := busyWriteBackoff
-	redirects := 0
-	direct := ""
-	authoritative := false
-	fallbackMissRetried := false
-	for attempt := 0; attempt < getRetries; {
-		data, err = c.rangeOnce(ctx, key, direct, authoritative, off, n)
-		var wo *wrongOwnerError
-		switch {
-		case authoritative && errors.Is(err, ErrMiss) && !fallbackMissRetried:
-			// Same fallback-miss race as getWithRetries: one pass back
-			// through the ring settles whether the miss is genuine.
-			fallbackMissRetried = true
-			direct, authoritative = "", false
-		case errors.As(err, &wo):
-			redirects++
-			if redirects > redirectBudget {
-				return nil, fmt.Errorf("%w: redirect loop (%d hops): %v", ErrRejected, redirects, err)
-			}
-			c.stats.Redirects.Add(1)
-			if wo.fallback {
-				direct, authoritative = wo.owner, true
-				continue
-			}
-			c.refreshRing(ctx, wo.owner)
-			direct, authoritative = "", false
-		case errors.Is(err, errBusyWrite):
-			select {
-			case <-c.cfg.Clock.After(backoff):
-				backoff *= 2
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-			attempt++
-		case errors.Is(err, errTransient):
-			attempt++
-		case errors.Is(err, errConnClosed):
-			c.refreshRing(ctx, "")
-			direct, authoritative = "", false
-			attempt++
-		default:
-			if errors.Is(err, ErrMiss) {
-				c.stats.ColdMisses.Add(1)
-			}
-			return data, err
-		}
-	}
-	return nil, fmt.Errorf("%w (after %d attempts): %v", ErrRejected, getRetries, err)
+// rangeFrames sizes a ranged GET's response channel for a request of n
+// bytes. It must cover every frame the proxy can send on the seq (the
+// dispatcher drops on overflow): up to d chunks of every stripe the
+// range touches plus the terminal, reckoned in this client's stripe
+// geometry and never below rangeFrameBuf — at the default 1 MiB stripe
+// shard that floor alone is ~1 GiB of requested range. Only an object
+// written under a much smaller stripe shard than this client's can
+// overflow it; a dropped frame then surfaces as an incomplete assembly
+// at the terminal, which retries as a transient.
+func (c *Client) rangeFrames(n int64) int {
+	stripes := min(n/c.stripeData()+2, rangeFrameMax)
+	return int(min(max(stripes*int64(c.codec.DataShards())+1, rangeFrameBuf), rangeFrameMax))
 }
 
-// rangeFrameBuf sizes a ranged GET's response channel. It must cover
-// every frame the proxy can send on the seq (the dispatcher drops on
-// overflow); at the default 1 MiB stripe shard that is ~1 GiB of
-// requested range, far past any sane sub-object read. A dropped frame
-// surfaces as an incomplete assembly at the terminal, which retries as
-// a transient.
-const rangeFrameBuf = 1024
+const (
+	rangeFrameBuf = 1024
+	// rangeFrameMax caps the channel a single request can make the client
+	// allocate (n is caller-supplied and may be "to EOF").
+	rangeFrameMax = 1 << 16
+)
 
-// rangeOnce runs one ranged GET attempt against one proxy and
-// assembles the reply frames into the requested bytes.
-func (c *Client) rangeOnce(ctx context.Context, key, direct string, authoritative bool, off, n int64) ([]byte, error) {
-	var info ProxyInfo
-	if direct == "" {
-		var err error
-		info, err = c.proxyFor(key)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		info = c.proxyInfo(direct)
-	}
-	pc, err := c.conn(info.Addr)
-	if err != nil {
-		return nil, err
-	}
-	seq := c.seq.Add(1)
-	ch := pc.register(seq, rangeFrameBuf)
-	defer pc.release(seq, ch)
-
+// tryRange runs one ranged GET attempt against rt and assembles the
+// reply frames into the requested bytes.
+func (c *Client) tryRange(ctx context.Context, rt route, key string, off, n int64) ([]byte, error) {
 	var args [4]int64
-	if authoritative {
+	if rt.authoritative {
 		args[0] = 1
 	}
 	args[protocol.RangeArgFlag] = 1
 	args[protocol.RangeArgOff] = off
 	args[protocol.RangeArgLen] = n
-	if err := pc.conn.Forward(protocol.TGet, seq, key, "", args[:], nil); err != nil {
-		return nil, connErr("get range", err)
-	}
-
 	asm := rangeAssembler{c: c, key: key, off: off, n: n}
 	defer asm.release()
-	// One timer covers the whole wait (fixed deadline), as on the
-	// whole-object GET path.
-	timeout := c.cfg.Clock.After(c.cfg.RequestTimeout)
-	for {
-		select {
-		case msg, ok := <-ch:
-			if !ok {
-				return nil, errConnClosed
-			}
-			done, out, ferr := asm.apply(msg)
-			if done {
-				return out, ferr
-			}
-		case <-ctx.Done():
-			pc.cancel(seq)
-			return nil, ctx.Err()
-		case <-timeout:
-			pc.cancel(seq)
-			return nil, ErrTimeout
-		}
+	err := c.ask(ctx, rt.Addr, protocol.TGet, key, args[:], c.rangeFrames(n), asm.apply)
+	if err != nil {
+		return nil, err
 	}
+	return asm.out, nil
 }
 
 // stripeGather accumulates a degraded stripe's d-chunk fan-in until it
@@ -339,71 +263,30 @@ func (a *rangeAssembler) copySpan(payload []byte, cs, ce int64) {
 }
 
 // apply folds one frame in. done reports the attempt finished, with
-// the assembled bytes or the error to feed the retry machinery.
-func (a *rangeAssembler) apply(msg *protocol.Message) (done bool, out []byte, err error) {
-	// Key echo check, as on the whole-object path: a mismatched reply
-	// proves nothing about our key.
-	if msg.Key != "" && msg.Key != a.key {
-		msg.Free()
-		a.c.stats.ChecksumFailures.Add(1)
-		return true, nil, fmt.Errorf("%w: reply key mismatch", errTransient)
+// a.out assembled or the error to feed the driver.
+func (a *rangeAssembler) apply(msg *protocol.Message) (done bool, err error) {
+	if err := a.c.classify(msg, a.key, protocol.TData); err != nil {
+		return true, err
 	}
-	switch msg.Type {
-	case protocol.TData:
-		a.size(msg.Arg(protocol.RangeDataArgSize))
-		idx := int(msg.Arg(protocol.RangeDataArgIdx))
-		if idx < 0 {
-			// Terminal frame: the proxy sent everything it fetched.
-			msg.Free()
-			if a.covered != int64(len(a.out)) || len(a.degraded) > 0 {
-				return true, nil, fmt.Errorf("%w: range assembly incomplete (%d/%d bytes)",
-					errTransient, a.covered, len(a.out))
-			}
-			a.c.stats.Hits.Add(1)
-			out, a.out = a.out, nil
-			return true, out, nil
-		}
+	a.size(msg.Arg(protocol.RangeDataArgSize))
+	idx := int(msg.Arg(protocol.RangeDataArgIdx))
+	if idx >= 0 {
 		return a.applyChunk(msg, idx)
-	case protocol.TMiss:
-		loss := msg.Arg(0) == 1
-		msg.Free()
-		if loss {
-			a.c.stats.Losses.Add(1)
-			return true, nil, ErrLost
-		}
-		return true, nil, ErrMiss
-	case protocol.TWrongOwner:
-		wo := &wrongOwnerError{
-			version:  uint64(msg.Arg(0)),
-			owner:    msg.Addr,
-			fallback: msg.Arg(1) == 1,
-		}
-		msg.Free()
-		return true, nil, wo
-	case protocol.TErr:
-		if msg.Arg(0) == protocol.TransientFlag {
-			busy := msg.Arg(1) == protocol.TransientBusyWrite
-			msg.Free()
-			if busy {
-				return true, nil, errBusyWrite
-			}
-			return true, nil, errTransient
-		}
-		err = fmt.Errorf("%w: %s", ErrRejected, msg.Payload)
-		msg.Free()
-		return true, nil, err
-	default:
-		msg.Free()
-		return false, nil, nil
 	}
+	// Terminal frame: the proxy sent everything it fetched.
+	if a.covered != int64(len(a.out)) || len(a.degraded) > 0 {
+		return true, fmt.Errorf("%w: range assembly incomplete (%d/%d bytes)",
+			errTransient, a.covered, len(a.out))
+	}
+	a.c.stats.Hits.Add(1)
+	return true, nil
 }
 
 // applyChunk folds one data-chunk frame in.
-func (a *rangeAssembler) applyChunk(msg *protocol.Message, idx int) (done bool, out []byte, err error) {
+func (a *rangeAssembler) applyChunk(msg *protocol.Message, idx int) (done bool, err error) {
 	d, total := int(msg.Arg(protocol.RangeDataArgShards)), int(msg.Arg(protocol.RangeDataArgTotal))
 	if cd, ct := a.c.codec.DataShards(), a.c.codec.TotalShards(); d != cd || total != ct {
-		msg.Free()
-		return true, nil, fmt.Errorf("%w: object is RS(%d+%d) but this client speaks RS(%d+%d)",
+		return true, fmt.Errorf("%w: object is RS(%d+%d) but this client speaks RS(%d+%d)",
 			ErrRejected, d, total-d, cd, ct-cd)
 	}
 	stripe := int(msg.Arg(protocol.RangeDataArgStripe))
@@ -414,23 +297,21 @@ func (a *rangeAssembler) applyChunk(msg *protocol.Message, idx int) (done bool, 
 	// bound to the stripe entry's key — exactly what was computed at
 	// encode time.
 	if want := protocol.ShardSizeFor(slen, d); int64(len(msg.Payload)) != want || idx >= total {
-		msg.Free()
 		a.c.stats.ChecksumFailures.Add(1)
-		return true, nil, fmt.Errorf("%w: stripe %d chunk %d: bad shard length", errTransient, stripe, idx)
+		return true, fmt.Errorf("%w: stripe %d chunk %d: bad shard length", errTransient, stripe, idx)
 	}
 	if flags&protocol.RangeFlagHasSum != 0 &&
 		protocol.ChunkSum(protocol.StripeKey(a.key, stripe), idx, msg.Payload) != msg.Arg(protocol.RangeDataArgSum) {
-		msg.Free()
 		a.c.stats.ChecksumFailures.Add(1)
-		return true, nil, fmt.Errorf("%w: stripe %d chunk %d: checksum mismatch", errTransient, stripe, idx)
+		return true, fmt.Errorf("%w: stripe %d chunk %d: checksum mismatch", errTransient, stripe, idx)
 	}
 
 	if flags&protocol.RangeFlagDegraded == 0 {
-		// Healthy chunk: copy its overlap with the request and recycle.
+		// Healthy chunk: copy its overlap with the request; the payload
+		// recycles with the frame.
 		cs, ce := protocol.ShardSpan(start, slen, d, idx)
 		a.copySpan(msg.Payload, cs, ce)
-		msg.Free()
-		return false, nil, nil
+		return false, nil
 	}
 
 	// Degraded stripe: the proxy fanned out d present chunks (data or
@@ -445,19 +326,17 @@ func (a *rangeAssembler) applyChunk(msg *protocol.Message, idx int) (done bool, 
 		a.degraded[stripe] = g
 	}
 	if g.shards[idx] != nil {
-		msg.Free() // duplicate
-		return false, nil, nil
+		return false, nil // duplicate
 	}
 	g.shards[idx] = msg.Payload // ownership moves to the gather
 	msg.Payload = nil
-	msg.Free()
 	g.got++
 	if g.got < d {
-		return false, nil, nil
+		return false, nil
 	}
 	a.c.stats.Decodes.Add(1)
 	if derr := a.c.codec.ReconstructData(g.shards); derr != nil {
-		return true, nil, fmt.Errorf("client: decode stripe %d: %w", stripe, derr)
+		return true, fmt.Errorf("client: decode stripe %d: %w", stripe, derr)
 	}
 	for i := 0; i < d; i++ {
 		cs, ce := protocol.ShardSpan(g.start, g.slen, d, i)
@@ -465,7 +344,7 @@ func (a *rangeAssembler) applyChunk(msg *protocol.Message, idx int) (done bool, 
 	}
 	bufpool.PutAll(g.shards)
 	delete(a.degraded, stripe)
-	return false, nil, nil
+	return false, nil
 }
 
 // release recycles whatever pooled buffers half-gathered degraded

@@ -194,62 +194,74 @@ func TestMGetSingleWindowedBurst(t *testing.T) {
 	}
 }
 
-// TestClientCancelReachesDispatcher drives a cancellation end to end:
-// the client's context is cancelled while the node withholds the chunk
-// response, so the CANCEL frame must travel to the session, be counted,
-// withdraw the chunk request from the node dispatcher's window, and
-// leave the stack healthy for the next request (the withheld response
-// arriving late is dropped as stale).
+// TestClientCancelReachesDispatcher drives a cancellation end to end,
+// for both shapes of the session's one read op (a whole-object GET and
+// a ranged GET): the client's context is cancelled while the node
+// withholds the chunk response, so the CANCEL frame must travel to the
+// session, be counted, withdraw the chunk request from the node
+// dispatcher's window, and leave the stack healthy for the next request
+// (the withheld response arriving late is dropped as stale).
 func TestClientCancelReachesDispatcher(t *testing.T) {
-	bn := &burstNode{holdGets: 1}
-	p, c := burstStack(t, bn)
-	ctx := context.Background()
+	reads := map[string]func(ctx context.Context, c *client.Client) error{
+		"GetObject": func(ctx context.Context, c *client.Client) error {
+			_, err := c.GetObject(ctx, "precious")
+			return err
+		},
+		"GetRange": func(ctx context.Context, c *client.Client) error {
+			_, err := c.GetRange(ctx, "precious", 2, 5)
+			return err
+		},
+	}
+	for name, read := range reads {
+		t.Run(name, func(t *testing.T) {
+			bn := &burstNode{holdGets: 1}
+			p, c := burstStack(t, bn)
+			ctx := context.Background()
 
-	if err := c.PutCtx(ctx, "precious", []byte("cancel-me")); err != nil {
-		t.Fatal(err)
-	}
+			if err := c.PutCtx(ctx, "precious", []byte("cancel-me")); err != nil {
+				t.Fatal(err)
+			}
 
-	bn.withhold.Store(true)
-	cctx, cancel := context.WithCancel(ctx)
-	errCh := make(chan error, 1)
-	go func() {
-		_, err := c.GetObject(cctx, "precious")
-		errCh <- err
-	}()
-	var heldSeq uint64
-	select {
-	case heldSeq = <-bn.heldCh:
-	case <-time.After(10 * time.Second):
-		t.Fatal("node never received the chunk GET")
-	}
-	cancel()
-	if err := <-errCh; !errors.Is(err, context.Canceled) {
-		t.Fatalf("GetObject = %v, want context.Canceled", err)
-	}
+			bn.withhold.Store(true)
+			cctx, cancel := context.WithCancel(ctx)
+			errCh := make(chan error, 1)
+			go func() { errCh <- read(cctx, c) }()
+			var heldSeq uint64
+			select {
+			case heldSeq = <-bn.heldCh:
+			case <-time.After(10 * time.Second):
+				t.Fatal("node never received the chunk GET")
+			}
+			cancel()
+			if err := <-errCh; !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s = %v, want context.Canceled", name, err)
+			}
 
-	// The CANCEL must reach the session and free the dispatcher slot.
-	deadline := time.Now().Add(5 * time.Second)
-	for p.Stats().Cancels.Load() == 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if got := p.Stats().Cancels.Load(); got != 1 {
-		t.Fatalf("proxy counted %d cancels, want 1", got)
-	}
+			// The CANCEL must reach the session and free the dispatcher slot.
+			deadline := time.Now().Add(5 * time.Second)
+			for p.Stats().Cancels.Load() == 0 && time.Now().Before(deadline) {
+				time.Sleep(5 * time.Millisecond)
+			}
+			if got := p.Stats().Cancels.Load(); got != 1 {
+				t.Fatalf("proxy counted %d cancels, want 1", got)
+			}
 
-	// The withheld response arrives late: the dispatcher must drop it
-	// as stale, and a fresh GET must still round-trip.
-	bn.withhold.Store(false)
-	bn.connMu.Lock()
-	conn := bn.conn
-	bn.connMu.Unlock()
-	conn.Send(&protocol.Message{Type: protocol.TData, Seq: heldSeq, Key: ChunkKey("precious", 0), Payload: []byte("cancel-me")})
+			// The withheld response arrives late: the dispatcher must drop it
+			// as stale, and a fresh GET must still round-trip.
+			bn.withhold.Store(false)
+			bn.connMu.Lock()
+			conn := bn.conn
+			bn.connMu.Unlock()
+			conn.Send(&protocol.Message{Type: protocol.TData, Seq: heldSeq, Key: ChunkKey("precious", 0), Payload: []byte("cancel-me")})
 
-	got, err := c.GetCtx(ctx, "precious")
-	if err != nil || string(got) != "cancel-me" {
-		t.Fatalf("GET after cancel: %q, %v", got, err)
-	}
-	if fails := p.Stats().ChunkFailures.Load(); fails != 0 {
-		t.Fatalf("%d chunk failures", fails)
+			got, err := c.GetCtx(ctx, "precious")
+			if err != nil || string(got) != "cancel-me" {
+				t.Fatalf("GET after cancel: %q, %v", got, err)
+			}
+			if fails := p.Stats().ChunkFailures.Load(); fails != 0 {
+				t.Fatalf("%d chunk failures", fails)
+			}
+		})
 	}
 }
 

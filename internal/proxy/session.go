@@ -115,7 +115,7 @@ type session struct {
 // hedgeItem is one armed hedge: when at passes and the GET is still
 // short of d chunks, one extra backup chunk is requested.
 type hedgeItem struct {
-	op *getOp
+	op *readOp
 	at time.Time
 }
 
@@ -161,28 +161,34 @@ type genState struct {
 	refused bool
 }
 
-// getOp tracks one client GET through its chunk fan-out.
-type getOp struct {
+// readOp tracks one client read — a whole-object first-d GET or a
+// ranged GET — through its chunk fetches. Where the two shapes differ
+// it is a field, not a second type: need is the completion rule (the
+// first d arrivals of a parallel fan-out win, §3.2, versus every planned
+// chunk must land), ranged selects the DATA-frame encoding and the
+// terminal frame, and hedging and hot-tier capture are first-d only.
+type readOp struct {
 	clientSeq uint64
-	key       string
-	size      int64
-	d, total  int
+	key       string   // the key the client asked about (reply key)
+	size      int64    // object size, as every reply frame reports it
+	ranged    bool     // ranged DATA encoding, closed by a terminal frame
+	need      int      // forwarded DATA frames that complete the read
 	requested int      // chunk GETs issued
-	remaining int      // chunk GETs not yet completed
+	remaining int      // chunk GETs not yet completed, plus the issue loop's hold
 	forwarded int      // DATA frames relayed to the client
 	missed    int      // definitive node MISSes
 	failed    int      // transient failures (timeout, swap)
 	done      bool     // the client already got its answer (or walked away)
 	seqs      []uint64 // node request seqs, for cancellation
-	epoch     uint64   // mapping-entry incarnation this GET snapshotted
 
-	// chunks is the mapping entry's chunk snapshot at fan-out time:
-	// per-index node placement plus the stored checksums read-backs are
-	// verified against.
-	chunks []chunkLoc
-	// backlog holds present chunk indexes deliberately not requested by
-	// the hedged fan-out (Config.HedgedGets): replacements for misses
-	// and hedge-timer extras pop from here.
+	// ents holds one entry per mapping entry the read fetches from: the
+	// object's own for a whole-object read, one per planned stripe for a
+	// ranged read.
+	ents []readEntry
+
+	// backlog holds present chunk indexes (of ents[0]) deliberately not
+	// requested by the hedged fan-out (Config.HedgedGets): replacements
+	// for misses and hedge-timer extras pop from here.
 	backlog []int
 
 	// Read-through hot-tier admission: when the tier's ghost filter
@@ -191,6 +197,22 @@ type getOp struct {
 	// the insert against writes that land during the fan-in.
 	capture  [][]byte
 	hotToken uint64
+}
+
+// readEntry is what every fetch a read makes against one mapping entry
+// shares: which entry (and incarnation) it snapshotted, where its
+// chunks live and the stored checksums read-backs are verified against,
+// and — for a ranged read — where the stripe's data sits in the object.
+type readEntry struct {
+	key      string     // mapping-entry key (the object key or a stripe key)
+	epoch    uint64     // entry incarnation this read snapshotted
+	chunks   []chunkLoc // the entry's chunk snapshot at plan time
+	d, total int
+	stripe   int
+	start    int64 // object offset of the stripe's data
+	slen     int64 // data bytes in the stripe
+	degraded bool  // part of a reconstruct-d fan-out, not an exact read
+	want     []int // chunk indexes the plan fetches; issued by startRead
 }
 
 // setOp tracks one client chunk SET through its node store.
@@ -209,45 +231,13 @@ type setOp struct {
 	hasSum    bool   // the frame carried a checksum arg
 }
 
-// rangeOp tracks one client ranged GET across its per-stripe chunk
-// fan-out: each planned chunk forwards straight to the client as it
-// lands; the op closes with a terminal frame once every fetch has
-// completed, or a transient verdict if any failed (the client retries
-// with a fresh plan — losses recorded here change the next plan).
-type rangeOp struct {
-	clientSeq uint64
-	key       string // parent object key (reply key)
-	size      int64  // total object size (terminal-frame answer)
-	remaining int    // chunk fetches outstanding
-	done      bool   // verdict or terminal already sent (or client left)
-	failed    bool   // a fetch missed/failed; answer transient at drain
-	seqs      []uint64
-}
-
-// rangeChunk carries one planned chunk's forwarding context: which
-// stripe entry it belongs to, where the stripe's data sits in the
-// object, and the stored checksum to verify the read-back against.
-type rangeChunk struct {
-	op        *rangeOp
-	stripeKey string // mapping-entry key (parent or stripe key)
-	idx       int    // shard index within the stripe
-	stripe    int
-	start     int64 // object offset of the stripe's data
-	slen      int64 // data bytes in the stripe
-	d, total  int
-	epoch     uint64
-	sum       int64
-	hasSum    bool
-	degraded  bool // part of a reconstruct-d fan-out, not an exact read
-}
-
 // pendingChunk links a node-request seq back to its op (exactly one of
-// get/set/rng is non-nil).
+// read/set is non-nil).
 type pendingChunk struct {
-	get   *getOp
+	read  *readOp
 	set   *setOp
-	rng   *rangeChunk
-	idx   int  // chunk index within the get
+	ent   int  // index into read.ents of the entry the chunk belongs to
+	idx   int  // chunk index within that entry
 	node  int  // owning node manager, for cancellation
 	hedge bool // issued by the hedge timer (HedgeWins accounting)
 }
@@ -299,7 +289,7 @@ func (s *session) run() {
 
 // armHedge schedules one hedge for op after the proxy's current hedge
 // delay; the session's single timer is armed for the queue head.
-func (s *session) armHedge(op *getOp) {
+func (s *session) armHedge(op *readOp) {
 	delay := s.p.hedgeDelay()
 	s.hedgeQ = append(s.hedgeQ, hedgeItem{op: op, at: s.p.cfg.Clock.Now().Add(delay)})
 	if s.hedgeC == nil {
@@ -339,27 +329,44 @@ func (s *session) fireHedges() {
 // holds exactly sessionWindow replies, and an overdrafted reply would
 // be dropped by the dispatcher, wedging the session. Reports whether a
 // request was issued.
-func (s *session) requestBackup(op *getOp, hedge bool) bool {
+func (s *session) requestBackup(op *readOp, hedge bool) bool {
 	if len(op.backlog) == 0 || s.outstanding >= sessionWindow {
 		return false
 	}
 	pick := 0
 	for bi, ci := range op.backlog {
-		if s.p.nodes[op.chunks[ci].Node].allowRequest() {
+		if s.p.nodes[op.ents[0].chunks[ci].Node].allowRequest() {
 			pick = bi
 			break
 		}
 	}
 	idx := op.backlog[pick]
 	op.backlog = append(op.backlog[:pick], op.backlog[pick+1:]...)
-	node := op.chunks[idx].Node
+	if !s.issueFetch(op, 0, idx, hedge) {
+		return false
+	}
+	if hedge {
+		s.p.stats.HedgedGets.Add(1)
+	}
+	return true
+}
+
+// issueFetch submits one chunk GET to its node on behalf of op: every
+// node read a session makes goes through here, so the window
+// accounting, the seq bookkeeping CANCEL relies on and the fetch count
+// exist once. The caller has made room in the session window. Reports
+// false (with its bookkeeping rolled back) when the proxy is shutting
+// down and no reply will come.
+func (s *session) issueFetch(op *readOp, ent, idx int, hedge bool) bool {
+	e := &op.ents[ent]
+	node := e.chunks[idx].Node
 	seq := s.p.nextSeq()
 	s.outstanding++
 	op.requested++
 	op.remaining++
 	op.seqs = append(op.seqs, seq)
-	s.chunks[seq] = pendingChunk{get: op, idx: idx, node: node, hedge: hedge}
-	if !s.p.nodes[node].submit(protocol.TGet, seq, ChunkKey(op.key, idx), nil, s.completions) {
+	s.chunks[seq] = pendingChunk{read: op, ent: ent, idx: idx, node: node, hedge: hedge}
+	if !s.p.nodes[node].submit(protocol.TGet, seq, ChunkKey(e.key, idx), nil, s.completions) {
 		s.outstanding--
 		op.requested--
 		op.remaining--
@@ -367,9 +374,6 @@ func (s *session) requestBackup(op *getOp, hedge bool) bool {
 		return false
 	}
 	s.p.stats.NodeChunkGets.Add(1)
-	if hedge {
-		s.p.stats.HedgedGets.Add(1)
-	}
 	return true
 }
 
@@ -493,23 +497,16 @@ func (s *session) handleCancel(m *protocol.Message) {
 		return // already completed, or never existed
 	}
 	s.p.stats.Cancels.Add(1)
-	if pc.get != nil {
-		pc.get.done = true // suppress DATA forwarding and the final verdict
-		for _, seq := range pc.get.seqs {
-			if ch, live := s.chunks[seq]; live {
-				s.p.nodes[ch.node].cancel(seq)
-			}
-		}
-	} else if pc.rng != nil {
-		pc.rng.op.done = true
-		for _, seq := range pc.rng.op.seqs {
-			if ch, live := s.chunks[seq]; live {
-				s.p.nodes[ch.node].cancel(seq)
-			}
-		}
-	} else {
+	if pc.set != nil {
 		pc.set.cancelled = true
 		s.p.nodes[pc.set.node].cancel(pc.set.seq)
+		return
+	}
+	pc.read.done = true // suppress DATA forwarding and the final verdict
+	for _, seq := range pc.read.seqs {
+		if ch, live := s.chunks[seq]; live {
+			s.p.nodes[ch.node].cancel(seq)
+		}
 	}
 }
 
@@ -759,10 +756,12 @@ func (s *session) sendFallback(seq uint64, key string) bool {
 	return true
 }
 
-// handleGet implements the first-d parallel fan-out (§3.2): every
-// present chunk is requested at once — the dispatchers pipeline them
-// down the node connections — and the first d arrivals stream straight
-// to the client; stragglers are recycled as they trickle in.
+// handleGet serves a client read. A whole-object GET is the first-d
+// parallel fan-out (§3.2): every present chunk is requested at once —
+// the dispatchers pipeline them down the node connections — and the
+// first d arrivals stream straight to the client; stragglers are
+// recycled as they trickle in. A ranged GET fetches exactly the chunks
+// its plan names, and all of them must land.
 func (s *session) handleGet(m *protocol.Message) {
 	s.p.stats.Gets.Add(1)
 	defer m.Free()
@@ -801,11 +800,11 @@ func (s *session) handleGet(m *protocol.Message) {
 		s.conn.Send(&protocol.Message{Type: protocol.TMiss, Seq: m.Seq, Key: m.Key})
 		return
 	}
-	if ranged {
-		s.handleGetRange(m, meta)
-		return
-	}
-	if meta.StreamSize > 0 {
+	op := &readOp{clientSeq: m.Seq, key: m.Key, size: meta.Size, ranged: ranged}
+	switch {
+	case ranged:
+		ok = s.planRange(op, meta, m.Arg(protocol.RangeArgOff), m.Arg(protocol.RangeArgLen))
+	case meta.StreamSize > 0:
 		// A whole-object GET of a multi-stripe streamed object: redirect
 		// the client to the ranged path with the object's total size —
 		// materialising every stripe through the single-stripe fan-in
@@ -817,36 +816,66 @@ func (s *session) handleGet(m *protocol.Message) {
 			Payload: []byte("proxy: streamed object; read it ranged"),
 		})
 		return
+	default:
+		ok = s.planWhole(op, meta, authoritative)
+		if ok && hotCapture && meta.Size <= s.p.hot.maxObj {
+			// Ghost-warm key: read-admit by copying the first-d payloads as
+			// they stream through (whatever d chunks win the fan-in race).
+			op.capture = make([][]byte, meta.TotalShards)
+			op.hotToken = hotToken
+		}
 	}
-	var present []int
+	if ok {
+		s.startRead(op)
+	}
+}
+
+// presentChunks lists the chunk indexes of a mapping entry not known
+// lost.
+func presentChunks(meta objMeta) []int {
+	present := make([]int, 0, len(meta.Chunks))
 	for i, c := range meta.Chunks {
 		if c.Present {
 			present = append(present, i)
 		}
 	}
-	d := meta.DataShards
-	if len(present) < d {
-		if meta.Lost == 0 {
-			// A half-ingested migration entry: the previous owner still
-			// holds a complete copy (drop-after-ack), so redirect there
-			// rather than have the client burn its retry budget on
-			// busy-write while the ingest waits out node cold starts.
-			if meta.Migrating && !authoritative && s.sendFallback(m.Seq, m.Key) {
-				return
-			}
-			// No chunk was ever positively lost: the object is simply
-			// mid-write (a fresh generation's chunks have not all
-			// committed). Not a loss — tell the client to retry; the
-			// next attempt reads the committed generation.
-			s.sendTransient(m.Seq, m.Key, protocol.TransientBusyWrite)
-			return
-		}
-		// More than p chunks already lost: the object is gone.
-		s.objectLost(m.Seq, m.Key, meta.Epoch)
+	return present
+}
+
+// unservable answers a read that found fewer than d chunks of entryKey
+// present — the verdict is decided before any frame of the read is
+// forwarded.
+func (s *session) unservable(op *readOp, entryKey string, meta objMeta) {
+	if meta.Lost == 0 {
+		// No chunk was ever positively lost: the object is simply
+		// mid-write (a fresh generation's chunks have not all
+		// committed). Not a loss — tell the client to retry; the
+		// next attempt reads the committed generation.
+		s.sendTransient(op.clientSeq, op.key, protocol.TransientBusyWrite)
 		return
 	}
+	// More than p chunks already lost: the object is gone (for a stripe
+	// entry the drop cascades across the whole streamed object).
+	s.objectLost(op.clientSeq, op.key, entryKey, meta.Epoch)
+}
+
+// planWhole plans a whole-object read: one entry, first-d completion.
+// Reports false when the client was answered instead.
+func (s *session) planWhole(op *readOp, meta objMeta, authoritative bool) bool {
+	present := presentChunks(meta)
+	d := meta.DataShards
+	if len(present) < d {
+		// A half-ingested migration entry: the previous owner still
+		// holds a complete copy (drop-after-ack), so redirect there
+		// rather than have the client burn its retry budget on
+		// busy-write while the ingest waits out node cold starts.
+		if meta.Lost == 0 && meta.Migrating && !authoritative && s.sendFallback(op.clientSeq, op.key) {
+			return false
+		}
+		s.unservable(op, op.key, meta)
+		return false
+	}
 	want := present
-	var backlog []int
 	if s.p.cfg.HedgedGets && len(present) > d {
 		// Hedged fan-out: request exactly d chunks up front, preferring
 		// nodes whose breaker is closed; the remainder become backups
@@ -861,238 +890,255 @@ func (s *session) handleGet(m *protocol.Message) {
 			}
 		}
 		ordered := append(healthy, open...)
-		want = ordered[:d]
-		backlog = ordered[d:]
+		want, op.backlog = ordered[:d], ordered[d:]
 	}
-	if !s.reserveWindow(len(want)) {
-		return
-	}
-	op := &getOp{
-		clientSeq: m.Seq, key: m.Key, size: meta.Size,
-		d: d, total: meta.TotalShards, epoch: meta.Epoch,
-		chunks: meta.Chunks, backlog: backlog,
-		seqs: make([]uint64, 0, len(want)),
-	}
-	if hotCapture && meta.Size <= s.p.hot.maxObj {
-		// Ghost-warm key: read-admit by copying the first-d payloads as
-		// they stream through (whatever d chunks win the fan-in race).
-		op.capture = make([][]byte, meta.TotalShards)
-		op.hotToken = hotToken
-	}
-	s.byClient[m.Seq] = pendingChunk{get: op}
-	for _, i := range want {
-		seq := s.p.nextSeq()
-		s.outstanding++
-		op.requested++
-		op.remaining++
-		op.seqs = append(op.seqs, seq)
-		s.chunks[seq] = pendingChunk{get: op, idx: i, node: meta.Chunks[i].Node}
-		if !s.p.nodes[meta.Chunks[i].Node].submit(protocol.TGet, seq, ChunkKey(m.Key, i), nil, s.completions) {
-			s.outstanding--
-			op.requested--
-			op.remaining--
-			delete(s.chunks, seq)
-			if op.remaining == 0 {
-				delete(s.byClient, m.Seq)
-			}
-			return // shutting down
-		}
-		s.p.stats.NodeChunkGets.Add(1)
-	}
-	if len(op.backlog) > 0 && op.remaining > 0 {
-		s.armHedge(op)
-	}
+	op.need = d
+	op.ents = []readEntry{{
+		key: op.key, epoch: meta.Epoch, chunks: meta.Chunks,
+		d: d, total: meta.TotalShards, want: want,
+	}}
+	return true
 }
 
-// handleGetRange serves a ranged GET: the byte range is planned onto
-// exactly the data chunks it intersects (per stripe, never parity,
-// never a full-d fan-out for a sub-stripe read) and each chunk streams
-// to the client as it lands, tagged with its stripe geometry; a
-// terminal frame (chunk index -1) closes the reply. A stripe whose
-// exact chunks are unavailable but which still has d present chunks is
-// served degraded — d present chunks, flagged, for the client to
-// reconstruct. meta is the parent key's entry, already looked up.
-func (s *session) handleGetRange(m *protocol.Message, meta objMeta) {
+// planRange plans a ranged read: the byte range is mapped onto exactly
+// the data chunks it intersects (per stripe, never parity, never a
+// full-d fan-out for a sub-stripe read) and each chunk streams to the
+// client as it lands, tagged with its stripe geometry; a terminal frame
+// (chunk index -1) closes the reply. A stripe whose exact chunks are
+// unavailable but which still has d present chunks is served degraded —
+// d present chunks, flagged, for the client to reconstruct. meta is the
+// parent key's entry. Reports false when the client was answered
+// instead; every such verdict is drawn here, before startRead forwards
+// the first frame.
+func (s *session) planRange(op *readOp, meta objMeta, off, n int64) bool {
 	s.p.stats.RangedGets.Add(1)
-	off, n := m.Arg(protocol.RangeArgOff), m.Arg(protocol.RangeArgLen)
 	// A legacy (or single-stripe streamed) object is one stripe whose
 	// data bytes are the whole object.
-	size, stripeData := meta.Size, meta.Size
+	stripeData := meta.Size
 	if meta.StreamSize > 0 {
-		size, stripeData = meta.StreamSize, meta.StripeData
+		op.size, stripeData = meta.StreamSize, meta.StripeData
 	}
-	spans := protocol.PlanRange(size, stripeData, meta.DataShards, off, n)
+	spans := protocol.PlanRange(op.size, stripeData, meta.DataShards, off, n)
 	if len(spans) == 0 {
 		// Empty or fully past-EOF request: the terminal frame alone,
 		// which also tells the client the object's true size.
-		s.sendRangeTerminal(m.Seq, m.Key, size)
-		return
+		s.sendRangeTerminal(op.clientSeq, op.key, op.size)
+		return false
 	}
-	type fetch struct {
-		rc       rangeChunk
-		node     int
-		chunkKey string
-	}
-	var fetches []fetch
+	op.ents = make([]readEntry, 0, len(spans))
 	degradedAny := false
 	for _, sp := range spans {
-		smeta, skey := meta, m.Key
+		smeta, skey := meta, op.key
 		if sp.Stripe > 0 {
-			skey = protocol.StripeKey(m.Key, sp.Stripe)
+			skey = protocol.StripeKey(op.key, sp.Stripe)
 			var ok bool
 			if smeta, ok = s.p.table.Lookup(skey); !ok {
 				// Head present but this stripe's entry missing: the
 				// streamed write (or a stripe retry) is still in flight —
 				// the drop cascade guarantees eviction/loss never leaves
 				// this shape behind, so busy-write is the honest answer.
-				s.sendTransient(m.Seq, m.Key, protocol.TransientBusyWrite)
-				return
+				s.sendTransient(op.clientSeq, op.key, protocol.TransientBusyWrite)
+				return false
 			}
 		}
-		need := sp.Shards
-		degraded := false
-		for _, i := range need {
+		want, degraded := sp.Shards, false
+		for _, i := range want {
 			if i >= len(smeta.Chunks) || !smeta.Chunks[i].Present {
 				degraded = true
 				break
 			}
 		}
 		if degraded {
-			var present []int
-			for i, c := range smeta.Chunks {
-				if c.Present {
-					present = append(present, i)
-				}
-			}
+			present := presentChunks(smeta)
 			if len(present) < smeta.DataShards {
-				if smeta.Lost == 0 {
-					s.sendTransient(m.Seq, m.Key, protocol.TransientBusyWrite)
-					return
-				}
-				// Confirmed losses exceed parity on this stripe: the whole
-				// streamed object is gone (the drop cascades).
-				s.rangeObjectLost(m.Seq, m.Key, skey, smeta.Epoch)
-				return
+				s.unservable(op, skey, smeta)
+				return false
 			}
-			need = present[:smeta.DataShards]
+			want = present[:smeta.DataShards]
 			degradedAny = true
 		}
-		for _, i := range need {
-			c := smeta.Chunks[i]
-			fetches = append(fetches, fetch{
-				rc: rangeChunk{
-					stripeKey: skey, idx: i, stripe: sp.Stripe,
-					start: sp.Start, slen: sp.Len,
-					d: smeta.DataShards, total: smeta.TotalShards,
-					epoch: smeta.Epoch, sum: c.Sum, hasSum: c.HasSum,
-					degraded: degraded,
-				},
-				node:     c.Node,
-				chunkKey: ChunkKey(skey, i),
-			})
-		}
+		op.need += len(want)
+		op.ents = append(op.ents, readEntry{
+			key: skey, epoch: smeta.Epoch, chunks: smeta.Chunks,
+			d: smeta.DataShards, total: smeta.TotalShards,
+			stripe: sp.Stripe, start: sp.Start, slen: sp.Len,
+			degraded: degraded, want: want,
+		})
 	}
 	if degradedAny {
 		s.p.stats.DegradedGets.Add(1)
 	}
-	if !s.reserveWindow(len(fetches)) {
-		return
-	}
-	op := &rangeOp{clientSeq: m.Seq, key: m.Key, size: size}
-	s.byClient[m.Seq] = pendingChunk{rng: &rangeChunk{op: op}}
-	for i := range fetches {
-		f := &fetches[i]
-		f.rc.op = op
-		seq := s.p.nextSeq()
-		s.outstanding++
-		op.remaining++
-		op.seqs = append(op.seqs, seq)
-		rc := f.rc
-		s.chunks[seq] = pendingChunk{rng: &rc, node: f.node}
-		if !s.p.nodes[f.node].submit(protocol.TGet, seq, f.chunkKey, nil, s.completions) {
-			s.outstanding--
-			op.remaining--
-			delete(s.chunks, seq)
-			if op.remaining == 0 {
-				delete(s.byClient, m.Seq)
-			}
-			return // shutting down
-		}
-		s.p.stats.NodeChunkGets.Add(1)
-	}
+	return true
 }
 
-// completeRange advances a ranged GET on one finished chunk fetch.
-// Unlike the whole-object fan-in there is no first-d race: every
-// planned chunk must land, so any miss or failure fails the whole op
-// with a transient (the loss is recorded; the client's retry plans
-// around it, degrading the stripe or drawing the loss verdict).
-func (s *session) completeRange(pc pendingChunk, resp *protocol.Message) {
-	rc := pc.rng
-	op := rc.op
-	op.remaining--
-	if op.remaining == 0 {
-		delete(s.byClient, op.clientSeq)
+// startRead issues a planned read's fetches, one mapping entry at a
+// time: reserveWindow makes room for each entry's chunks first —
+// draining completions, and forwarding their frames, meanwhile — so a
+// plan wider than the session window goes out in window-sized batches
+// and s.outstanding never exceeds what the completions channel holds.
+// The loop keeps one hold on op.remaining so that the read cannot
+// drain (and draw its exhaustion verdict) while fetches are still
+// being issued.
+func (s *session) startRead(op *readOp) {
+	s.byClient[op.clientSeq] = pendingChunk{read: op}
+	op.remaining = 1
+	planned := 0
+	for ent := range op.ents {
+		planned += len(op.ents[ent].want)
 	}
+	op.seqs = make([]uint64, 0, planned)
+	for ent := range op.ents {
+		e := &op.ents[ent]
+		if !s.reserveWindow(len(e.want)) {
+			return
+		}
+		for _, idx := range e.want {
+			if !s.issueFetch(op, ent, idx, false) {
+				return // shutting down
+			}
+		}
+	}
+	if len(op.backlog) > 0 {
+		s.armHedge(op)
+	}
+	s.settleRead(op)
+}
+
+// completeRead advances a read on one finished chunk fetch.
+func (s *session) completeRead(pc pendingChunk, resp *protocol.Message) {
+	op, idx := pc.read, pc.idx
+	e := &op.ents[pc.ent]
 	switch {
+	case op.done:
+		// First-d already served, verdict already sent, or the client
+		// walked away: this is a straggler whose journey ends here.
 	case resp != nil && resp.Type == protocol.TData:
-		if !op.done && rc.hasSum && protocol.ChunkSum(rc.stripeKey, rc.idx, resp.Payload) != rc.sum {
-			// Corrupt read-back: same strike ladder as the whole-object
-			// path — first strike is transit damage (the retry refetches),
-			// the second escalates to a positive loss so the retry plans a
-			// degraded stripe around it.
+		if c := e.chunks[idx]; c.HasSum && protocol.ChunkSum(e.key, idx, resp.Payload) != c.Sum {
+			// The node returned bytes that do not match the checksum the
+			// writing SET carried: corruption on the node→proxy hop or in
+			// storage. Never forward it. One strike reads as transit
+			// damage (the retry refetches cleanly); a second marks the
+			// stored chunk positively lost, turning corruption into an
+			// erasure the client repairs through reconstruction (a ranged
+			// retry plans a degraded stripe around it).
 			s.p.stats.ChecksumFailures.Add(1)
-			if s.p.table.NoteChunkCorrupt(rc.stripeKey, rc.idx, rc.epoch) {
+			if s.p.table.NoteChunkCorrupt(e.key, idx, e.epoch) {
 				s.p.stats.CorruptLost.Add(1)
+				op.missed++
+			} else {
+				op.failed++
 			}
-			op.failed = true
-		} else if !op.done && !op.failed {
-			var args [9]int64
-			args[protocol.RangeDataArgIdx] = int64(rc.idx)
-			args[protocol.RangeDataArgSize] = op.size
-			args[protocol.RangeDataArgShards] = int64(rc.d)
-			args[protocol.RangeDataArgTotal] = int64(rc.total)
-			args[protocol.RangeDataArgStripe] = int64(rc.stripe)
-			args[protocol.RangeDataArgStripeStart] = rc.start
-			args[protocol.RangeDataArgStripeLen] = rc.slen
-			var flags int64
-			if rc.degraded {
-				flags |= protocol.RangeFlagDegraded
-			}
-			if rc.hasSum {
-				args[protocol.RangeDataArgSum] = rc.sum
-				flags |= protocol.RangeFlagHasSum
-			}
-			args[protocol.RangeDataArgFlags] = flags
-			s.conn.Forward(protocol.TData, op.clientSeq, op.key, "", args[:], resp.Payload)
+			s.requestBackup(op, false)
+			break
 		}
-		resp.Free()
+		s.forwardData(op, e, idx, resp.Payload)
+		if pc.hedge {
+			s.p.stats.HedgeWins.Add(1)
+		}
+		if op.capture != nil {
+			// Read-through admission copy; GC-owned, never pooled.
+			op.capture[idx] = append([]byte(nil), resp.Payload...)
+		}
+		op.forwarded++
+		if op.forwarded < op.need {
+			break
+		}
+		// This DATA frame is what unblocks the client.
+		op.done = true
+		s.needFlush = true
+		s.p.stats.GetHits.Add(1)
+		if op.missed+op.failed > 0 {
+			s.p.stats.DegradedGets.Add(1)
+		}
+		if op.capture != nil {
+			s.p.hot.insert(op.key, op.size, e.d, e.total, op.capture, op.hotToken)
+			op.capture = nil
+		}
+		if op.ranged {
+			s.sendRangeTerminal(op.clientSeq, op.key, op.size)
+		}
 	case resp != nil && resp.Type == protocol.TMiss:
-		if !op.done {
-			s.p.stats.ChunkMisses.Add(1)
-			s.p.table.MarkChunkLost(rc.stripeKey, rc.idx, rc.epoch)
-			op.failed = true
-		}
-		resp.Free()
+		// The node definitively lost this chunk (reclaimed instance):
+		// record it in the mapping table. Epoch-guarded — if an
+		// overwrite replaced the entry mid-fan-out, this MISS is about
+		// the old generation's chunk and must not taint the new one.
+		s.p.stats.ChunkMisses.Add(1)
+		s.p.table.MarkChunkLost(e.key, idx, e.epoch)
+		op.missed++
+		s.requestBackup(op, false)
 	default:
-		// Transient failure (timeout, mid-backup swap): not a loss.
-		if !op.done {
-			op.failed = true
-		}
-		if resp != nil {
-			resp.Free()
-		}
+		// Transient failure (timeout, mid-backup swap): the chunk
+		// may still exist; do not mark it lost.
+		op.failed++
+		s.requestBackup(op, false)
 	}
-	if op.done || op.remaining > 0 {
+	if resp != nil {
+		// Zero-rewrap relay: a forwarded payload went out under a
+		// rewritten header and now returns straight to the pool.
+		resp.Free()
+	}
+	s.settleRead(op)
+}
+
+// forwardData relays one chunk payload to the client under the frame
+// encoding the read's shape calls for — no copy, no fresh Message.
+func (s *session) forwardData(op *readOp, e *readEntry, idx int, payload []byte) {
+	c := e.chunks[idx]
+	if !op.ranged {
+		args := [5]int64{int64(idx), op.size, int64(e.d), int64(e.total), c.Sum}
+		n := 4
+		if c.HasSum {
+			n = 5
+		}
+		s.conn.Forward(protocol.TData, op.clientSeq, op.key, "", args[:n], payload)
+		return
+	}
+	var args [9]int64
+	args[protocol.RangeDataArgIdx] = int64(idx)
+	args[protocol.RangeDataArgSize] = op.size
+	args[protocol.RangeDataArgShards] = int64(e.d)
+	args[protocol.RangeDataArgTotal] = int64(e.total)
+	args[protocol.RangeDataArgStripe] = int64(e.stripe)
+	args[protocol.RangeDataArgStripeStart] = e.start
+	args[protocol.RangeDataArgStripeLen] = e.slen
+	var flags int64
+	if e.degraded {
+		flags |= protocol.RangeFlagDegraded
+	}
+	if c.HasSum {
+		args[protocol.RangeDataArgSum] = c.Sum
+		flags |= protocol.RangeFlagHasSum
+	}
+	args[protocol.RangeDataArgFlags] = flags
+	s.conn.Forward(protocol.TData, op.clientSeq, op.key, "", args[:], payload)
+}
+
+// settleRead releases one unit of op.remaining — a completed fetch, or
+// startRead's hold — and, once nothing is outstanding on a read that
+// never completed, draws its verdict.
+func (s *session) settleRead(op *readOp) {
+	op.remaining--
+	if op.remaining > 0 {
+		return
+	}
+	delete(s.byClient, op.clientSeq)
+	if op.done {
 		return
 	}
 	op.done = true
-	if op.failed {
-		s.sendTransient(op.clientSeq, op.key, protocol.TransientNodeFailure)
+	// A ranged read has no first-d race: every planned chunk must land,
+	// so any miss or failure fails the attempt with a transient (the
+	// loss is recorded; the client's retry plans around it, degrading
+	// the stripe or drawing the loss verdict). A hedged fan-out with
+	// untried chunks it could not issue (window cap) can draw no loss
+	// verdict either. Otherwise confirmed losses alone exceeding parity
+	// mean the object is gone; anything less, the object may survive —
+	// tell the client to retry rather than declaring a loss.
+	if !op.ranged && len(op.backlog) == 0 && op.requested-op.missed < op.need {
+		s.objectLost(op.clientSeq, op.key, op.key, op.ents[0].epoch)
 		return
 	}
-	s.p.stats.GetHits.Add(1)
-	s.sendRangeTerminal(op.clientSeq, op.key, op.size)
+	s.sendTransient(op.clientSeq, op.key, protocol.TransientNodeFailure)
 }
 
 // sendRangeTerminal closes a ranged reply: chunk index -1, no payload,
@@ -1105,23 +1151,6 @@ func (s *session) sendRangeTerminal(seq uint64, key string, size int64) {
 	args[protocol.RangeDataArgIdx] = -1
 	args[protocol.RangeDataArgSize] = size
 	s.conn.Forward(protocol.TData, seq, key, "", args[:], nil)
-}
-
-// rangeObjectLost is objectLost for a stripe entry: the drop (and its
-// cascade across the stripe family) is keyed by the stripe's entry,
-// the loss verdict by the parent key the client asked about.
-func (s *session) rangeObjectLost(seq uint64, replyKey, entryKey string, epoch uint64) {
-	dels, ok := s.p.table.DropIfEpoch(entryKey, epoch)
-	if !ok {
-		s.sendTransient(seq, replyKey, protocol.TransientBusyWrite)
-		return
-	}
-	s.p.stats.ObjectLosses.Add(1)
-	s.queueDels(dels)
-	s.needFlush = true
-	s.conn.Send(&protocol.Message{
-		Type: protocol.TMiss, Seq: seq, Key: replyKey, Args: []int64{1}, // 1 = loss, not cold miss
-	})
 }
 
 // markGenFailed records that one of a generation's chunks did not
@@ -1182,13 +1211,10 @@ func (s *session) complete(r nodeReply) {
 	}
 	delete(s.chunks, r.Seq)
 	s.outstanding--
-	switch {
-	case pc.set != nil:
+	if pc.set != nil {
 		s.completeSet(pc.set, r.Msg)
-	case pc.rng != nil:
-		s.completeRange(pc, r.Msg)
-	default:
-		s.completeGet(pc, r.Msg)
+	} else {
+		s.completeRead(pc, r.Msg)
 	}
 }
 
@@ -1282,113 +1308,6 @@ func (s *session) completeSet(op *setOp, resp *protocol.Message) {
 	}
 }
 
-func (s *session) completeGet(pc pendingChunk, resp *protocol.Message) {
-	op, idx := pc.get, pc.idx
-	op.remaining--
-	if op.remaining == 0 {
-		delete(s.byClient, op.clientSeq)
-	}
-	switch {
-	case resp != nil && resp.Type == protocol.TData:
-		if c := op.chunks[idx]; !op.done && c.HasSum && protocol.ChunkSum(op.key, idx, resp.Payload) != c.Sum {
-			// The node returned bytes that do not match the checksum the
-			// writing SET carried: corruption on the node→proxy hop or in
-			// storage. Never forward it. One strike reads as transit
-			// damage (the retry refetches cleanly); a second marks the
-			// stored chunk positively lost, turning corruption into an
-			// erasure the client repairs through reconstruction.
-			s.p.stats.ChecksumFailures.Add(1)
-			if s.p.table.NoteChunkCorrupt(op.key, idx, op.epoch) {
-				s.p.stats.CorruptLost.Add(1)
-				op.missed++
-			} else {
-				op.failed++
-			}
-			s.requestBackup(op, false)
-			resp.Free()
-			break
-		}
-		if !op.done {
-			// Zero-rewrap relay: the node frame's pooled payload goes
-			// out under a rewritten header, then straight back to the
-			// pool — no copy, no fresh Message.
-			args := [5]int64{int64(idx), op.size, int64(op.d), int64(op.total)}
-			n := 4
-			if c := op.chunks[idx]; c.HasSum {
-				args[4], n = c.Sum, 5
-			}
-			s.conn.Forward(protocol.TData, op.clientSeq, op.key, "", args[:n],
-				resp.Payload)
-			if pc.hedge {
-				s.p.stats.HedgeWins.Add(1)
-			}
-			if op.capture != nil {
-				// Read-through admission copy; GC-owned, never pooled.
-				op.capture[idx] = append([]byte(nil), resp.Payload...)
-			}
-			op.forwarded++
-			if op.forwarded >= op.d {
-				// The d-th DATA frame is what unblocks the client.
-				op.done = true
-				s.needFlush = true
-				s.p.stats.GetHits.Add(1)
-				if op.missed+op.failed > 0 {
-					s.p.stats.DegradedGets.Add(1)
-				}
-				if op.capture != nil {
-					s.p.hot.insert(op.key, op.size, op.d, op.total, op.capture, op.hotToken)
-					op.capture = nil
-				}
-			}
-		}
-		// First-d already served → this is a straggler; either way the
-		// payload's journey ends at this hop.
-		resp.Free()
-	case resp != nil && resp.Type == protocol.TMiss:
-		if !op.done {
-			// The node definitively lost this chunk (reclaimed
-			// instance): record it in the mapping table. Epoch-guarded —
-			// if an overwrite replaced the entry mid-fan-out, this MISS
-			// is about the old generation's chunk and must not taint the
-			// new one.
-			s.p.stats.ChunkMisses.Add(1)
-			s.p.table.MarkChunkLost(op.key, idx, op.epoch)
-			op.missed++
-			s.requestBackup(op, false)
-		}
-		resp.Free()
-	default:
-		// Transient failure (timeout, mid-backup swap): the chunk
-		// may still exist; do not mark it lost.
-		if !op.done {
-			op.failed++
-			s.requestBackup(op, false)
-		}
-		if resp != nil {
-			resp.Free()
-		}
-	}
-	if op.done || op.remaining > 0 {
-		return
-	}
-	// Fan-out exhausted without d chunks.
-	op.done = true
-	if len(op.backlog) > 0 {
-		// Hedged fan-out still has untried chunks it could not issue
-		// (window cap): no loss verdict can be drawn — retry.
-		s.sendTransient(op.clientSeq, op.key, protocol.TransientNodeFailure)
-		return
-	}
-	if op.requested-op.missed < op.d {
-		// Confirmed losses alone exceed parity: the object is gone.
-		s.objectLost(op.clientSeq, op.key, op.epoch)
-		return
-	}
-	// Not enough chunks arrived but the object may survive: tell the
-	// client to retry rather than declaring a loss.
-	s.sendTransient(op.clientSeq, op.key, protocol.TransientNodeFailure)
-}
-
 // sendTransient tells the client to retry: the object is not (known)
 // lost, this attempt just cannot produce d chunks. reason classifies
 // the transient (protocol.TransientBusyWrite for an epoch-guard
@@ -1405,25 +1324,25 @@ func (s *session) sendTransient(seq uint64, key string, reason int64) {
 }
 
 // objectLost reports an unavailable object: > p chunks lost. The client
-// will RESET it (fetch from the backing store and re-insert, §5.2).
-// Epoch-guarded: if a concurrent overwrite already replaced the entry
-// this GET read, nothing is dropped — the loss verdict belongs to the
-// superseded incarnation, so the client is told to retry (and will read
-// the new generation) instead of resetting an object that just got
-// rewritten.
-func (s *session) objectLost(seq uint64, key string, epoch uint64) {
-	dels, ok := s.p.table.DropIfEpoch(key, epoch)
+// will RESET it (fetch from the backing store and re-insert, §5.2). The
+// drop (and, for a stripe entry, its cascade across the stripe family)
+// is keyed by entryKey, the verdict by replyKey, the key the client
+// asked about. Epoch-guarded: if a concurrent overwrite already
+// replaced the entry this read snapshotted, nothing is dropped — the
+// loss verdict belongs to the superseded incarnation, so the client is
+// told to retry (and will read the new generation once it commits)
+// instead of resetting an object that just got rewritten.
+func (s *session) objectLost(seq uint64, replyKey, entryKey string, epoch uint64) {
+	dels, ok := s.p.table.DropIfEpoch(entryKey, epoch)
 	if !ok {
-		// The entry was replaced mid-GET: an overwrite is in flight and
-		// the next attempt reads the new generation once it commits.
-		s.sendTransient(seq, key, protocol.TransientBusyWrite)
+		s.sendTransient(seq, replyKey, protocol.TransientBusyWrite)
 		return
 	}
 	s.p.stats.ObjectLosses.Add(1)
 	s.queueDels(dels)
 	s.needFlush = true
 	s.conn.Send(&protocol.Message{
-		Type: protocol.TMiss, Seq: seq, Key: key, Args: []int64{1}, // 1 = loss, not cold miss
+		Type: protocol.TMiss, Seq: seq, Key: replyKey, Args: []int64{1}, // 1 = loss, not cold miss
 	})
 }
 

@@ -109,8 +109,8 @@ func (rp *rangePool) corrupt(chunkKey string) bool {
 
 // streamStack wires an RS(10+2) client over a real proxy and 12 fake
 // nodes, with the client's stripe shard pinned so tests control the
-// range→chunk geometry exactly.
-func streamStack(t *testing.T, stripeShard int64) (*Proxy, *client.Client, *rangePool) {
+// range→chunk geometry exactly; hedged turns on Config.HedgedGets.
+func streamStack(t *testing.T, stripeShard int64, hedged bool) (*Proxy, *client.Client, *rangePool) {
 	t.Helper()
 	pool := newRangePool()
 	names := make([]string, 12)
@@ -125,6 +125,7 @@ func streamStack(t *testing.T, stripeShard int64) (*Proxy, *client.Client, *rang
 		InvokeTimeout:  5 * time.Second,
 		RequestTimeout: 3 * time.Second,
 		Retries:        3,
+		HedgedGets:     hedged,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -158,15 +159,24 @@ func rangePattern(n int64) []byte {
 // TestGetRangeFetchCountPin is the CI-pinned fan-out invariant: a 1 MiB
 // GetRange of a 64 MiB RS(10+2) streamed object must cost exactly the
 // data chunks the range intersects — two 1 MiB shards for a mid-shard
-// start — with no parity fetch and no full-d fan-out.
+// start — with no parity fetch and no full-d fan-out. It runs a second
+// time with Config.HedgedGets set: ranged reads share the session's
+// fetch path with the hedged first-d fan-out but stay un-hedged, so the
+// count is just as exact.
 func TestGetRangeFetchCountPin(t *testing.T) {
+	for _, hedged := range []bool{false, true} {
+		t.Run(fmt.Sprintf("hedged=%v", hedged), func(t *testing.T) { getRangeFetchCountPin(t, hedged) })
+	}
+}
+
+func getRangeFetchCountPin(t *testing.T, hedged bool) {
 	const (
 		stripeShard = 1 << 20
 		d           = 10
 		stripeData  = int64(stripeShard * d)
 		objSize     = int64(64 << 20)
 	)
-	p, c, pool := streamStack(t, stripeShard)
+	p, c, pool := streamStack(t, stripeShard, hedged)
 	ctx := context.Background()
 	val := rangePattern(objSize)
 
@@ -229,7 +239,7 @@ func TestGetRangeCorruptChunkEscalates(t *testing.T) {
 		stripeData  = stripeShard * d
 		objSize     = 2 << 20
 	)
-	p, c, pool := streamStack(t, stripeShard)
+	p, c, pool := streamStack(t, stripeShard, false)
 	ctx := context.Background()
 	val := rangePattern(objSize)
 

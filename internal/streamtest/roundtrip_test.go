@@ -12,12 +12,17 @@ import (
 // newStack stands up one live deployment big enough for every geometry
 // under test (pool >= d+p of the widest code).
 func newStack(t *testing.T) *infinicache.Cache {
+	return newScaledStack(t, 0.02)
+}
+
+// newScaledStack is newStack at a chosen time scale.
+func newScaledStack(t *testing.T, timeScale float64) *infinicache.Cache {
 	t.Helper()
 	cache, err := infinicache.New(
 		infinicache.WithNodesPerProxy(12),
 		infinicache.WithNodeMemoryMB(256),
 		infinicache.WithShards(10, 2),
-		infinicache.WithTimeScale(0.02),
+		infinicache.WithTimeScale(timeScale),
 		infinicache.WithSeed(1),
 	)
 	if err != nil {
@@ -148,5 +153,48 @@ func TestGetRangeOnLegacyObjects(t *testing.T) {
 
 	if err := h.CheckMiss(ctx, "legacy/never-written"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWideRangeBeyondSessionWindow pins that a ranged read whose plan is
+// wider than the proxy session's chunk window (1024) is issued in
+// window-sized batches: 600 stripes × RS(4+2) at a 256 B stripe shard is
+// 2400 data-chunk fetches for one full-range read. Before the session
+// issued every read through one windowed fetch path the node replies
+// overflowed the session's completions channel, the dispatchers dropped
+// them, and the leaked window slots wedged the session — so the reads
+// repeat, and a small read on the same connection follows them.
+func TestWideRangeBeyondSessionWindow(t *testing.T) {
+	// Thousands of chunk fetches per read are real compute: a gentler
+	// time scale than the suite's keeps the virtual request timeouts from
+	// firing on wall-clock work when the race detector or a single core
+	// slows it down.
+	cache := newScaledStack(t, 0.25)
+	ctx := context.Background()
+	cl, err := cache.NewClient(
+		infinicache.ClientShards(4, 2),
+		infinicache.ClientStripeShard(256),
+		infinicache.ClientSeed(5),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	h := New(cl)
+
+	const size = 600 * 4 * 256
+	if err := h.PutStream(ctx, "wide", Pattern(rand.New(rand.NewSource(17)), size)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := h.CheckRange(ctx, "wide", 0, size); err != nil {
+			t.Fatalf("full-range read %d: %v", i, err)
+		}
+	}
+	if err := h.CheckObject(ctx, "wide"); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.CheckRange(ctx, "wide", size/2, 1<<10); err != nil {
+		t.Fatalf("1 KiB read after the wide ones: %v", err)
 	}
 }
