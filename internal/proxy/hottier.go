@@ -18,10 +18,11 @@ import (
 // capture began (the epoch token).
 //
 // What it stores: the object's chunk payloads, sparse by chunk index
-// (exactly d of the total entries non-nil — the data shards on the
-// write-through path, whichever d chunks streamed first on the
-// read-through path), so a hit replays the same first-d DATA frames a
-// node fan-in would have produced and the client-side decode path is
+// (exactly d of the total entries non-nil — the first d chunks a
+// hotCapture saw: the data shards on the write-through path, whose SET
+// frames arrive in index order, whichever d chunks streamed first on
+// the read-through path), so a hit replays the same first-d DATA frames
+// a node fan-in would have produced and the client-side decode path is
 // untouched.
 //
 // Admission is write-through and read-through, both gated by a ghost
@@ -162,21 +163,23 @@ func (h *hotTier) resident(key string) bool {
 // beginPut is called once per PUT generation, before any chunk reaches
 // a node: it synchronously invalidates any resident entry for key (a
 // GET must never observe a superseded generation) and decides
-// write-through admission — the key is admitted if it was resident or
-// ghost-known, and the object fits under maxObj. The returned token
-// validates the eventual insert. In the live proxy this runs inside
-// mappingTable.BeginObject's critical section (lock order table.mu →
-// h.mu), so the tier's invalidation order can never invert the table's
-// epoch order when two sessions race PUTs to one key.
+// write-through admission — the key is admitted if it is ghost-known
+// and the object fits under maxObj. Residency earns nothing: an insert
+// leaves the ghost filter, and BeginObject has already dropped the old
+// mapping entry — which invalidates the tier — by the time it asks, so
+// an overwritten resident key re-registers like a first touch. The
+// returned token validates the eventual insert. In the live proxy this
+// runs inside mappingTable.BeginObject's critical section (lock order
+// table.mu → h.mu), so the tier's invalidation order can never invert
+// the table's epoch order when two sessions race PUTs to one key.
 func (h *hotTier) beginPut(key string, objSize int64) (admit bool, token uint64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	resident := h.entries[key] != nil
 	h.invalidateLocked(key)
 	if objSize <= 0 || objSize > h.maxObj {
 		return false, 0
 	}
-	if resident || h.ghost.Contains(key) {
+	if h.ghost.Contains(key) {
 		return true, h.seq
 	}
 	h.ghostAddLocked(key)
@@ -201,6 +204,41 @@ func (h *hotTier) invalidateLocked(key string) {
 		delete(h.entries, key)
 		h.clock.Remove(key)
 		h.stats.HotBytes.Add(-e.bytes)
+	}
+}
+
+// hotCapture is one object's tier admission in flight, the same for a
+// PUT generation's write-through (its SET frames as they pass) and a
+// GET's read-through (the DATA frames it forwards): GC-owned copies of
+// the first d distinct chunk payloads, sparse by chunk index, inserted
+// under the token the capture began with.
+type hotCapture struct {
+	token  uint64 // from get/beginPut; fences the insert against later writes
+	size   int64  // original object size
+	d      int
+	have   int      // chunks captured, at most d
+	chunks [][]byte // len total
+}
+
+func newHotCapture(token uint64, size int64, d, total int) *hotCapture {
+	return &hotCapture{token: token, size: size, d: d, chunks: make([][]byte, total)}
+}
+
+// add captures chunk idx's payload unless d are already in hand. The
+// copy is GC-owned, never pooled: the frame's buffer is recycled as
+// soon as its hop completes, while a tier entry outlives it.
+func (c *hotCapture) add(idx int, payload []byte) {
+	if c.have < c.d && idx < len(c.chunks) && c.chunks[idx] == nil {
+		c.chunks[idx] = append([]byte(nil), payload...)
+		c.have++
+	}
+}
+
+// admit inserts a capture that reached its d chunks; a short one (a
+// frame of the generation never passed the session) is discarded.
+func (h *hotTier) admit(key string, c *hotCapture) {
+	if c.have == c.d {
+		h.insert(key, c.size, c.d, len(c.chunks), c.chunks, c.token)
 	}
 }
 

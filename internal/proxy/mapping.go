@@ -400,10 +400,15 @@ func (t *mappingTable) Reserve(node int, size int64, protect string) ([]evictedC
 // writing generation created with BeginObject: a commit arriving after
 // another session's overwrite replaced the entry must not splice one
 // generation's chunk into another's (the RS decoder would mix shard
-// sets into silent corruption). epoch 0 skips the guard — the recovery
-// path re-inserts an existing object's true chunk content into whatever
-// incarnation is current. Returns false (and releases the reservation)
-// when the entry is gone or has moved on; the caller then deletes the
+// sets into silent corruption). epoch 0 is a recovery re-insert, which
+// belongs to no generation and is fenced by content instead: it commits
+// only into a slot whose last committed chunk in the current incarnation
+// carried the same checksum — the object's true chunk content, whether
+// the slot is lost (Sum survives MarkChunkLost and NoteChunkCorrupt) or
+// a straggler being moved. A fresh incarnation's slots carry no sum, so
+// a repair computed from a superseded version can never land in them.
+// Returns false (and releases the reservation) when the entry is gone,
+// has moved on, or holds different content; the caller then deletes the
 // node's copy like any superseded chunk.
 // sum is the chunk's CRC32-C when hasSum is set (the SET frame carried
 // one); it is stored so later read-backs can be verified end to end.
@@ -411,9 +416,16 @@ func (t *mappingTable) CommitChunk(key string, idx, node int, size int64, epoch 
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	o, ok := t.objects[key]
-	if !ok || (epoch != 0 && o.Epoch != epoch) || idx < 0 || idx >= len(o.Chunks) {
-		// Dropped or superseded (eviction/overwrite race) — release the
-		// reservation.
+	switch {
+	case !ok || idx < 0 || idx >= len(o.Chunks):
+		ok = false // dropped (eviction race)
+	case epoch != 0:
+		ok = o.Epoch == epoch // else superseded (overwrite race)
+	default:
+		ok = hasSum && o.Chunks[idx].HasSum && o.Chunks[idx].Sum == sum
+	}
+	if !ok {
+		// Release the reservation.
 		t.nodeUsed[node] -= size
 		return false
 	}

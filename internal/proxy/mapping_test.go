@@ -19,18 +19,18 @@ func TestChunkKey(t *testing.T) {
 
 func TestBeginCommitLookup(t *testing.T) {
 	tb := newTable()
-	dels, _, _, _ := tb.BeginObject("a", 1000, 2, 3, 0, 0)
+	dels, epoch, _, _ := tb.BeginObject("a", 1000, 2, 3, 0, 0)
 	if len(dels) != 0 {
 		t.Fatal("fresh BeginObject returned deletions")
 	}
 	if _, _, err := tb.Reserve(0, 500, "a"); err != nil {
 		t.Fatal(err)
 	}
-	tb.CommitChunk("a", 0, 0, 500, 0, 0, false)
+	tb.CommitChunk("a", 0, 0, 500, epoch, 0, false)
 	if _, _, err := tb.Reserve(1, 500, "a"); err != nil {
 		t.Fatal(err)
 	}
-	tb.CommitChunk("a", 1, 1, 500, 0, 0, false)
+	tb.CommitChunk("a", 1, 1, 500, epoch, 0, false)
 
 	meta, ok := tb.Lookup("a")
 	if !ok {
@@ -49,9 +49,9 @@ func TestBeginCommitLookup(t *testing.T) {
 
 func TestLookupReturnsSnapshot(t *testing.T) {
 	tb := newTable()
-	tb.BeginObject("a", 10, 1, 1, 0, 0)
+	_, epoch, _, _ := tb.BeginObject("a", 10, 1, 1, 0, 0)
 	tb.Reserve(0, 10, "a")
-	tb.CommitChunk("a", 0, 0, 10, 0, 0, false)
+	tb.CommitChunk("a", 0, 0, 10, epoch, 0, false)
 	meta, _ := tb.Lookup("a")
 	meta.Chunks[0].Present = false
 	again, _ := tb.Lookup("a")
@@ -62,11 +62,11 @@ func TestLookupReturnsSnapshot(t *testing.T) {
 
 func TestOverwriteReturnsDeletions(t *testing.T) {
 	tb := newTable()
-	tb.BeginObject("a", 100, 1, 2, 0, 0)
+	_, epoch, _, _ := tb.BeginObject("a", 100, 1, 2, 0, 0)
 	tb.Reserve(0, 50, "a")
-	tb.CommitChunk("a", 0, 0, 50, 0, 0, false)
+	tb.CommitChunk("a", 0, 0, 50, epoch, 0, false)
 	tb.Reserve(1, 50, "a")
-	tb.CommitChunk("a", 1, 1, 50, 0, 0, false)
+	tb.CommitChunk("a", 1, 1, 50, epoch, 0, false)
 
 	dels, _, _, _ := tb.BeginObject("a", 200, 1, 2, 0, 0)
 	if len(dels) != 2 {
@@ -79,9 +79,9 @@ func TestOverwriteReturnsDeletions(t *testing.T) {
 
 func TestDrop(t *testing.T) {
 	tb := newTable()
-	tb.BeginObject("a", 100, 1, 1, 0, 0)
+	_, epoch, _, _ := tb.BeginObject("a", 100, 1, 1, 0, 0)
 	tb.Reserve(2, 100, "a")
-	tb.CommitChunk("a", 0, 2, 100, 0, 0, false)
+	tb.CommitChunk("a", 0, 2, 100, epoch, 0, false)
 	dels := tb.Drop("a")
 	if len(dels) != 1 || dels[0].Node != 2 || dels[0].Key != "a#0" {
 		t.Fatalf("dels = %+v", dels)
@@ -99,11 +99,11 @@ func TestReserveEvictsAtPoolPressure(t *testing.T) {
 	// Fill the pool with 4 x 1 MB objects (one chunk each).
 	for i := 0; i < 4; i++ {
 		key := fmt.Sprintf("o%d", i)
-		tb.BeginObject(key, 1<<20, 1, 1, 0, 0)
+		_, epoch, _, _ := tb.BeginObject(key, 1<<20, 1, 1, 0, 0)
 		if _, _, err := tb.Reserve(i, 1<<20, key); err != nil {
 			t.Fatalf("reserve %d: %v", i, err)
 		}
-		tb.CommitChunk(key, 0, i, 1<<20, 0, 0, false)
+		tb.CommitChunk(key, 0, i, 1<<20, epoch, 0, false)
 	}
 	// A new object must evict at least one victim.
 	tb.BeginObject("new", 1<<20, 1, 1, 0, 0)
@@ -121,11 +121,11 @@ func TestReserveEvictsAtPoolPressure(t *testing.T) {
 
 func TestReserveNeverEvictsProtected(t *testing.T) {
 	tb := newMappingTable(1, 1000)
-	tb.BeginObject("self", 900, 1, 2, 0, 0)
+	_, epoch, _, _ := tb.BeginObject("self", 900, 1, 2, 0, 0)
 	if _, _, err := tb.Reserve(0, 600, "self"); err != nil {
 		t.Fatal(err)
 	}
-	tb.CommitChunk("self", 0, 0, 600, 0, 0, false)
+	tb.CommitChunk("self", 0, 0, 600, epoch, 0, false)
 	// Second chunk exceeds the pool; the only candidate victim is the
 	// protected object itself, so Reserve must fail rather than evict it.
 	_, _, err := tb.Reserve(0, 600, "self")
@@ -156,7 +156,7 @@ func TestReleaseChunk(t *testing.T) {
 func TestCommitWithoutObjectReleases(t *testing.T) {
 	tb := newTable()
 	tb.Reserve(1, 100, "ghost")
-	tb.CommitChunk("ghost", 0, 1, 100, 0, 0, false) // object never began: must release
+	tb.CommitChunk("ghost", 0, 1, 100, 1, 0, false) // object never began: must release
 	if tb.NodeUsed(1) != 0 {
 		t.Fatal("orphan commit leaked accounting")
 	}
@@ -164,12 +164,11 @@ func TestCommitWithoutObjectReleases(t *testing.T) {
 
 func TestMarkChunkLost(t *testing.T) {
 	tb := newTable()
-	tb.BeginObject("a", 100, 2, 3, 0, 0)
+	_, epoch, _, _ := tb.BeginObject("a", 100, 2, 3, 0, 0)
 	for i := 0; i < 3; i++ {
 		tb.Reserve(i, 40, "a")
-		tb.CommitChunk("a", i, i, 40, 0, 0, false)
+		tb.CommitChunk("a", i, i, 40, epoch, 0, false)
 	}
-	epoch := mustEpoch(t, tb, "a")
 	if left := tb.MarkChunkLost("a", 0, epoch); left != 2 {
 		t.Fatalf("present after loss = %d, want 2", left)
 	}
@@ -199,15 +198,14 @@ func mustEpoch(t *testing.T, tb *mappingTable, key string) uint64 {
 // entry's chunks nor drop it.
 func TestEpochGuards(t *testing.T) {
 	tb := newTable()
-	tb.BeginObject("a", 100, 1, 2, 0, 0)
+	_, oldEpoch, _, _ := tb.BeginObject("a", 100, 1, 2, 0, 0)
 	tb.Reserve(0, 50, "a")
-	tb.CommitChunk("a", 0, 0, 50, 0, 0, false)
-	oldEpoch := mustEpoch(t, tb, "a")
+	tb.CommitChunk("a", 0, 0, 50, oldEpoch, 0, false)
 
 	// Overwrite: a fresh incarnation replaces the entry.
-	tb.BeginObject("a", 100, 1, 2, 0, 0)
+	_, newEpoch, _, _ := tb.BeginObject("a", 100, 1, 2, 0, 0)
 	tb.Reserve(1, 50, "a")
-	tb.CommitChunk("a", 0, 1, 50, 0, 0, false)
+	tb.CommitChunk("a", 0, 1, 50, newEpoch, 0, false)
 
 	// A stale GET's MISS must not mark the new chunk lost.
 	tb.MarkChunkLost("a", 0, oldEpoch)
@@ -231,17 +229,67 @@ func TestEpochGuards(t *testing.T) {
 	if tb.NodeUsed(2) != 0 {
 		t.Fatal("refused commit did not release its reservation")
 	}
-	// Epoch 0 (recovery) commits into whatever incarnation is current.
-	tb.Reserve(2, 50, "a")
-	if !tb.CommitChunk("a", 1, 2, 50, 0, 0, false) {
-		t.Fatal("recovery commit refused")
-	}
 	// The current epoch still drops normally.
 	if _, ok := tb.DropIfEpoch("a", meta.Epoch); !ok {
 		t.Fatal("current-epoch drop refused")
 	}
 	if _, ok := tb.Lookup("a"); ok {
 		t.Fatal("drop did not remove the entry")
+	}
+}
+
+// TestRecoveryContentFence pins the one way a chunk commits without its
+// generation's epoch: a recovery re-insert (epoch 0) lands only in a
+// slot whose last committed chunk in the current incarnation carried the
+// same checksum.
+func TestRecoveryContentFence(t *testing.T) {
+	tb := newTable()
+	_, epoch, _, _ := tb.BeginObject("a", 100, 1, 2, 0, 0)
+	tb.Reserve(0, 50, "a")
+	tb.CommitChunk("a", 0, 0, 50, epoch, 111, true)
+	tb.Reserve(1, 50, "a")
+	tb.CommitChunk("a", 1, 1, 50, epoch, 222, true)
+	tb.MarkChunkLost("a", 0, epoch)
+
+	// Recovery into a lost slot with the matching sum commits.
+	tb.Reserve(2, 50, "a")
+	if !tb.CommitChunk("a", 0, 2, 50, 0, 111, true) {
+		t.Fatal("recovery of a lost chunk with its own content refused")
+	}
+	if meta, _ := tb.Lookup("a"); !meta.Chunks[0].Present || meta.Chunks[0].Node != 2 {
+		t.Fatalf("repaired slot = %+v", meta.Chunks[0])
+	}
+	// A straggler (slot present, same sum) still moves.
+	tb.Reserve(3, 50, "a")
+	if !tb.CommitChunk("a", 1, 3, 50, 0, 222, true) {
+		t.Fatal("straggler re-insert with the slot's own content refused")
+	}
+	if tb.NodeUsed(1) != 0 || tb.NodeUsed(3) != 50 {
+		t.Fatalf("moved chunk accounting: node1 %d, node3 %d", tb.NodeUsed(1), tb.NodeUsed(3))
+	}
+	// A different sum is refused and releases its reservation.
+	tb.Reserve(1, 50, "a")
+	if tb.CommitChunk("a", 0, 1, 50, 0, 999, true) {
+		t.Fatal("recovery carrying other content committed")
+	}
+	// So is a frame that carries no sum at all.
+	tb.Reserve(1, 50, "a")
+	if tb.CommitChunk("a", 0, 1, 50, 0, 0, false) {
+		t.Fatal("sum-less recovery committed")
+	}
+	if tb.NodeUsed(1) != 0 {
+		t.Fatal("refused recovery did not release its reservation")
+	}
+
+	// A fresh incarnation's empty slot is refused: a repair computed from
+	// the superseded version must not land in the overwrite.
+	tb.BeginObject("a", 100, 1, 2, 0, 0)
+	tb.Reserve(0, 50, "a")
+	if tb.CommitChunk("a", 0, 0, 50, 0, 111, true) {
+		t.Fatal("recovery committed into a fresh incarnation")
+	}
+	if tb.UsedBytes() != 0 {
+		t.Fatalf("UsedBytes = %d after refused recovery, want 0", tb.UsedBytes())
 	}
 }
 
@@ -279,11 +327,11 @@ func TestDropIfIncomplete(t *testing.T) {
 
 func TestUsedBytesAggregates(t *testing.T) {
 	tb := newTable()
-	tb.BeginObject("a", 100, 1, 2, 0, 0)
+	_, epoch, _, _ := tb.BeginObject("a", 100, 1, 2, 0, 0)
 	tb.Reserve(0, 60, "a")
-	tb.CommitChunk("a", 0, 0, 60, 0, 0, false)
+	tb.CommitChunk("a", 0, 0, 60, epoch, 0, false)
 	tb.Reserve(3, 60, "a")
-	tb.CommitChunk("a", 1, 3, 60, 0, 0, false)
+	tb.CommitChunk("a", 1, 3, 60, epoch, 0, false)
 	if tb.UsedBytes() != 120 {
 		t.Fatalf("UsedBytes = %d, want 120", tb.UsedBytes())
 	}

@@ -169,8 +169,8 @@ func (p *Proxy) fallbackOwner(key string) (string, uint64, bool) {
 	return src, e.Version(), true
 }
 
-// queueDels distributes chunk deletions to the owning node managers
-// (the proxy-level twin of session.queueDels, for the migration worker).
+// queueDels distributes chunk deletions (an overwrite's, an eviction's,
+// a dropped entry's) to the owning node managers.
 func (p *Proxy) queueDels(dels []evictedChunk) {
 	for _, d := range dels {
 		if d.Node >= 0 && d.Node < len(p.nodes) {

@@ -17,9 +17,9 @@
 // reader matches responses against), and one relay per backup round
 // (relay.go). Each piece of mutable state has exactly one owner:
 //
-//   - session state (putGens, genPending, hotPuts, per-op structs) —
-//     the session goroutine only; other goroutines reach a session
-//     solely through its completions channel.
+//   - session state (the open PUT generations in writes, per-op
+//     structs) — the session goroutine only; other goroutines reach a
+//     session solely through its completions channel.
 //   - the dispatcher queue and Figure 6 state — the dispatcher
 //     goroutine; the in-flight window map is the one structure shared
 //     with its reader goroutine (guarded by nodeManager.mu — whoever
@@ -468,7 +468,7 @@ func (p *Proxy) handleConn(raw net.Conn) {
 		// TJoin is a peer proxy's migration stream: it reuses the whole
 		// client-session machinery (its SET frames carry the migration
 		// flag; its mid-stream TJoin frames are done markers).
-		s := &session{p: p, conn: conn}
+		s := newSession(p, conn)
 		p.mu.Lock()
 		if p.closed {
 			p.mu.Unlock()

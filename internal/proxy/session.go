@@ -16,12 +16,16 @@ import (
 //	Args[4] data shards d
 //	Args[5] put generation (client-unique per PUT; distinguishes a fresh
 //	        overwrite from chunks of the same PUT)
-//	Args[6] recovery flag (1 = re-insert of a single lost chunk)
+//	Args[6] recovery flag (1 = re-insert of a single lost chunk; the
+//	        frame belongs to no generation, Args[5] is ignored)
 //	Args[7] migration flag (1 = proxy->proxy key handoff; ingest via
 //	        BeginObjectIfAbsent, never over an existing entry)
 //	Args[8] chunk CRC32-C (optional; absent on legacy frames). Verified
 //	        against the payload on arrival and stored with the chunk's
-//	        mapping so node read-backs can be verified end to end.
+//	        mapping so node read-backs can be verified end to end. It is
+//	        also what a recovery SET is fenced by: the chunk commits only
+//	        into a slot that last held this very sum (CommitChunk), so a
+//	        recovery frame without one is refused.
 //
 // GET requests may carry Args[0] = 1, the authoritative flag: serve
 // regardless of ring ownership and answer a plain MISS instead of a
@@ -79,7 +83,6 @@ type session struct {
 	p    *Proxy
 	conn *protocol.Conn
 
-	putGens     map[string]int64 // object key -> last seen put generation
 	completions chan nodeReply
 	outstanding int                     // chunk requests in flight
 	chunks      map[uint64]pendingChunk // node request seq -> owning op
@@ -87,22 +90,19 @@ type session struct {
 
 	// Flush policy: the event loop stages client-bound frames under a
 	// Pin window per wake and flushes only at client-visible progress
-	// points — a GET reaching its d-th DATA frame, the last chunk ack
-	// of a PUT generation, any verdict/error — because intermediate
-	// frames cannot unblock the client (it needs d shards to decode and
-	// every ack of a PUT to return). needFlush marks that such a point
-	// occurred this wake; genPending tracks each PUT generation's chunk
-	// SETs still in flight (so its last completion is recognisable),
-	// the mapping incarnation it created, and whether any chunk failed.
-	needFlush  bool
-	genPending map[genKey]*genState
+	// points — a GET reaching its d-th DATA frame, a PUT generation's
+	// in-flight chunk SETs draining to zero, any verdict/error — because
+	// intermediate frames cannot unblock the client (it needs d shards
+	// to decode and every ack of a PUT to return). needFlush marks that
+	// such a point occurred this wake.
+	needFlush bool
 
-	// hotPuts tracks write-through hot-tier admissions in flight: one
-	// entry per admitted PUT generation, holding GC-owned copies of the
-	// data-shard payloads until the generation's last chunk completes
-	// (insert) or any chunk fails/cancels/supersedes (discard). Only
-	// populated when the proxy's hot tier is enabled.
-	hotPuts map[genKey]*hotPut
+	// writes holds the PUT generation this session has open per
+	// mapping-entry key (an object key or a stripe key): opened by the
+	// generation's first SET frame, removed by settleWrite and by nothing
+	// else, so a frame or a completion finds its generation for as long
+	// as one of its frames can still arrive.
+	writes map[string]*writeOp
 
 	// Hedge timer state (Config.HedgedGets only): GETs with unrequested
 	// backup chunks queue here with their fire time; one armed vclock
@@ -119,46 +119,36 @@ type hedgeItem struct {
 	at time.Time
 }
 
-// hotPut accumulates one PUT generation's hot-tier admission.
-type hotPut struct {
-	size   int64
-	d      int
-	total  int
-	token  uint64   // epoch token from beginPut; validates the insert
-	chunks [][]byte // len total; data-shard copies land at idx < d
-	failed bool     // any chunk failed, was cancelled, or was superseded
-}
-
-// complete reports whether every data shard was captured.
-func (hp *hotPut) complete() bool {
-	for i := 0; i < hp.d; i++ {
-		if hp.chunks[i] == nil {
-			return false
-		}
-	}
-	return true
-}
-
-// genKey identifies one client PUT generation (all d+p chunk SETs of
-// one logical PUT to one key share it).
-type genKey struct {
-	key string
-	gen int64
-}
-
-// genState tracks one PUT generation through the session: chunk SETs
-// still in flight, the mapping-table incarnation its BeginObject
-// created (0 for recovery generations, which have none), and whether
-// any chunk failed to commit — a failed generation must neither reach
-// the hot tier nor leave a never-completable mapping entry behind.
-type genState struct {
-	pending int
-	epoch   uint64
-	failed  bool
+// writeOp tracks one PUT generation — all the chunk SETs of one logical
+// PUT to one mapping-entry key — from its first frame to settleWrite. It
+// owns the mapping incarnation its own BeginObject/BeginObjectIfAbsent
+// created, and every chunk of the generation commits under that epoch,
+// however late its frame arrives: a generation whose in-flight count
+// touched zero mid-burst is still this generation. A dense generation
+// (a client PUT, an MPut pair, a PutReader stripe) sends all total
+// frames and settles when they have all arrived and none is in flight;
+// a migration generation is sparse (migrateKey skips absent chunks and
+// total is the RS total), never completes by count, and settles when
+// superseded or when its stream closes.
+type writeOp struct {
+	key       string
+	gen       int64
+	epoch     uint64 // the incarnation this generation created; guards every commit
+	total     int    // frames a dense generation sends
+	arrived   int    // frames answered or sent on to a node, refused ones included
+	inflight  int    // chunk SETs at the nodes
+	migration bool
+	// failed: a chunk did not commit (refused, store failed, cancelled,
+	// superseded). A failed generation must neither reach the hot tier
+	// nor leave a never-completable mapping entry behind.
+	failed bool
 	// refused marks a migration generation the ingest side rejected
 	// (the key already exists locally, or was tombstoned): every chunk
 	// of the generation answers migSupersededErr and nothing commits.
 	refused bool
+	// capture is the write-through hot-tier admission, nil unless
+	// BeginObject admitted the key.
+	capture *hotCapture
 }
 
 // readOp tracks one client read — a whole-object first-d GET or a
@@ -192,11 +182,10 @@ type readOp struct {
 	backlog []int
 
 	// Read-through hot-tier admission: when the tier's ghost filter
-	// marked this key warm, the first d forwarded payloads are copied
-	// here (sparse by index) and inserted on the d-th; hotToken fences
-	// the insert against writes that land during the fan-in.
-	capture  [][]byte
-	hotToken uint64
+	// marked this key warm, the first d forwarded payloads are captured
+	// here and inserted on the d-th; the capture's token fences the
+	// insert against writes that land during the fan-in.
+	capture *hotCapture
 }
 
 // readEntry is what every fetch a read makes against one mapping entry
@@ -218,13 +207,12 @@ type readEntry struct {
 // setOp tracks one client chunk SET through its node store.
 type setOp struct {
 	clientSeq uint64
-	seq       uint64 // node request seq, for cancellation
+	seq       uint64   // node request seq, for cancellation
+	w         *writeOp // the chunk's generation; nil for a recovery SET, which has none
 	key       string
 	idx       int
 	node      int
 	size      int64
-	gen       int64 // put generation; a stale one must not commit
-	recovery  bool
 	cancelled bool   // the client abandoned the PUT; do not commit
 	payload   []byte // the client frame's pooled payload; recycled on completion
 	sum       int64  // chunk CRC32-C from the SET frame, stored at commit
@@ -242,16 +230,20 @@ type pendingChunk struct {
 	hedge bool // issued by the hedge timer (HedgeWins accounting)
 }
 
+func newSession(p *Proxy, conn *protocol.Conn) *session {
+	return &session{
+		p: p, conn: conn,
+		writes:      make(map[string]*writeOp),
+		completions: make(chan nodeReply, sessionWindow),
+		chunks:      make(map[uint64]pendingChunk),
+		byClient:    make(map[uint64]pendingChunk),
+	}
+}
+
+// run is the session's event loop; it returns when the client has hung
+// up and the in-flight window has drained, or when the proxy shuts down.
 func (s *session) run() {
 	defer s.conn.Close()
-	s.putGens = make(map[string]int64)
-	s.genPending = make(map[genKey]*genState)
-	if s.p.hot != nil {
-		s.hotPuts = make(map[genKey]*hotPut)
-	}
-	s.completions = make(chan nodeReply, sessionWindow)
-	s.chunks = make(map[uint64]pendingChunk)
-	s.byClient = make(map[uint64]pendingChunk)
 	inbox := protocol.Pump(s.conn)
 	for inbox != nil || s.outstanding > 0 {
 		select {
@@ -284,6 +276,14 @@ func (s *session) run() {
 			s.drainReady(&inbox)
 			s.settleFlush()
 		}
+	}
+	// The client hung up and its window drained: no frame of a generation
+	// still open can arrive any more, so each settles here — an
+	// incomplete one as failed, or its partial entry would answer "write
+	// in progress" for ever. The exit on p.done above settles nothing:
+	// the table goes down with the proxy.
+	for _, w := range s.writes {
+		s.settleWrite(w)
 	}
 }
 
@@ -529,15 +529,6 @@ func (s *session) sendErr(seq uint64, key, text string) {
 	s.conn.Send(&protocol.Message{Type: protocol.TErr, Seq: seq, Key: key, Payload: []byte(text)})
 }
 
-// queueDels distributes eviction deletions to the owning node managers.
-func (s *session) queueDels(dels []evictedChunk) {
-	for _, d := range dels {
-		if d.Node >= 0 && d.Node < len(s.p.nodes) {
-			s.p.nodes[d.Node].queueDel(d.Key)
-		}
-	}
-}
-
 // serveHot answers a GET entirely from the hot tier by replaying the
 // entry's precomputed wire image: the d DATA frames (index, size and
 // RS geometry included, so the client decode path is untouched) were
@@ -578,21 +569,20 @@ func (s *session) handleSet(m *protocol.Message) {
 	idx := int(m.Arg(setArgIdx))
 	total := int(m.Arg(setArgTotal))
 	lambdaIdx := int(m.Arg(setArgLambda))
-	objSize := m.Arg(setArgObjSize)
-	dShards := int(m.Arg(setArgDataShards))
-	putGen := m.Arg(setArgPutGen)
 	recovery := m.Arg(setArgRecovery) == 1
 	migration := m.Arg(setArgMigration) == 1
-	var streamSize, stripeData int64
-	if len(m.Args) > setArgStripeData {
-		streamSize = m.Arg(setArgStreamSize)
-		stripeData = m.Arg(setArgStripeData)
-	}
 
-	if lambdaIdx < 0 || lambdaIdx >= len(s.p.nodes) || idx < 0 || idx >= total || total <= 0 || dShards <= 0 {
+	if lambdaIdx < 0 || lambdaIdx >= len(s.p.nodes) || idx < 0 || idx >= total || total <= 0 || m.Arg(setArgDataShards) <= 0 {
 		s.sendErr(m.Seq, m.Key, "proxy: bad SET arguments")
 		m.Free()
 		return
+	}
+	// The frame's open generation, unless it is the first frame of one.
+	// A recovery SET re-inserts one chunk of an existing object and
+	// belongs to no generation.
+	var w *writeOp
+	if open := s.writes[m.Key]; open != nil && !recovery && open.gen == m.Arg(setArgPutGen) {
+		w = open
 	}
 	sum, hasSum := int64(0), false
 	if len(m.Args) > setArgChecksum {
@@ -605,9 +595,7 @@ func (s *session) handleSet(m *protocol.Message) {
 			// is dropped, and answer a transient so the writer retries
 			// the whole PUT with fresh bytes.
 			s.p.stats.ChecksumFailures.Add(1)
-			if !recovery && !migration && s.putGens[m.Key] == putGen {
-				s.failGen(m.Key, putGen)
-			}
+			s.failWrite(w)
 			s.sendTransient(m.Seq, m.Key, protocol.TransientNodeFailure)
 			m.Free()
 			return
@@ -618,40 +606,13 @@ func (s *session) handleSet(m *protocol.Message) {
 		// arrived before the epoch flipped may be in flight; fail the
 		// generation so its never-completable entry is dropped — the
 		// client retries the whole PUT at the owner.
-		if !recovery && s.putGens[m.Key] == putGen {
-			s.failGen(m.Key, putGen)
-		}
+		s.failWrite(w)
 		m.Free()
 		return
 	}
 	size := int64(len(m.Payload))
 
-	switch {
-	case migration:
-		// Proxy->proxy key handoff. Ingest only when the key is unknown
-		// here: an existing entry (a client PUT routed by the new ring)
-		// or a tombstone (the key was deleted during the handoff window)
-		// is strictly newer than the streamed copy, so the whole
-		// generation is refused with migSupersededErr — the source drops
-		// its copy on seeing it.
-		gk := genKey{m.Key, putGen}
-		if s.putGens[m.Key] != putGen {
-			s.putGens[m.Key] = putGen
-			gs := &genState{}
-			if s.p.tombstoned(routeKey(m.Key)) {
-				gs.refused = true
-			} else {
-				epoch, fresh := s.p.table.BeginObjectIfAbsent(m.Key, objSize, dShards, total, streamSize, stripeData)
-				gs.epoch, gs.refused = epoch, !fresh
-			}
-			s.genPending[gk] = gs
-		}
-		if gs := s.genPending[gk]; gs != nil && gs.refused {
-			s.sendErr(m.Seq, m.Key, migSupersededErr)
-			m.Free()
-			return
-		}
-	case recovery:
+	if recovery {
 		// Recovery re-inserts one chunk of an existing object; if the
 		// object vanished meanwhile there is nothing to repair.
 		if _, ok := s.p.table.Lookup(m.Key); !ok {
@@ -659,40 +620,26 @@ func (s *session) handleSet(m *protocol.Message) {
 			m.Free()
 			return
 		}
-	default:
-		// The first chunk of a new PUT generation (re)initialises the
-		// object's mapping entry — cache invalidation upon overwrite —
-		// and, in the same critical section, invalidates the hot tier
-		// (a concurrent GET can never observe the superseded payload)
-		// and decides write-through admission. Running both under the
-		// table lock keeps the table's epoch order and the tier's
-		// invalidation order identical even when two sessions race
-		// PUTs to one key.
-		if s.putGens[m.Key] != putGen {
-			s.putGens[m.Key] = putGen
-			dels, epoch, admit, token := s.p.table.BeginObject(m.Key, objSize, dShards, total, streamSize, stripeData)
-			s.queueDels(dels)
-			gk := genKey{m.Key, putGen}
-			s.genPending[gk] = &genState{epoch: epoch}
-			if admit {
-				s.hotPuts[gk] = &hotPut{
-					size: objSize, d: dShards, total: total, token: token,
-					chunks: make([][]byte, total),
-				}
-			}
+	} else {
+		if w == nil {
+			w = s.beginWrite(m, migration)
 		}
-	}
-	if hp := s.hotPuts[genKey{m.Key, putGen}]; hp != nil && !recovery &&
-		idx < hp.d && idx < len(hp.chunks) && hp.chunks[idx] == nil {
-		// Write-through admission copy of a data shard; GC-owned.
-		hp.chunks[idx] = append([]byte(nil), m.Payload...)
+		if w.refused {
+			w.arrived++
+			s.sendErr(m.Seq, m.Key, migSupersededErr)
+			m.Free()
+			return
+		}
+		if w.capture != nil {
+			w.capture.add(idx, m.Payload)
+		}
 	}
 
 	dels, evicted, err := s.p.table.Reserve(lambdaIdx, size, m.Key)
-	s.queueDels(dels)
+	s.p.queueDels(dels)
 	s.p.stats.Evictions.Add(int64(evicted))
 	if err != nil {
-		s.failGen(m.Key, putGen)
+		s.failWrite(w)
 		s.sendErr(m.Seq, m.Key, err.Error())
 		m.Free()
 		return
@@ -706,9 +653,8 @@ func (s *session) handleSet(m *protocol.Message) {
 	}
 	seq := s.p.nextSeq()
 	op := &setOp{
-		clientSeq: m.Seq, seq: seq, key: m.Key, idx: idx, node: lambdaIdx,
-		size: size, gen: putGen, recovery: recovery, payload: m.Payload,
-		sum: sum, hasSum: hasSum,
+		clientSeq: m.Seq, seq: seq, w: w, key: m.Key, idx: idx, node: lambdaIdx,
+		size: size, payload: m.Payload, sum: sum, hasSum: hasSum,
 	}
 	s.outstanding++
 	s.chunks[seq] = pendingChunk{set: op, node: lambdaIdx}
@@ -721,21 +667,118 @@ func (s *session) handleSet(m *protocol.Message) {
 		m.Free()
 		return
 	}
-	gk := genKey{m.Key, putGen}
-	gs := s.genPending[gk]
-	if gs == nil {
-		// Recovery generations never pass the BeginObject branch; they
-		// track pending chunks only (epoch 0: commits are unguarded by
-		// design — recovery re-inserts TRUE chunk content into whatever
-		// incarnation is current).
-		gs = &genState{}
-		s.genPending[gk] = gs
+	if w != nil {
+		// Counted only now that the frame has left this function: making
+		// room in the window above completes other chunks of w, and a
+		// last frame counted on arrival would let them settle the
+		// generation under its own submission.
+		w.arrived++
+		w.inflight++
 	}
-	gs.pending++
 	// The payload now belongs to the setOp (recycled on completion); the
 	// frame struct itself is done.
 	m.Payload = nil
 	m.Free()
+}
+
+// beginWrite opens the PUT generation m is the first frame of — the one
+// place a mapping entry is (re)initialised, a migrated key refused and
+// write-through admission decided. Whatever generation of the key the
+// session still had open is retired first: a writer's frames arrive in
+// order, so none of the old one's can follow, and those of its chunks
+// still in flight complete as superseded.
+func (s *session) beginWrite(m *protocol.Message, migration bool) *writeOp {
+	if old := s.writes[m.Key]; old != nil {
+		s.settleWrite(old)
+	}
+	objSize, dShards, total := m.Arg(setArgObjSize), int(m.Arg(setArgDataShards)), int(m.Arg(setArgTotal))
+	var streamSize, stripeData int64
+	if len(m.Args) > setArgStripeData {
+		streamSize = m.Arg(setArgStreamSize)
+		stripeData = m.Arg(setArgStripeData)
+	}
+	w := &writeOp{key: m.Key, gen: m.Arg(setArgPutGen), total: total, migration: migration}
+	switch {
+	case migration && s.p.tombstoned(routeKey(m.Key)):
+		w.refused = true
+	case migration:
+		// Proxy->proxy key handoff. Ingest only when the key is unknown
+		// here: an existing entry (a client PUT routed by the new ring)
+		// or a tombstone (the key was deleted during the handoff window)
+		// is strictly newer than the streamed copy, so the whole
+		// generation is refused with migSupersededErr — the source drops
+		// its copy on seeing it.
+		epoch, fresh := s.p.table.BeginObjectIfAbsent(m.Key, objSize, dShards, total, streamSize, stripeData)
+		w.epoch, w.refused = epoch, !fresh
+	default:
+		// The first chunk of a new PUT generation (re)initialises the
+		// object's mapping entry — cache invalidation upon overwrite —
+		// and, in the same critical section, invalidates the hot tier
+		// (a concurrent GET can never observe the superseded payload)
+		// and decides write-through admission. Running both under the
+		// table lock keeps the table's epoch order and the tier's
+		// invalidation order identical even when two sessions race
+		// PUTs to one key.
+		dels, epoch, admit, token := s.p.table.BeginObject(m.Key, objSize, dShards, total, streamSize, stripeData)
+		s.p.queueDels(dels)
+		w.epoch = epoch
+		if admit {
+			w.capture = newHotCapture(token, objSize, dShards, total)
+		}
+	}
+	s.writes[m.Key] = w
+	return w
+}
+
+// failWrite charges a frame that will not reach a node to its
+// generation. w is nil when the frame opened none — a recovery SET, or a
+// first frame refused before beginWrite, which nobody counts: such a
+// generation sits one short of total and settleWrite reads that as
+// failed.
+func (s *session) failWrite(w *writeOp) {
+	if w != nil {
+		w.arrived++
+		w.failed = true
+		s.idleWrite(w)
+	}
+}
+
+// idleWrite runs each time one of w's frames has left the session —
+// its chunk completed, or it was refused before reaching a node. With
+// nothing of the generation in flight, the frame just answered is what
+// its writer may be blocked on, so the wake must flush; but that ends
+// nothing — an ordinary writer drains mid-burst — unless every frame of
+// a dense generation has also arrived.
+func (s *session) idleWrite(w *writeOp) {
+	if w.inflight > 0 {
+		return
+	}
+	s.needFlush = true
+	if !w.migration && w.arrived >= w.total && s.writes[w.key] == w {
+		s.settleWrite(w)
+	}
+}
+
+// settleWrite is a PUT generation's one end of life, reached when every
+// frame of it has arrived and none is in flight (idleWrite), when a
+// newer generation of the key opens on this session (beginWrite), or at
+// session teardown (run). A clean generation's write-through capture
+// inserts into the hot tier (the epoch token still rejects it if another
+// session's overwrite began during the ack wait). Anything else is
+// failed — a chunk did not commit, one is still in flight, or a dense
+// generation is short of frames — and a failed generation whose mapping
+// entry can never serve a GET — fewer than d chunks committed — is
+// dropped so the key reads as a clean MISS (the §5.2 RESET path) instead
+// of "write in progress" forever.
+func (s *session) settleWrite(w *writeOp) {
+	delete(s.writes, w.key)
+	if w.failed || w.inflight > 0 || (!w.migration && w.arrived < w.total) {
+		if dels, dropped := s.p.table.DropIfIncomplete(w.key, w.epoch); dropped {
+			s.p.queueDels(dels)
+		}
+	} else if w.capture != nil {
+		s.p.hot.admit(w.key, w.capture)
+	}
 }
 
 // sendFallback answers a GET with a fallback redirect toward the key's
@@ -773,18 +816,17 @@ func (s *session) handleGet(m *protocol.Message) {
 	if !authoritative && !s.checkOwner(m.Seq, m.Key) {
 		return
 	}
-	var hotToken uint64
-	var hotCapture bool
+	var token uint64
+	var capture bool
 	if s.p.hot != nil && !ranged {
 		// Ranged GETs bypass the hot tier entirely: the tier caches
 		// whole objects and a sub-object read must not earn residency
 		// for (or be served) bytes it did not ask for.
-		e, token, capture := s.p.hot.get(m.Key)
-		if e != nil {
+		var e *hotEntry
+		if e, token, capture = s.p.hot.get(m.Key); e != nil {
 			s.serveHot(m.Seq, m.Key, e)
 			return
 		}
-		hotToken, hotCapture = token, capture
 	}
 	meta, ok := s.p.table.Lookup(m.Key)
 	if !ok {
@@ -818,11 +860,10 @@ func (s *session) handleGet(m *protocol.Message) {
 		return
 	default:
 		ok = s.planWhole(op, meta, authoritative)
-		if ok && hotCapture && meta.Size <= s.p.hot.maxObj {
+		if ok && capture && meta.Size <= s.p.hot.maxObj {
 			// Ghost-warm key: read-admit by copying the first-d payloads as
 			// they stream through (whatever d chunks win the fan-in race).
-			op.capture = make([][]byte, meta.TotalShards)
-			op.hotToken = hotToken
+			op.capture = newHotCapture(token, meta.Size, meta.DataShards, meta.TotalShards)
 		}
 	}
 	if ok {
@@ -1036,8 +1077,7 @@ func (s *session) completeRead(pc pendingChunk, resp *protocol.Message) {
 			s.p.stats.HedgeWins.Add(1)
 		}
 		if op.capture != nil {
-			// Read-through admission copy; GC-owned, never pooled.
-			op.capture[idx] = append([]byte(nil), resp.Payload...)
+			op.capture.add(idx, resp.Payload)
 		}
 		op.forwarded++
 		if op.forwarded < op.need {
@@ -1051,7 +1091,7 @@ func (s *session) completeRead(pc pendingChunk, resp *protocol.Message) {
 			s.p.stats.DegradedGets.Add(1)
 		}
 		if op.capture != nil {
-			s.p.hot.insert(op.key, op.size, e.d, e.total, op.capture, op.hotToken)
+			s.p.hot.admit(op.key, op.capture)
 			op.capture = nil
 		}
 		if op.ranged {
@@ -1153,53 +1193,6 @@ func (s *session) sendRangeTerminal(seq uint64, key string, size int64) {
 	s.conn.Forward(protocol.TData, seq, key, "", args[:], nil)
 }
 
-// markGenFailed records that one of a generation's chunks did not
-// commit: the generation must not reach the hot tier, and its mapping
-// entry may end up never-completable (finishGen handles both).
-func (s *session) markGenFailed(gk genKey, gs *genState) {
-	if gs != nil {
-		gs.failed = true
-	}
-	if hp := s.hotPuts[gk]; hp != nil {
-		hp.failed = true
-	}
-}
-
-// failGen marks a generation failed from a path where the chunk never
-// even reached a node (bad reservation). With nothing in flight the
-// generation finalises immediately — completeSet will never run for it.
-func (s *session) failGen(key string, gen int64) {
-	gk := genKey{key, gen}
-	gs := s.genPending[gk]
-	s.markGenFailed(gk, gs)
-	if gs != nil && gs.pending == 0 {
-		delete(s.genPending, gk)
-		s.finishGen(gk, gs)
-	}
-}
-
-// finishGen runs a PUT generation's end-of-life bookkeeping once its
-// last in-flight chunk has completed (or it failed before submitting
-// any): a clean, fully-captured write-through admission inserts into
-// the hot tier (the epoch token still rejects it if a newer generation
-// began during the ack wait), and a failed generation whose mapping
-// entry can never serve a GET — fewer than d chunks committed, none
-// positively lost — is dropped so the key reads as a clean MISS (the
-// §5.2 RESET path) instead of "write in progress" forever.
-func (s *session) finishGen(gk genKey, gs *genState) {
-	if hp := s.hotPuts[gk]; hp != nil {
-		delete(s.hotPuts, gk)
-		if !gs.failed && hp.complete() {
-			s.p.hot.insert(gk.key, hp.size, hp.d, hp.total, hp.chunks, hp.token)
-		}
-	}
-	if gs.failed && gs.epoch != 0 {
-		if dels, dropped := s.p.table.DropIfIncomplete(gk.key, gs.epoch); dropped {
-			s.queueDels(dels)
-		}
-	}
-}
-
 // complete advances the op owning one finished node request.
 func (s *session) complete(r nodeReply) {
 	pc, ok := s.chunks[r.Seq]
@@ -1218,84 +1211,81 @@ func (s *session) complete(r nodeReply) {
 	}
 }
 
+// completeSet settles one chunk SET on its node's answer. Everything
+// about the chunk's generation is read from op.w — no lookup by key can
+// come back empty because the generation drained a moment ago.
 func (s *session) completeSet(op *setOp, resp *protocol.Message) {
 	delete(s.byClient, op.clientSeq)
-	// The last outstanding chunk of a PUT generation is the frame its
-	// client is actually blocked on; earlier acks can stay staged.
-	gk := genKey{op.key, op.gen}
-	gs := s.genPending[gk]
-	last := false
-	var epoch uint64 // generation's mapping incarnation; 0 for recovery
-	if gs != nil {
-		epoch = gs.epoch
-		if gs.pending--; gs.pending <= 0 {
-			delete(s.genPending, gk)
-			s.needFlush = true
-			last = true
-		}
+	w := op.w
+	recovery := w == nil
+	var epoch uint64 // the generation's incarnation; 0 fences a recovery by content
+	if !recovery {
+		w.inflight--
+		epoch = w.epoch
+	} else {
+		// A repair's writer waits on each ack: every one is a flush point.
+		s.needFlush = true
 	}
 	acked := resp != nil && resp.Type == protocol.TAck
-	if op.cancelled && !(op.recovery && acked) {
-		// A cancelled chunk never commits, so the generation must not
-		// reach the hot tier either (the synchronous-invalidate rule:
-		// cancel/un-commit paths keep the tier from serving data the
-		// client believes unwritten).
-		s.markGenFailed(gk, gs)
-		// The client abandoned the PUT: never commit. The node may have
-		// stored the chunk anyway — a cancel withdrawn in flight gets a
-		// nil outcome here while the SET still lands — so delete its
-		// copy: an uncommitted chunk is garbage the accounting no
-		// longer tracks, and deleting an absent key is a no-op. The one
-		// exception is recovery: a recovery SET re-inserts the object's
-		// TRUE chunk content without a BeginObject, so the same chunk
-		// key may be live and committed on this very node — deleting
-		// would destroy healthy data; a cancelled-but-acked repair
-		// instead falls through and commits (the repair succeeded; the
-		// caller's departure doesn't invalidate it), and a withdrawn
-		// one just releases its reservation.
+	committed := false
+	switch {
+	case op.cancelled && !(recovery && acked):
+		// The client abandoned the PUT: never commit — and so, failed
+		// below, the generation must not reach the hot tier either (the
+		// synchronous-invalidate rule: cancel/un-commit paths keep the
+		// tier from serving data the client believes unwritten). The
+		// node may have stored the chunk anyway — a cancel withdrawn in
+		// flight gets a nil outcome here while the SET still lands — so
+		// delete its copy: an uncommitted chunk is garbage the
+		// accounting no longer tracks, and deleting an absent key is a
+		// no-op. The one exception is recovery: a recovery SET
+		// re-inserts the object's TRUE chunk content without a
+		// BeginObject, so the same chunk key may be live and committed
+		// on this very node — deleting would destroy healthy data; a
+		// cancelled-but-acked repair instead falls through and commits
+		// (the repair succeeded; the caller's departure doesn't
+		// invalidate it), and a withdrawn one just releases its
+		// reservation.
 		s.p.table.ReleaseChunk(op.node, op.size)
-		if !op.recovery {
+		if !recovery {
 			s.p.nodes[op.node].queueDel(ChunkKey(op.key, op.idx))
 		}
-		if resp != nil {
-			resp.Free()
-		}
-		bufpool.Put(op.payload)
-		op.payload = nil
-		if last {
-			s.finishGen(gk, gs)
-		}
-		return
-	}
-	if resp != nil && resp.Type == protocol.TAck {
-		superseded := !op.recovery && s.putGens[op.key] != op.gen
+	case !acked:
+		s.p.table.ReleaseChunk(op.node, op.size)
+		s.sendErr(op.clientSeq, op.key, "proxy: chunk store failed")
+	default:
+		superseded := !recovery && s.writes[op.key] != w
 		if !superseded && s.p.table.CommitChunk(op.key, op.idx, op.node, op.size, epoch, op.sum, op.hasSum) {
-			if op.recovery {
+			committed = true
+			if recovery {
 				s.p.stats.Repairs.Add(1)
 			}
 			args := [1]int64{int64(op.idx)}
 			s.conn.Forward(protocol.TAck, op.clientSeq, op.key, "", args[:], nil)
-		} else {
-			// A newer PUT generation superseded this chunk — either
-			// same-session (putGens moved on while it was re-driven) or
-			// cross-session (the entry's epoch no longer matches, and
-			// CommitChunk refused and released the reservation).
-			// Committing would splice stale bytes into the newer
-			// incarnation. Delete the node's copy too: it may have
-			// clobbered the new generation's chunk under the same key —
-			// a lost chunk is recoverable through parity, a silently
-			// mixed one is not.
-			if superseded {
-				s.p.table.ReleaseChunk(op.node, op.size)
-			}
-			s.p.nodes[op.node].queueDel(ChunkKey(op.key, op.idx))
-			s.markGenFailed(gk, gs)
-			s.sendErr(op.clientSeq, op.key, "proxy: chunk superseded by a newer put")
+			break
 		}
-	} else {
-		s.p.table.ReleaseChunk(op.node, op.size)
-		s.markGenFailed(gk, gs)
-		s.sendErr(op.clientSeq, op.key, "proxy: chunk store failed")
+		// A newer PUT generation superseded this chunk — either
+		// same-session (a newer generation of the key opened while it
+		// was re-driven) or cross-session (the entry's epoch no longer
+		// matches, and CommitChunk refused and released the
+		// reservation); a refused recovery carried content the slot
+		// never held. Committing would splice stale bytes into the
+		// newer incarnation. Delete the node's copy too: it may have
+		// clobbered the new generation's chunk under the same key —
+		// a lost chunk is recoverable through parity, a silently
+		// mixed one is not.
+		if superseded {
+			s.p.table.ReleaseChunk(op.node, op.size)
+		}
+		s.p.nodes[op.node].queueDel(ChunkKey(op.key, op.idx))
+		text := "proxy: chunk superseded by a newer put"
+		if !recovery && w.migration {
+			// The source drops its copy on this text and no other: a
+			// client PUT that landed mid-stream is as newer as one that
+			// landed before it.
+			text = migSupersededErr
+		}
+		s.sendErr(op.clientSeq, op.key, text)
 	}
 	if resp != nil {
 		resp.Free()
@@ -1303,8 +1293,11 @@ func (s *session) completeSet(op *setOp, resp *protocol.Message) {
 	// This hop consumed the client's SET frame; its payload is free.
 	bufpool.Put(op.payload)
 	op.payload = nil
-	if last {
-		s.finishGen(gk, gs)
+	if !recovery {
+		if !committed {
+			w.failed = true
+		}
+		s.idleWrite(w)
 	}
 }
 
@@ -1339,7 +1332,7 @@ func (s *session) objectLost(seq uint64, replyKey, entryKey string, epoch uint64
 		return
 	}
 	s.p.stats.ObjectLosses.Add(1)
-	s.queueDels(dels)
+	s.p.queueDels(dels)
 	s.needFlush = true
 	s.conn.Send(&protocol.Message{
 		Type: protocol.TMiss, Seq: seq, Key: replyKey, Args: []int64{1}, // 1 = loss, not cold miss
@@ -1359,7 +1352,7 @@ func (s *session) handleDel(m *protocol.Message) {
 	// Drop invalidates the hot tier inside the table's critical section
 	// (dropLocked), so after the ACK below no GET can be served the
 	// deleted object from either structure.
-	s.queueDels(s.p.table.Drop(m.Key))
+	s.p.queueDels(s.p.table.Drop(m.Key))
 	s.needFlush = true
 	s.conn.Forward(protocol.TAck, m.Seq, m.Key, "", nil, nil)
 	m.Free()

@@ -60,15 +60,15 @@ func (h *hotModel) get(key string) (hit, capture bool) {
 }
 
 // beginPut mirrors hotTier.beginPut: every write invalidates any
-// resident entry first, then the key is admitted if it was resident or
-// ghost-known and the object fits under maxObj.
+// resident entry first, then the key is admitted if it is ghost-known
+// and the object fits under maxObj. As live, residency earns nothing:
+// the overwrite's mapping drop has already invalidated the entry.
 func (h *hotModel) beginPut(key string, objSize int64) (admit bool) {
-	_, resident := h.entries[key]
 	h.invalidate(key)
 	if objSize <= 0 || objSize > h.maxObj {
 		return false
 	}
-	if resident || h.ghost.Contains(key) {
+	if h.ghost.Contains(key) {
 		return true
 	}
 	h.ghostAdd(key)

@@ -239,8 +239,8 @@ func Run(cfg Config, trace *workload.Trace) *Result {
 			drop(key)
 		}
 		// Write-through tier admission: beginPut invalidates before any
-		// chunk lands and decides admission (resident or ghost-known,
-		// and under maxObj).
+		// chunk lands and decides admission (ghost-known and under
+		// maxObj).
 		hotAdmit := false
 		if hot != nil {
 			hotAdmit = hot.beginPut(key, size)
