@@ -593,19 +593,31 @@ func (c *Client) Put(key string, value []byte) error {
 }
 
 // stageValue erasure-codes value and stages its d+p chunk SETs on tags
-// tag0.. of w. The shard buffers come from (and return to) the pool:
-// staging copies or writes each payload synchronously, so nothing
-// references them once it returns.
+// tag0.. of w. Every data shard that lies wholly inside value is a
+// window into it — the caller's bytes go to the wire without a copy;
+// only a zero-padded tail shard and the parity shards are buffers, and
+// only those come from (and return to) the pool: caller memory is never
+// Put. Staging copies or writes each payload synchronously, so nothing
+// references either kind once it returns.
 func (c *Client) stageValue(w *wait, tag0, poolSize int, key string, value []byte, extra []int64) error {
 	shards := make([][]byte, c.codec.TotalShards())
 	shardSize := c.codec.ShardSize(len(value))
+	whole := len(value) / shardSize
 	for i := range shards {
-		shards[i] = bufpool.Get(shardSize)
+		if lo := i * shardSize; i < whole {
+			shards[i] = value[lo : lo+shardSize : lo+shardSize]
+		} else {
+			shards[i] = bufpool.Get(shardSize)
+			if i < c.codec.DataShards() {
+				n := 0
+				if lo < len(value) {
+					n = copy(shards[i], value[lo:])
+				}
+				clear(shards[i][n:]) // pooled buffers arrive dirty
+			}
+		}
 	}
-	defer bufpool.PutAll(shards)
-	if err := c.codec.SplitInto(value, shards); err != nil {
-		return err
-	}
+	defer bufpool.PutAll(shards[whole:])
 	if err := c.codec.Encode(shards); err != nil {
 		return err
 	}

@@ -17,7 +17,7 @@ import (
 // 1 ms of wall time sit at the edge of scheduler granularity). They now
 // run on the injected vclock.Manual: virtual time advances only while
 // some component is actually blocked on the clock (the pumper below),
-// so TCP round trips and chunk stores run at full real-time speed
+// so round trips and chunk stores run at full real-time speed
 // between steps and no virtual deadline can expire while real work is
 // still in flight.
 
@@ -42,7 +42,7 @@ func backupDeployment(t *testing.T, mutate func(*Config)) (*Deployment, *client.
 			}
 			// The step:sleep ratio caps time compression at ~25x so no
 			// virtual deadline (billing cycle, ping timeout, T_bak) can
-			// expire while the real work it is waiting on — a TCP round
+			// expire while the real work it is waiting on — a round
 			// trip, a chunk store — is still in flight on a busy 1-core
 			// scheduler. Pumping faster re-creates the flake this file
 			// exists to kill: mid-migration sources time out and chunks

@@ -118,6 +118,11 @@ type Deployment struct {
 	// sweeps during churn) must go through proxySnapshot.
 	Proxies []*proxy.Proxy
 
+	// network carries every byte the deployment moves — client↔proxy,
+	// node↔proxy, relay and proxy↔proxy links alike — through memory: a
+	// deployment is one process, and its bandwidth and latency are
+	// modelled in virtual time on top (netsim.Path), not by the kernel.
+	network *netsim.Network
 	// faults is the chaos plane's fault engine (nil unless
 	// Config.FaultInjection).
 	faults *netsim.Faults
@@ -155,6 +160,7 @@ func New(cfg Config) (*Deployment, error) {
 	if cfg.FaultInjection {
 		faults = netsim.NewFaults(cfg.Clock, cfg.Seed+977)
 	}
+	network := netsim.NewNetwork()
 	platform := lambdaemu.New(lambdaemu.Config{
 		Clock:           cfg.Clock,
 		ReclaimPolicy:   cfg.ReclaimPolicy,
@@ -162,6 +168,7 @@ func New(cfg Config) (*Deployment, error) {
 		ColdStartDelay:  cfg.ColdStartDelay,
 		WarmInvokeDelay: cfg.WarmInvokeDelay,
 		HostMemoryMB:    cfg.HostMemoryMB,
+		Dial:            network.Dial,
 		NetFaults:       faults,
 	})
 	handler := lambdanode.NewHandler(lambdanode.Config{
@@ -171,6 +178,7 @@ func New(cfg Config) (*Deployment, error) {
 
 	d := &Deployment{
 		cfg:        cfg,
+		network:    network,
 		faults:     faults,
 		Platform:   platform,
 		membership: cluster.NewMembership(),
@@ -201,7 +209,9 @@ func New(cfg Config) (*Deployment, error) {
 }
 
 // buildProxy registers proxy index pi's node functions and starts its
-// proxy.
+// proxy, listening as "proxy-<pi>": ring placement hashes member
+// addresses, so a name that is the same every run (no kernel-assigned
+// port) keeps key ownership the same every run.
 func (d *Deployment) buildProxy(pi int) (*proxy.Proxy, error) {
 	names := make([]string, d.cfg.NodesPerProxy)
 	for ni := range names {
@@ -215,6 +225,9 @@ func (d *Deployment) buildProxy(pi int) (*proxy.Proxy, error) {
 		Invoker:             d.Platform,
 		Nodes:               names,
 		NodeMemoryMB:        d.cfg.NodeMemoryMB,
+		ListenAddr:          fmt.Sprintf("proxy-%d", pi),
+		Listen:              d.network.Listen,
+		Dial:                d.network.Dial,
 		HotTierBytes:        d.cfg.HotTierBytes,
 		HotMaxObjectBytes:   d.cfg.HotMaxObjectBytes,
 		MigrationRateBytes:  d.cfg.MigrationRateBytes,
@@ -375,6 +388,7 @@ func (d *Deployment) NewClient(opts ...client.Option) (*client.Client, error) {
 		EnableRecovery: d.cfg.EnableRecovery,
 		Seed:           d.cfg.Seed + 101,
 	}
+	ccfg.Dial = d.network.Dial
 	if f := d.faults; f != nil {
 		// Thread the chaos plane through the client↔proxy links too:
 		// refuse rules matching the "client" tag make dials fail, and
@@ -384,7 +398,7 @@ func (d *Deployment) NewClient(opts ...client.Option) (*client.Client, error) {
 			if f.Refused("client") {
 				return nil, fmt.Errorf("core: dial %s refused (injected fault)", addr)
 			}
-			raw, err := net.Dial("tcp", addr)
+			raw, err := d.network.Dial(addr)
 			if err != nil {
 				return nil, err
 			}

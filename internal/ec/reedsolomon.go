@@ -233,14 +233,21 @@ func (c *Codec) Verify(shards [][]byte) (bool, error) {
 }
 
 // Reconstruct fills every nil entry in shards (data and parity) from the
-// surviving shards. At least d shards must be present.
+// surviving shards. At least d shards must be present. The rebuilt
+// shards are drawn from bufpool — a degraded read is the common read
+// (first-d of d+p usually includes a parity chunk), so they must come
+// from, and be able to go back to, the class shard-sized Gets use — and
+// belong to the caller like the rest of the set: release it with
+// bufpool.PutAll, as every caller in internal/client does, or leave it
+// to the garbage collector.
 func (c *Codec) Reconstruct(shards [][]byte) error {
 	return c.reconstruct(shards, false)
 }
 
 // ReconstructData fills only the nil data shards, leaving missing parity
 // shards nil. This is the GET-path operation: the client only needs the
-// data shards back to reassemble the object.
+// data shards back to reassemble the object. Rebuilt shards come from
+// bufpool, as in Reconstruct.
 func (c *Codec) ReconstructData(shards [][]byte) error {
 	return c.reconstruct(shards, true)
 }
@@ -284,7 +291,7 @@ func (c *Codec) reconstruct(shards [][]byte, dataOnly bool) error {
 	var missingData []int
 	for j := 0; j < c.d; j++ {
 		if shards[j] == nil {
-			shards[j] = make([]byte, size)
+			shards[j] = bufpool.Get(size)
 			missingData = append(missingData, j)
 		}
 	}
@@ -302,7 +309,7 @@ func (c *Codec) reconstruct(shards [][]byte, dataOnly bool) error {
 	var missingParity []int
 	for i := 0; i < c.p; i++ {
 		if shards[c.d+i] == nil {
-			shards[c.d+i] = make([]byte, size)
+			shards[c.d+i] = bufpool.Get(size)
 			missingParity = append(missingParity, i)
 		}
 	}
@@ -370,20 +377,6 @@ func (c *Codec) SplitInto(data []byte, shards [][]byte) error {
 		}
 	}
 	return nil
-}
-
-// EncodeInto splits data into the caller-provided shard buffers and
-// computes parity over them in one call: the per-stripe entry point of
-// the streaming PUT path, which encodes each stripe as its bytes
-// arrive instead of materialising the whole object. Buffer contract as
-// SplitInto (d+p slices of exactly ShardSize(len(data)) bytes; dirty
-// recycled buffers are safe — data shards are fully overwritten, zero
-// padding included, and parity shards are fully recomputed).
-func (c *Codec) EncodeInto(data []byte, shards [][]byte) error {
-	if err := c.SplitInto(data, shards); err != nil {
-		return err
-	}
-	return c.Encode(shards)
 }
 
 // Join reassembles the original object of length size from the data

@@ -7,7 +7,7 @@
 //
 // Live harnesses (micro.go: Figure4, Figure11, Figure11f, Figure12,
 // BatchProbe, HotTierProbe) build a real in-process deployment —
-// emulated platform, proxies, TCP, erasure coding — and measure
+// emulated platform, proxies, wire protocol, erasure coding — and measure
 // wall-clock latencies, so protocol and CPU costs are honest; they are
 // what cmd/ic-bench runs. Simulated harnesses (exps.go: the trace
 // replays behind Figures 13-17 and Table 1) drive internal/sim's

@@ -17,7 +17,8 @@ import (
 	"infinicache/internal/vclock"
 )
 
-// Live microbenchmarks run the real client->proxy->Lambda path over TCP
+// Live microbenchmarks run the real client->proxy->Lambda path (over a
+// deployment's in-process transport; the ElastiCache baseline over TCP)
 // at TimeScale 1 (virtual time == wall time), so erasure-coding CPU cost
 // and protocol overhead are measured honestly alongside the modeled
 // Lambda bandwidth (50-160 MB/s by memory size).

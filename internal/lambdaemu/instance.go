@@ -103,8 +103,8 @@ func (c *Context) Reclaimed() bool {
 // InfiniCache exploits to cache chunks).
 func (c *Context) Locals() map[string]any { return c.inst.locals }
 
-// Dial opens an outbound TCP connection throttled by the instance's and
-// its VM host's bandwidth. Inbound connections do not exist: there is no
+// Dial opens an outbound connection throttled by the instance's and its
+// VM host's bandwidth. Inbound connections do not exist: there is no
 // Listen — the platform constraint that motivates InfiniCache's proxy.
 func (c *Context) Dial(addr string) (net.Conn, error) {
 	if c.Reclaimed() {

@@ -5,8 +5,9 @@
 //   - Functions are registered handlers; instances run as goroutines and
 //     keep in-memory state between invocations ("warm" function caching).
 //   - Instances cannot accept inbound connections: the only network
-//     primitive a handler gets is Context.Dial (outbound TCP), which is
-//     why InfiniCache needs a proxy at all.
+//     primitive a handler gets is Context.Dial (outbound only, over
+//     whatever transport Config.Dial reaches), which is why InfiniCache
+//     needs a proxy at all.
 //   - Invoking a busy function auto-scales a new peer-replica instance —
 //     the mechanism the §4.2 backup protocol rides on.
 //   - The provider may reclaim idle instances at any time, driven by a
@@ -59,6 +60,11 @@ type Config struct {
 	AutoScaleDelay time.Duration
 	ReclaimPolicy  ReclaimPolicy // nil disables policy-driven reclaiming
 	Seed           int64
+	// Dial is the network handlers reach through Context.Dial (a
+	// netsim.Network's Dial in a deployment); the platform throttles and
+	// fault-filters what it returns. nil leaves handlers without a
+	// network: every Context.Dial fails.
+	Dial func(addr string) (net.Conn, error)
 	// NetFaults, when set, is consulted on every handler Dial (refusal
 	// rules, tagged by function name) and every byte moved on the
 	// resulting connections (corruption/latency/hangup rules) — the
@@ -443,14 +449,17 @@ func (p *Platform) Close() {
 	}
 }
 
-// Dial is the outbound-only network primitive handed to handlers: real
-// TCP, throttled through the instance's own bandwidth bucket and its VM
-// host's shared bucket.
+// dialFrom is the outbound-only network primitive handed to handlers:
+// a Config.Dial connection throttled through the instance's own
+// bandwidth bucket and its VM host's shared bucket.
 func (p *Platform) dialFrom(in *Instance, addr string) (net.Conn, error) {
+	if p.cfg.Dial == nil {
+		return nil, errors.New("lambdaemu: platform has no network (Config.Dial is nil)")
+	}
 	if f := p.cfg.NetFaults; f != nil && f.Refused(in.fn.name) {
 		return nil, fmt.Errorf("lambdaemu: dial refused (injected fault) for %s", in.fn.name)
 	}
-	raw, err := net.Dial("tcp", addr)
+	raw, err := p.cfg.Dial(addr)
 	if err != nil {
 		return nil, err
 	}

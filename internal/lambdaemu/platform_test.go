@@ -2,11 +2,13 @@ package lambdaemu
 
 import (
 	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"infinicache/internal/netsim"
 	"infinicache/internal/vclock"
 )
 
@@ -402,5 +404,93 @@ func TestConcurrentInvocationsAreAllBilled(t *testing.T) {
 	}
 	if ran.Load() != n {
 		t.Fatalf("handler ran %d times, want %d", ran.Load(), n)
+	}
+}
+
+// TestContextDialGoesThroughConfigDial: a handler's only way out is the
+// transport the platform was built over. Its bytes arrive at a listener
+// on that transport, charged to the instance's bandwidth in virtual
+// time; a reclaim hangs the connection up under the peer; a fault rule
+// refuses the dial by function name; and a platform built without a
+// transport fails every dial instead of reaching for a real network.
+func TestContextDialGoesThroughConfigDial(t *testing.T) {
+	nw := netsim.NewNetwork()
+	ln, err := nw.Listen("srv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	clk := pumpedClock(t)
+	faults := netsim.NewFaults(clk, 1)
+	p := New(Config{
+		Clock:           clk,
+		ColdStartDelay:  time.Millisecond,
+		WarmInvokeDelay: time.Millisecond,
+		Dial:            nw.Dial,
+		NetFaults:       faults,
+	})
+	t.Cleanup(p.Close)
+
+	const n = 5_000_000 // 100 ms of virtual time at a 128 MB function's 50 MB/s
+	dialErr := make(chan error, 1)
+	wrote := make(chan time.Duration, 1)
+	if _, err := p.Register("f", FunctionConfig{MemoryMB: 128}, func(ctx *Context, _ []byte) {
+		c, err := ctx.Dial("srv")
+		dialErr <- err
+		if err != nil {
+			return
+		}
+		t0 := ctx.Clock().Now()
+		if _, err := c.Write(make([]byte, n)); err != nil {
+			t.Error(err)
+		}
+		wrote <- ctx.Clock().Since(t0)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Invoke("f", nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-dialErr; err != nil {
+		t.Fatal(err)
+	}
+	srv, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := io.CopyN(io.Discard, srv, n); err != nil {
+		t.Fatalf("read %d of %d bytes: %v", got, n, err)
+	}
+	if d := <-wrote; d < 100*time.Millisecond {
+		t.Fatalf("a %d-byte write took %v of virtual time, want >= 100ms (instance bandwidth)", n, d)
+	}
+	if got := p.ForceReclaim("f"); got != 1 {
+		t.Fatalf("reclaimed %d instances, want 1", got)
+	}
+	if _, err := srv.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("read after the instance was reclaimed: %v, want io.EOF", err)
+	}
+
+	faults.Add("f", netsim.FaultRefuse, 0, 0, 0)
+	if err := p.Invoke("f", nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-dialErr; err == nil {
+		t.Fatal("dial went through a refuse rule naming the function")
+	}
+
+	bare := New(Config{Clock: clk, ColdStartDelay: time.Millisecond})
+	t.Cleanup(bare.Close)
+	if _, err := bare.Register("g", FunctionConfig{MemoryMB: 128}, func(ctx *Context, _ []byte) {
+		_, err := ctx.Dial("srv")
+		dialErr <- err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := bare.Invoke("g", nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-dialErr; err == nil {
+		t.Fatal("a platform without Config.Dial let a handler dial")
 	}
 }

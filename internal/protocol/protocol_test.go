@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"net"
 	"reflect"
@@ -13,6 +14,8 @@ import (
 	"testing/quick"
 	"time"
 	"unsafe"
+
+	"infinicache/internal/netsim"
 )
 
 func roundTrip(t *testing.T, m *Message) *Message {
@@ -242,13 +245,53 @@ func TestConnCloseIdempotent(t *testing.T) {
 	}
 }
 
+// inprocPair returns the two ends of a connection over the in-process
+// transport emulated deployments run on.
+func inprocPair(t *testing.T) (net.Conn, net.Conn) {
+	t.Helper()
+	nw := netsim.NewNetwork()
+	ln, err := nw.Listen("peer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	a, err := nw.Dial("peer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a, b
+}
+
+// TestForwardRoundTrip sends one frame with every field set over each
+// transport the tree uses in-process: a small payload (staged with its
+// header) and one on the vectored path, long enough to cross the
+// in-process transport's segments.
 func TestForwardRoundTrip(t *testing.T) {
-	a, b := net.Pipe()
+	for _, tr := range []struct {
+		name string
+		pair func(*testing.T) (net.Conn, net.Conn)
+	}{
+		{"pipe", func(*testing.T) (net.Conn, net.Conn) { return net.Pipe() }},
+		{"inproc", inprocPair},
+	} {
+		for _, payload := range [][]byte{[]byte("chunk-bytes-0123456789"), bytes.Repeat([]byte("0123456789abcdef!"), 20_000)} {
+			t.Run(fmt.Sprintf("%s/%dB", tr.name, len(payload)), func(t *testing.T) {
+				a, b := tr.pair(t)
+				forwardRoundTrip(t, a, b, payload)
+			})
+		}
+	}
+}
+
+func forwardRoundTrip(t *testing.T, a, b net.Conn, payload []byte) {
 	ca, cb := NewConn(a), NewConn(b)
 	defer ca.Close()
 	defer cb.Close()
 
-	payload := []byte("chunk-bytes-0123456789")
 	done := make(chan *Message, 1)
 	go func() {
 		m, err := cb.Recv()

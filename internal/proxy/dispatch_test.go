@@ -1,6 +1,7 @@
 package proxy
 
 import (
+	"bytes"
 	"fmt"
 	"net"
 	"sync/atomic"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"infinicache/internal/lambdanode"
+	"infinicache/internal/netsim"
 	"infinicache/internal/protocol"
 )
 
@@ -15,7 +17,11 @@ import (
 // scripted fake Lambda nodes speaking the wire protocol over loopback
 // TCP: pipelining with at most one preflight per busy period, a backup
 // connection swap (Maybe) with a full in-flight window, a mid-window
-// BYE, and stale responses after a retry.
+// BYE, stale responses after a retry, a connection dying under an
+// invocation, a request arriving under a warm-up — and, over the
+// in-process transport, whose bounded buffer can hold the dispatcher
+// mid-frame, a reply that overtakes the re-driven copy of its own
+// request.
 
 // invokerFunc adapts a function to the lambdaemu.Invoker interface.
 type invokerFunc func(name string, payload []byte) error
@@ -47,6 +53,12 @@ func joinProxy(t *testing.T, addr, name string, backup bool) *protocol.Conn {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return joinOver(t, raw, name, backup)
+}
+
+// joinOver announces a Lambda connection on an established transport.
+func joinOver(t *testing.T, raw net.Conn, name string, backup bool) *protocol.Conn {
+	t.Helper()
 	c := protocol.NewConn(raw)
 	flag := int64(0)
 	if backup {
@@ -70,6 +82,17 @@ func awaitReply(t *testing.T, ch chan nodeReply) nodeReply {
 	case <-time.After(10 * time.Second):
 		t.Fatal("timed out waiting for a dispatcher reply")
 		return nodeReply{}
+	}
+}
+
+// waitUntil polls cond with a wall-clock guard; call it from the test's
+// own goroutine.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
 	}
 }
 
@@ -514,5 +537,315 @@ func TestWindowRefillOnResponses(t *testing.T) {
 	}
 	if f := p.stats.ChunkFailures.Load(); f != 0 {
 		t.Fatalf("%d chunk failures during refill", f)
+	}
+}
+
+// TestEarlyReplyWaitsForSend pins the payload-ownership rule of the
+// window: a reply may not reach the submitter (who then recycles the
+// request's payload) while pump is still sending that payload. The
+// shape is a re-driven SET: the node buffers the first copy, says BYE,
+// and its next life answers that copy while the dispatcher is mid-way
+// through sending the second — held there by the transport's bounded
+// buffer, since the payload is larger than it and the node is not
+// reading. The reply must wait for the send, and the duplicate the node
+// then drains must carry the original bytes even though the submitter
+// scribbles over the payload the moment its reply arrives.
+func TestEarlyReplyWaitsForSend(t *testing.T) {
+	const size = 3 << 20 // over the transport's per-direction buffer
+	original := make([]byte, size)
+	for i := range original {
+		original[i] = byte(i * 7)
+	}
+	payload := append([]byte(nil), original...)
+
+	nw := netsim.NewNetwork()
+	var invokes atomic.Int64
+	reinvoked := make(chan struct{})
+	answer := make(chan struct{})     // test -> node: ack the first copy now
+	drain := make(chan struct{})      // test -> node: read the duplicate now
+	duplicate := make(chan []byte, 1) // node -> test: the duplicate's payload
+	inv := invokerFunc(func(name string, _ []byte) error {
+		switch invokes.Add(1) {
+		case 1:
+			go func() {
+				raw, err := nw.Dial("proxy")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				c := joinOver(t, raw, "test-node", false)
+				defer c.Close()
+				c.Send(&protocol.Message{Type: protocol.TPong, Key: "test-node"})
+				first, err := c.Recv()
+				if err != nil || first.Type != protocol.TSet {
+					t.Errorf("first copy: %+v, %v", first, err)
+					return
+				}
+				first.Recycle()
+				// Billed duration over with the SET unanswered; the next
+				// life validates and then sits on its socket.
+				c.Send(&protocol.Message{Type: protocol.TBye, Key: "test-node"})
+				<-reinvoked
+				c.Send(&protocol.Message{Type: protocol.TPong, Key: "test-node"})
+				<-answer
+				c.Send(&protocol.Message{Type: protocol.TAck, Key: first.Key, Seq: first.Seq})
+				<-drain
+				second, err := c.Recv()
+				if err != nil || second.Type != protocol.TSet || second.Seq != first.Seq {
+					t.Errorf("duplicate: %+v, %v", second, err)
+					duplicate <- nil
+					return
+				}
+				duplicate <- second.Payload
+				for { // hold the connection until the proxy closes it
+					if _, err := c.Recv(); err != nil {
+						return
+					}
+				}
+			}()
+		case 2:
+			close(reinvoked)
+		}
+		return nil
+	})
+	p, err := New(Config{
+		Invoker:      inv,
+		Nodes:        []string{"test-node"},
+		NodeMemoryMB: 128,
+		ListenAddr:   "proxy",
+		Listen:       nw.Listen,
+		// Wall-clock timeouts, all far beyond what the script needs: no
+		// timer may fire while the test holds the dispatcher mid-frame.
+		PingTimeout: 30 * time.Second, InvokeTimeout: 30 * time.Second, RequestTimeout: 30 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	// On any exit let the scripted node run to its end first, or a
+	// failed assertion leaves Close waiting on a dispatcher the node
+	// holds mid-frame.
+	release := func(c chan struct{}) {
+		select {
+		case <-c:
+		default:
+			close(c)
+		}
+	}
+	defer release(drain)
+	defer release(answer)
+	nm := p.nodes[0]
+
+	ch := make(chan nodeReply, 1)
+	seq := p.nextSeq()
+	nm.submit(protocol.TSet, seq, "obj#0", payload, ch)
+
+	// entry reads the window entry's send state once the request has
+	// been re-driven (the second invocation is the BYE's re-drive).
+	entry := func() (sending, parked bool) {
+		select {
+		case <-reinvoked:
+		default:
+			return false, false
+		}
+		nm.mu.Lock()
+		defer nm.mu.Unlock()
+		pr := nm.inflight[seq]
+		return pr != nil && pr.sending, pr != nil && pr.early != nil
+	}
+	poll := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(50 * time.Microsecond) {
+			select {
+			case r := <-ch:
+				t.Fatalf("reply %+v delivered while waiting for %s: the payload was released under the send", r.Msg, what)
+			default:
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	poll("pump to be mid-frame on the re-driven SET", func() bool { s, _ := entry(); return s })
+	release(answer)
+	poll("the early ACK to be parked on the entry", func() bool { _, parked := entry(); return parked })
+	release(drain)
+
+	r := awaitReply(t, ch)
+	if r.Msg == nil || r.Msg.Type != protocol.TAck || r.Seq != seq {
+		t.Fatalf("re-driven SET got %+v (seq %d), want the ACK for %d", r.Msg, r.Seq, seq)
+	}
+	for i := range payload { // the payload is ours again: its next owner writes
+		payload[i] = 0xFF
+	}
+	select {
+	case got := <-duplicate:
+		if !bytes.Equal(got, original) {
+			t.Fatal("the duplicate SET does not carry the original bytes: the payload was reused while it was being sent")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the node never received the duplicate")
+	}
+	if fails := p.Stats().ChunkFailures.Load(); fails != 0 {
+		t.Fatalf("%d chunk failures", fails)
+	}
+}
+
+// TestConnDropDuringInvokeWait: the proxy still holds the connection of
+// the node's previous life (asleep after its BYE) when a request makes
+// it invoke the function — and that connection then dies, its instance
+// reclaimed. The death belongs to the old life, not to the invocation
+// under way: the dispatcher must keep waiting for the invoked instance
+// to join, not invoke again. A second invocation queues behind the
+// first inside the platform, on the dispatcher's own goroutine, so the
+// first runs out its billing cycle unserved, and so does every one
+// after it.
+func TestConnDropDuringInvokeWait(t *testing.T) {
+	var invokes atomic.Int64
+	firstLife := make(chan *protocol.Conn, 1)
+	var p *Proxy
+	serve := func(c *protocol.Conn) {
+		for {
+			m, err := c.Recv()
+			if err != nil {
+				return
+			}
+			switch m.Type {
+			case protocol.TPing:
+				c.Send(&protocol.Message{Type: protocol.TPong, Seq: m.Seq})
+			case protocol.TSet:
+				c.Send(&protocol.Message{Type: protocol.TAck, Key: m.Key, Seq: m.Seq})
+				m.Recycle()
+				// Billing cycle over: back to sleep, connection kept.
+				c.Send(&protocol.Message{Type: protocol.TBye, Key: "test-node"})
+			}
+		}
+	}
+	inv := invokerFunc(func(name string, payload []byte) error {
+		addr := proxyAddrFromPayload(t, payload)
+		switch invokes.Add(1) {
+		case 1:
+			go func() {
+				c := joinProxy(t, addr, "test-node", false)
+				c.Send(&protocol.Message{Type: protocol.TPong, Key: "test-node"})
+				firstLife <- c
+				serve(c)
+			}()
+		case 2:
+			go func() {
+				// The instance the proxy is connected to is reclaimed
+				// while this invocation (of a peer replica) starts up.
+				(<-firstLife).Close()
+				for deadline := time.Now().Add(10 * time.Second); p.nodes[0].connMirror.Load() != nil; time.Sleep(100 * time.Microsecond) {
+					if time.Now().After(deadline) {
+						t.Error("the proxy never noticed its node connection die")
+						return
+					}
+				}
+				c := joinProxy(t, addr, "test-node", false)
+				defer c.Close()
+				c.Send(&protocol.Message{Type: protocol.TPong, Key: "test-node"})
+				serve(c)
+			}()
+		}
+		return nil
+	})
+	p = testProxy(t, inv)
+
+	ch := make(chan nodeReply, 1)
+	for i := 0; i < 2; i++ {
+		// Request 0 wakes the node; request 1 finds it asleep on a live
+		// connection, which dies under the invocation it triggers.
+		if i == 1 {
+			waitUntil(t, "the node to go back to sleep", func() bool { return p.nodes[0].State() == stateSleeping })
+		}
+		seq := p.nextSeq()
+		p.nodes[0].submit(protocol.TSet, seq, fmt.Sprintf("obj#%d", i), []byte("chunk"), ch)
+		if r := awaitReply(t, ch); r.Msg == nil || r.Msg.Type != protocol.TAck || r.Seq != seq {
+			t.Fatalf("request %d got %+v, want its ACK", i, r.Msg)
+		}
+	}
+	if got := invokes.Load(); got != 2 {
+		t.Fatalf("%d invocations for two busy periods, want 2: the old connection's death re-invoked under the invocation in flight", got)
+	}
+	if fails := p.Stats().ChunkFailures.Load(); fails != 0 {
+		t.Fatalf("%d chunk failures", fails)
+	}
+}
+
+// TestRequestDuringWarmupRidesIt: a warm-up is an invocation like any
+// other, so a request that arrives while one is starting must wait for
+// the warmed instance and be served by it — not invoke the function a
+// second time (which the platform would queue behind the warm-up and,
+// past its scale-out delay, answer with an empty replica). And a node
+// that is already running is not warmed at all.
+func TestRequestDuringWarmupRidesIt(t *testing.T) {
+	var invokes atomic.Int64
+	cmds := make(chan string, 4)
+	requested := make(chan struct{})
+	inv := invokerFunc(func(name string, payload []byte) error {
+		pl, err := lambdanode.DecodePayload(payload)
+		if err != nil {
+			t.Errorf("bad invoke payload: %v", err)
+			return nil
+		}
+		cmds <- pl.Cmd
+		if invokes.Add(1) > 1 {
+			return nil
+		}
+		go func() {
+			<-requested // still cold-starting when the request comes in
+			c := joinProxy(t, pl.ProxyAddr, "test-node", false)
+			defer c.Close()
+			c.Send(&protocol.Message{Type: protocol.TPong, Key: "test-node"})
+			for { // stays up: no BYE
+				m, err := c.Recv()
+				if err != nil {
+					return
+				}
+				switch m.Type {
+				case protocol.TPing:
+					c.Send(&protocol.Message{Type: protocol.TPong, Seq: m.Seq})
+				case protocol.TSet:
+					c.Send(&protocol.Message{Type: protocol.TAck, Key: m.Key, Seq: m.Seq})
+					m.Recycle()
+				}
+			}
+		}()
+		return nil
+	})
+	p := testProxy(t, inv)
+	nm := p.nodes[0]
+
+	p.Warmup()
+	select {
+	case cmd := <-cmds:
+		if cmd != lambdanode.CmdWarmup {
+			t.Fatalf("warm-up invoked with cmd %q", cmd)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Warmup never invoked the sleeping node")
+	}
+	ch := make(chan nodeReply, 1)
+	roundTrip := func(key string) {
+		t.Helper()
+		seq := p.nextSeq()
+		nm.submit(protocol.TSet, seq, key, []byte("chunk"), ch)
+		if key == "obj#0" {
+			close(requested)
+		}
+		if r := awaitReply(t, ch); r.Msg == nil || r.Msg.Type != protocol.TAck || r.Seq != seq {
+			t.Fatalf("%s got %+v, want its ACK", key, r.Msg)
+		}
+	}
+	roundTrip("obj#0")
+
+	// The node is up now: a warm-up tick must find nothing to do. The
+	// round trip after it proves the dispatcher has taken the tick.
+	p.Warmup()
+	waitUntil(t, "the dispatcher to take the warm-up tick", func() bool { return len(nm.warmCh) == 0 })
+	roundTrip("obj#1")
+	if got := invokes.Load(); got != 1 {
+		t.Fatalf("%d invocations, want 1: the warm-up alone (a request under it, and a tick on a running node, add none)", got)
 	}
 }

@@ -3,7 +3,6 @@ package proxy
 import (
 	"fmt"
 	"hash/fnv"
-	"net"
 	"strings"
 	"sync"
 
@@ -65,8 +64,14 @@ func (p *Proxy) SetEpoch(prev, next *cluster.Epoch) {
 			p.migVer = next.Version()
 			p.migFrom = make(map[string]bool, expect)
 			p.tombs = make(map[string]struct{})
-			p.migMu.Unlock()
 			p.prevEpoch.Store(prev)
+			if p.migEarlyV == p.migVer {
+				for _, src := range p.migEarly {
+					p.markDoneLocked(src)
+				}
+			}
+			p.migEarly = nil
+			p.migMu.Unlock()
 		}
 	}
 	p.epoch.Store(next)
@@ -104,10 +109,30 @@ func (p *Proxy) MigrationsPending() int64 {
 
 // markMigrationDone records a source proxy's done marker for version and
 // closes the inbound window once every prev-epoch member has reported.
+//
+// The deployment installs an epoch on one proxy after another, and a
+// source with nothing to stream sends its marker at once — so a marker
+// can arrive for an epoch this proxy is about to install. It is kept
+// for SetEpoch: dropped, the window it should have closed would stay
+// open for good.
 func (p *Proxy) markMigrationDone(version uint64, src string) {
 	p.migMu.Lock()
 	defer p.migMu.Unlock()
-	if version != p.migVer || p.migFrom == nil {
+	switch {
+	case version > p.migVer:
+		if version != p.migEarlyV {
+			p.migEarly, p.migEarlyV = nil, version
+		}
+		p.migEarly = append(p.migEarly, src)
+	case version == p.migVer:
+		p.markDoneLocked(src)
+	}
+}
+
+// markDoneLocked is markMigrationDone for the installed epoch; the
+// caller holds migMu.
+func (p *Proxy) markDoneLocked(src string) {
+	if p.migFrom == nil {
 		return
 	}
 	p.migFrom[src] = true
@@ -205,7 +230,7 @@ func (p *Proxy) migrateOut(prev, next *cluster.Epoch) {
 		if st, ok := streams[addr]; ok {
 			return st
 		}
-		raw, err := net.Dial("tcp", addr)
+		raw, err := p.cfg.Dial(addr)
 		if err != nil {
 			return nil
 		}

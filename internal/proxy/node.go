@@ -84,6 +84,19 @@ type pending struct {
 	attempt  int
 	deadline time.Time // response deadline once sent; zero while queued
 	expire   time.Time // op-level budget; the request fails past this
+
+	// sending marks the span in which pump is inside Forward with this
+	// request's frame, i.e. still reading payload. A reply can arrive
+	// that early: a re-driven request (BYE, timeout, backup swap) goes
+	// out a second time, and the node's next life answers the first
+	// copy it had buffered. Delivering that reply hands payload back to
+	// the submitter, who recycles it — under Forward, which would then
+	// ship whatever the buffer's next owner writes as a duplicate SET
+	// that lands after the good one. So the reader parks such a reply in
+	// early and pump delivers it once Forward has returned. Both fields
+	// are guarded by nodeManager.mu.
+	sending bool
+	early   *protocol.Message
 }
 
 // nodeManager owns all interaction with one Lambda cache node: the
@@ -108,11 +121,11 @@ type nodeManager struct {
 	delCh    chan string   // chunk keys to delete lazily (eviction)
 	cancelCh chan uint64   // seqs of abandoned requests (client CANCEL)
 	kickCh   chan struct{} // reader -> loop: a response freed window space
+	warmCh   chan struct{} // Proxy.Warmup -> loop: T_warm tick
 	queued   atomic.Int32  // len(queue) snapshot, published each loop turn
 
-	// stateMirror publishes the current state for observers (the warm-up
-	// driver skips nodes that are not Sleeping — warming a running
-	// function would auto-scale a useless empty replica).
+	// stateMirror publishes the current state for observers outside the
+	// loop (State; the dispatcher tests assert the Figure 6 state with it).
 	stateMirror atomic.Int32
 	// connMirror shadows the loop-local conn for observers that need to
 	// sever it from outside the loop (the chaos plane's proxy-crash
@@ -146,7 +159,8 @@ type nodeManager struct {
 	// re-drives, expiry, cancels) and the connection's reader goroutine,
 	// which matches chunk responses by seq and delivers them straight to
 	// the submitter — the dispatcher never wakes for a response. mu
-	// guards only this map; whoever deletes an entry owns its pending.
+	// guards this map and its entries' sending/early; whoever deletes an
+	// entry owns its pending.
 	mu       sync.Mutex
 	inflight map[uint64]*pending // sent, awaiting response, keyed by seq
 
@@ -244,6 +258,7 @@ func newNodeManager(p *Proxy, idx int, name string) *nodeManager {
 		delCh:    make(chan string, 4096),
 		cancelCh: make(chan uint64, 1024),
 		kickCh:   make(chan struct{}, 1),
+		warmCh:   make(chan struct{}, 1),
 		inflight: make(map[uint64]*pending),
 	}
 }
@@ -307,6 +322,29 @@ func (nm *nodeManager) takeInflight(seq uint64) (*pending, bool) {
 	return pr, ok
 }
 
+// takeForReply is the reader's takeInflight: it wins the entry m
+// answers unless pump is still sending that entry's frame, in which
+// case m is parked on the entry for pump to deliver (see
+// pending.sending) and nothing is returned. A reply that finds no
+// entry, or one already holding a parked reply, is stale: the reader
+// recycles it.
+func (nm *nodeManager) takeForReply(m *protocol.Message) (pr *pending, parked bool) {
+	nm.mu.Lock()
+	defer nm.mu.Unlock()
+	pr, ok := nm.inflight[m.Seq]
+	switch {
+	case !ok:
+		return nil, false
+	case !pr.sending:
+		delete(nm.inflight, m.Seq)
+		return pr, false
+	case pr.early == nil:
+		pr.early = m
+		return nil, true
+	}
+	return nil, false
+}
+
 // startReader launches conn's read goroutine: chunk responses are
 // matched against the in-flight window and delivered straight to their
 // submitters — the dispatcher loop never wakes for them — while
@@ -334,7 +372,7 @@ func (nm *nodeManager) startReader(conn *protocol.Conn) <-chan *protocol.Message
 			}
 			switch m.Type {
 			case protocol.TData, protocol.TMiss, protocol.TAck, protocol.TErr:
-				if pr, ok := nm.takeInflight(m.Seq); ok {
+				if pr, parked := nm.takeForReply(m); pr != nil {
 					if nm.p.cfg.HedgedGets {
 						nm.noteResult(true)
 						// deadline = send time + RequestTimeout, so the
@@ -358,7 +396,7 @@ func (nm *nodeManager) startReader(conn *protocol.Conn) <-chan *protocol.Message
 						default:
 						}
 					}
-				} else {
+				} else if !parked {
 					// Stale response (post-timeout straggler, cancelled
 					// request, or an eviction DEL's ack); recycle its
 					// payload rather than leaking it from the pool.
@@ -415,6 +453,8 @@ func (nm *nodeManager) run() {
 			nm.cancelReq(seq)
 		case <-nm.kickCh:
 			// Window space freed by the reader; pump() below refills it.
+		case <-nm.warmCh:
+			nm.warmup()
 		case pr := <-nm.reqCh:
 			nm.enqueue(pr)
 			// Drain whatever arrived with it so one validated pump sends
@@ -545,9 +585,26 @@ func (nm *nodeManager) dropConn() {
 	nm.conn = nil
 	nm.connMirror.Store(nil)
 	nm.inbox = nil
+	nm.lifeOver()
+}
+
+// lifeOver records that the node's current life has ended — it said BYE,
+// or its connection died: the node is asleep, nothing in flight will be
+// answered by that life, and the window is re-driven through the next.
+//
+// A validation wait ends with it, unless it is an invoke wait. A BYE or
+// a dead connection during an invoke wait belongs to the previous life
+// (a goodbye, or a reclaimed instance) racing our invocation, whose
+// JOIN and PONG are still coming. Ending the wait would invoke again,
+// and that call queues behind the running invocation — inside the
+// platform, on this goroutine — until it returns unserved; every round
+// after it repeats that.
+func (nm *nodeManager) lifeOver() {
 	nm.setState(stateSleeping)
 	nm.validated = false
-	nm.validating = false
+	if !nm.valInvoke {
+		nm.validating = false
+	}
 	nm.requeueInflight()
 }
 
@@ -564,18 +621,8 @@ func (nm *nodeManager) handleMessage(m *protocol.Message) {
 		}
 	case protocol.TBye:
 		// Node returned; connection stays open for its next life. A BYE
-		// in Maybe also ends the backup takeover window. Anything in
-		// flight will never be answered by this invocation — re-drive it
-		// through a re-invoke.
-		nm.setState(stateSleeping)
-		nm.validated = false
-		if !nm.valInvoke {
-			// A BYE during an invoke wait is the previous life's goodbye
-			// racing our invocation; the fresh instance's PONG is still
-			// coming. Outside that window, validation is over.
-			nm.validating = false
-		}
-		nm.requeueInflight()
+		// in Maybe also ends the backup takeover window.
+		nm.lifeOver()
 	case protocol.TInitBackup:
 		nm.startBackup()
 	case protocol.TBackupDone:
@@ -616,9 +663,25 @@ func (nm *nodeManager) pump() {
 		// as stale.
 		pr.deadline = now.Add(nm.p.cfg.RequestTimeout)
 		nm.mu.Lock()
+		pr.sending = true
 		nm.inflight[pr.seq] = pr
 		nm.mu.Unlock()
-		if err := conn.Forward(pr.typ, pr.seq, pr.key, "", nil, pr.payload); err != nil {
+		err := conn.Forward(pr.typ, pr.seq, pr.key, "", nil, pr.payload)
+		nm.mu.Lock()
+		pr.sending = false
+		early := pr.early
+		if early != nil {
+			pr.early = nil
+			delete(nm.inflight, pr.seq)
+		}
+		nm.mu.Unlock()
+		if early != nil {
+			// Answered before the frame was out (see pending.sending):
+			// the request is done, whatever became of this copy of it.
+			nm.noteResult(true)
+			nm.deliver(pr, early)
+		}
+		if err != nil {
 			conn.Flush()
 			if _, ok := nm.takeInflight(pr.seq); ok {
 				nm.retryOrFail(pr, true)
@@ -651,15 +714,37 @@ func (nm *nodeManager) inflightLen() int {
 // charges an attempt against everything queued and tries again until
 // retries are exhausted.
 func (nm *nodeManager) startInvoke() {
-	for len(nm.queue) > 0 {
-		if err := nm.p.invokeNode(nm.name, lambdanode.CmdRequest); err != nil {
-			nm.chargeQueued()
-			continue
-		}
-		nm.validating = true
-		nm.valInvoke = true
-		nm.valDeadline = nm.p.cfg.Clock.Now().Add(nm.p.cfg.InvokeTimeout)
-		return
+	for len(nm.queue) > 0 && !nm.invoke(lambdanode.CmdRequest) {
+		nm.chargeQueued()
+	}
+}
+
+// invoke asks the platform to run the node with cmd and, if it took the
+// call, opens the invoke wait for the instance's post-join PONG.
+func (nm *nodeManager) invoke(cmd string) bool {
+	if err := nm.p.invokeNode(nm.name, cmd); err != nil {
+		return false
+	}
+	nm.validating = true
+	nm.valInvoke = true
+	nm.valDeadline = nm.p.cfg.Clock.Now().Add(nm.p.cfg.InvokeTimeout)
+	return true
+}
+
+// warmup is the T_warm keep-alive of §4.2 for this node: invoke it if it
+// is asleep. It runs on the dispatcher, as an invocation the dispatcher
+// waits on like any other, because one it does not know about is one it
+// will invoke on top of: a request that finds the node "Sleeping" in
+// the middle of an untracked warm-up invokes again, that call queues
+// behind the warm-up inside the platform on this goroutine, and past
+// the platform's scale-out delay it comes back with a fresh, empty
+// replica that joins in place of the instance holding the chunks.
+// Requests arriving during the wait queue up and ride the warmed
+// instance's PONG. A node that is running, or already being invoked,
+// needs no warming.
+func (nm *nodeManager) warmup() {
+	if nm.state == stateSleeping && !nm.validating {
+		nm.invoke(lambdanode.CmdWarmup)
 	}
 }
 

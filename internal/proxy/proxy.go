@@ -65,8 +65,14 @@ type Config struct {
 	// NodeMemoryMB is each node's cache capacity for the proxy's
 	// pool-memory accounting (§3.2).
 	NodeMemoryMB int
-	// ListenAddr is the TCP address to bind; ":0" picks a free port.
+	// ListenAddr is the address to bind; on TCP ":0" picks a free port.
 	ListenAddr string
+	// Listen and Dial are the proxy's transport: Listen binds its own
+	// listener (on ListenAddr) and one more per backup relay, Dial opens
+	// its migration streams to peer proxies. nil means TCP; an emulated
+	// deployment passes a netsim.Network's pair instead.
+	Listen func(addr string) (net.Listener, error)
+	Dial   func(addr string) (net.Conn, error)
 	// PingTimeout bounds a preflight PING round trip (virtual time).
 	PingTimeout time.Duration
 	// InvokeTimeout bounds waiting for an invoked node to report in.
@@ -107,6 +113,12 @@ func (c *Config) fillDefaults() {
 	}
 	if c.ListenAddr == "" {
 		c.ListenAddr = "127.0.0.1:0"
+	}
+	if c.Listen == nil {
+		c.Listen = func(addr string) (net.Listener, error) { return net.Listen("tcp", addr) }
+	}
+	if c.Dial == nil {
+		c.Dial = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
 	}
 	if c.PingTimeout == 0 {
 		c.PingTimeout = 3 * time.Second
@@ -218,6 +230,8 @@ type Proxy struct {
 	migMu     sync.Mutex
 	migVer    uint64          // epoch version the inbound tracking is for
 	migFrom   map[string]bool // prev-epoch member addr -> done received
+	migEarly  []string        // sources whose done marker for migEarlyV outran our own install of it
+	migEarlyV uint64
 	tombs     map[string]struct{}
 	migGen    atomic.Int64 // put generations for outbound migration SETs
 	migOut    atomic.Int64 // outbound migration workers still running
@@ -340,7 +354,7 @@ func New(cfg Config) (*Proxy, error) {
 	if cfg.NodeMemoryMB <= 0 {
 		return nil, errors.New("proxy: need NodeMemoryMB > 0")
 	}
-	ln, err := net.Listen("tcp", cfg.ListenAddr)
+	ln, err := cfg.Listen(cfg.ListenAddr)
 	if err != nil {
 		return nil, fmt.Errorf("proxy: listen: %w", err)
 	}
@@ -512,16 +526,16 @@ func (p *Proxy) invokeNode(name string, cmd string) error {
 	return p.cfg.Invoker.Invoke(name, pl.Encode())
 }
 
-// Warmup invokes every currently-sleeping node with a warm-up payload —
-// the T_warm keep-alive of §4.2, driven by the deployment layer. Nodes
-// whose connection is Active or Maybe are already running (often mid-
-// backup); invoking them would only auto-scale a useless empty replica.
+// Warmup asks every node's dispatcher to warm its node — the T_warm
+// keep-alive of §4.2, driven by the deployment layer. Each dispatcher
+// invokes its node only if it is asleep and not already being invoked
+// (see nodeManager.warmup); the call does not wait for them.
 func (p *Proxy) Warmup() {
 	for _, nm := range p.nodes {
-		if nm.State() != stateSleeping {
-			continue
+		select {
+		case nm.warmCh <- struct{}{}:
+		default: // the previous tick is still waiting for the dispatcher
 		}
-		p.invokeNode(nm.name, lambdanode.CmdWarmup)
 	}
 }
 

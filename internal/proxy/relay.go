@@ -1,6 +1,7 @@
 package proxy
 
 import (
+	"fmt"
 	"net"
 	"strings"
 	"time"
@@ -67,7 +68,14 @@ func demoteResident(meta []byte, resident func(string) bool) ([]byte, int) {
 // (0 = source, 1 = destination); that classification frame is consumed
 // by the relay.
 func (p *Proxy) startRelay() (string, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	// A relay binds beside the proxy's own listener: a free loopback
+	// port where addresses are host:port (TCP), a fresh child of the
+	// proxy's name on a transport of plain names.
+	addr := "127.0.0.1:0"
+	if _, _, err := net.SplitHostPort(p.addr); err != nil {
+		addr = fmt.Sprintf("%s/relay-%d", p.addr, p.nextSeq())
+	}
+	ln, err := p.cfg.Listen(addr)
 	if err != nil {
 		return "", err
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"sync/atomic"
 
 	"infinicache"
@@ -46,12 +47,40 @@ func (b *InfiniCacheBackend) VerifyReads(on bool) { b.verify = on }
 // CorruptReads returns how many verified GETs returned wrong bytes.
 func (b *InfiniCacheBackend) CorruptReads() int64 { return b.corrupt.Load() }
 
-// checkBytes compares a hit's payload to the deterministic pattern.
-func (b *InfiniCacheBackend) checkBytes(key string, obj *infinicache.Object) error {
-	got := obj.Bytes()
-	if !bytes.Equal(got, payload(int64(len(got)))) {
+// fetched is what checkBytes needs of an *infinicache.Object (tests
+// hand it objects assembled from shards they have damaged).
+type fetched interface {
+	Size() int
+	WriteTo(io.Writer) (int64, error)
+}
+
+// patternCheck is the writer a verified hit is streamed into: it
+// compares each segment against the deterministic pattern at the
+// segment's offset and fails the write at the first difference, so the
+// check costs no copy of the object and no second buffer.
+type patternCheck struct{ off int64 }
+
+var errPatternMismatch = errors.New("bytes differ from the written pattern")
+
+func (w *patternCheck) Write(p []byte) (int, error) {
+	end := w.off + int64(len(p))
+	if !bytes.Equal(p, payload(end)[w.off:]) {
+		return 0, errPatternMismatch
+	}
+	w.off = end
+	return len(p), nil
+}
+
+// checkBytes compares a hit to the deterministic pattern byte for byte,
+// and the bytes delivered to the size the object claims.
+func (b *InfiniCacheBackend) checkBytes(key string, obj fetched) error {
+	n, err := obj.WriteTo(&patternCheck{})
+	if err == nil && n != int64(obj.Size()) {
+		err = fmt.Errorf("%d bytes delivered", n)
+	}
+	if err != nil {
 		b.corrupt.Add(1)
-		return fmt.Errorf("backend: corrupt read: key %s returned %d bytes not matching the written pattern", key, len(got))
+		return fmt.Errorf("backend: corrupt read: key %s returned %d bytes not matching the written pattern: %v", key, obj.Size(), err)
 	}
 	return nil
 }
