@@ -1,13 +1,10 @@
-// Benchmarks regenerating every table and figure of the paper's
-// evaluation section. Each benchmark runs the corresponding experiment
-// harness (internal/exps) and reports its headline numbers as benchmark
-// metrics, so
-//
-//	go test -bench=. -benchmem
-//
-// reproduces the entire evaluation. The full-length (50-hour) replays
-// live in cmd/ic-repro; the benchmarks use shorter traces and reduced
-// grids to keep one pass in the minutes range.
+// Request-plane benchmarks and pins: a client, a proxy and an
+// always-warm scripted node pool over loopback TCP, isolating the
+// client→proxy→node path from billing-cycle and reclamation noise.
+// BenchmarkRequestPlane, BenchmarkGetZeroCopy and BenchmarkMGet report
+// latency, allocations, flushes and PINGs per op; the three tests pin
+// what must not regress (allocs/op, one write per hot hit, flushes per
+// PUT burst). The paper's tables and figures are cmd/ic-repro's.
 package infinicache_test
 
 import (
@@ -17,216 +14,15 @@ import (
 	"math"
 	"math/rand"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"infinicache/internal/client"
-	"infinicache/internal/costmodel"
-	"infinicache/internal/exps"
-	"infinicache/internal/lambdaemu"
 	"infinicache/internal/lambdanode"
 	"infinicache/internal/protocol"
 	"infinicache/internal/proxy"
-	"infinicache/internal/sim"
-	"infinicache/internal/workload"
 )
-
-// benchHours is the replay length for benchmark-mode trace experiments.
-const benchHours = 10
-
-func benchTrace(b *testing.B) *workload.Trace {
-	b.Helper()
-	return exps.CanonicalTrace(benchHours, 1)
-}
-
-func benchSimConfig(backup time.Duration) sim.Config {
-	return sim.Config{
-		Nodes:          400,
-		NodeMemoryMB:   1536,
-		DataShards:     10,
-		ParityShards:   2,
-		WarmupInterval: time.Minute,
-		BackupInterval: backup,
-		ReclaimPolicy:  exps.CanonicalPolicy(),
-		Seed:           3,
-	}
-}
-
-// BenchmarkFigure1_TraceCharacteristics regenerates the trace statistics
-// of Figure 1 (size CDF, byte footprint, access counts, reuse intervals).
-func BenchmarkFigure1_TraceCharacteristics(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tr := benchTrace(b)
-		st := tr.ComputeStats()
-		b.ReportMetric(st.LargeObjectPct*100, "largeObj_%")
-		b.ReportMetric(st.LargeBytePct*100, "largeBytes_%")
-		b.ReportMetric(st.GetsPerHour, "gets/hour")
-		b.ReportMetric(float64(st.WorkingSetBytes>>30), "WSS_GB")
-	}
-}
-
-// BenchmarkFigure4_VMContention measures GET latency against pool sizes
-// that spread the chunks over 1..10 VM hosts (live system).
-func BenchmarkFigure4_VMContention(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		out := exps.Figure4(3, 1)
-		if !strings.Contains(out, "pool") {
-			b.Fatal("harness produced no data")
-		}
-	}
-}
-
-// BenchmarkFigure8_ReclaimTimeline regenerates the 24-hour reclaim study
-// under the paper's warm-up strategies.
-func BenchmarkFigure8_ReclaimTimeline(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := lambdaemu.RunStudy(lambdaemu.StudyConfig{
-			Functions:      400,
-			WarmupEveryMin: 9,
-			DurationMin:    24 * 60,
-			Policy:         lambdaemu.SixHourSpike{PeakFraction: 0.97, Background: 0.05},
-			Seed:           1,
-		})
-		peak := 0
-		for _, h := range res.PerHour {
-			if h > peak {
-				peak = h
-			}
-		}
-		b.ReportMetric(float64(res.TotalReclaims), "reclaims/24h")
-		b.ReportMetric(float64(peak), "peakHourly")
-	}
-}
-
-// BenchmarkFigure9_ReclaimDistribution regenerates the per-minute
-// reclaim-count distributions (Zipf vs Poisson regimes).
-func BenchmarkFigure9_ReclaimDistribution(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		out := exps.Figure9(1)
-		if !strings.Contains(out, "Zipf") {
-			b.Fatal("harness produced no data")
-		}
-	}
-}
-
-// BenchmarkFigure11_Microbenchmark runs the live GET-latency grid
-// (RS codes x object sizes x Lambda memories).
-func BenchmarkFigure11_Microbenchmark(b *testing.B) {
-	cfg := exps.QuickMicroConfig()
-	for i := 0; i < b.N; i++ {
-		out := exps.Figure11(cfg)
-		if !strings.Contains(out, "(10+1)") {
-			b.Fatal("harness produced no data")
-		}
-	}
-}
-
-// BenchmarkFigure11f_VsElastiCache compares the live system against the
-// single-threaded cache-server baselines.
-func BenchmarkFigure11f_VsElastiCache(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		out := exps.Figure11f(3, 1)
-		if !strings.Contains(out, "InfiniCache") {
-			b.Fatal("harness produced no data")
-		}
-	}
-}
-
-// BenchmarkFigure12_Scalability measures throughput scaling with
-// concurrent clients on the live system.
-func BenchmarkFigure12_Scalability(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		out := exps.Figure12([]int{1, 4}, 1, 1)
-		if !strings.Contains(out, "GB/s") {
-			b.Fatal("harness produced no data")
-		}
-	}
-}
-
-// BenchmarkFigure13_Cost replays the trace and reports the cost totals
-// and cost-effectiveness ratio vs ElastiCache.
-func BenchmarkFigure13_Cost(b *testing.B) {
-	tr := benchTrace(b)
-	for i := 0; i < b.N; i++ {
-		ic := sim.Run(benchSimConfig(5*time.Minute), tr)
-		ec := sim.RunElastiCache("cache.r5.24xlarge", tr, 2)
-		b.ReportMetric(ic.TotalCost(), "IC_$")
-		b.ReportMetric(ec.TotalCost, "EC_$")
-		b.ReportMetric(ec.TotalCost/ic.TotalCost(), "effectiveness_x")
-	}
-}
-
-// BenchmarkFigure14_FaultTolerance reports RESETs and recoveries for the
-// backup and no-backup configurations.
-func BenchmarkFigure14_FaultTolerance(b *testing.B) {
-	tr := benchTrace(b).LargeOnly()
-	for i := 0; i < b.N; i++ {
-		withBak := sim.Run(benchSimConfig(5*time.Minute), tr)
-		noBak := sim.Run(benchSimConfig(0), tr)
-		b.ReportMetric(float64(withBak.Resets), "resets_backup")
-		b.ReportMetric(float64(noBak.Resets), "resets_noBackup")
-		b.ReportMetric(100*(1-float64(withBak.Resets)/float64(withBak.Gets)), "availability_%")
-	}
-}
-
-// BenchmarkFigure15_LatencyCDF reports the median latencies of the three
-// systems for large objects.
-func BenchmarkFigure15_LatencyCDF(b *testing.B) {
-	tr := benchTrace(b)
-	for i := 0; i < b.N; i++ {
-		ic := sim.Run(benchSimConfig(5*time.Minute), tr)
-		s3 := sim.RunS3(tr, 5)
-		icB := sim.NormalizedBySize(ic.Sizes, ic.LatencySeconds)
-		s3B := sim.NormalizedBySize(s3.Sizes, s3.LatencySeconds)
-		b.ReportMetric(icB["[10,100)MB"]*1000, "IC_ms_10-100MB")
-		b.ReportMetric(s3B["[10,100)MB"]*1000, "S3_ms_10-100MB")
-	}
-}
-
-// BenchmarkFigure16_NormalizedLatency reports IC latency normalized to
-// ElastiCache per size bucket.
-func BenchmarkFigure16_NormalizedLatency(b *testing.B) {
-	tr := benchTrace(b)
-	for i := 0; i < b.N; i++ {
-		ic := sim.Run(benchSimConfig(5*time.Minute), tr)
-		ec := sim.RunElastiCache("cache.r5.24xlarge", tr, 2)
-		icB := sim.NormalizedBySize(ic.Sizes, ic.LatencySeconds)
-		ecB := sim.NormalizedBySize(ec.Sizes, ec.LatencySeconds)
-		b.ReportMetric(icB["<1MB"]/ecB["<1MB"], "small_ICoverEC")
-		b.ReportMetric(icB[">=100MB"]/ecB[">=100MB"], "huge_ICoverEC")
-	}
-}
-
-// BenchmarkFigure17_CostCrossover computes the access rate where
-// InfiniCache's hourly cost overtakes ElastiCache's.
-func BenchmarkFigure17_CostCrossover(b *testing.B) {
-	pool := costmodel.Lambda{Nodes: 400, MemoryGB: 1.5}
-	for i := 0; i < b.N; i++ {
-		rate := costmodel.CrossoverAccessRate(pool, 12, 100*time.Millisecond,
-			time.Minute, 5*time.Minute, 2*time.Second,
-			costmodel.ElastiCacheHourly("cache.r5.24xlarge"), 1e6)
-		b.ReportMetric(rate, "reqPerHour")
-		b.ReportMetric(rate/3600, "reqPerSec")
-	}
-}
-
-// BenchmarkTable1_HitRatios reports the hit ratios of the three
-// configurations.
-func BenchmarkTable1_HitRatios(b *testing.B) {
-	tr := benchTrace(b)
-	large := tr.LargeOnly()
-	for i := 0; i < b.N; i++ {
-		ec := sim.RunElastiCache("cache.r5.24xlarge", large, 2)
-		ic := sim.Run(benchSimConfig(5*time.Minute), large)
-		noBak := sim.Run(benchSimConfig(0), large)
-		b.ReportMetric(ec.HitRatio()*100, "EC_hit_%")
-		b.ReportMetric(ic.HitRatio()*100, "IC_hit_%")
-		b.ReportMetric(noBak.HitRatio()*100, "ICnoBak_hit_%")
-	}
-}
 
 // benchNodePool is a minimal always-warm emulated Lambda pool for the
 // request-plane benchmark: every Invoke spawns (once per function) a
@@ -614,16 +410,6 @@ func BenchmarkMGet(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkAvailabilityModel evaluates the §4.3 analytical equations.
-func BenchmarkAvailabilityModel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		out := exps.AvailabilityAnalysis()
-		if !strings.Contains(out, "18.8") && !strings.Contains(out, "p3/p4") {
-			b.Fatal("analysis missing")
-		}
-	}
 }
 
 // TestHotGetSingleWrite pins the hot tier's wire-plane property end to

@@ -1,9 +1,16 @@
-// ic-repro regenerates every table and figure from the paper's
-// evaluation, writing one text report per experiment.
+// ic-repro regenerates the tables and figures of the paper's
+// evaluation, plus this repo's batch and hot-tier probes: one text
+// report per row of exps.Table, simulated (trace replays, analytical
+// models) and live (a real in-process deployment timed on the wall
+// clock) alike.
 //
 // Usage:
 //
-//	ic-repro [-out results] [-hours 50] [-fig all|1|4|8|9|11|12|13|14|15|16|17|table1|availability] [-quick]
+//	ic-repro [-fig all|1|4|8|9|11|11f|12|13|14|15|16|17|table1|availability|batch|hot]
+//	         [-out results|-] [-hours 50] [-samples 5] [-quick] [-seed 1]
+//
+// -out names the directory the reports are written to; "-" prints them
+// to stdout instead.
 package main
 
 import (
@@ -15,75 +22,54 @@ import (
 	"strings"
 
 	"infinicache/internal/exps"
+	"infinicache/internal/gf256"
 )
 
 func main() {
-	out := flag.String("out", "results", "output directory")
+	fig := flag.String("fig", "all", "which experiment to run (a Table name, or all)")
+	out := flag.String("out", "results", "output directory, or - for stdout")
 	hours := flag.Int("hours", exps.TraceHours, "trace replay length in hours")
-	fig := flag.String("fig", "all", "which experiment to run")
-	quick := flag.Bool("quick", false, "smaller grids / fewer samples")
+	samples := flag.Int("samples", 0, "samples per cell / rounds per probe (0: 5, or 3 with -quick)")
+	quick := flag.Bool("quick", false, "smaller live grids, fewer samples")
 	seed := flag.Int64("seed", 1, "base random seed")
 	flag.Parse()
 
-	if err := os.MkdirAll(*out, 0o755); err != nil {
-		log.Fatal(err)
+	p := exps.DefaultParams()
+	if *quick {
+		p = exps.QuickParams()
 	}
-	write := func(name, content string) {
-		path := filepath.Join(*out, name)
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+	p.Seed, p.Hours = *seed, *hours
+	if *samples > 0 {
+		p.Samples = *samples
+	}
+
+	// The selected GF(256) kernel dominates EC encode/decode throughput,
+	// so every run records it next to its numbers.
+	fmt.Printf("gf256 kernel: %s\n", gf256.Kernel())
+
+	if *out != "-" {
+		if err := os.MkdirAll(*out, 0o755); err != nil {
+			log.Fatal(err)
+		}
+	}
+	ran := false
+	for _, e := range exps.Table {
+		if *fig != "all" && !strings.EqualFold(*fig, e.Name) {
+			continue
+		}
+		ran = true
+		report := e.Run(p)
+		if *out == "-" {
+			fmt.Println(report)
+			continue
+		}
+		path := filepath.Join(*out, e.File)
+		if err := os.WriteFile(path, []byte(report), 0o644); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("wrote %s\n", path)
 	}
-	want := func(name string) bool {
-		return *fig == "all" || strings.EqualFold(*fig, name)
-	}
-
-	samples := 10
-	micro := exps.DefaultMicroConfig()
-	if *quick {
-		samples = 3
-		micro = exps.QuickMicroConfig()
-	}
-
-	if want("1") {
-		write("figure01_trace.txt", exps.Figure1(*hours, *seed))
-	}
-	if want("4") {
-		write("figure04_vm_contention.txt", exps.Figure4(samples, *seed))
-	}
-	if want("8") {
-		write("figure08_reclaim_timeline.txt", exps.Figure8(*seed))
-	}
-	if want("9") {
-		write("figure09_reclaim_distribution.txt", exps.Figure9(*seed))
-	}
-	if want("11") {
-		write("figure11_microbenchmark.txt", exps.Figure11(micro))
-		write("figure11f_vs_elasticache.txt", exps.Figure11f(samples, *seed))
-	}
-	if want("12") {
-		write("figure12_scalability.txt", exps.Figure12([]int{1, 2, 4, 8}, 2, *seed))
-	}
-	if want("13") {
-		write("figure13_cost.txt", exps.Figure13(*hours, *seed))
-	}
-	if want("14") {
-		write("figure14_fault_tolerance.txt", exps.Figure14(*hours, *seed))
-	}
-	if want("15") {
-		write("figure15_latency_cdf.txt", exps.Figure15(*hours, *seed))
-	}
-	if want("16") {
-		write("figure16_normalized_latency.txt", exps.Figure16(*hours, *seed))
-	}
-	if want("17") {
-		write("figure17_cost_crossover.txt", exps.Figure17())
-	}
-	if want("table1") {
-		write("table1_hit_ratios.txt", exps.Table1(*hours, *seed))
-	}
-	if want("availability") {
-		write("availability_model.txt", exps.AvailabilityAnalysis())
+	if !ran {
+		log.Fatalf("unknown -fig %q; see the usage line in the package comment", *fig)
 	}
 }

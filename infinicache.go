@@ -57,110 +57,38 @@ import (
 	"infinicache/internal/vclock"
 )
 
-// Config mirrors the paper's deployment knobs. The zero value gives a
-// small single-proxy cluster with RS(10+2), 1-minute warm-ups and
-// 5-minute backups at real-time pacing. Construction goes through
-// functional options (New(WithShards(10, 2), ...)); Config remains for
-// NewFromConfig and programmatic option application.
-type Config struct {
-	// Proxies is the number of proxies (default 1).
-	Proxies int
-	// NodesPerProxy is the Lambda pool size per proxy (default 20).
-	NodesPerProxy int
-	// NodeMemoryMB sizes each cache-node function (default 1536, the
-	// paper's production configuration).
-	NodeMemoryMB int
-	// DataShards and ParityShards pick the RS code (default 10+2).
-	DataShards   int
-	ParityShards int
-	// WarmupInterval is T_warm (default 1 minute; 0 disables).
-	WarmupInterval time.Duration
-	// BackupInterval is T_bak (default 5 minutes; 0 disables).
-	BackupInterval time.Duration
-	// ReclaimPolicy drives provider-side reclamation (default none).
-	ReclaimPolicy lambdaemu.ReclaimPolicy
-	// TimeScale compresses virtual time (e.g. 0.01 runs 100x faster
-	// than the wall clock); 0 means real time.
-	TimeScale float64
-	// Clock overrides the deployment clock entirely (wins over
-	// TimeScale). Harnesses use this to drive a deployment on a
-	// hand-stepped vclock.Manual for deterministic replay.
-	Clock vclock.Clock
-	// HotTierBytes enables a proxy-resident hot-object tier of that
-	// many bytes per proxy: GETs for small, frequently-read objects are
-	// served straight from proxy memory instead of paying the d+p chunk
-	// round trips to Lambda nodes. 0 (the default) disables the tier.
-	HotTierBytes int64
-	// HotMaxObjectBytes caps the size of objects the hot tier admits
-	// (default 1 MiB when the tier is enabled).
-	HotMaxObjectBytes int64
-	// MigrationRateBytes paces the key-migration plane that streams
-	// objects to their new owners after a proxy joins or leaves: a
-	// token-bucket refill rate in bytes/second of chunk payload.
-	// 0 takes the 32 MiB/s default; negative disables pacing.
-	MigrationRateBytes int64
-	// MigrationBurstBytes is the migration token bucket's depth
-	// (default max(rate/8, 256 KiB)).
-	MigrationBurstBytes int64
-	// RequestTimeout bounds each client operation (default 60s).
-	RequestTimeout time.Duration
-	// EnableRecovery re-inserts EC-reconstructed chunks after degraded
-	// reads (default true).
-	EnableRecovery bool
-	// Seed makes placement and policies deterministic.
-	Seed int64
-	// FaultInjection arms the deterministic chaos plane: a seeded fault
-	// engine is threaded through every node link and client dialer,
-	// reachable via Deployment().Faults() for chaos scheduling
-	// (internal/chaos). Off by default with zero wire-path overhead.
-	FaultInjection bool
-	// HedgedGets enables hedged degraded reads on every proxy: a GET
-	// fans out to exactly d chunks, and a slow or failed chunk is hedged
-	// with one extra request to a healthy node after HedgeDelay (0
-	// derives the delay from the observed chunk-RTT p99). Per-node
-	// circuit breakers steer requests away from black-holed nodes.
-	HedgedGets bool
-	HedgeDelay time.Duration
-}
+// Option adjusts the deployment configuration at New time. New seeds
+// the paper's defaults — one proxy over 20 nodes, RS(10+2), T_warm
+// 1 minute, T_bak 5 minutes, real-time pacing — and each option then
+// writes its fields, so the last option to touch a field wins.
+type Option func(*core.Config)
 
-// Option adjusts the deployment configuration at New time.
-type Option func(*Config)
+// WithProxies sets the number of proxies (default 1).
+func WithProxies(n int) Option { return func(c *core.Config) { c.Proxies = n } }
 
-// WithProxies sets the number of proxies.
-func WithProxies(n int) Option { return func(c *Config) { c.Proxies = n } }
+// WithNodesPerProxy sets the Lambda pool size behind each proxy
+// (default 20).
+func WithNodesPerProxy(n int) Option { return func(c *core.Config) { c.NodesPerProxy = n } }
 
-// WithNodesPerProxy sets the Lambda pool size behind each proxy.
-func WithNodesPerProxy(n int) Option { return func(c *Config) { c.NodesPerProxy = n } }
+// WithNodeMemoryMB sizes each cache-node function (default 1536, the
+// paper's production configuration).
+func WithNodeMemoryMB(mb int) Option { return func(c *core.Config) { c.NodeMemoryMB = mb } }
 
-// WithNodeMemoryMB sizes each cache-node function.
-func WithNodeMemoryMB(mb int) Option { return func(c *Config) { c.NodeMemoryMB = mb } }
-
-// WithShards picks the RS(d+p) erasure code.
+// WithShards picks the RS(d+p) erasure code (default 10+2).
 func WithShards(data, parity int) Option {
-	return func(c *Config) { c.DataShards, c.ParityShards = data, parity }
+	return func(c *core.Config) { c.DataShards, c.ParityShards = data, parity }
 }
 
-// WithWarmupInterval sets T_warm (§4.2); 0 or negative disables
-// warm-ups. (Config keeps 0 as "take the default", so the option maps
-// disable requests to the negative sentinel New resolves.)
+// WithWarmupInterval sets T_warm (§4.2; default 1 minute); 0 or
+// negative disables warm-ups.
 func WithWarmupInterval(d time.Duration) Option {
-	return func(c *Config) {
-		if d <= 0 {
-			d = -1
-		}
-		c.WarmupInterval = d
-	}
+	return func(c *core.Config) { c.WarmupInterval = max(d, 0) }
 }
 
-// WithBackupInterval sets T_bak (§4.2); 0 or negative disables
-// delta-sync backups.
+// WithBackupInterval sets T_bak (§4.2; default 5 minutes); 0 or
+// negative disables delta-sync backups.
 func WithBackupInterval(d time.Duration) Option {
-	return func(c *Config) {
-		if d <= 0 {
-			d = -1
-		}
-		c.BackupInterval = d
-	}
+	return func(c *core.Config) { c.BackupInterval = max(d, 0) }
 }
 
 // WithHotTier gives each proxy a resident hot-object tier of bytes
@@ -170,63 +98,65 @@ func WithBackupInterval(d time.Duration) Option {
 // PUTs invalidate synchronously). Off by default; 0 or negative
 // disables.
 func WithHotTier(bytes int64) Option {
-	return func(c *Config) {
-		if bytes < 0 {
-			bytes = 0
-		}
-		c.HotTierBytes = bytes
-	}
+	return func(c *core.Config) { c.HotTierBytes = max(bytes, 0) }
 }
 
 // WithHotTierMaxObject caps the object size the hot tier admits
 // (default 1 MiB). Only meaningful together with WithHotTier.
 func WithHotTierMaxObject(bytes int64) Option {
-	return func(c *Config) { c.HotMaxObjectBytes = bytes }
+	return func(c *core.Config) { c.HotMaxObjectBytes = bytes }
 }
 
-// WithReclaimPolicy drives provider-side reclamation.
+// WithReclaimPolicy drives provider-side reclamation (default none).
 func WithReclaimPolicy(p lambdaemu.ReclaimPolicy) Option {
-	return func(c *Config) { c.ReclaimPolicy = p }
+	return func(c *core.Config) { c.ReclaimPolicy = p }
 }
 
-// WithTimeScale compresses virtual time (0.01 = 100x faster).
-func WithTimeScale(s float64) Option { return func(c *Config) { c.TimeScale = s } }
+// WithTimeScale compresses virtual time (0.01 = 100x faster than the
+// wall clock); 0, the default, means real time.
+func WithTimeScale(s float64) Option { return func(c *core.Config) { c.TimeScale = s } }
 
 // WithClock runs the deployment on an explicit clock (wins over
 // WithTimeScale); pass a *vclock.Manual for deterministic tests.
-func WithClock(clk vclock.Clock) Option { return func(c *Config) { c.Clock = clk } }
+func WithClock(clk vclock.Clock) Option { return func(c *core.Config) { c.Clock = clk } }
 
-// WithTimeout bounds each client operation (the default for clients
-// made by NewClient; override per client with ClientTimeout).
-func WithTimeout(d time.Duration) Option { return func(c *Config) { c.RequestTimeout = d } }
+// WithTimeout bounds each client operation (default 60s; the default
+// for clients made by NewClient, override per client with
+// ClientTimeout).
+func WithTimeout(d time.Duration) Option { return func(c *core.Config) { c.RequestTimeout = d } }
 
 // WithRecovery toggles client-side EC chunk recovery after degraded
-// reads.
-func WithRecovery(on bool) Option { return func(c *Config) { c.EnableRecovery = on } }
+// reads: re-inserting the chunks a GET had to reconstruct. Off unless
+// set.
+func WithRecovery(on bool) Option { return func(c *core.Config) { c.EnableRecovery = on } }
 
 // WithSeed makes placement and policies deterministic.
-func WithSeed(seed int64) Option { return func(c *Config) { c.Seed = seed } }
+func WithSeed(seed int64) Option { return func(c *core.Config) { c.Seed = seed } }
 
 // WithMigrationRate paces post-churn key migration at rate bytes/second
 // with the given token-bucket depth (burst 0 picks max(rate/8,
 // 256 KiB)). Rate 0 takes the 32 MiB/s default; a negative rate
 // disables pacing entirely.
 func WithMigrationRate(rate, burst int64) Option {
-	return func(c *Config) {
+	return func(c *core.Config) {
 		c.MigrationRateBytes = rate
 		c.MigrationBurstBytes = burst
 	}
 }
 
-// WithFaultInjection arms the deterministic chaos plane (see
-// Config.FaultInjection).
-func WithFaultInjection() Option { return func(c *Config) { c.FaultInjection = true } }
+// WithFaultInjection arms the deterministic chaos plane: a seeded fault
+// engine is threaded through every node link and client dialer,
+// reachable via Deployment().Faults() for chaos scheduling
+// (internal/chaos). Off by default with zero wire-path overhead.
+func WithFaultInjection() Option { return func(c *core.Config) { c.FaultInjection = true } }
 
-// WithHedgedGets enables hedged degraded reads with per-node circuit
-// breakers; delay 0 derives the hedge delay from the observed
-// chunk-RTT p99 (see Config.HedgedGets).
+// WithHedgedGets enables hedged degraded reads on every proxy: a GET
+// fans out to exactly d chunks, and a slow or failed chunk is hedged
+// with one extra request to a healthy node after delay (0 derives the
+// delay from the observed chunk-RTT p99). Per-node circuit breakers
+// steer requests away from black-holed nodes.
 func WithHedgedGets(delay time.Duration) Option {
-	return func(c *Config) { c.HedgedGets, c.HedgeDelay = true, delay }
+	return func(c *core.Config) { c.HedgedGets, c.HedgeDelay = true, delay }
 }
 
 // Cache is a running InfiniCache deployment.
@@ -236,7 +166,7 @@ type Cache struct {
 
 // Client is the application-facing cache handle: context-first
 // GetObject/GetCtx/PutCtx/DelCtx/GetOrLoadCtx plus the batched
-// MGet/MPut, with deprecated context-free wrappers.
+// MGet/MPut.
 type Client = client.Client
 
 // Object is the zero-copy handle a GetObject returns: stream it with
@@ -288,57 +218,24 @@ var (
 	ErrReleased = client.ErrReleased
 )
 
-// New starts a deployment configured by opts.
-func New(opts ...Option) (*Cache, error) {
-	var cfg Config
+// resolve applies opts over the paper's defaults.
+func resolve(opts []Option) core.Config {
+	cfg := core.Config{
+		NodesPerProxy:  20,
+		DataShards:     10,
+		ParityShards:   2,
+		WarmupInterval: time.Minute,
+		BackupInterval: 5 * time.Minute,
+	}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	return NewFromConfig(cfg)
+	return cfg
 }
 
-// NewFromConfig starts a deployment from an explicit Config.
-//
-// Deprecated: use New with functional options.
-func NewFromConfig(cfg Config) (*Cache, error) {
-	if cfg.NodesPerProxy == 0 {
-		cfg.NodesPerProxy = 20
-	}
-	if cfg.DataShards == 0 && cfg.ParityShards == 0 {
-		cfg.DataShards, cfg.ParityShards = 10, 2
-	}
-	if cfg.WarmupInterval == 0 {
-		cfg.WarmupInterval = time.Minute
-	} else if cfg.WarmupInterval < 0 {
-		cfg.WarmupInterval = 0 // explicit disable (core: 0 = off)
-	}
-	if cfg.BackupInterval == 0 {
-		cfg.BackupInterval = 5 * time.Minute
-	} else if cfg.BackupInterval < 0 {
-		cfg.BackupInterval = 0
-	}
-	d, err := core.New(core.Config{
-		Proxies:             cfg.Proxies,
-		NodesPerProxy:       cfg.NodesPerProxy,
-		NodeMemoryMB:        cfg.NodeMemoryMB,
-		DataShards:          cfg.DataShards,
-		ParityShards:        cfg.ParityShards,
-		HotTierBytes:        cfg.HotTierBytes,
-		HotMaxObjectBytes:   cfg.HotMaxObjectBytes,
-		WarmupInterval:      cfg.WarmupInterval,
-		BackupInterval:      cfg.BackupInterval,
-		ReclaimPolicy:       cfg.ReclaimPolicy,
-		MigrationRateBytes:  cfg.MigrationRateBytes,
-		MigrationBurstBytes: cfg.MigrationBurstBytes,
-		TimeScale:           cfg.TimeScale,
-		Clock:               cfg.Clock,
-		RequestTimeout:      cfg.RequestTimeout,
-		EnableRecovery:      cfg.EnableRecovery,
-		Seed:                cfg.Seed,
-		FaultInjection:      cfg.FaultInjection,
-		HedgedGets:          cfg.HedgedGets,
-		HedgeDelay:          cfg.HedgeDelay,
-	})
+// New starts a deployment configured by opts.
+func New(opts ...Option) (*Cache, error) {
+	d, err := core.New(resolve(opts))
 	if err != nil {
 		return nil, err
 	}

@@ -7,9 +7,14 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"reflect"
 	"testing"
+	"time"
 
 	infinicache "infinicache"
+	"infinicache/internal/core"
+	"infinicache/internal/lambdaemu"
+	"infinicache/internal/vclock"
 )
 
 func newTestCache(t *testing.T) *infinicache.Cache {
@@ -53,19 +58,11 @@ func TestPublicAPIQuickstart(t *testing.T) {
 		t.Fatalf("expected ErrMiss, got %v", err)
 	}
 
-	// The deprecated context-free wrappers keep working.
-	if err := cl.Put("compat", obj[:1024]); err != nil {
+	if err := cl.DelCtx(ctx, "hello"); err != nil {
 		t.Fatal(err)
 	}
-	got, err = cl.Get("compat")
-	if err != nil || !bytes.Equal(got, obj[:1024]) {
-		t.Fatalf("deprecated Get/Put round trip: %v", err)
-	}
-	if err := cl.Del("compat"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.Get("compat"); !errors.Is(err, infinicache.ErrMiss) {
-		t.Fatalf("expected ErrMiss after Del, got %v", err)
+	if _, err := cl.GetCtx(ctx, "hello"); !errors.Is(err, infinicache.ErrMiss) {
+		t.Fatalf("expected ErrMiss after DelCtx, got %v", err)
 	}
 }
 
@@ -256,5 +253,60 @@ func TestPublicAPIFaultInjection(t *testing.T) {
 	got, err := cl.GetCtx(ctx, "resilient")
 	if err != nil || !bytes.Equal(got, obj) {
 		t.Fatalf("get after reclaim: %v", err)
+	}
+}
+
+// TestNewDefaults pins what New hands core.New: the paper's defaults,
+// and for every option exactly the fields it writes, the "0 or negative
+// disables" cases included (core reads 0 as off, so a disable must
+// arrive as 0 and a default must not).
+func TestNewDefaults(t *testing.T) {
+	defaults := func(edit func(*core.Config)) core.Config {
+		cfg := core.Config{
+			NodesPerProxy:  20,
+			DataShards:     10,
+			ParityShards:   2,
+			WarmupInterval: time.Minute,
+			BackupInterval: 5 * time.Minute,
+		}
+		if edit != nil {
+			edit(&cfg)
+		}
+		return cfg
+	}
+	clk := vclock.NewManual(time.Unix(0, 0))
+	policy := lambdaemu.PoissonPerMinute{RatePerMinute: 0.5}
+	for _, tc := range []struct {
+		name string
+		opts []infinicache.Option
+		edit func(*core.Config)
+	}{
+		{"New()", nil, nil},
+		{"WithProxies(3)", []infinicache.Option{infinicache.WithProxies(3)}, func(c *core.Config) { c.Proxies = 3 }},
+		{"WithNodesPerProxy(14)", []infinicache.Option{infinicache.WithNodesPerProxy(14)}, func(c *core.Config) { c.NodesPerProxy = 14 }},
+		{"WithNodeMemoryMB(512)", []infinicache.Option{infinicache.WithNodeMemoryMB(512)}, func(c *core.Config) { c.NodeMemoryMB = 512 }},
+		{"WithShards(4, 2)", []infinicache.Option{infinicache.WithShards(4, 2)}, func(c *core.Config) { c.DataShards, c.ParityShards = 4, 2 }},
+		{"WithShards(10, 0)", []infinicache.Option{infinicache.WithShards(10, 0)}, func(c *core.Config) { c.ParityShards = 0 }},
+		{"WithWarmupInterval(2s)", []infinicache.Option{infinicache.WithWarmupInterval(2 * time.Second)}, func(c *core.Config) { c.WarmupInterval = 2 * time.Second }},
+		{"WithWarmupInterval(0)", []infinicache.Option{infinicache.WithWarmupInterval(0)}, func(c *core.Config) { c.WarmupInterval = 0 }},
+		{"WithBackupInterval(4s)", []infinicache.Option{infinicache.WithBackupInterval(4 * time.Second)}, func(c *core.Config) { c.BackupInterval = 4 * time.Second }},
+		{"WithBackupInterval(-1s)", []infinicache.Option{infinicache.WithBackupInterval(-time.Second)}, func(c *core.Config) { c.BackupInterval = 0 }},
+		{"WithHotTier(4 MiB)", []infinicache.Option{infinicache.WithHotTier(4 << 20)}, func(c *core.Config) { c.HotTierBytes = 4 << 20 }},
+		{"WithHotTier(-1)", []infinicache.Option{infinicache.WithHotTier(-1)}, nil},
+		{"WithHotTierMaxObject(64 KiB)", []infinicache.Option{infinicache.WithHotTierMaxObject(64 << 10)}, func(c *core.Config) { c.HotMaxObjectBytes = 64 << 10 }},
+		{"WithReclaimPolicy", []infinicache.Option{infinicache.WithReclaimPolicy(policy)}, func(c *core.Config) { c.ReclaimPolicy = policy }},
+		{"WithTimeScale(0.02)", []infinicache.Option{infinicache.WithTimeScale(0.02)}, func(c *core.Config) { c.TimeScale = 0.02 }},
+		{"WithClock", []infinicache.Option{infinicache.WithClock(clk)}, func(c *core.Config) { c.Clock = clk }},
+		{"WithTimeout(3s)", []infinicache.Option{infinicache.WithTimeout(3 * time.Second)}, func(c *core.Config) { c.RequestTimeout = 3 * time.Second }},
+		{"WithRecovery(true)", []infinicache.Option{infinicache.WithRecovery(true)}, func(c *core.Config) { c.EnableRecovery = true }},
+		{"WithSeed(7)", []infinicache.Option{infinicache.WithSeed(7)}, func(c *core.Config) { c.Seed = 7 }},
+		{"WithMigrationRate(-1, 9)", []infinicache.Option{infinicache.WithMigrationRate(-1, 9)}, func(c *core.Config) { c.MigrationRateBytes, c.MigrationBurstBytes = -1, 9 }},
+		{"WithFaultInjection()", []infinicache.Option{infinicache.WithFaultInjection()}, func(c *core.Config) { c.FaultInjection = true }},
+		{"WithHedgedGets(5ms)", []infinicache.Option{infinicache.WithHedgedGets(5 * time.Millisecond)}, func(c *core.Config) { c.HedgedGets, c.HedgeDelay = true, 5*time.Millisecond }},
+		{"last option wins", []infinicache.Option{infinicache.WithWarmupInterval(0), infinicache.WithWarmupInterval(time.Hour)}, func(c *core.Config) { c.WarmupInterval = time.Hour }},
+	} {
+		if got, want := infinicache.Resolve(tc.opts), defaults(tc.edit); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s:\n got %+v\nwant %+v", tc.name, got, want)
+		}
 	}
 }

@@ -16,6 +16,7 @@ import (
 
 	"infinicache/internal/chaos"
 	"infinicache/internal/core"
+	"infinicache/internal/lambdaemu"
 	"infinicache/internal/stats"
 )
 
@@ -26,14 +27,35 @@ import (
 // client-side recovery re-inserts what the degraded reads reconstruct.
 // The refuse window closes before the proxy crash so post-crash
 // redials (and the final verification sweep) are clean.
+//
+// The 2% corrupt rule and the client refuse window are the realistic
+// ones, but whether they hit is traffic-dependent: the corrupt rule's
+// first virtual second is ~20 ms of real work and the refuse window
+// silences the client for the other two, so roughly one run in ten
+// rolls no hit; and the refuse window refuses nothing when no client
+// happens to dial inside it. Both classes therefore also land by
+// construction: a rate-1 corrupt rule and a refuse rule, each on the
+// link of a function only this test invokes (soakCorruptProbe,
+// soakRefuseProbe), once, after the last event has fired. Widening the
+// 2% window instead is not an option — corruption overlapping the
+// reclaims and the proxy crash exceeds what the repair plane heals
+// (ROADMAP items 1/2).
 const soakSpec = "0s:latency:*:2ms:5s," +
 	"0s:corrupt:*:0.02:3s," +
+	"0s:corrupt:" + soakCorruptProbe + ":1," +
+	"0s:refuse:" + soakRefuseProbe + "," +
 	"250ms:rot:p1-node2:0.4:2s," +
 	"250ms:hangup:client:0.15:2s," +
 	"1s:refuse:client:2s," +
 	"3200ms:reclaim:p0-node0:all," +
 	"3200ms:reclaim:p2-node5:all," +
 	"4s:crashproxy:1"
+
+// The probe functions' names, which tag their links.
+const (
+	soakCorruptProbe = "soak-probe-corrupt"
+	soakRefuseProbe  = "soak-probe-refuse"
+)
 
 func TestChaosSoak(t *testing.T) {
 	d, err := core.New(core.Config{
@@ -61,6 +83,35 @@ func TestChaosSoak(t *testing.T) {
 	defer cl.Close()
 	clk := d.Clock()
 
+	// A probe invocation dials a proxy through the platform's
+	// fault-filtered network edge and writes one buffer.
+	probed := make(chan error, 1)
+	for _, name := range []string{soakCorruptProbe, soakRefuseProbe} {
+		if _, err := d.Platform.Register(name, lambdaemu.FunctionConfig{MemoryMB: 128},
+			func(ctx *lambdaemu.Context, _ []byte) {
+				conn, err := ctx.Dial(d.Proxies[0].Addr())
+				if err == nil {
+					_, err = conn.Write(make([]byte, 64))
+					conn.Close()
+				}
+				probed <- err
+			}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	probe := func(name string) error {
+		if err := d.Platform.Invoke(name, nil); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		select {
+		case err := <-probed:
+			return err
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%s never ran", name)
+			return nil
+		}
+	}
+
 	// Preload before any fault fires, with per-key deterministic bytes.
 	const nKeys = 48
 	values := make([][]byte, nKeys)
@@ -69,7 +120,7 @@ func TestChaosSoak(t *testing.T) {
 		b := make([]byte, size)
 		rand.New(rand.NewSource(int64(i) + 1000)).Read(b)
 		values[i] = b
-		if err := cl.Put(soakKey(i), b); err != nil {
+		if err := cl.PutCtx(context.Background(), soakKey(i), b); err != nil {
 			t.Fatalf("preload %s: %v", soakKey(i), err)
 		}
 	}
@@ -88,27 +139,10 @@ func TestChaosSoak(t *testing.T) {
 	// Sweep continuously while the schedule plays out. Errors are
 	// availability outcomes (retried writes, refused dials, severed
 	// conns) and tolerated mid-chaos; WRONG BYTES never are.
-	start := clk.Now()
 	var latencies []float64 // virtual milliseconds, successful GETs
 	var sweepErrs int
-	probed := false
-	sweep := func(probing bool) {
+	sweep := func() {
 		for i := 0; i < nKeys; i++ {
-			// One dial probe inside the refuse window [1s,3s): a fresh
-			// client's first GET must dial, which the engine refuses —
-			// guaranteeing the refuse class demonstrably lands. Checked
-			// per key because one GET is ~100ms of virtual time, while
-			// a whole sweep can stride past the entire window.
-			if probing && !probed &&
-				clk.Since(start) > 1200*time.Millisecond && clk.Since(start) < 2800*time.Millisecond {
-				probed = true
-				if probe, err := d.NewClient(); err == nil {
-					ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-					_, _ = probe.GetCtx(ctx, soakKey(0))
-					cancel()
-					probe.Close()
-				}
-			}
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			t0 := clk.Now()
 			got, err := cl.GetCtx(ctx, soakKey(i))
@@ -129,15 +163,21 @@ func TestChaosSoak(t *testing.T) {
 		case <-schedDone:
 			running = false
 		default:
-			sweep(true)
+			sweep()
 		}
+	}
+	if err := probe(soakCorruptProbe); err != nil {
+		t.Fatalf("corrupt probe could not write: %v", err)
+	}
+	if err := probe(soakRefuseProbe); err == nil {
+		t.Fatal("refuse probe dialled through its refuse rule")
 	}
 	runner.Stop()
 
 	// Settle sweeps: post-crash redials, degraded reads, recovery
 	// re-inserts for the reclaimed chunks.
-	sweep(false)
-	sweep(false)
+	sweep()
+	sweep()
 
 	// Invariant 1: zero lost keys — every key readable and byte-exact
 	// once the faults have cleared (bounded retries per key).

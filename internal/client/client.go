@@ -585,13 +585,6 @@ func (c *Client) tryPut(ctx context.Context, rt route, key string, value []byte,
 	return c.collectAcks(ctx, &w, key)
 }
 
-// Put is PutCtx without a context.
-//
-// Deprecated: use PutCtx.
-func (c *Client) Put(key string, value []byte) error {
-	return c.PutCtx(context.Background(), key, value)
-}
-
 // stageValue erasure-codes value and stages its d+p chunk SETs on tags
 // tag0.. of w. Every data shard that lies wholly inside value is a
 // window into it — the caller's bytes go to the wire without a copy;
@@ -780,13 +773,6 @@ func (c *Client) GetCtx(ctx context.Context, key string) ([]byte, error) {
 	return data, nil
 }
 
-// Get is GetCtx without a context.
-//
-// Deprecated: use GetCtx, or GetObject for the zero-copy handle.
-func (c *Client) Get(key string) ([]byte, error) {
-	return c.GetCtx(context.Background(), key)
-}
-
 // gather accumulates one key's first-d DATA fan-in (shared by the
 // single-key tryGet and the MGet burst).
 type gather struct {
@@ -947,13 +933,6 @@ func (c *Client) DelCtx(ctx context.Context, key string) error {
 	})
 }
 
-// Del is DelCtx without a context.
-//
-// Deprecated: use DelCtx.
-func (c *Client) Del(key string) error {
-	return c.DelCtx(context.Background(), key)
-}
-
 // GetOrLoadCtx returns the cached object, or loads it with loader and
 // inserts it on a miss (read-only write-through caching, §3.1). A
 // loss-triggered reload is a RESET in the paper's terminology.
@@ -978,12 +957,4 @@ func (c *Client) GetOrLoadCtx(ctx context.Context, key string, loader func(conte
 		return obj, nil
 	}
 	return obj, nil
-}
-
-// GetOrLoad is GetOrLoadCtx without a context.
-//
-// Deprecated: use GetOrLoadCtx.
-func (c *Client) GetOrLoad(key string, loader func() ([]byte, error)) ([]byte, error) {
-	return c.GetOrLoadCtx(context.Background(), key,
-		func(context.Context) ([]byte, error) { return loader() })
 }

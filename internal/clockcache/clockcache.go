@@ -9,6 +9,8 @@
 //   - inside the proxy-resident hot-object tier, both for the resident
 //     set (eviction under the byte cap) and as the payload-less "ghost"
 //     admission filter that frequency-gates what may enter the tier.
+//     That tier's whole policy is Tier (tier.go), the one implementation
+//     the live proxy and the simulator both run.
 //
 // CLOCK approximates LRU with O(1) access cost: entries sit on a circular
 // list with a reference bit; the eviction hand sweeps the circle, clearing
@@ -19,11 +21,11 @@
 // A Cache tracks keys and accounting sizes only — values live with the
 // caller (the proxy's mapping table, the node's chunk store, the hot
 // tier's entry map), which is also responsible for locking: no method
-// here is safe for concurrent use. Add/Touch set the reference bit;
+// here, Tier's included, is safe for concurrent use. Add/Touch set the reference bit;
 // Evict/EvictUntil run the hand; KeysByPriority orders MRU-first by
 // touch generation for the §4.2 backup metadata. A set where every
 // entry has size 1 doubles as a bounded key filter (Size() == Len()),
-// which is how the hot tier's ghost filter uses it.
+// which is how Tier's ghost filter uses it.
 package clockcache
 
 import (

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -29,31 +28,7 @@ import (
 func backupDeployment(t *testing.T, mutate func(*Config)) (*Deployment, *client.Client, *vclock.Manual) {
 	t.Helper()
 	clk := vclock.NewManual(time.Unix(0, 0))
-	stop := make(chan struct{})
-	var pumper sync.WaitGroup
-	pumper.Add(1)
-	go func() {
-		defer pumper.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			// The step:sleep ratio caps time compression at ~25x so no
-			// virtual deadline (billing cycle, ping timeout, T_bak) can
-			// expire while the real work it is waiting on — a round
-			// trip, a chunk store — is still in flight on a busy 1-core
-			// scheduler. Pumping faster re-creates the flake this file
-			// exists to kill: mid-migration sources time out and chunks
-			// go missing.
-			if clk.Waiters() > 0 {
-				clk.Advance(5 * time.Millisecond) // virtual
-			}
-			time.Sleep(200 * time.Microsecond) // real: let woken goroutines run
-		}
-	}()
-	t.Cleanup(func() { close(stop); pumper.Wait() })
+	t.Cleanup(clk.Pump())
 
 	cfg := Config{
 		Proxies:         1,
@@ -105,7 +80,7 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 func TestBackupCreatesPeerReplicas(t *testing.T) {
 	d, c, _ := backupDeployment(t, nil)
 	obj := randObj(42, 512<<10)
-	if err := c.Put("backed-up", obj); err != nil {
+	if err := c.PutCtx(ctx, "backed-up", obj); err != nil {
 		t.Fatal(err)
 	}
 
@@ -133,7 +108,7 @@ func TestBackupCreatesPeerReplicas(t *testing.T) {
 func TestBackupSurvivesSourceReclaim(t *testing.T) {
 	d, c, _ := backupDeployment(t, nil)
 	obj := randObj(43, 512<<10)
-	if err := c.Put("durable", obj); err != nil {
+	if err := c.PutCtx(ctx, "durable", obj); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 60*time.Second, "completed backups on all nodes", func() bool {
@@ -148,7 +123,7 @@ func TestBackupSurvivesSourceReclaim(t *testing.T) {
 		}
 	}
 
-	got, err := c.Get("durable")
+	got, err := c.GetCtx(ctx, "durable")
 	if err != nil {
 		t.Fatalf("get after reclaiming all sources: %v", err)
 	}
@@ -165,7 +140,7 @@ func TestBackupDeltaSync(t *testing.T) {
 		cfg.WarmupInterval = 2 * time.Second
 		cfg.BackupInterval = 4 * time.Second
 	})
-	if err := c.Put("delta-1", randObj(1, 128<<10)); err != nil {
+	if err := c.PutCtx(ctx, "delta-1", randObj(1, 128<<10)); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 60*time.Second, "first backup wave", func() bool {
@@ -173,7 +148,7 @@ func TestBackupDeltaSync(t *testing.T) {
 	})
 	// Insert more data, then let further backup rounds replicate it.
 	obj2 := randObj(2, 128<<10)
-	if err := c.Put("delta-2", obj2); err != nil {
+	if err := c.PutCtx(ctx, "delta-2", obj2); err != nil {
 		t.Fatal(err)
 	}
 	first := d.Proxies[0].Stats().BackupsDone.Load()
@@ -185,7 +160,7 @@ func TestBackupDeltaSync(t *testing.T) {
 		d.Platform.ForceReclaimN(NodeName(0, i), 1)
 	}
 	for _, key := range []string{"delta-1", "delta-2"} {
-		if _, err := c.Get(key); err != nil {
+		if _, err := c.GetCtx(ctx, key); err != nil {
 			t.Fatalf("get %s after reclaim: %v", key, err)
 		}
 	}
@@ -213,7 +188,7 @@ func TestServingDuringBackup(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		key := fmt.Sprintf("live-%d", i)
 		objs[key] = randObj(int64(i), 256<<10)
-		if err := c.Put(key, objs[key]); err != nil {
+		if err := c.PutCtx(ctx, key, objs[key]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -221,7 +196,7 @@ func TestServingDuringBackup(t *testing.T) {
 	gets := 0
 	for clk.Since(start) < 60*time.Second { // virtual; spans many rounds
 		for key, want := range objs {
-			got, err := c.Get(key)
+			got, err := c.GetCtx(ctx, key)
 			if err != nil {
 				t.Fatalf("get %s during backup era: %v", key, err)
 			}

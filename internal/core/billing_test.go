@@ -54,11 +54,11 @@ func TestIdleGetBilledOneCycle(t *testing.T) {
 		cfg.ParityShards = 2
 	})
 	obj := randObj(1, 64<<10)
-	if err := c.Put("single", obj); err != nil {
+	if err := c.PutCtx(ctx, "single", obj); err != nil {
 		t.Fatal(err)
 	}
 	d.Platform.Ledger().Reset()
-	if _, err := c.Get("single"); err != nil {
+	if _, err := c.GetCtx(ctx, "single"); err != nil {
 		t.Fatal(err)
 	}
 	// Allow the post-GET serve loops to expire (one cycle = 10ms wall).
@@ -87,7 +87,7 @@ func TestSustainedTrafficExtendsLifetime(t *testing.T) {
 		cfg.ParityShards = 2
 	})
 	obj := randObj(2, 64<<10)
-	if err := c.Put("hot", obj); err != nil {
+	if err := c.PutCtx(ctx, "hot", obj); err != nil {
 		t.Fatal(err)
 	}
 	d.Platform.Ledger().Reset()
@@ -95,7 +95,7 @@ func TestSustainedTrafficExtendsLifetime(t *testing.T) {
 	// extension) rather than bouncing through invoke cycles.
 	const gets = 20
 	for i := 0; i < gets; i++ {
-		if _, err := c.Get("hot"); err != nil {
+		if _, err := c.GetCtx(ctx, "hot"); err != nil {
 			t.Fatal(err)
 		}
 	}

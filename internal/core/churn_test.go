@@ -65,7 +65,7 @@ func TestJoinRedirectsStaleClient(t *testing.T) {
 	objs := make([][]byte, n)
 	for i := range objs {
 		objs[i] = randObj(int64(100+i), 8<<10)
-		if err := c.Put(fmt.Sprintf("join-%d", i), objs[i]); err != nil {
+		if err := c.PutCtx(ctx, fmt.Sprintf("join-%d", i), objs[i]); err != nil {
 			t.Fatalf("put %d: %v", i, err)
 		}
 	}
@@ -76,7 +76,7 @@ func TestJoinRedirectsStaleClient(t *testing.T) {
 	}
 	// Read everything immediately — mid-migration on purpose.
 	for i := range objs {
-		got, err := c.Get(fmt.Sprintf("join-%d", i))
+		got, err := c.GetCtx(ctx, fmt.Sprintf("join-%d", i))
 		if err != nil {
 			t.Fatalf("get join-%d mid-migration: %v", i, err)
 		}
@@ -89,7 +89,7 @@ func TestJoinRedirectsStaleClient(t *testing.T) {
 	}
 	// And again after the handoff settled.
 	for i := range objs {
-		got, err := c.Get(fmt.Sprintf("join-%d", i))
+		got, err := c.GetCtx(ctx, fmt.Sprintf("join-%d", i))
 		if err != nil {
 			t.Fatalf("get join-%d post-migration: %v", i, err)
 		}
@@ -124,10 +124,10 @@ func TestJoinRedirectsStaleClient(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		key := fmt.Sprintf("post-join-%d", i)
 		obj := randObj(int64(500+i), 8<<10)
-		if err := c.Put(key, obj); err != nil {
+		if err := c.PutCtx(ctx, key, obj); err != nil {
 			t.Fatalf("put %s: %v", key, err)
 		}
-		got, err := c.Get(key)
+		got, err := c.GetCtx(ctx, key)
 		if err != nil || !bytes.Equal(got, obj) {
 			t.Fatalf("get %s: %v", key, err)
 		}
@@ -147,7 +147,6 @@ func TestJoinMidTrafficNoLostNoStale(t *testing.T) {
 		cfg.Proxies = 2
 		cfg.NodesPerProxy = 6
 	})
-	ctx := context.Background()
 	const stable = 16
 	objs := make([][]byte, stable)
 	for i := range objs {
@@ -244,7 +243,7 @@ func TestRemoveProxyKeysSurvive(t *testing.T) {
 	objs := make([][]byte, n)
 	for i := range objs {
 		objs[i] = randObj(int64(300+i), 8<<10)
-		if err := c.Put(fmt.Sprintf("leave-%d", i), objs[i]); err != nil {
+		if err := c.PutCtx(ctx, fmt.Sprintf("leave-%d", i), objs[i]); err != nil {
 			t.Fatalf("put %d: %v", i, err)
 		}
 	}
@@ -255,7 +254,7 @@ func TestRemoveProxyKeysSurvive(t *testing.T) {
 	// The stale client holds a dead connection to the victim and a ring
 	// that still routes to it; retries must heal through the new epoch.
 	for i := range objs {
-		got, err := c.Get(fmt.Sprintf("leave-%d", i))
+		got, err := c.GetCtx(ctx, fmt.Sprintf("leave-%d", i))
 		if err != nil {
 			t.Fatalf("stale client get leave-%d after removal: %v", i, err)
 		}
@@ -270,7 +269,7 @@ func TestRemoveProxyKeysSurvive(t *testing.T) {
 	}
 	defer fresh.Close()
 	for i := range objs {
-		got, err := fresh.Get(fmt.Sprintf("leave-%d", i))
+		got, err := fresh.GetCtx(ctx, fmt.Sprintf("leave-%d", i))
 		if err != nil || !bytes.Equal(got, objs[i]) {
 			t.Fatalf("fresh client get leave-%d: %v", i, err)
 		}
@@ -292,7 +291,7 @@ func TestDegradedGetSingleFlightRecovery(t *testing.T) {
 		cfg.Seed = seed
 	})
 	obj := randObj(9, 256<<10)
-	if err := c.Put("repair-me", obj); err != nil {
+	if err := c.PutCtx(ctx, "repair-me", obj); err != nil {
 		t.Fatal(err)
 	}
 	// Replicate the client's seeded placement (partial Fisher–Yates over
@@ -342,7 +341,7 @@ func TestDegradedGetSingleFlightRecovery(t *testing.T) {
 		t.Fatalf("proxy saw %d recovery SETs, want exactly 2 — duplicate reconstructions", extraSets)
 	}
 	// The repaired object reads back clean with no further recovery.
-	got, err := c.Get("repair-me")
+	got, err := c.GetCtx(ctx, "repair-me")
 	if err != nil || !bytes.Equal(got, obj) {
 		t.Fatalf("read after repair: %v", err)
 	}

@@ -42,7 +42,7 @@ type Config struct {
 	ReclaimPolicy lambdaemu.ReclaimPolicy
 	// HotTierBytes caps each proxy's resident hot-object tier; 0
 	// disables it. HotMaxObjectBytes is the tier's admission size
-	// threshold (0 takes the proxy default of 1 MiB).
+	// threshold (0 takes the policy's default of 1 MiB).
 	HotTierBytes      int64
 	HotMaxObjectBytes int64
 	// TimeScale compresses virtual time (0.1 = 10x faster than wall
@@ -53,7 +53,6 @@ type Config struct {
 	// Platform tuning (zero values take lambdaemu defaults).
 	ColdStartDelay  time.Duration
 	WarmInvokeDelay time.Duration
-	HostMemoryMB    int
 	// Runtime tuning.
 	BufferTime time.Duration
 	// EnableRecovery turns on client-side EC chunk recovery.
@@ -167,7 +166,6 @@ func New(cfg Config) (*Deployment, error) {
 		Seed:            cfg.Seed,
 		ColdStartDelay:  cfg.ColdStartDelay,
 		WarmInvokeDelay: cfg.WarmInvokeDelay,
-		HostMemoryMB:    cfg.HostMemoryMB,
 		Dial:            network.Dial,
 		NetFaults:       faults,
 	})
@@ -445,13 +443,6 @@ func (d *Deployment) SeverProxyConns(i int) int {
 		return 0
 	}
 	return ps[i].SeverConns()
-}
-
-// TotalNodes returns the number of cache-node functions deployed.
-func (d *Deployment) TotalNodes() int {
-	d.pmu.Lock()
-	defer d.pmu.Unlock()
-	return len(d.Proxies) * d.cfg.NodesPerProxy
 }
 
 // Close stops the warmer, proxies and platform.

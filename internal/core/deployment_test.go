@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -11,6 +12,10 @@ import (
 
 	"infinicache/internal/client"
 )
+
+// ctx is the context every test op runs under; cancellation and
+// deadlines are exercised in internal/client.
+var ctx = context.Background()
 
 // testDeployment spins up a small, fast cluster for integration tests.
 func testDeployment(t *testing.T, mutate func(*Config)) (*Deployment, *client.Client) {
@@ -51,10 +56,10 @@ func randObj(seed int64, n int) []byte {
 func TestPutGetRoundTrip(t *testing.T) {
 	_, c := testDeployment(t, nil)
 	obj := randObj(1, 1<<20) // 1 MB
-	if err := c.Put("alpha", obj); err != nil {
+	if err := c.PutCtx(ctx, "alpha", obj); err != nil {
 		t.Fatalf("put: %v", err)
 	}
-	got, err := c.Get("alpha")
+	got, err := c.GetCtx(ctx, "alpha")
 	if err != nil {
 		t.Fatalf("get: %v", err)
 	}
@@ -68,7 +73,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 
 func TestGetMissOnUnknownKey(t *testing.T) {
 	_, c := testDeployment(t, nil)
-	if _, err := c.Get("never-stored"); !errors.Is(err, client.ErrMiss) {
+	if _, err := c.GetCtx(ctx, "never-stored"); !errors.Is(err, client.ErrMiss) {
 		t.Fatalf("err = %v, want ErrMiss", err)
 	}
 	if c.Stats().ColdMisses.Load() != 1 {
@@ -80,13 +85,13 @@ func TestOverwriteReplacesObject(t *testing.T) {
 	_, c := testDeployment(t, nil)
 	v1 := randObj(2, 64<<10)
 	v2 := randObj(3, 80<<10)
-	if err := c.Put("key", v1); err != nil {
+	if err := c.PutCtx(ctx, "key", v1); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Put("key", v2); err != nil {
+	if err := c.PutCtx(ctx, "key", v2); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Get("key")
+	got, err := c.GetCtx(ctx, "key")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,13 +102,13 @@ func TestOverwriteReplacesObject(t *testing.T) {
 
 func TestDelInvalidates(t *testing.T) {
 	_, c := testDeployment(t, nil)
-	if err := c.Put("gone", randObj(4, 4096)); err != nil {
+	if err := c.PutCtx(ctx, "gone", randObj(4, 4096)); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Del("gone"); err != nil {
+	if err := c.DelCtx(ctx, "gone"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Get("gone"); !errors.Is(err, client.ErrMiss) {
+	if _, err := c.GetCtx(ctx, "gone"); !errors.Is(err, client.ErrMiss) {
 		t.Fatalf("err after del = %v, want ErrMiss", err)
 	}
 }
@@ -114,12 +119,12 @@ func TestManyObjectsAcrossPool(t *testing.T) {
 	objs := make([][]byte, n)
 	for i := range objs {
 		objs[i] = randObj(int64(10+i), 32<<10+i*1000)
-		if err := c.Put(fmt.Sprintf("obj-%d", i), objs[i]); err != nil {
+		if err := c.PutCtx(ctx, fmt.Sprintf("obj-%d", i), objs[i]); err != nil {
 			t.Fatalf("put %d: %v", i, err)
 		}
 	}
 	for i := range objs {
-		got, err := c.Get(fmt.Sprintf("obj-%d", i))
+		got, err := c.GetCtx(ctx, fmt.Sprintf("obj-%d", i))
 		if err != nil {
 			t.Fatalf("get %d: %v", i, err)
 		}
@@ -147,11 +152,11 @@ func TestConcurrentClients(t *testing.T) {
 			for i := 0; i < 5; i++ {
 				key := fmt.Sprintf("c%d-obj%d", ci, i)
 				obj := randObj(int64(ci*100+i), 16<<10)
-				if err := cl.Put(key, obj); err != nil {
+				if err := cl.PutCtx(ctx, key, obj); err != nil {
 					errs <- fmt.Errorf("put %s: %w", key, err)
 					return
 				}
-				got, err := cl.Get(key)
+				got, err := cl.GetCtx(ctx, key)
 				if err != nil {
 					errs <- fmt.Errorf("get %s: %w", key, err)
 					return
@@ -173,14 +178,14 @@ func TestConcurrentClients(t *testing.T) {
 func TestSurvivesUpToParityReclaims(t *testing.T) {
 	d, c := testDeployment(t, func(c *Config) { c.EnableRecovery = false })
 	obj := randObj(5, 256<<10)
-	if err := c.Put("resilient", obj); err != nil {
+	if err := c.PutCtx(ctx, "resilient", obj); err != nil {
 		t.Fatal(err)
 	}
 	// Reclaim 2 of the 8 nodes (= p). At most 2 chunks lost; the object
 	// must still be readable via EC reconstruction.
 	d.Platform.ForceReclaim(NodeName(0, 0))
 	d.Platform.ForceReclaim(NodeName(0, 1))
-	got, err := c.Get("resilient")
+	got, err := c.GetCtx(ctx, "resilient")
 	if err != nil {
 		t.Fatalf("get after reclaim: %v", err)
 	}
@@ -192,14 +197,14 @@ func TestSurvivesUpToParityReclaims(t *testing.T) {
 func TestObjectLostBeyondParity(t *testing.T) {
 	d, c := testDeployment(t, nil)
 	obj := randObj(6, 128<<10)
-	if err := c.Put("fragile", obj); err != nil {
+	if err := c.PutCtx(ctx, "fragile", obj); err != nil {
 		t.Fatal(err)
 	}
 	// Reclaim every node: all chunks gone.
 	for i := 0; i < 8; i++ {
 		d.Platform.ForceReclaim(NodeName(0, i))
 	}
-	_, err := c.Get("fragile")
+	_, err := c.GetCtx(ctx, "fragile")
 	if !errors.Is(err, client.ErrLost) && !errors.Is(err, client.ErrMiss) {
 		t.Fatalf("err = %v, want ErrLost/ErrMiss", err)
 	}
@@ -209,9 +214,9 @@ func TestGetOrLoadResetsLostObject(t *testing.T) {
 	d, c := testDeployment(t, nil)
 	obj := randObj(7, 64<<10)
 	loads := 0
-	loader := func() ([]byte, error) { loads++; return obj, nil }
+	loader := func(context.Context) ([]byte, error) { loads++; return obj, nil }
 
-	got, err := c.GetOrLoad("reset-me", loader)
+	got, err := c.GetOrLoadCtx(ctx, "reset-me", loader)
 	if err != nil || !bytes.Equal(got, obj) {
 		t.Fatalf("first GetOrLoad: %v", err)
 	}
@@ -219,7 +224,7 @@ func TestGetOrLoadResetsLostObject(t *testing.T) {
 		t.Fatalf("loads = %d, want 1", loads)
 	}
 	// Now cached.
-	if _, err := c.GetOrLoad("reset-me", loader); err != nil {
+	if _, err := c.GetOrLoadCtx(ctx, "reset-me", loader); err != nil {
 		t.Fatal(err)
 	}
 	if loads != 1 {
@@ -229,14 +234,14 @@ func TestGetOrLoadResetsLostObject(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		d.Platform.ForceReclaim(NodeName(0, i))
 	}
-	if _, err := c.GetOrLoad("reset-me", loader); err != nil {
+	if _, err := c.GetOrLoadCtx(ctx, "reset-me", loader); err != nil {
 		t.Fatal(err)
 	}
 	if loads != 2 {
 		t.Fatalf("loads = %d after loss, want 2", loads)
 	}
 	// And it is cached again.
-	got, err = c.Get("reset-me")
+	got, err = c.GetCtx(ctx, "reset-me")
 	if err != nil || !bytes.Equal(got, obj) {
 		t.Fatalf("get after reset: %v", err)
 	}
@@ -250,10 +255,10 @@ func TestMultiProxyDeployment(t *testing.T) {
 	for i := 0; i < 15; i++ {
 		key := fmt.Sprintf("spread-%d", i)
 		obj := randObj(int64(i), 8<<10)
-		if err := c.Put(key, obj); err != nil {
+		if err := c.PutCtx(ctx, key, obj); err != nil {
 			t.Fatalf("put %s: %v", key, err)
 		}
-		got, err := c.Get(key)
+		got, err := c.GetCtx(ctx, key)
 		if err != nil || !bytes.Equal(got, obj) {
 			t.Fatalf("get %s: %v", key, err)
 		}
@@ -272,14 +277,14 @@ func TestEvictionUnderMemoryPressure(t *testing.T) {
 	})
 	const n = 20
 	for i := 0; i < n; i++ {
-		if err := c.Put(fmt.Sprintf("evict-%d", i), randObj(int64(i), 600<<10)); err != nil {
+		if err := c.PutCtx(ctx, fmt.Sprintf("evict-%d", i), randObj(int64(i), 600<<10)); err != nil {
 			t.Fatalf("put %d: %v", i, err)
 		}
 	}
 	// Recent objects must be resident; the oldest evicted.
 	hits, misses := 0, 0
 	for i := 0; i < n; i++ {
-		_, err := c.Get(fmt.Sprintf("evict-%d", i))
+		_, err := c.GetCtx(ctx, fmt.Sprintf("evict-%d", i))
 		switch {
 		case err == nil:
 			hits++

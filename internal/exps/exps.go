@@ -1,19 +1,19 @@
 // Package exps contains the experiment harnesses that regenerate every
-// table and figure of the paper's evaluation. Each Figure* function
-// returns a plain-text report (series/rows matching the published plot)
-// so the same code serves cmd/ic-repro and the root benchmark suite.
+// table and figure of the paper's evaluation. Each experiment is one
+// function from Params to a plain-text report (series/rows matching the
+// published plot) and one row of Table (table.go), which is all
+// cmd/ic-repro and this package's report test iterate: a new figure is
+// one function and one row.
 //
 // # Two kinds of harness
 //
 // Live harnesses (micro.go: Figure4, Figure11, Figure11f, Figure12,
 // BatchProbe, HotTierProbe) build a real in-process deployment —
 // emulated platform, proxies, wire protocol, erasure coding — and measure
-// wall-clock latencies, so protocol and CPU costs are honest; they are
-// what cmd/ic-bench runs. Simulated harnesses (exps.go: the trace
-// replays behind Figures 13-17 and Table 1) drive internal/sim's
-// discrete-event model over an internal/workload trace, compressing 50
-// trace hours into seconds; they are what cmd/ic-sim and cmd/ic-repro
-// run at full length.
+// wall-clock latencies, so protocol and CPU costs are honest. Simulated
+// harnesses (exps.go: the trace replays behind Figures 13-17 and Table 1)
+// drive internal/sim's discrete-event model over an internal/workload
+// trace, compressing 50 trace hours into seconds.
 //
 // The canonical replay configuration mirrors §5.2: 400 x 1.5 GB Lambda
 // functions, RS(10+2), T_warm = 1 min, T_bak = 5 min, and a reclaim
@@ -22,7 +22,7 @@
 //
 // # Conventions
 //
-// Every harness takes an explicit seed and returns a deterministic
+// Every harness takes its seed from Params and returns a deterministic
 // report for it; reports are plain text rendered with
 // internal/stats.Table so successive runs diff cleanly. Harnesses own
 // their deployments (build, measure, Close) and never share state, so
@@ -91,10 +91,10 @@ func canonicalSimHot(backup time.Duration) sim.Config {
 // Figure1 reports the trace characteristics: object-size CDF, byte
 // footprint CDF, access-count CDF for >10 MB objects, and reuse-interval
 // CDF for >10 MB objects.
-func Figure1(hours int, seed int64) string {
-	tr := CanonicalTrace(hours, seed)
+func Figure1(p Params) string {
+	tr := CanonicalTrace(p.Hours, p.Seed)
 	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 1: IBM Docker registry trace characteristics (synthetic, seed %d)\n\n", seed)
+	fmt.Fprintf(&b, "Figure 1: IBM Docker registry trace characteristics (synthetic, seed %d)\n\n", p.Seed)
 
 	// (a) object sizes and (b) byte footprint.
 	sizes := make([]float64, 0, len(tr.Objects))
@@ -156,7 +156,7 @@ func Figure1(hours int, seed int64) string {
 
 // Figure8 reports function reclaim events over a 24-hour window under
 // the warm-up strategies and provider regimes of §4.1.
-func Figure8(seed int64) string {
+func Figure8(p Params) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 8: functions reclaimed over 24h under warm-up strategies\n\n")
 	type scenario struct {
@@ -176,7 +176,7 @@ func Figure8(seed int64) string {
 			WarmupEveryMin: sc.warmup,
 			DurationMin:    24 * 60,
 			Policy:         sc.policy,
-			Seed:           seed,
+			Seed:           p.Seed,
 		})
 		fmt.Fprintf(&b, "%s (total %d):\n  hour:", sc.name, res.TotalReclaims)
 		for h := 0; h < 24; h++ {
@@ -194,7 +194,7 @@ func Figure8(seed int64) string {
 
 // Figure9 reports the per-minute reclaim-count distribution for the
 // Zipf- and Poisson-like regimes.
-func Figure9(seed int64) string {
+func Figure9(p Params) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 9: probability of N functions reclaimed per minute\n\n")
 	regimes := []struct {
@@ -207,7 +207,7 @@ func Figure9(seed int64) string {
 	for _, rg := range regimes {
 		res := lambdaemu.RunStudy(lambdaemu.StudyConfig{
 			Functions: 400, WarmupEveryMin: 1, DurationMin: 7 * 24 * 60,
-			Policy: rg.policy, Seed: seed,
+			Policy: rg.policy, Seed: p.Seed,
 		})
 		hist := stats.Histogram(res.PerMinute)
 		probs := stats.Normalize(hist)
@@ -238,18 +238,18 @@ func Figure9(seed int64) string {
 }
 
 // Figure13 reports the 50-hour cost comparison and breakdown.
-func Figure13(hours int, seed int64) string {
-	tr := CanonicalTrace(hours, seed)
+func Figure13(p Params) string {
+	tr := CanonicalTrace(p.Hours, p.Seed)
 	large := tr.LargeOnly()
 
-	ec := sim.RunElastiCache("cache.r5.24xlarge", tr, seed+1)
+	ec := sim.RunElastiCache("cache.r5.24xlarge", tr, p.Seed+1)
 	icAll := sim.Run(canonicalSim(5*time.Minute), tr)
 	icAllHot := sim.Run(canonicalSimHot(5*time.Minute), tr)
 	icLarge := sim.Run(canonicalSim(5*time.Minute), large)
 	icNoBak := sim.Run(canonicalSim(0), large)
 
 	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 13(a): total cost over %d hours\n\n", hours)
+	fmt.Fprintf(&b, "Figure 13(a): total cost over %d hours\n\n", p.Hours)
 	rows := [][]string{
 		{"ElastiCache (r5.24xlarge)", fmt.Sprintf("$%.2f", ec.TotalCost), "(paper: $518.40)"},
 		{"InfiniCache (all objects)", fmt.Sprintf("$%.2f", icAll.TotalCost()), "(paper: $20.52)"},
@@ -280,15 +280,15 @@ func Figure13(hours int, seed int64) string {
 }
 
 // Figure14 reports the fault-tolerance activity timeline.
-func Figure14(hours int, seed int64) string {
-	tr := CanonicalTrace(hours, seed)
+func Figure14(p Params) string {
+	tr := CanonicalTrace(p.Hours, p.Seed)
 	large := tr.LargeOnly()
 	icAll := sim.Run(canonicalSim(5*time.Minute), tr)
 	icLarge := sim.Run(canonicalSim(5*time.Minute), large)
 	icNoBak := sim.Run(canonicalSim(0), large)
 
 	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 14: fault-tolerance activities over %d hours\n\n", hours)
+	fmt.Fprintf(&b, "Figure 14: fault-tolerance activities over %d hours\n\n", p.Hours)
 	series := func(name string, r *sim.Result) {
 		fmt.Fprintf(&b, "%s: RESETs=%d, chunk recoveries=%d, reclaim events=%d\n",
 			name, r.Resets, r.Recoveries, r.Reclaims)
@@ -308,14 +308,14 @@ func Figure14(hours int, seed int64) string {
 }
 
 // Table1 reports working-set sizes, throughput and hit ratios.
-func Table1(hours int, seed int64) string {
-	tr := CanonicalTrace(hours, seed)
+func Table1(p Params) string {
+	tr := CanonicalTrace(p.Hours, p.Seed)
 	large := tr.LargeOnly()
 	allStats := tr.ComputeStats()
 	largeStats := large.ComputeStats()
 
-	ecAll := sim.RunElastiCache("cache.r5.24xlarge", tr, seed+1)
-	ecLarge := sim.RunElastiCache("cache.r5.24xlarge", large, seed+1)
+	ecAll := sim.RunElastiCache("cache.r5.24xlarge", tr, p.Seed+1)
+	ecLarge := sim.RunElastiCache("cache.r5.24xlarge", large, p.Seed+1)
 	icAll := sim.Run(canonicalSim(5*time.Minute), tr)
 	icAllHot := sim.Run(canonicalSimHot(5*time.Minute), tr)
 	icLarge := sim.Run(canonicalSim(5*time.Minute), large)
@@ -349,14 +349,14 @@ func Table1(hours int, seed int64) string {
 }
 
 // Figure15 reports the latency CDFs of InfiniCache vs ElastiCache vs S3.
-func Figure15(hours int, seed int64) string {
-	tr := CanonicalTrace(hours, seed)
+func Figure15(p Params) string {
+	tr := CanonicalTrace(p.Hours, p.Seed)
 	ic := sim.Run(canonicalSim(5*time.Minute), tr)
-	ec := sim.RunElastiCache("cache.r5.24xlarge", tr, seed+1)
-	s3 := sim.RunS3(tr, seed+2)
+	ec := sim.RunElastiCache("cache.r5.24xlarge", tr, p.Seed+1)
+	s3 := sim.RunS3(tr, p.Seed+2)
 
 	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 15: request latency CDFs (seconds) over %d hours\n\n", hours)
+	fmt.Fprintf(&b, "Figure 15: request latency CDFs (seconds) over %d hours\n\n", p.Hours)
 	report := func(name string, all []float64, sizes []int64, largeOnly bool) {
 		var xs []float64
 		for i, l := range all {
@@ -410,11 +410,11 @@ func Figure15(hours int, seed int64) string {
 }
 
 // Figure16 reports normalized latencies by object-size bucket.
-func Figure16(hours int, seed int64) string {
-	tr := CanonicalTrace(hours, seed)
+func Figure16(p Params) string {
+	tr := CanonicalTrace(p.Hours, p.Seed)
 	ic := sim.Run(canonicalSim(5*time.Minute), tr)
-	ec := sim.RunElastiCache("cache.r5.24xlarge", tr, seed+1)
-	s3 := sim.RunS3(tr, seed+2)
+	ec := sim.RunElastiCache("cache.r5.24xlarge", tr, p.Seed+1)
+	s3 := sim.RunS3(tr, p.Seed+2)
 
 	icB := sim.NormalizedBySize(ic.Sizes, ic.LatencySeconds)
 	ecB := sim.NormalizedBySize(ec.Sizes, ec.LatencySeconds)
@@ -441,7 +441,7 @@ func Figure16(hours int, seed int64) string {
 }
 
 // Figure17 reports the hourly-cost crossover vs access rate.
-func Figure17() string {
+func Figure17(Params) string {
 	pool := costmodel.Lambda{Nodes: 400, MemoryGB: 1.5}
 	ecHourly := costmodel.ElastiCacheHourly("cache.r5.24xlarge")
 	var b strings.Builder
@@ -459,7 +459,7 @@ func Figure17() string {
 }
 
 // AvailabilityAnalysis reports the §4.3 analytical model.
-func AvailabilityAnalysis() string {
+func AvailabilityAnalysis(Params) string {
 	m := availability.Model{NLambda: 400, N: 12, M: 3}
 	var b strings.Builder
 	b.WriteString("§4.3 analytical availability (Nλ=400, RS(10+2))\n\n")

@@ -5,121 +5,73 @@ import (
 	"testing"
 )
 
-// The trace-driven harnesses use a short window in tests; cmd/ic-repro
-// runs the full 50 hours.
-const testHours = 6
+// testParams keeps every experiment in the seconds range: a 6-hour
+// trace (cmd/ic-repro replays 50) and one-cell live grids.
+var testParams = Params{
+	Seed:         1,
+	Hours:        6,
+	Samples:      2,
+	MemoriesMB:   []int{1024},
+	Codes:        [][2]int{{4, 2}},
+	SizesMB:      []int{10},
+	Clients:      []int{1, 2},
+	PointSeconds: 1,
+	BatchKeys:    4,
+	HotKeys:      4,
+}
 
-func TestFigure1Report(t *testing.T) {
-	out := Figure1(testHours, 1)
-	for _, want := range []string{"object-size CDF", "access-count CDF", "reuse-interval CDF", "WSS"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("Figure1 output missing %q", want)
+// report runs the Table row called name at test size and checks the
+// row's own markers. The test functions below only name rows — they
+// keep one stable test name per experiment — so what a report must
+// contain is stated once, in the table.
+func report(t *testing.T, name string) {
+	t.Helper()
+	for _, e := range Table {
+		if e.Name != name {
+			continue
 		}
-	}
-}
-
-func TestFigure8Report(t *testing.T) {
-	out := Figure8(1)
-	if !strings.Contains(out, "9min warmup") || !strings.Contains(out, "Poisson 36/h") {
-		t.Fatal("Figure8 output missing scenarios")
-	}
-}
-
-func TestFigure9Report(t *testing.T) {
-	out := Figure9(1)
-	if !strings.Contains(out, "Zipf regime") || !strings.Contains(out, "Poisson regime") {
-		t.Fatal("Figure9 output missing regimes")
-	}
-}
-
-func TestFigure13Report(t *testing.T) {
-	out := Figure13(testHours, 1)
-	for _, want := range []string{"ElastiCache", "InfiniCache (all objects)", "cost effectiveness", "backup+warm-up share"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("Figure13 output missing %q", want)
+		if e.Live && testing.Short() {
+			t.Skip("live microbenchmark")
 		}
-	}
-}
-
-func TestFigure14Report(t *testing.T) {
-	out := Figure14(testHours, 1)
-	if !strings.Contains(out, "RESETs") || !strings.Contains(out, "availability") {
-		t.Fatal("Figure14 output incomplete")
-	}
-}
-
-func TestTable1Report(t *testing.T) {
-	out := Table1(testHours, 1)
-	for _, want := range []string{"All objects", "Large obj. only", "EC hit", "IC w/o backup"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("Table1 output missing %q", want)
+		out := e.Run(testParams)
+		for _, want := range e.Markers {
+			if !strings.Contains(out, want) {
+				t.Errorf("%s report missing %q:\n%s", e.File, want, out)
+			}
 		}
+		return
 	}
+	t.Fatalf("no experiment %q in Table", name)
 }
 
-func TestFigure15Report(t *testing.T) {
-	out := Figure15(testHours, 1)
-	if !strings.Contains(out, "InfiniCache") || !strings.Contains(out, "AWS S3") {
-		t.Fatal("Figure15 output incomplete")
-	}
-}
+func TestFigure1Report(t *testing.T)        { report(t, "1") }
+func TestFigure4LiveReport(t *testing.T)    { report(t, "4") }
+func TestFigure8Report(t *testing.T)        { report(t, "8") }
+func TestFigure9Report(t *testing.T)        { report(t, "9") }
+func TestFigure11LiveReport(t *testing.T)   { report(t, "11") }
+func TestFigure11fLiveReport(t *testing.T)  { report(t, "11f") }
+func TestFigure12LiveReport(t *testing.T)   { report(t, "12") }
+func TestFigure13Report(t *testing.T)       { report(t, "13") }
+func TestFigure14Report(t *testing.T)       { report(t, "14") }
+func TestFigure15Report(t *testing.T)       { report(t, "15") }
+func TestFigure16Report(t *testing.T)       { report(t, "16") }
+func TestFigure17Report(t *testing.T)       { report(t, "17") }
+func TestTable1Report(t *testing.T)         { report(t, "table1") }
+func TestAvailabilityReport(t *testing.T)   { report(t, "availability") }
+func TestBatchProbeLiveReport(t *testing.T) { report(t, "batch") }
+func TestHotProbeLiveReport(t *testing.T)   { report(t, "hot") }
 
-func TestFigure16Report(t *testing.T) {
-	out := Figure16(testHours, 1)
-	for _, want := range []string{"<1MB", ">=100MB", "ElastiCache"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("Figure16 output missing %q", want)
+// TestTableWellFormed: -fig selectors and report files are unique, and
+// every row can run and says what to look for.
+func TestTableWellFormed(t *testing.T) {
+	names, files := map[string]bool{}, map[string]bool{}
+	for _, e := range Table {
+		if e.Name == "" || e.File == "" || e.Run == nil || len(e.Markers) == 0 {
+			t.Errorf("incomplete row %+v", e)
 		}
-	}
-}
-
-func TestFigure17Report(t *testing.T) {
-	out := Figure17()
-	if !strings.Contains(out, "crossover") {
-		t.Fatal("Figure17 output missing crossover")
-	}
-}
-
-func TestAvailabilityReport(t *testing.T) {
-	out := AvailabilityAnalysis()
-	if !strings.Contains(out, "p3/p4") || !strings.Contains(out, "hourly avail") {
-		t.Fatal("availability analysis incomplete")
-	}
-}
-
-func TestFigure4LiveReport(t *testing.T) {
-	if testing.Short() {
-		t.Skip("live microbenchmark")
-	}
-	out := Figure4(2, 1)
-	if !strings.Contains(out, "pool") {
-		t.Fatal("Figure4 output incomplete")
-	}
-}
-
-func TestFigure11LiveReport(t *testing.T) {
-	if testing.Short() {
-		t.Skip("live microbenchmark")
-	}
-	cfg := MicroConfig{
-		MemoriesMB: []int{1024},
-		Codes:      [][2]int{{4, 2}},
-		SizesMB:    []int{10},
-		Samples:    2,
-		Seed:       1,
-	}
-	out := Figure11(cfg)
-	if !strings.Contains(out, "(4+2)") {
-		t.Fatal("Figure11 output incomplete")
-	}
-}
-
-func TestFigure12LiveReport(t *testing.T) {
-	if testing.Short() {
-		t.Skip("live microbenchmark")
-	}
-	out := Figure12([]int{1, 2}, 1, 1)
-	if !strings.Contains(out, "GB/s") {
-		t.Fatal("Figure12 output incomplete")
+		if names[e.Name] || files[e.File] {
+			t.Errorf("duplicate name or file in row %s / %s", e.Name, e.File)
+		}
+		names[e.Name], files[e.File] = true, true
 	}
 }

@@ -23,40 +23,8 @@ import (
 // and protocol overhead are measured honestly alongside the modeled
 // Lambda bandwidth (50-160 MB/s by memory size).
 
-// MicroConfig selects the grid for Figure 11.
-type MicroConfig struct {
-	MemoriesMB []int    // Lambda sizes (paper: 128..3008)
-	Codes      [][2]int // RS (d,p) pairs (paper: 10+0,10+1,10+2,10+4,4+2,5+1)
-	SizesMB    []int    // object sizes (paper: 10..100)
-	Samples    int      // GETs per cell
-	Seed       int64
-}
-
-// DefaultMicroConfig is the full Figure 11 grid (trimmed to the
-// qualitative knee points to keep runtime reasonable).
-func DefaultMicroConfig() MicroConfig {
-	return MicroConfig{
-		MemoriesMB: []int{256, 512, 1024, 3008},
-		Codes:      [][2]int{{10, 0}, {10, 1}, {10, 2}, {10, 4}, {4, 2}, {5, 1}},
-		SizesMB:    []int{10, 40, 100},
-		Samples:    5,
-		Seed:       1,
-	}
-}
-
-// QuickMicroConfig is a fast subset for the benchmark suite.
-func QuickMicroConfig() MicroConfig {
-	return MicroConfig{
-		MemoriesMB: []int{512, 1024},
-		Codes:      [][2]int{{10, 1}, {10, 2}, {4, 2}},
-		SizesMB:    []int{10, 40},
-		Samples:    3,
-		Seed:       1,
-	}
-}
-
 // Figure11 runs the GET-latency microbenchmark grid on the live system.
-func Figure11(cfg MicroConfig) string {
+func Figure11(cfg Params) string {
 	var b strings.Builder
 	b.WriteString("Figure 11: GET latency (ms) by RS code, object size, Lambda memory (live system)\n\n")
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -129,12 +97,11 @@ func measureGetLatency(memMB, d, p int, sizesMB []int, samples int, seed int64) 
 
 // Figure11f compares InfiniCache against live single-node and sharded
 // ElastiCache-like deployments for large objects.
-func Figure11f(samples int, seed int64) string {
+func Figure11f(p Params) string {
 	var b strings.Builder
 	b.WriteString("Figure 11(f): InfiniCache (3008 MB Lambdas) vs ElastiCache baselines (live)\n\n")
-	sizes := []int{10, 40, 100}
 
-	icLat := measureGetLatency(3008, 10, 2, sizes, samples, seed)
+	icLat := measureGetLatency(3008, 10, 2, p.SizesMB, p.Samples, p.Seed)
 
 	measureRedis := func(nodes int, memBytes int64, svcRate float64) map[int][]float64 {
 		out := make(map[int][]float64)
@@ -161,15 +128,15 @@ func Figure11f(samples int, seed int64) string {
 			return out
 		}
 		defer cl.Close()
-		rng := rand.New(rand.NewSource(seed))
-		for _, szMB := range sizes {
+		rng := rand.New(rand.NewSource(p.Seed))
+		for _, szMB := range p.SizesMB {
 			obj := make([]byte, szMB<<20)
 			rng.Read(obj)
 			key := fmt.Sprintf("bench/%d", szMB)
 			if err := cl.Put(key, obj); err != nil {
 				continue
 			}
-			for s := 0; s < samples; s++ {
+			for s := 0; s < p.Samples; s++ {
 				start := time.Now()
 				if _, err := cl.Get(key); err != nil {
 					break
@@ -186,7 +153,7 @@ func Figure11f(samples int, seed int64) string {
 	ec10 := measureRedis(10, 26<<30, 600e6)
 
 	fmt.Fprintf(&b, "%-10s %18s %18s %18s\n", "size", "InfiniCache p50", "EC 1-node p50", "EC 10-node p50")
-	for _, sz := range sizes {
+	for _, sz := range p.SizesMB {
 		fmt.Fprintf(&b, "%-10s %15.0fms %15.0fms %15.0fms\n",
 			fmt.Sprintf("%dMB", sz),
 			stats.Summarize(icLat[sz]).P50,
@@ -200,7 +167,7 @@ func Figure11f(samples int, seed int64) string {
 // Figure4 measures latency as a function of VM-host spread: small pools
 // co-locate many 256 MB Lambdas per ~3 GB host, so chunk transfers fight
 // for the shared host NIC.
-func Figure4(samples int, seed int64) string {
+func Figure4(p Params) string {
 	var b strings.Builder
 	b.WriteString("Figure 4: latency vs number of VM hosts backing the pool (256 MB Lambdas, RS(10+1), 100 MB object)\n\n")
 	fmt.Fprintf(&b, "%-10s %-8s %-40s\n", "pool", "hosts", "GET latency ms (p25/p50/p75/p95)")
@@ -210,7 +177,7 @@ func Figure4(samples int, seed int64) string {
 			NodeMemoryMB:  256,
 			DataShards:    10,
 			ParityShards:  1,
-			Seed:          seed,
+			Seed:          p.Seed,
 		})
 		if err != nil {
 			fmt.Fprintf(&b, "pool %d: %v\n", pool, err)
@@ -229,10 +196,10 @@ func Figure4(samples int, seed int64) string {
 			time.Sleep(200 * time.Millisecond)
 		}
 		obj := make([]byte, 100<<20)
-		rand.New(rand.NewSource(seed)).Read(obj)
+		rand.New(rand.NewSource(p.Seed)).Read(obj)
 		ctx := context.Background()
 		var lat []float64
-		for s := 0; s < samples; s++ {
+		for s := 0; s < p.Samples; s++ {
 			// Re-PUT each round so the chunks land on a fresh random
 			// subset of the pool (varying the host spread).
 			key := fmt.Sprintf("spread/%d", s)
@@ -264,7 +231,7 @@ func Figure4(samples int, seed int64) string {
 
 // Figure12 measures aggregate throughput scaling with concurrent clients
 // against a multi-proxy deployment.
-func Figure12(clientCounts []int, secondsPerPoint int, seed int64) string {
+func Figure12(p Params) string {
 	var b strings.Builder
 	b.WriteString("Figure 12: throughput scaling with concurrent clients (3 proxies x 12 x 1 GB Lambdas)\n\n")
 	dep, err := core.New(core.Config{
@@ -273,7 +240,7 @@ func Figure12(clientCounts []int, secondsPerPoint int, seed int64) string {
 		NodeMemoryMB:  1024,
 		DataShards:    4,
 		ParityShards:  2,
-		Seed:          seed,
+		Seed:          p.Seed,
 	})
 	if err != nil {
 		return err.Error()
@@ -286,7 +253,7 @@ func Figure12(clientCounts []int, secondsPerPoint int, seed int64) string {
 	}
 	const objects = 18
 	const objSize = 4 << 20
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(rand.NewSource(p.Seed))
 	ctx := context.Background()
 	pairs := make([]client.KV, objects)
 	for i := 0; i < objects; i++ {
@@ -305,10 +272,10 @@ func Figure12(clientCounts []int, secondsPerPoint int, seed int64) string {
 
 	fmt.Fprintf(&b, "%-10s %-14s %-10s\n", "clients", "GB/s", "speedup")
 	var base float64
-	for _, n := range clientCounts {
+	for _, n := range p.Clients {
 		var moved atomic.Int64
 		var wg sync.WaitGroup
-		stop := time.Now().Add(time.Duration(secondsPerPoint) * time.Second)
+		stop := time.Now().Add(time.Duration(p.PointSeconds) * time.Second)
 		for c := 0; c < n; c++ {
 			wg.Add(1)
 			go func(c int) {
@@ -348,17 +315,18 @@ func Figure12(clientCounts []int, secondsPerPoint int, seed int64) string {
 // once (so the reads themselves read-admit them); the hot pass re-reads
 // the same keys and must be served from proxy memory with zero Lambda
 // round trips.
-func HotTierProbe(keyCount, rounds int, objSize int64, seed int64) string {
+func HotTierProbe(p Params) string {
+	const objSize = 4 << 10
 	var b strings.Builder
 	fmt.Fprintf(&b, "Hot-tier probe: %d keys x %d B, %d rounds (live system, 64 MiB tier)\n\n",
-		keyCount, objSize, rounds)
+		p.HotKeys, objSize, p.Samples)
 	dep, err := core.New(core.Config{
 		NodesPerProxy: 14,
 		NodeMemoryMB:  1024,
 		DataShards:    10,
 		ParityShards:  2,
 		HotTierBytes:  64 << 20,
-		Seed:          seed,
+		Seed:          p.Seed,
 	})
 	if err != nil {
 		return err.Error()
@@ -371,11 +339,11 @@ func HotTierProbe(keyCount, rounds int, objSize int64, seed int64) string {
 	defer cl.Close()
 
 	ctx := context.Background()
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(rand.NewSource(p.Seed))
 	var cold, hot []float64
-	for r := 0; r < rounds; r++ {
+	for r := 0; r < p.Samples; r++ {
 		// Fresh keys each round so the cold pass is genuinely cold.
-		keys := make([]string, keyCount)
+		keys := make([]string, p.HotKeys)
 		for i := range keys {
 			keys[i] = fmt.Sprintf("hot/%d/%d", r, i)
 		}
@@ -423,16 +391,16 @@ func HotTierProbe(keyCount, rounds int, objSize int64, seed int64) string {
 // burst per owning proxy) against their sequential equivalents on a
 // live multi-proxy deployment — the InfiniStore-style client-interface
 // experiment layered on the paper's Figure 12 topology.
-func BatchProbe(keyCount, rounds int, seed int64) string {
+func BatchProbe(p Params) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Batch probe: %d keys x 1 MB over 3 proxies, %d rounds (live system)\n\n", keyCount, rounds)
+	fmt.Fprintf(&b, "Batch probe: %d keys x 1 MB over 3 proxies, %d rounds (live system)\n\n", p.BatchKeys, p.Samples)
 	dep, err := core.New(core.Config{
 		Proxies:       3,
 		NodesPerProxy: 12,
 		NodeMemoryMB:  1024,
 		DataShards:    4,
 		ParityShards:  2,
-		Seed:          seed,
+		Seed:          p.Seed,
 	})
 	if err != nil {
 		return err.Error()
@@ -445,9 +413,9 @@ func BatchProbe(keyCount, rounds int, seed int64) string {
 	defer cl.Close()
 
 	ctx := context.Background()
-	rng := rand.New(rand.NewSource(seed))
-	keys := make([]string, keyCount)
-	pairs := make([]client.KV, keyCount)
+	rng := rand.New(rand.NewSource(p.Seed))
+	keys := make([]string, p.BatchKeys)
+	pairs := make([]client.KV, p.BatchKeys)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("batch/%d", i)
 		blob := make([]byte, 1<<20)
@@ -456,7 +424,7 @@ func BatchProbe(keyCount, rounds int, seed int64) string {
 	}
 
 	var seqPut, batPut, seqGet, batGet []float64
-	for r := 0; r < rounds; r++ {
+	for r := 0; r < p.Samples; r++ {
 		start := time.Now()
 		for _, kv := range pairs {
 			if err := cl.PutCtx(ctx, kv.Key, kv.Value); err != nil {

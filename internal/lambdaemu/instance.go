@@ -21,12 +21,10 @@ type Instance struct {
 	bucket   *netsim.Bucket
 
 	// Guarded by fn.mu.
-	busy        bool
-	reclaimed   bool
-	lastInvoke  time.Time
-	invocations int
-	crashes     int
-	born        time.Time
+	busy       bool
+	reclaimed  bool
+	lastInvoke time.Time
+	born       time.Time
 
 	locals map[string]any // handler-private state; single-threaded access
 
@@ -118,11 +116,4 @@ func (c *Context) Dial(addr string) (net.Conn, error) {
 // name to obtain a peer replica.
 func (c *Context) Invoke(function string, payload []byte) error {
 	return c.inst.platform.Invoke(function, payload)
-}
-
-// InvocationCount returns how many invocations this instance has served.
-func (in *Instance) InvocationCount() int {
-	in.fn.mu.Lock()
-	defer in.fn.mu.Unlock()
-	return in.invocations
 }

@@ -41,25 +41,20 @@ const (
 	DefaultMaxIdle         = 27 * time.Minute       // idle lifetime without warm-up (§4.1)
 	DefaultNetworkLatency  = 500 * time.Microsecond // intra-VPC one-way latency
 	DefaultFunctionTimeout = 900 * time.Second      // Lambda hard cap (§2.2)
-	DefaultAutoScaleDelay  = 3 * time.Second        // queueing before scale-out
+	// DefaultAutoScaleDelay is how long an invocation waits for a warm
+	// instance to free up before scaling out a fresh (empty) one — AWS
+	// briefly queues rather than eagerly spawning, and warm instances are
+	// reused most-recently-used first.
+	DefaultAutoScaleDelay = 3 * time.Second
 )
 
 // Config parameterises a Platform.
 type Config struct {
 	Clock           vclock.Clock
-	HostMemoryMB    int
-	HostBandwidth   float64 // bytes per virtual second; 0 = netsim.HostBandwidth
-	ColdStartDelay  time.Duration
-	WarmInvokeDelay time.Duration
-	MaxIdle         time.Duration
-	NetworkLatency  time.Duration
-	// AutoScaleDelay is how long an invocation waits for a warm instance
-	// to free up before scaling out a fresh (empty) one — AWS briefly
-	// queues rather than eagerly spawning, and warm instances are reused
-	// most-recently-used first.
-	AutoScaleDelay time.Duration
-	ReclaimPolicy  ReclaimPolicy // nil disables policy-driven reclaiming
-	Seed           int64
+	ColdStartDelay  time.Duration // 0 = DefaultColdStartDelay
+	WarmInvokeDelay time.Duration // 0 = DefaultWarmInvokeDelay
+	ReclaimPolicy   ReclaimPolicy // nil disables policy-driven reclaiming
+	Seed            int64
 	// Dial is the network handlers reach through Context.Dial (a
 	// netsim.Network's Dial in a deployment); the platform throttles and
 	// fault-filters what it returns. nil leaves handlers without a
@@ -76,26 +71,11 @@ func (c *Config) fillDefaults() {
 	if c.Clock == nil {
 		c.Clock = vclock.NewReal()
 	}
-	if c.HostMemoryMB == 0 {
-		c.HostMemoryMB = DefaultHostMemoryMB
-	}
-	if c.HostBandwidth == 0 {
-		c.HostBandwidth = netsim.HostBandwidth
-	}
 	if c.ColdStartDelay == 0 {
 		c.ColdStartDelay = DefaultColdStartDelay
 	}
 	if c.WarmInvokeDelay == 0 {
 		c.WarmInvokeDelay = DefaultWarmInvokeDelay
-	}
-	if c.MaxIdle == 0 {
-		c.MaxIdle = DefaultMaxIdle
-	}
-	if c.NetworkLatency == 0 {
-		c.NetworkLatency = DefaultNetworkLatency
-	}
-	if c.AutoScaleDelay == 0 {
-		c.AutoScaleDelay = DefaultAutoScaleDelay
 	}
 }
 
@@ -192,9 +172,9 @@ func (p *Platform) Register(name string, cfg FunctionConfig, h Handler) (*Functi
 	if cfg.MemoryMB <= 0 {
 		return nil, fmt.Errorf("lambdaemu: function %q needs MemoryMB > 0", name)
 	}
-	if cfg.MemoryMB > p.cfg.HostMemoryMB {
+	if cfg.MemoryMB > DefaultHostMemoryMB {
 		return nil, fmt.Errorf("lambdaemu: function %q memory %d MB exceeds host capacity %d MB",
-			name, cfg.MemoryMB, p.cfg.HostMemoryMB)
+			name, cfg.MemoryMB, DefaultHostMemoryMB)
 	}
 	if cfg.Timeout == 0 {
 		cfg.Timeout = DefaultFunctionTimeout
@@ -242,7 +222,7 @@ func (p *Platform) Invoke(function string, payload []byte) error {
 // AWS's observed routing) or, after briefly queueing for one to free up,
 // provisions a new one.
 func (p *Platform) acquireInstance(fn *Function) (*Instance, bool, error) {
-	deadline := p.cfg.Clock.Now().Add(p.cfg.AutoScaleDelay)
+	deadline := p.cfg.Clock.Now().Add(DefaultAutoScaleDelay)
 	for {
 		fn.mu.Lock()
 		var best *Instance
@@ -319,8 +299,8 @@ func (p *Platform) placeLocked(memMB int) *host {
 	}
 	h := &host{
 		id:     len(p.hosts),
-		freeMB: p.cfg.HostMemoryMB - memMB,
-		bucket: netsim.NewBucket(p.cfg.HostBandwidth),
+		freeMB: DefaultHostMemoryMB - memMB,
+		bucket: netsim.NewBucket(netsim.HostBandwidth),
 		count:  1,
 	}
 	p.hosts = append(p.hosts, h)
@@ -337,15 +317,9 @@ func (p *Platform) runInvocation(in *Instance, cold bool, payload []byte) {
 	start := p.cfg.Clock.Now()
 	ctx := &Context{inst: in, payload: payload}
 	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				// A crashing handler must not take the emulator down;
-				// AWS would surface a function error.
-				in.fn.mu.Lock()
-				in.crashes++
-				in.fn.mu.Unlock()
-			}
-		}()
+		// A crashing handler must not take the emulator down; AWS would
+		// surface a function error.
+		defer func() { recover() }()
 		in.fn.handler(ctx, payload)
 	}()
 	dur := p.cfg.Clock.Since(start)
@@ -354,7 +328,6 @@ func (p *Platform) runInvocation(in *Instance, cold bool, payload []byte) {
 	in.fn.mu.Lock()
 	in.busy = false
 	in.lastInvoke = p.cfg.Clock.Now()
-	in.invocations++
 	in.fn.mu.Unlock()
 	select {
 	case in.fn.idleCh <- struct{}{}:
@@ -465,7 +438,7 @@ func (p *Platform) dialFrom(in *Instance, addr string) (net.Conn, error) {
 	}
 	path := &netsim.Path{
 		Clock:   p.cfg.Clock,
-		Latency: p.cfg.NetworkLatency,
+		Latency: DefaultNetworkLatency,
 		Buckets: []*netsim.Bucket{in.host.bucket, in.bucket},
 	}
 	var c net.Conn

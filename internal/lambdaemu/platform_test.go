@@ -12,42 +12,16 @@ import (
 	"infinicache/internal/vclock"
 )
 
-// pumpedClock builds a hand-stepped clock plus a pumper goroutine that
-// advances virtual time in small steps whenever something is blocked on
-// the clock (the internal/core/backup_test.go pattern). Unlike a Scaled
-// clock, no virtual deadline can expire while real work — goroutine
-// scheduling, channel handoffs — is still in flight, so billing and
-// reclaim assertions stay exact under -race and -count N. The pumper
-// outlives any platform built afterwards (cleanup LIFO order), so
-// shutdown paths sleeping on the clock still wake.
-func pumpedClock(t *testing.T) *vclock.Manual {
-	t.Helper()
-	clk := vclock.NewManual(time.Unix(0, 0))
-	stop := make(chan struct{})
-	var pumper sync.WaitGroup
-	pumper.Add(1)
-	go func() {
-		defer pumper.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if clk.Waiters() > 0 {
-				clk.Advance(5 * time.Millisecond) // virtual
-			}
-			time.Sleep(200 * time.Microsecond) // real: let woken goroutines run
-		}
-	}()
-	t.Cleanup(func() { close(stop); pumper.Wait() })
-	return clk
-}
-
+// fastPlatform runs on a pumped manual clock: unlike a Scaled clock, no
+// virtual deadline can expire while real work — goroutine scheduling,
+// channel handoffs — is still in flight, so billing and reclaim
+// assertions stay exact under -race and -count N.
 func fastPlatform(t *testing.T, policy ReclaimPolicy) *Platform {
 	t.Helper()
+	clk := vclock.NewManual(time.Unix(0, 0))
+	t.Cleanup(clk.Pump())
 	p := New(Config{
-		Clock:           pumpedClock(t),
+		Clock:           clk,
 		ColdStartDelay:  time.Millisecond,
 		WarmInvokeDelay: time.Millisecond,
 		ReclaimPolicy:   policy,
@@ -326,8 +300,10 @@ func TestReclaimFreesHostMemory(t *testing.T) {
 }
 
 func TestReclaimTickPolicyDriven(t *testing.T) {
+	clk := vclock.NewManual(time.Unix(0, 0))
+	t.Cleanup(clk.Pump())
 	p := New(Config{
-		Clock:           pumpedClock(t),
+		Clock:           clk,
 		ColdStartDelay:  time.Millisecond,
 		WarmInvokeDelay: time.Millisecond,
 		Seed:            7,
@@ -420,7 +396,8 @@ func TestContextDialGoesThroughConfigDial(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	clk := pumpedClock(t)
+	clk := vclock.NewManual(time.Unix(0, 0))
+	t.Cleanup(clk.Pump())
 	faults := netsim.NewFaults(clk, 1)
 	p := New(Config{
 		Clock:           clk,

@@ -173,7 +173,7 @@ func (p *Platform) ReclaimTick(minute int) int {
 	now := p.cfg.Clock.Now()
 	for _, in := range idle[min(n, len(idle)):] {
 		in.fn.mu.Lock()
-		expired := now.Sub(in.lastInvoke) > p.cfg.MaxIdle && !in.busy && !in.reclaimed
+		expired := now.Sub(in.lastInvoke) > DefaultMaxIdle && !in.busy && !in.reclaimed
 		in.fn.mu.Unlock()
 		if expired && p.reclaimInstance(in, "idle") {
 			reclaimedCount++

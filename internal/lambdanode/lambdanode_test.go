@@ -103,10 +103,10 @@ func TestStoreMetaMRUFirst(t *testing.T) {
 func TestConfigDefaults(t *testing.T) {
 	cfg := Config{}
 	cfg.fillDefaults()
-	if cfg.BufferTime == 0 || cfg.ExtendThreshold == 0 || cfg.MaxLifetime == 0 {
+	if cfg.BufferTime == 0 {
 		t.Fatalf("defaults not applied: %+v", cfg)
 	}
-	if cfg.ExtendThreshold != 2 {
-		t.Fatalf("extend threshold = %d, paper says 2", cfg.ExtendThreshold)
+	if extendThreshold != 2 {
+		t.Fatalf("extend threshold = %d, paper says 2", extendThreshold)
 	}
 }

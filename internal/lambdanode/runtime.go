@@ -14,23 +14,16 @@ type Config struct {
 	// BufferTime is how long before a 100 ms billing-cycle boundary the
 	// node returns ("2-10 ms", §3.3). Default 5 ms.
 	BufferTime time.Duration
-	// ExtendThreshold is the request count within one billing cycle that
-	// makes the node anticipate more traffic and stay for another cycle
-	// ("more than one request", §3.3). Default 2.
-	ExtendThreshold int
-	// MaxLifetime bounds one invocation's serve loop (Lambda's 900 s cap).
-	MaxLifetime time.Duration
 }
+
+// extendThreshold is the request count within one billing cycle that
+// makes the node anticipate more traffic and stay for another cycle
+// ("more than one request", §3.3).
+const extendThreshold = 2
 
 func (c *Config) fillDefaults() {
 	if c.BufferTime == 0 {
 		c.BufferTime = 5 * time.Millisecond
-	}
-	if c.ExtendThreshold == 0 {
-		c.ExtendThreshold = 2
-	}
-	if c.MaxLifetime == 0 {
-		c.MaxLifetime = lambdaemu.DefaultFunctionTimeout
 	}
 }
 
@@ -144,7 +137,7 @@ func runServe(ctx *lambdaemu.Context, cfg Config, st *nodeState, pl *Payload) {
 		}
 	}
 
-	hardStop := invokeStart.Add(cfg.MaxLifetime)
+	hardStop := invokeStart.Add(lambdaemu.DefaultFunctionTimeout) // Lambda's 900 s cap
 	cycleEnd := invokeStart.Add(lambdaemu.BillingCycle)
 	reqsThisCycle := 0
 
@@ -226,7 +219,7 @@ func runServe(ctx *lambdaemu.Context, cfg Config, st *nodeState, pl *Payload) {
 				// Hard Lambda timeout: forcibly returned, no BYE.
 				return
 			}
-			if reqsThisCycle >= cfg.ExtendThreshold {
+			if reqsThisCycle >= extendThreshold {
 				// Anticipate more traffic: buy one more billing cycle.
 				cycleEnd = cycleEnd.Add(lambdaemu.BillingCycle)
 				reqsThisCycle = 0

@@ -2,41 +2,11 @@ package netsim
 
 import (
 	"net"
-	"sync"
 	"testing"
 	"time"
 
 	"infinicache/internal/vclock"
 )
-
-// pumpedClock builds a hand-stepped clock plus a pumper goroutine that
-// advances virtual time in small steps whenever something is blocked on
-// the clock (the internal/core/backup_test.go pattern). Transfers then
-// complete deterministically: delays are computed analytically from
-// bucket state, and no virtual deadline depends on wall-clock speed.
-func pumpedClock(t *testing.T) *vclock.Manual {
-	t.Helper()
-	clk := vclock.NewManual(time.Unix(0, 0))
-	stop := make(chan struct{})
-	var pumper sync.WaitGroup
-	pumper.Add(1)
-	go func() {
-		defer pumper.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if clk.Waiters() > 0 {
-				clk.Advance(5 * time.Millisecond) // virtual
-			}
-			time.Sleep(200 * time.Microsecond) // real: let woken goroutines run
-		}
-	}()
-	t.Cleanup(func() { close(stop); pumper.Wait() })
-	return clk
-}
 
 func TestBucketUnlimited(t *testing.T) {
 	b := NewBucket(0)
@@ -89,7 +59,8 @@ func TestSetRate(t *testing.T) {
 }
 
 func TestPathNarrowestLinkDominates(t *testing.T) {
-	clk := pumpedClock(t)
+	clk := vclock.NewManual(time.Unix(0, 0))
+	t.Cleanup(clk.Pump())
 	fast := NewBucket(100e6)
 	slow := NewBucket(10e6)
 	p := &Path{Clock: clk, Buckets: []*Bucket{fast, slow}}
@@ -100,7 +71,8 @@ func TestPathNarrowestLinkDominates(t *testing.T) {
 }
 
 func TestPathLatencyFloor(t *testing.T) {
-	clk := pumpedClock(t)
+	clk := vclock.NewManual(time.Unix(0, 0))
+	t.Cleanup(clk.Pump())
 	p := &Path{Clock: clk, Latency: 5 * time.Millisecond}
 	if d := p.Transfer(1); d != 5*time.Millisecond {
 		t.Fatalf("delay = %v, want latency floor 5ms", d)
@@ -111,7 +83,8 @@ func TestConnThrottlesWrites(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
-	clk := pumpedClock(t)
+	clk := vclock.NewManual(time.Unix(0, 0))
+	t.Cleanup(clk.Pump())
 	bucket := NewBucket(1e6) // 1 MB/s virtual
 	tc := NewConn(a, &Path{Clock: clk, Buckets: []*Bucket{bucket}})
 

@@ -808,12 +808,6 @@ func (c *Conn) Close() error {
 // to a consumer that already left.
 func (c *Conn) Done() <-chan struct{} { return c.closedCh }
 
-// RemoteAddr exposes the underlying connection's remote address.
-func (c *Conn) RemoteAddr() net.Addr { return c.raw.RemoteAddr() }
-
-// LocalAddr exposes the underlying connection's local address.
-func (c *Conn) LocalAddr() net.Addr { return c.raw.LocalAddr() }
-
 // Pump starts a reader goroutine that delivers inbound messages on the
 // returned channel; the channel closes when the connection errors or
 // closes. It takes over the single-reader slot of c.

@@ -25,12 +25,11 @@ import (
 // a node fan-in would have produced and the client-side decode path is
 // untouched.
 //
-// Admission is write-through and read-through, both gated by a ghost
-// filter (a payload-less CLOCK cache of recently-seen keys): the first
-// touch of a key only registers it; a second touch within the ghost
-// window admits. One-shot writes and scan reads therefore never
-// displace the resident set. Objects larger than maxObj are never
-// admitted.
+// What is policy — which keys are resident, the ghost admission
+// filter, the size threshold, CLOCK eviction — is clockcache.Tier, the
+// same object the simulator runs bare; this type adds only what a live,
+// concurrent proxy needs on top: the payloads, the token fence, the lock
+// and the Stats mirror.
 //
 // Buffer ownership: tier chunk copies are plain GC-owned allocations,
 // never drawn from bufpool. An invalidation or eviction may race a hit
@@ -39,14 +38,12 @@ import (
 // Forward returns is what makes that race safe with no reference
 // counting.
 type hotTier struct {
-	mu     sync.Mutex
-	cap    int64 // resident-bytes bound (payload bytes)
-	maxObj int64 // admission size threshold
-
+	mu sync.Mutex
+	// policy decides residency, admission and eviction; entries holds a
+	// payload for exactly the keys it reports resident. Guarded by mu,
+	// except policy.Admits, which reads immutable configuration.
+	policy  *clockcache.Tier
 	entries map[string]*hotEntry
-	clock   *clockcache.Cache // resident keys, CLOCK eviction order
-	ghost   *clockcache.Cache // admission filter: keys seen, no payload
-	ghostN  int               // ghost capacity in keys
 
 	// Invalidation epochs. Captures (a PUT's write-through copies, a
 	// GET's read-through copies) take a token = seq at capture start; an
@@ -67,7 +64,6 @@ type hotEntry struct {
 	d      int      // data shards
 	total  int      // total shards
 	chunks [][]byte // len total, exactly d non-nil; GC-owned
-	bytes  int64    // sum of chunk lengths (accounting size)
 
 	// wire is the entry's precomputed reply image: the d DATA frames a
 	// hit replays, headers fully encoded at admission with only the seq
@@ -105,41 +101,28 @@ func buildWire(key string, size int64, d, total int, chunks [][]byte) *protocol.
 const lastInvalCap = 1 << 16
 
 func newHotTier(capBytes, maxObjBytes int64, stats *Stats) *hotTier {
-	ghostN := int(capBytes >> 14) // ~4 ghost keys per 64 KiB of capacity
-	if ghostN < 1024 {
-		ghostN = 1024
-	}
 	return &hotTier{
-		cap:       capBytes,
-		maxObj:    maxObjBytes,
+		policy:    clockcache.NewTier(capBytes, maxObjBytes),
 		entries:   make(map[string]*hotEntry),
-		clock:     clockcache.New(),
-		ghost:     clockcache.New(),
-		ghostN:    ghostN,
 		lastInval: make(map[string]uint64),
 		stats:     stats,
 	}
 }
 
-// get looks key up. On a hit it touches the CLOCK bit and returns the
-// entry (the caller may forward its chunks lock-free; see hotEntry). On
-// a miss it returns a capture token and whether the caller should
-// read-admit the key (ghost filter already saw it); a first miss only
-// registers the key in the ghost filter.
+// get looks key up. On a hit it returns the entry (the caller may
+// forward its chunks lock-free; see hotEntry). On a miss it returns a
+// capture token and whether the caller should read-admit the key — the
+// policy has seen it before — once it knows the object's size and
+// policy.Admits it.
 func (h *hotTier) get(key string) (e *hotEntry, token uint64, capture bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if e = h.entries[key]; e != nil {
-		h.clock.Touch(key)
+	hit, capture := h.policy.Get(key)
+	if hit {
 		h.stats.HotHits.Add(1)
-		return e, 0, false
+		return h.entries[key], 0, false
 	}
 	h.stats.HotMisses.Add(1)
-	if h.ghost.Contains(key) {
-		capture = true
-	} else {
-		h.ghostAddLocked(key)
-	}
 	return nil, h.seq, capture
 }
 
@@ -162,10 +145,8 @@ func (h *hotTier) resident(key string) bool {
 
 // beginPut is called once per PUT generation, before any chunk reaches
 // a node: it synchronously invalidates any resident entry for key (a
-// GET must never observe a superseded generation) and decides
-// write-through admission — the key is admitted if it is ghost-known
-// and the object fits under maxObj. Residency earns nothing: an insert
-// leaves the ghost filter, and BeginObject has already dropped the old
+// GET must never observe a superseded generation) and asks the policy
+// for write-through admission. BeginObject has already dropped the old
 // mapping entry — which invalidates the tier — by the time it asks, so
 // an overwritten resident key re-registers like a first touch. The
 // returned token validates the eventual insert. In the live proxy this
@@ -175,36 +156,35 @@ func (h *hotTier) resident(key string) bool {
 func (h *hotTier) beginPut(key string, objSize int64) (admit bool, token uint64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.invalidateLocked(key)
-	if objSize <= 0 || objSize > h.maxObj {
+	h.fenceLocked(key)
+	admit = h.policy.BeginPut(key, objSize)
+	h.stats.HotBytes.Store(h.policy.Bytes())
+	if !admit {
 		return false, 0
 	}
-	if h.ghost.Contains(key) {
-		return true, h.seq
-	}
-	h.ghostAddLocked(key)
-	return false, 0
+	return true, h.seq
 }
 
 // invalidate removes key from the tier (DEL path). Safe when absent.
 func (h *hotTier) invalidate(key string) {
 	h.mu.Lock()
-	h.invalidateLocked(key)
+	h.fenceLocked(key)
+	h.policy.Invalidate(key)
+	h.stats.HotBytes.Store(h.policy.Bytes())
 	h.mu.Unlock()
 }
 
-func (h *hotTier) invalidateLocked(key string) {
+// fenceLocked is the live half of an invalidation: every token issued
+// so far is void for key, and its payload is dropped. The caller tells
+// the policy.
+func (h *hotTier) fenceLocked(key string) {
 	h.seq++
 	if len(h.lastInval) >= lastInvalCap {
 		h.lastInval = make(map[string]uint64)
 		h.floor = h.seq
 	}
 	h.lastInval[key] = h.seq
-	if e := h.entries[key]; e != nil {
-		delete(h.entries, key)
-		h.clock.Remove(key)
-		h.stats.HotBytes.Add(-e.bytes)
-	}
+	delete(h.entries, key)
 }
 
 // hotCapture is one object's tier admission in flight, the same for a
@@ -246,15 +226,12 @@ func (h *hotTier) admit(key string, c *hotCapture) {
 // by index with exactly d non-nil entries; ownership passes to the tier
 // (the slices must be fresh, GC-owned copies). The insert is dropped if
 // any invalidation for key landed after token was issued, or if the
-// object alone exceeds the tier capacity. Eviction then runs the CLOCK
-// hand until the resident set fits again.
+// policy refuses it (the object alone exceeds the tier capacity);
+// otherwise the payloads of the policy's eviction victims go with it.
 func (h *hotTier) insert(key string, size int64, d, total int, chunks [][]byte, token uint64) {
 	var bytes int64
 	for _, c := range chunks {
 		bytes += int64(len(c))
-	}
-	if bytes > h.cap {
-		return
 	}
 	// Encode the reply image outside the lock: header encoding is pure
 	// CPU work on immutable inputs, and a stale capture (checked below)
@@ -265,35 +242,14 @@ func (h *hotTier) insert(key string, size int64, d, total int, chunks [][]byte, 
 	if token < h.floor || token < h.lastInval[key] {
 		return // a write superseded this capture; never resurrect it
 	}
-	if old := h.entries[key]; old != nil {
-		h.stats.HotBytes.Add(-old.bytes)
+	ok, evicted := h.policy.Insert(key, bytes)
+	if !ok {
+		return
 	}
-	h.entries[key] = &hotEntry{size: size, d: d, total: total, chunks: chunks, bytes: bytes, wire: wire}
-	h.clock.Add(key, bytes)
-	h.ghost.Remove(key)
-	h.stats.HotBytes.Add(bytes)
-	for h.stats.HotBytes.Load() > h.cap {
-		victim := h.clock.Evict()
-		if victim == nil {
-			break
-		}
-		if e := h.entries[victim.Key]; e != nil {
-			delete(h.entries, victim.Key)
-			h.stats.HotBytes.Add(-e.bytes)
-			h.stats.HotEvictions.Add(1)
-			// The evicted key stays warm in the ghost filter so a
-			// prompt re-read re-admits it.
-			h.ghostAddLocked(victim.Key)
-		}
+	h.entries[key] = &hotEntry{size: size, d: d, total: total, chunks: chunks, wire: wire}
+	for _, victim := range evicted {
+		delete(h.entries, victim)
 	}
-}
-
-// ghostAddLocked registers key in the admission filter, bounding the
-// filter at ghostN keys (every entry has size 1, so Size() counts
-// keys).
-func (h *hotTier) ghostAddLocked(key string) {
-	h.ghost.Add(key, 1)
-	if h.ghost.Len() > h.ghostN {
-		h.ghost.EvictUntil(int64(h.ghostN))
-	}
+	h.stats.HotEvictions.Add(int64(len(evicted)))
+	h.stats.HotBytes.Store(h.policy.Bytes())
 }

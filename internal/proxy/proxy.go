@@ -86,8 +86,8 @@ type Config struct {
 	// it (the default — every GET then pays the full node round trip).
 	HotTierBytes int64
 	// HotMaxObjectBytes is the hot tier's admission size threshold;
-	// objects larger than this are never tier-resident. Defaults to
-	// 1 MiB when the tier is enabled.
+	// objects larger than this are never tier-resident. 0 takes the
+	// policy's default (clockcache.NewTier: 1 MiB).
 	HotMaxObjectBytes int64
 	// MigrationRateBytes paces outbound key migration (bytes/second of
 	// virtual time) so a rebalance storm cannot crowd out foreground
@@ -134,9 +134,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.Retries == 0 {
 		c.Retries = 3
-	}
-	if c.HotTierBytes > 0 && c.HotMaxObjectBytes <= 0 {
-		c.HotMaxObjectBytes = 1 << 20
 	}
 	if c.MigrationRateBytes == 0 {
 		c.MigrationRateBytes = 32 << 20
@@ -197,7 +194,7 @@ type Stats struct {
 
 	// Wire-plane counters for client-facing connections, accumulated as
 	// sessions close; WireSnapshot folds still-open sessions in. The
-	// flushes/frames ratio is the write-coalescing factor ic-bench
+	// flushes/frames ratio is the write-coalescing factor ic-repro -fig batch
 	// reports (1.0 = one syscall per frame, the pre-coalescing cost).
 	WireFramesOut atomic.Int64 // frames written to client conns
 	WireFramesIn  atomic.Int64 // frames read off client conns
@@ -411,12 +408,6 @@ func (p *Proxy) WireSnapshot() protocol.ConnStats {
 	}
 	return out
 }
-
-// CachedObjects returns how many objects the mapping table holds.
-func (p *Proxy) CachedObjects() int { return p.table.Len() }
-
-// CachedBytes returns the total bytes accounted across the pool.
-func (p *Proxy) CachedBytes() int64 { return p.table.UsedBytes() }
 
 // Close shuts the proxy down: listener, sessions, node managers.
 func (p *Proxy) Close() error {

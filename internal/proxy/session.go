@@ -860,7 +860,7 @@ func (s *session) handleGet(m *protocol.Message) {
 		return
 	default:
 		ok = s.planWhole(op, meta, authoritative)
-		if ok && capture && meta.Size <= s.p.hot.maxObj {
+		if ok && capture && s.p.hot.policy.Admits(meta.Size) {
 			// Ghost-warm key: read-admit by copying the first-d payloads as
 			// they stream through (whatever d chunks win the fan-in race).
 			op.capture = newHotCapture(token, meta.Size, meta.DataShards, meta.TotalShards)

@@ -144,8 +144,11 @@ func (d *Dummy) Len() int {
 
 // payload returns a deterministic read-only byte slice of the given
 // size for synthetic PUTs. The backing buffer grows monotonically and
-// is shared by every caller; backends must treat it as immutable (the
-// client's erasure coder copies into its own shard buffers).
+// is shared by every caller, concurrent ones included; backends must
+// treat it as immutable. The InfiniCache client does: it sends whole
+// data shards straight out of the slice it is handed and never writes
+// through it, capacity included (pinned in internal/client by
+// TestPutNeverWritesCallerValue).
 func payload(size int64) []byte {
 	if size <= 0 {
 		return nil

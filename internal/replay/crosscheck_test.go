@@ -15,10 +15,12 @@ import (
 // analytical simulator (internal/sim) and through this engine against a
 // real in-process deployment (lambdaemu + proxy + client) must agree on
 // hit ratio, hot-tier behaviour, and serving cost. The two
-// implementations share no code on those paths — the simulator is
-// closed-form accounting, the deployment actually moves chunks over an
-// emulated wire — so agreement pins both against each other, and the
-// no-hot-model control proves the comparison has teeth.
+// implementations share the hot-tier policy object (clockcache.Tier)
+// and nothing else on those paths — the simulator is closed-form
+// accounting, the deployment actually moves chunks over an emulated
+// wire — so agreement pins both against each other (and pins how each
+// side drives the policy), and the no-hot-model control proves the
+// comparison has teeth.
 
 // crossCheckTrace: nKeys objects read reps times each, round-robin,
 // arrivals spaced wider than one 100ms Lambda billing cycle so the

@@ -13,32 +13,13 @@ import (
 	"infinicache/internal/workload"
 )
 
-// pumpedManual builds a hand-stepped clock plus a pumper goroutine that
-// advances virtual time in 5ms steps whenever something is blocked on
-// the clock (the internal/core/backup_test.go pattern): virtual
-// deadlines can only fire between steps, never while real work is still
-// in flight.
+// pumpedManual builds a hand-stepped clock with its pump running:
+// virtual deadlines can only fire between steps, never while real work
+// is still in flight.
 func pumpedManual(t *testing.T) *vclock.Manual {
 	t.Helper()
 	clk := vclock.NewManual(time.Unix(0, 0))
-	stop := make(chan struct{})
-	var pumper sync.WaitGroup
-	pumper.Add(1)
-	go func() {
-		defer pumper.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if clk.Waiters() > 0 {
-				clk.Advance(5 * time.Millisecond) // virtual
-			}
-			time.Sleep(200 * time.Microsecond) // real: let woken goroutines run
-		}
-	}()
-	t.Cleanup(func() { close(stop); pumper.Wait() })
+	t.Cleanup(clk.Pump())
 	return clk
 }
 

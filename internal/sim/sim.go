@@ -6,9 +6,9 @@
 // latency distributions of Figures 15 and 16.
 //
 // The simulator shares its policy code with the live system: the same
-// CLOCK eviction (internal/clockcache), the same reclaim policies
-// (internal/lambdaemu), the same pricing (internal/costmodel), and the
-// same EC geometry rules.
+// CLOCK eviction and the same hot-tier policy object (internal/clockcache:
+// Cache, Tier), the same reclaim policies (internal/lambdaemu), the same
+// pricing (internal/costmodel), and the same EC geometry rules.
 package sim
 
 import (
@@ -36,17 +36,13 @@ type Config struct {
 	BackupInterval time.Duration
 	// ReclaimPolicy drives provider reclaim events per minute.
 	ReclaimPolicy lambdaemu.ReclaimPolicy
-	// MetaScanRate models the per-backup state scan (bytes/second);
-	// the delta-sync must walk the resident set, which is why backup
-	// cost grows with cached bytes (§5.2). Default 2 GB/s.
-	MetaScanRate float64
 	// HotTierBytes enables the proxy-resident hot-object tier model
 	// with the given byte capacity (0 disables it, the pre-PR-5
 	// behaviour). Hot hits are served from proxy memory: no chunk
 	// fan-out, no Lambda invocations, no serving cost.
 	HotTierBytes int64
-	// HotMaxObjectBytes is the tier's admission size threshold
-	// (default 1 MiB, matching the live WithHotTierMaxObject default).
+	// HotMaxObjectBytes is the tier's admission size threshold (0 takes
+	// the policy's default of 1 MiB, as live).
 	HotMaxObjectBytes int64
 	// CorrelatedWipeProb is the chance that a reclaim of a backed-up
 	// node takes both replicas at once: peer replicas of one function
@@ -55,6 +51,11 @@ type Config struct {
 	CorrelatedWipeProb float64
 	Seed               int64
 }
+
+// metaScanRate models the per-backup state scan (bytes/second): the
+// delta-sync must walk the resident set, which is why backup cost grows
+// with cached bytes (§5.2).
+const metaScanRate = 2e9
 
 func (c *Config) fillDefaults() {
 	if c.Nodes == 0 {
@@ -71,12 +72,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.WarmupInterval == 0 {
 		c.WarmupInterval = time.Minute
-	}
-	if c.MetaScanRate == 0 {
-		c.MetaScanRate = 2e9
-	}
-	if c.HotTierBytes > 0 && c.HotMaxObjectBytes == 0 {
-		c.HotMaxObjectBytes = 1 << 20
 	}
 	if c.CorrelatedWipeProb == 0 {
 		c.CorrelatedWipeProb = 0.3
@@ -197,9 +192,16 @@ func Run(cfg Config, trace *workload.Trace) *Result {
 	d, p := cfg.DataShards, cfg.ParityShards
 	total := d + p
 
-	var hot *hotModel
+	// The proxy-resident hot tier is the live proxy's own policy object,
+	// run bare: the simulator is sequential, so none of the live tier's
+	// token fencing is needed, and a resident object accounts for its d
+	// data chunks (hotInsert), as live.
+	var hot *clockcache.Tier
 	if cfg.HotTierBytes > 0 {
-		hot = newHotModel(cfg.HotTierBytes, cfg.HotMaxObjectBytes, d)
+		hot = clockcache.NewTier(cfg.HotTierBytes, cfg.HotMaxObjectBytes)
+	}
+	hotInsert := func(key string, size int64) {
+		hot.Insert(key, chunkSize(size, d)*int64(d))
 	}
 
 	// Pool-level accounting (§3.2: eviction triggers on pool pressure).
@@ -210,7 +212,7 @@ func Run(cfg Config, trace *workload.Trace) *Result {
 	// every mapping-entry drop also invalidates the hot tier.
 	drop := func(key string) {
 		if hot != nil {
-			hot.invalidate(key)
+			hot.Invalidate(key)
 		}
 		o := objects[key]
 		if o == nil {
@@ -238,12 +240,11 @@ func Run(cfg Config, trace *workload.Trace) *Result {
 		if o := objects[key]; o != nil {
 			drop(key)
 		}
-		// Write-through tier admission: beginPut invalidates before any
-		// chunk lands and decides admission (ghost-known and under
-		// maxObj).
+		// Write-through tier admission: BeginPut invalidates before any
+		// chunk lands and decides admission.
 		hotAdmit := false
 		if hot != nil {
-			hotAdmit = hot.beginPut(key, size)
+			hotAdmit = hot.BeginPut(key, size)
 		}
 		chunk := chunkSize(size, d)
 		need := chunk * int64(total)
@@ -283,7 +284,7 @@ func Run(cfg Config, trace *workload.Trace) *Result {
 		res.ServingCost += cost
 		bucket(now).ServingCost += cost
 		if hotAdmit {
-			hot.insert(key, size)
+			hotInsert(key, size)
 		}
 	}
 
@@ -338,7 +339,7 @@ func Run(cfg Config, trace *workload.Trace) *Result {
 	lastBackup := time.Duration(0)
 	backupRound := func(now time.Duration) {
 		for n := range nodes {
-			scan := time.Duration(float64(nodes[n].used) / cfg.MetaScanRate * float64(time.Second))
+			scan := time.Duration(float64(nodes[n].used) / metaScanRate * float64(time.Second))
 			xfer := transferTime(nodes[n].delta, bw)
 			dur := lambdaemu.CeilBillingCycle(scan + xfer)
 			// Source and destination both bill for the round.
@@ -396,7 +397,7 @@ func Run(cfg Config, trace *workload.Trace) *Result {
 		// costs nothing (no invocations, no node transfer).
 		hotCapture := false
 		if hot != nil {
-			hit, capture := hot.get(rec.Key)
+			hit, capture := hot.Get(rec.Key)
 			if hit {
 				o := objects[rec.Key]
 				size := rec.Size
@@ -436,8 +437,8 @@ func Run(cfg Config, trace *workload.Trace) *Result {
 			b.ServingCost += cost
 			// Read-through tier admission: a ghost-warm GET captures the
 			// first d data chunks as they stream through the proxy.
-			if hotCapture && o.size <= hot.maxObj {
-				hot.insert(rec.Key, o.size)
+			if hotCapture && hot.Admits(o.size) {
+				hotInsert(rec.Key, o.size)
 			}
 			if missing > 0 {
 				// EC recovery: reconstruct and re-insert lost chunks.

@@ -143,6 +143,37 @@ func (m *Manual) Advance(d time.Duration) {
 	}
 }
 
+// Pump starts a goroutine that steps the clock for tests that run real
+// goroutines on virtual time: whenever something is blocked on m it
+// advances 5 ms of virtual time, then sleeps 200 µs of real time so the
+// goroutines it woke can run. Time thus moves only while a component is
+// actually waiting on it, and the step:sleep ratio caps compression at
+// ~25x, so no virtual deadline (a billing cycle, a ping timeout, T_bak)
+// expires while the real work it waits on — a round trip, a chunk store
+// — is still in flight on a busy one-core scheduler; pumping faster
+// makes mid-migration sources time out and chunks go missing. stop ends
+// the pump and waits for it; register it before building whatever runs
+// on the clock (t.Cleanup(clk.Pump())) so the pump outlives shutdown
+// paths that still sleep on the clock.
+func (m *Manual) Pump() (stop func()) {
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-quit:
+				return
+			default:
+			}
+			if m.Waiters() > 0 {
+				m.Advance(5 * time.Millisecond)
+			}
+			time.Sleep(200 * time.Microsecond)
+		}
+	}()
+	return func() { close(quit); <-done }
+}
+
 // Waiters returns the number of goroutines blocked on the clock.
 func (m *Manual) Waiters() int {
 	m.mu.Lock()

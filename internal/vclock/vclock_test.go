@@ -126,3 +126,20 @@ func TestClockInterfaceCompliance(t *testing.T) {
 	var _ Clock = NewScaled(1)
 	var _ Clock = NewManual(time.Now())
 }
+
+func TestManualPump(t *testing.T) {
+	c := NewManual(time.Unix(0, 0))
+	stop := c.Pump()
+	time.Sleep(5 * time.Millisecond)
+	if !c.Now().Equal(time.Unix(0, 0)) {
+		t.Fatal("the pump advanced a clock nothing was waiting on")
+	}
+	c.Sleep(time.Second) // returns only because the pump steps the clock
+	stop()
+	at := c.Now()
+	c.After(time.Hour) // a waiter a running pump would serve
+	time.Sleep(5 * time.Millisecond)
+	if !c.Now().Equal(at) {
+		t.Fatal("the clock moved after stop")
+	}
+}
