@@ -13,8 +13,10 @@ package clockcache
 // the ghost window admits. One-shot writes and scan reads therefore
 // never displace the resident set. Objects over the size threshold are
 // never admitted, on either path. Eviction runs the CLOCK hand over the
-// resident set until it fits the byte cap again; victims re-enter the
-// ghost filter, so a prompt re-read re-admits them.
+// resident set until it fits the byte cap again. A key that leaves the
+// resident set — a CLOCK victim or an invalidation — re-enters the ghost
+// filter, so it keeps its admission credit: a prompt re-read re-admits
+// it, and an overwrite of a resident key is written through.
 type Tier struct {
 	cap    int64 // resident-bytes bound
 	maxObj int64 // admission size threshold
@@ -73,9 +75,10 @@ func (t *Tier) Get(key string) (hit, capture bool) {
 // BeginPut is called once per PUT generation, before the write lands
 // anywhere: it invalidates any resident entry for key and decides
 // write-through admission — the key is admitted if it is ghost-known
-// and the object is under the threshold. Residency earns nothing (an
-// Insert leaves the ghost filter), so an overwritten resident key
-// re-registers like a first touch.
+// and the object is under the threshold. Invalidation returns a
+// resident key to the ghost filter, so an overwrite of a resident key
+// is admitted, whether its entry is dropped here or by the caller
+// first: the new version is written through.
 func (t *Tier) BeginPut(key string, objSize int64) (admit bool) {
 	t.Invalidate(key)
 	if objSize <= 0 || !t.Admits(objSize) {
@@ -89,8 +92,14 @@ func (t *Tier) BeginPut(key string, objSize int64) (admit bool) {
 }
 
 // Invalidate removes key from the resident set (superseding write,
-// delete, mapping drop). Safe when absent.
-func (t *Tier) Invalidate(key string) { t.resident.Remove(key) }
+// delete, mapping drop). A key that was resident re-enters the ghost
+// filter, as a CLOCK victim does: the next write or read of it admits.
+// Invalidating a key that was not resident registers nothing.
+func (t *Tier) Invalidate(key string) {
+	if _, ok := t.resident.Remove(key); ok {
+		t.ghostAdd(key)
+	}
+}
 
 // Insert makes key resident at the given accounted bytes, replacing any
 // earlier entry, and runs the CLOCK hand until the resident set fits the

@@ -2,6 +2,8 @@ package clockcache
 
 import (
 	"fmt"
+	"math/rand"
+	"strconv"
 	"testing"
 )
 
@@ -35,8 +37,8 @@ func TestTierSecondTouchAdmits(t *testing.T) {
 		t.Fatal("second-touch PUT not admitted")
 	}
 	tier.Insert("w", 100)
-	if tier.BeginPut("w", 100) {
-		t.Fatal("overwrite of a resident key admitted: an insert must leave the ghost filter")
+	if !tier.BeginPut("w", 100) {
+		t.Fatal("overwrite of a resident key not admitted: invalidation must keep its credit")
 	}
 	if hit, _ := tier.Get("w"); hit {
 		t.Fatal("BeginPut left the superseded entry resident")
@@ -70,6 +72,96 @@ func TestTierInvalidate(t *testing.T) {
 	tier.Invalidate("absent")
 	if hit, _ := tier.Get("k"); hit || tier.Bytes() != 0 {
 		t.Fatalf("invalidated key still resident (Bytes=%d)", tier.Bytes())
+	}
+}
+
+func TestTierInvalidateKeepsCredit(t *testing.T) {
+	tier := NewTier(1<<20, 1<<10)
+	admitViaGet(t, tier, "k", 64)
+	tier.Invalidate("k")
+	if hit, capture := tier.Get("k"); hit || !capture {
+		t.Fatalf("invalidated resident key: hit=%v capture=%v, want a ghost-warm miss", hit, capture)
+	}
+	if !tier.BeginPut("k", 64) {
+		t.Fatal("write of an invalidated resident key not admitted")
+	}
+
+	// No residency, no credit: invalidating a key that was never resident
+	// registers nothing, and leaves a key the ghost filter has already
+	// seen exactly as seen.
+	tier.Invalidate("absent")
+	if hit, capture := tier.Get("absent"); hit || capture {
+		t.Fatalf("invalidating an absent key registered it: hit=%v capture=%v", hit, capture)
+	}
+	tier.Get("seen")
+	tier.Invalidate("seen")
+	if !tier.BeginPut("seen", 64) {
+		t.Fatal("invalidating a non-resident key dropped its ghost entry")
+	}
+}
+
+// smallHotHitRatio drives a bare 4 MiB tier with the repo benchmark's
+// small_hot key stream — two clients × 2048 preloaded keys, Zipf(1.1)
+// per client, 10 % PUT, 4 KiB objects accounted at their ten 410-byte
+// data chunks — the way the proxy does: a GET miss with capture
+// read-admits; a PUT drops the old entry (BeginObject's invalidation),
+// then asks BeginPut and write-admits. It returns the tier hit ratio
+// over the GETs after the first fifth of the ops.
+func smallHotHitRatio(seed int64, ops int) float64 {
+	const (
+		clients  = 2
+		keys     = 2048
+		objBytes = 10 * 410
+	)
+	tier := NewTier(4<<20, 0)
+	put := func(key string) {
+		if tier.BeginPut(key, objBytes) {
+			tier.Insert(key, objBytes)
+		}
+	}
+	var zipfs [clients]*rand.Zipf
+	var rngs [clients]*rand.Rand
+	for c := range zipfs {
+		rngs[c] = rand.New(rand.NewSource(seed*clients + int64(c)))
+		zipfs[c] = rand.NewZipf(rngs[c], 1.1, 1, keys-1)
+		for k := 0; k < keys; k++ {
+			put("c" + strconv.Itoa(c) + "/k" + strconv.Itoa(k))
+		}
+	}
+	gets, hits := 0, 0
+	for i := 0; i < ops; i++ {
+		c := i % clients
+		key := "c" + strconv.Itoa(c) + "/k" + strconv.FormatUint(zipfs[c].Uint64(), 10)
+		if rngs[c].Intn(100) < 10 {
+			tier.Invalidate(key)
+			put(key)
+			continue
+		}
+		hit, capture := tier.Get(key)
+		if capture {
+			tier.Insert(key, objBytes)
+		}
+		if i >= ops/5 {
+			gets++
+			if hit {
+				hits++
+			}
+		}
+	}
+	return float64(hits) / float64(gets)
+}
+
+// TestTierSmallHotHitRatio is the policy-quality floor. On this driver
+// the policy that let an overwrite forget a resident key read 0.784–
+// 0.786 (seeds 1–3); keeping the credit reads 0.852–0.853. TinyLFU-style
+// admission (a candidate enters only if it has been accessed more often
+// than the CLOCK victim) reads 0.866–0.867, and the static set of the
+// most popular keys that fits the tier bounds it at 0.883.
+func TestTierSmallHotHitRatio(t *testing.T) {
+	ratio := smallHotHitRatio(1, 400000)
+	t.Logf("small_hot tier hit ratio %.3f", ratio)
+	if ratio < 0.84 {
+		t.Fatalf("small_hot tier hit ratio %.3f, floor 0.84", ratio)
 	}
 }
 

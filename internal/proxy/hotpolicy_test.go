@@ -17,11 +17,13 @@ import (
 // live hotTier with real payloads. Every decision — hit, capture,
 // admit, which keys an insert evicted, resident bytes — and the
 // resident set must agree after every op, and the digest of the live
-// side's decision stream must equal the one the same driver produced
-// against the hotTier of the commit before the policy moved into
-// clockcache (PR 18's internal/proxy/hottier.go, through the get /
-// beginPut / insert / invalidate calls that exist on both sides): the
-// move preserved behaviour, not merely self-consistency.
+// side's decision stream must equal the recorded one, so a change to
+// any decision is deliberate, not merely self-consistent. It was first
+// recorded against the hotTier from before the policy moved into
+// clockcache (the move preserved behaviour), and re-recorded when
+// invalidation began returning a resident key to the ghost filter (the
+// stream changed by design: 1438 → 1730 hits, 3079 → 3101 read
+// captures, 1214 → 1867 write admits, 1389 → 1540 evictions).
 
 const (
 	conformanceSeed   = 19
@@ -32,8 +34,8 @@ const (
 	conformanceD      = 4
 	conformanceTotal  = 6
 
-	// Recorded by running this driver against the parent commit's hotTier.
-	conformanceDigest = "0f23a68b497a381ecfd042bfb0a2615f2a6b792928f89541cdbb89121eeeb404"
+	// Recorded by running this driver; see the comment above.
+	conformanceDigest = "9538334308e16a406fc30687e20578739f0ffef9388f12d4d8f788b32905a72d"
 )
 
 // conformanceSizes straddle the admission threshold.

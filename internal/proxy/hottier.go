@@ -147,12 +147,14 @@ func (h *hotTier) resident(key string) bool {
 // a node: it synchronously invalidates any resident entry for key (a
 // GET must never observe a superseded generation) and asks the policy
 // for write-through admission. BeginObject has already dropped the old
-// mapping entry — which invalidates the tier — by the time it asks, so
-// an overwritten resident key re-registers like a first touch. The
-// returned token validates the eventual insert. In the live proxy this
-// runs inside mappingTable.BeginObject's critical section (lock order
-// table.mu → h.mu), so the tier's invalidation order can never invert
-// the table's epoch order when two sessions race PUTs to one key.
+// mapping entry — which invalidates the tier — by the time it asks; the
+// policy returned a resident key to its ghost filter on that drop, so
+// an overwrite of a resident key is admitted and the new version is
+// written through. The returned token validates the eventual insert.
+// In the live proxy this runs inside mappingTable.BeginObject's
+// critical section (lock order table.mu → h.mu), so the tier's
+// invalidation order can never invert the table's epoch order when two
+// sessions race PUTs to one key.
 func (h *hotTier) beginPut(key string, objSize int64) (admit bool, token uint64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -193,6 +195,7 @@ func (h *hotTier) fenceLocked(key string) {
 // the first d distinct chunk payloads, sparse by chunk index, inserted
 // under the token the capture began with.
 type hotCapture struct {
+	key    string
 	token  uint64 // from get/beginPut; fences the insert against later writes
 	size   int64  // original object size
 	d      int
@@ -200,8 +203,8 @@ type hotCapture struct {
 	chunks [][]byte // len total
 }
 
-func newHotCapture(token uint64, size int64, d, total int) *hotCapture {
-	return &hotCapture{token: token, size: size, d: d, chunks: make([][]byte, total)}
+func newHotCapture(key string, token uint64, size int64, d, total int) *hotCapture {
+	return &hotCapture{key: key, token: token, size: size, d: d, chunks: make([][]byte, total)}
 }
 
 // add captures chunk idx's payload unless d are already in hand. The
@@ -216,9 +219,9 @@ func (c *hotCapture) add(idx int, payload []byte) {
 
 // admit inserts a capture that reached its d chunks; a short one (a
 // frame of the generation never passed the session) is discarded.
-func (h *hotTier) admit(key string, c *hotCapture) {
+func (h *hotTier) admit(c *hotCapture) {
 	if c.have == c.d {
-		h.insert(key, c.size, c.d, len(c.chunks), c.chunks, c.token)
+		h.insert(c.key, c.size, c.d, len(c.chunks), c.chunks, c.token)
 	}
 }
 

@@ -276,6 +276,52 @@ func TestHotTierInvalidationOrdering(t *testing.T) {
 	}
 }
 
+// TestHotTierOverwriteStaysResident: a resident key keeps its residency
+// across its own writes. An overwrite is written through, so the next
+// GET is a tier hit on the new version; a DEL makes the key a miss, and
+// its next write is admitted again.
+func TestHotTierOverwriteStaysResident(t *testing.T) {
+	p, c, pool := hotStack(t, 1<<20, 1<<20)
+	ctx := context.Background()
+	mkval := func(version byte) []byte { return bytes.Repeat([]byte{version}, 1536) }
+
+	// tierHit requires the next GET to return want from the tier alone.
+	tierHit := func(when string, want []byte) {
+		t.Helper()
+		gets, hits := pool.gets.Load(), p.Stats().HotHits.Load()
+		got, err := c.GetCtx(ctx, "ow")
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s: GET = %v (%d bytes), want version %d", when, err, len(got), want[0])
+		}
+		if moved := pool.gets.Load() - gets; moved != 0 {
+			t.Fatalf("%s: GET cost %d node chunk GETs, want 0", when, moved)
+		}
+		if p.Stats().HotHits.Load() != hits+1 {
+			t.Fatalf("%s: GET was not a tier hit", when)
+		}
+	}
+	put := func(v []byte) {
+		t.Helper()
+		if err := c.PutCtx(ctx, "ow", v); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	put(mkval(1))
+	put(mkval(1)) // the second touch admits
+	tierHit("after admission", mkval(1))
+	put(mkval(2))
+	tierHit("after an overwrite", mkval(2))
+	if err := c.DelCtx(ctx, "ow"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.GetCtx(ctx, "ow"); !errors.Is(err, client.ErrMiss) {
+		t.Fatalf("GET after DEL = %v, want ErrMiss", err)
+	}
+	put(mkval(3))
+	tierHit("after a write of the deleted key", mkval(3))
+}
+
 // TestHotTierEvictionPressure pins the memory bound: with a tier far
 // smaller than the working set, HotBytes never exceeds the cap, the
 // CLOCK hand evicts, and every object still reads back correctly

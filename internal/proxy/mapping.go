@@ -2,6 +2,7 @@ package proxy
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 
 	"infinicache/internal/clockcache"
@@ -517,7 +518,9 @@ func (t *mappingTable) MarkChunkLost(key string, idx int, epoch uint64) int {
 }
 
 // ChunkKey derives the unique chunk identifier IDobj_chunk (§3.1):
-// object key concatenated with the chunk sequence number.
+// object key concatenated with the chunk sequence number. Built with one
+// concatenation: it runs for every chunk request of every cold GET and
+// PUT.
 func ChunkKey(objKey string, idx int) string {
-	return fmt.Sprintf("%s#%d", objKey, idx)
+	return objKey + "#" + strconv.Itoa(idx)
 }

@@ -169,8 +169,10 @@ type nodeManager struct {
 	// earliest live deadline is always at the front — expiry checks and
 	// timer arming cost O(1) amortised instead of scanning the window
 	// on every inbound frame. Entries whose request completed (or was
-	// re-driven under a fresh deadline) are skipped lazily.
+	// re-driven under a fresh deadline) are skipped lazily. The front is
+	// sendOrder[sendHead]; popSent advances it.
 	sendOrder []sentMark
+	sendHead  int
 	timerC    <-chan time.Time // armed timer, nil when none
 	timerAt   time.Time        // deadline timerC is armed for
 }
@@ -654,9 +656,10 @@ func (nm *nodeManager) pump() {
 	conn.Pin()
 	nm.flushDels()
 	now := nm.p.cfg.Clock.Now()
-	for len(nm.queue) > 0 && nm.inflightLen() < maxInflight {
-		pr := nm.queue[0]
-		nm.queue = nm.queue[1:]
+	sent := 0
+	for sent < len(nm.queue) && nm.inflightLen() < maxInflight {
+		pr := nm.queue[sent]
+		sent++
 		// Publish the window entry BEFORE the frame can reach the wire:
 		// the reader matches responses by seq, and a node replying to a
 		// frame whose entry is not yet visible would drop the response
@@ -682,6 +685,7 @@ func (nm *nodeManager) pump() {
 			nm.deliver(pr, early)
 		}
 		if err != nil {
+			nm.dequeue(sent)
 			conn.Flush()
 			if _, ok := nm.takeInflight(pr.seq); ok {
 				nm.retryOrFail(pr, true)
@@ -692,6 +696,7 @@ func (nm *nodeManager) pump() {
 		}
 		nm.sendOrder = append(nm.sendOrder, sentMark{seq: pr.seq, deadline: pr.deadline})
 	}
+	nm.dequeue(sent)
 	if err := conn.Flush(); err != nil {
 		// The staged window never reached the wire; re-drive it through
 		// a fresh connection instead of letting every request wait out
@@ -699,6 +704,26 @@ func (nm *nodeManager) pump() {
 		// write failure.
 		nm.dropConn()
 		nm.pump()
+	}
+}
+
+// dequeue drops the first n queued requests, sliding the rest to the
+// front: the backing array is kept, so the next busy period's enqueue
+// does not reallocate it.
+func (nm *nodeManager) dequeue(n int) {
+	rest := copy(nm.queue, nm.queue[n:])
+	clear(nm.queue[rest:])
+	nm.queue = nm.queue[:rest]
+}
+
+// popSent drops sendOrder's front entry. The live tail slides to the
+// front once at least half the array is consumed — amortised O(1), and
+// pump's append keeps reusing the same backing array.
+func (nm *nodeManager) popSent() {
+	nm.sendHead++
+	if nm.sendHead*2 >= len(nm.sendOrder) {
+		nm.sendOrder = nm.sendOrder[:copy(nm.sendOrder, nm.sendOrder[nm.sendHead:])]
+		nm.sendHead = 0
 	}
 }
 
@@ -785,17 +810,17 @@ func (nm *nodeManager) expireAndArm() <-chan time.Time {
 	}
 	var overdue []*pending
 	nm.mu.Lock()
-	for len(nm.sendOrder) > 0 {
-		e := nm.sendOrder[0]
+	for nm.sendHead < len(nm.sendOrder) {
+		e := nm.sendOrder[nm.sendHead]
 		pr, ok := nm.inflight[e.seq]
 		if !ok || !pr.deadline.Equal(e.deadline) {
-			nm.sendOrder = nm.sendOrder[1:] // completed or re-driven; stale
+			nm.popSent() // completed or re-driven; stale
 			continue
 		}
 		if now.Before(pr.deadline) {
 			break // everything behind is later still
 		}
-		nm.sendOrder = nm.sendOrder[1:]
+		nm.popSent()
 		delete(nm.inflight, e.seq)
 		overdue = append(overdue, pr)
 	}
@@ -815,8 +840,8 @@ func (nm *nodeManager) expireAndArm() <-chan time.Time {
 	if nm.validating {
 		earliest = nm.valDeadline
 	}
-	if len(nm.sendOrder) > 0 {
-		if first := nm.sendOrder[0].deadline; earliest.IsZero() || first.Before(earliest) {
+	if nm.sendHead < len(nm.sendOrder) {
+		if first := nm.sendOrder[nm.sendHead].deadline; earliest.IsZero() || first.Before(earliest) {
 			earliest = first
 		}
 	}

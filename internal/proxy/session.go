@@ -97,6 +97,13 @@ type session struct {
 	// such a point occurred this wake.
 	needFlush bool
 
+	// admits queues the hot-tier inserts this wake's settled writes and
+	// completed reads earned. They run after the wake's flush
+	// (settleFlush), so admission — d checksums, frame encoding, the tier
+	// lock and CLOCK eviction — never delays the frame a client waits on;
+	// each capture's token still fences its late insert.
+	admits []*hotCapture
+
 	// writes holds the PUT generation this session has open per
 	// mapping-entry key (an object key or a stripe key): opened by the
 	// generation's first SET frame, removed by settleWrite and by nothing
@@ -183,8 +190,8 @@ type readOp struct {
 
 	// Read-through hot-tier admission: when the tier's ghost filter
 	// marked this key warm, the first d forwarded payloads are captured
-	// here and inserted on the d-th; the capture's token fences the
-	// insert against writes that land during the fan-in.
+	// here and queued for insertion on the d-th; the capture's token
+	// fences the insert against writes that land before it runs.
 	capture *hotCapture
 }
 
@@ -285,6 +292,7 @@ func (s *session) run() {
 	for _, w := range s.writes {
 		s.settleWrite(w)
 	}
+	s.runAdmits()
 }
 
 // armHedge schedules one hedge for op after the proxy's current hedge
@@ -383,7 +391,7 @@ func (s *session) issueFetch(op *readOp, ent, idx int, hedge bool) bool {
 // next unpinned send). Safe to hold because a client blocked on this
 // session is, by construction, waiting for a frame that WILL set
 // needFlush when it completes — intermediate frames alone never
-// unblock it.
+// unblock it. The wake's queued tier admissions run after the flush.
 func (s *session) settleFlush() {
 	if s.needFlush {
 		s.needFlush = false
@@ -391,6 +399,18 @@ func (s *session) settleFlush() {
 	} else {
 		s.conn.Unpin()
 	}
+	s.runAdmits()
+}
+
+// runAdmits inserts the captures queued since the last call. The next
+// frame this session reads is handled after them, so its own client's
+// next GET already finds the entry.
+func (s *session) runAdmits() {
+	for i, c := range s.admits {
+		s.p.hot.admit(c)
+		s.admits[i] = nil
+	}
+	s.admits = s.admits[:0]
 }
 
 // drainReady opportunistically processes every client frame and node
@@ -723,7 +743,7 @@ func (s *session) beginWrite(m *protocol.Message, migration bool) *writeOp {
 		s.p.queueDels(dels)
 		w.epoch = epoch
 		if admit {
-			w.capture = newHotCapture(token, objSize, dShards, total)
+			w.capture = newHotCapture(m.Key, token, objSize, dShards, total)
 		}
 	}
 	s.writes[m.Key] = w
@@ -762,14 +782,14 @@ func (s *session) idleWrite(w *writeOp) {
 // settleWrite is a PUT generation's one end of life, reached when every
 // frame of it has arrived and none is in flight (idleWrite), when a
 // newer generation of the key opens on this session (beginWrite), or at
-// session teardown (run). A clean generation's write-through capture
-// inserts into the hot tier (the epoch token still rejects it if another
-// session's overwrite began during the ack wait). Anything else is
-// failed — a chunk did not commit, one is still in flight, or a dense
-// generation is short of frames — and a failed generation whose mapping
-// entry can never serve a GET — fewer than d chunks committed — is
-// dropped so the key reads as a clean MISS (the §5.2 RESET path) instead
-// of "write in progress" forever.
+// session teardown (run). A clean generation's write-through capture is
+// queued for the hot tier behind the wake's flush (the epoch token
+// still rejects it if an overwrite or a DEL began meanwhile). Anything
+// else is failed — a chunk did not commit, one is still in flight, or a
+// dense generation is short of frames — and a failed generation whose
+// mapping entry can never serve a GET — fewer than d chunks committed —
+// is dropped so the key reads as a clean MISS (the §5.2 RESET path)
+// instead of "write in progress" forever.
 func (s *session) settleWrite(w *writeOp) {
 	delete(s.writes, w.key)
 	if w.failed || w.inflight > 0 || (!w.migration && w.arrived < w.total) {
@@ -777,7 +797,7 @@ func (s *session) settleWrite(w *writeOp) {
 			s.p.queueDels(dels)
 		}
 	} else if w.capture != nil {
-		s.p.hot.admit(w.key, w.capture)
+		s.admits = append(s.admits, w.capture)
 	}
 }
 
@@ -863,7 +883,7 @@ func (s *session) handleGet(m *protocol.Message) {
 		if ok && capture && s.p.hot.policy.Admits(meta.Size) {
 			// Ghost-warm key: read-admit by copying the first-d payloads as
 			// they stream through (whatever d chunks win the fan-in race).
-			op.capture = newHotCapture(token, meta.Size, meta.DataShards, meta.TotalShards)
+			op.capture = newHotCapture(m.Key, token, meta.Size, meta.DataShards, meta.TotalShards)
 		}
 	}
 	if ok {
@@ -1091,7 +1111,7 @@ func (s *session) completeRead(pc pendingChunk, resp *protocol.Message) {
 			s.p.stats.DegradedGets.Add(1)
 		}
 		if op.capture != nil {
-			s.p.hot.admit(op.key, op.capture)
+			s.admits = append(s.admits, op.capture)
 			op.capture = nil
 		}
 		if op.ranged {
