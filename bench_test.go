@@ -1,5 +1,5 @@
 // Request-plane benchmarks and pins: a client, a proxy and an
-// always-warm scripted node pool over loopback TCP, isolating the
+// always-warm lambdanode.WarmPool over loopback TCP, isolating the
 // client→proxy→node path from billing-cycle and reclamation noise.
 // BenchmarkRequestPlane, BenchmarkGetZeroCopy and BenchmarkMGet report
 // latency, allocations, flushes and PINGs per op; the three tests pin
@@ -14,102 +14,13 @@ import (
 	"math"
 	"math/rand"
 	"net"
-	"sync"
 	"sync/atomic"
 	"testing"
 
 	"infinicache/internal/client"
 	"infinicache/internal/lambdanode"
-	"infinicache/internal/protocol"
 	"infinicache/internal/proxy"
 )
-
-// benchNodePool is a minimal always-warm emulated Lambda pool for the
-// request-plane benchmark: every Invoke spawns (once per function) a
-// goroutine that dials the proxy, joins, PONGs, and serves GET/SET/DEL
-// from an in-memory map forever — never a BYE, never a cold start. It
-// isolates the client→proxy→node request plane from billing-cycle and
-// reclamation noise, and counts preflight PINGs so the benchmark can
-// report round-trip overhead per operation.
-type benchNodePool struct {
-	mu      sync.Mutex
-	started map[string]bool
-	pings   atomic.Int64
-}
-
-func (bp *benchNodePool) Invoke(function string, payload []byte) error {
-	pl, err := lambdanode.DecodePayload(payload)
-	if err != nil {
-		return err
-	}
-	bp.mu.Lock()
-	if bp.started == nil {
-		bp.started = make(map[string]bool)
-	}
-	if bp.started[function] {
-		bp.mu.Unlock()
-		return nil
-	}
-	bp.started[function] = true
-	bp.mu.Unlock()
-	go bp.runNode(function, pl.ProxyAddr)
-	return nil
-}
-
-func (bp *benchNodePool) runNode(name, proxyAddr string) {
-	raw, err := net.Dial("tcp", proxyAddr)
-	if err != nil {
-		return
-	}
-	conn := protocol.NewConn(raw)
-	defer conn.Close()
-	if err := conn.Send(&protocol.Message{Type: protocol.TJoinLambda, Key: name}); err != nil {
-		return
-	}
-	if err := conn.Send(&protocol.Message{Type: protocol.TPong, Key: name}); err != nil {
-		return
-	}
-	store := make(map[string][]byte)
-	serve := func(m *protocol.Message) {
-		switch m.Type {
-		case protocol.TPing:
-			bp.pings.Add(1)
-			conn.Forward(protocol.TPong, m.Seq, name, "", nil, nil)
-		case protocol.TGet:
-			if b, ok := store[m.Key]; ok {
-				conn.Forward(protocol.TData, m.Seq, m.Key, "", nil, b)
-			} else {
-				conn.Forward(protocol.TMiss, m.Seq, m.Key, "", nil, nil)
-			}
-		case protocol.TSet:
-			store[m.Key] = m.Payload
-			conn.Forward(protocol.TAck, m.Seq, m.Key, "", nil, nil)
-		case protocol.TDel:
-			delete(store, m.Key)
-			conn.Forward(protocol.TAck, m.Seq, m.Key, "", nil, nil)
-		}
-	}
-	for {
-		m, err := conn.Recv()
-		if err != nil {
-			return
-		}
-		// Like the real Lambda runtime: replies for everything already
-		// buffered coalesce into one flush.
-		conn.Pin()
-		serve(m)
-		for conn.Buffered() > 0 {
-			if m, err = conn.Recv(); err != nil {
-				conn.Flush()
-				return
-			}
-			serve(m)
-		}
-		if conn.Flush() != nil {
-			return
-		}
-	}
-}
 
 // countingConn wraps a net.Conn and counts Write calls — on a TCP conn
 // each is one syscall, so the counter observes the wire plane's flush
@@ -125,12 +36,12 @@ func (c *countingConn) Write(b []byte) (int, error) {
 }
 
 // benchStack wires a live loopback stack: one proxy over a
-// benchNodePool and one client speaking RS(10+2), with an optional
+// WarmPool and one client speaking RS(10+2), with an optional
 // dialer override for the client's proxy connections and an optional
 // proxy-resident hot tier (hotBytes > 0).
-func benchStack(tb testing.TB, dial func(string) (net.Conn, error), hotBytes int64) (*client.Client, *benchNodePool, *proxy.Proxy) {
+func benchStack(tb testing.TB, dial func(string) (net.Conn, error), hotBytes int64) (*client.Client, *lambdanode.WarmPool, *proxy.Proxy) {
 	tb.Helper()
-	pool := &benchNodePool{}
+	pool := &lambdanode.WarmPool{}
 	px, err := proxy.New(proxy.Config{
 		Invoker:      pool,
 		Nodes:        benchNodeNames(12),
@@ -158,7 +69,7 @@ func benchStack(tb testing.TB, dial func(string) (net.Conn, error), hotBytes int
 // benchRequestPlane is benchStack over plain TCP (so the vectored-write
 // path is live) with the hot tier off — the PR 4 cold path; flushes/op
 // comes from the client's own wire counters.
-func benchRequestPlane(tb testing.TB) (*client.Client, *benchNodePool) {
+func benchRequestPlane(tb testing.TB) (*client.Client, *lambdanode.WarmPool) {
 	c, pool, _ := benchStack(tb, nil, 0)
 	return c, pool
 }
@@ -195,7 +106,7 @@ func BenchmarkRequestPlane(b *testing.B) {
 			if err := c.PutCtx(ctx, "bench-obj", obj); err != nil { // warm the pool
 				b.Fatal(err)
 			}
-			start := pool.pings.Load()
+			start := pool.Pings.Load()
 			startW := c.WireStats().Flushes
 			b.SetBytes(int64(sz.n))
 			b.ResetTimer()
@@ -205,7 +116,7 @@ func BenchmarkRequestPlane(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			b.ReportMetric(float64(pool.pings.Load()-start)/float64(b.N), "pings/op")
+			b.ReportMetric(float64(pool.Pings.Load()-start)/float64(b.N), "pings/op")
 			b.ReportMetric(float64(c.WireStats().Flushes-startW)/float64(b.N), "flushes/op")
 		})
 		b.Run("GET/"+sz.name, func(b *testing.B) {
@@ -217,7 +128,7 @@ func BenchmarkRequestPlane(b *testing.B) {
 			if _, err := c.GetCtx(ctx, "bench-obj"); err != nil { // warm the pool
 				b.Fatal(err)
 			}
-			start := pool.pings.Load()
+			start := pool.Pings.Load()
 			startW := c.WireStats().Flushes
 			b.SetBytes(int64(sz.n))
 			b.ResetTimer()
@@ -227,7 +138,7 @@ func BenchmarkRequestPlane(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			b.ReportMetric(float64(pool.pings.Load()-start)/float64(b.N), "pings/op")
+			b.ReportMetric(float64(pool.Pings.Load()-start)/float64(b.N), "pings/op")
 			b.ReportMetric(float64(c.WireStats().Flushes-startW)/float64(b.N), "flushes/op")
 		})
 		if sz.n > 1<<20 {
@@ -249,7 +160,7 @@ func BenchmarkRequestPlane(b *testing.B) {
 			if _, err := c.GetCtx(ctx, "bench-obj"); err != nil {
 				b.Fatal(err)
 			}
-			start := pool.pings.Load()
+			start := pool.Pings.Load()
 			startHits := px.Stats().HotHits.Load()
 			b.SetBytes(int64(sz.n))
 			b.ResetTimer()
@@ -263,7 +174,7 @@ func BenchmarkRequestPlane(b *testing.B) {
 			if hits < int64(b.N) {
 				b.Fatalf("only %d/%d GETs were tier hits", hits, b.N)
 			}
-			b.ReportMetric(float64(pool.pings.Load()-start)/float64(b.N), "pings/op")
+			b.ReportMetric(float64(pool.Pings.Load()-start)/float64(b.N), "pings/op")
 			b.ReportMetric(float64(hits)/float64(b.N), "hothits/op")
 		})
 	}

@@ -489,7 +489,7 @@ func (c *Client) refreshRing(ctx context.Context, hint string, want uint64) {
 		if err != nil {
 			continue
 		}
-		if e != nil && e.Version() > cur.Version() {
+		if e.Version() > cur.Version() {
 			c.epoch.Store(e)
 			c.stats.RingRefreshes.Add(1)
 		}
@@ -497,13 +497,13 @@ func (c *Client) refreshRing(ctx context.Context, hint string, want uint64) {
 	}
 }
 
-// fetchRing asks one proxy for its epoch. A nil epoch with nil error
-// means the proxy runs without membership (legacy static ring).
+// fetchRing asks one proxy for its epoch. Every proxy has one, so a
+// reply that does not decode, an empty one included, is an error.
 func (c *Client) fetchRing(ctx context.Context, addr string) (*cluster.Epoch, error) {
 	var e *cluster.Epoch
 	err := c.ask(ctx, addr, protocol.TRing, "", nil, 2, func(msg *protocol.Message) (bool, error) {
 		ferr := c.classify(msg, "", protocol.TRing)
-		if ferr == nil && len(msg.Payload) > 0 {
+		if ferr == nil {
 			e, ferr = cluster.DecodeEpoch(msg.Payload)
 		}
 		return true, ferr

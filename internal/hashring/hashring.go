@@ -1,8 +1,10 @@
 // Package hashring implements a consistent hashing ring with virtual
-// nodes. The InfiniCache client library uses it to pick the destination
-// proxy for a key ("CH ring" in Figure 3 of the paper), so that a fleet of
-// clients sharing several proxies agree on key placement without
-// coordination.
+// nodes: the "CH ring" of Figure 3 of the paper, which picks the proxy
+// owning a key so that a fleet of clients sharing several proxies agree
+// on key placement without coordination. The client and the proxies do
+// not use it directly; each cluster.Epoch builds one over its member
+// addresses, and both route through the epoch (the Redis baseline in
+// internal/rediscache keeps a ring of its own).
 package hashring
 
 import (

@@ -78,16 +78,10 @@ func runBackupSource(ctx *lambdaemu.Context, cfg Config, st *nodeState, relayAdd
 					Key:     ctx.InstanceID(),
 					Payload: EncodeMeta(st.store.metaMRUFirst()),
 				})
-			case protocol.TGet:
-				if b, ok := st.store.get(msg.Key); ok {
-					relay.Forward(protocol.TData, msg.Seq, msg.Key, "", nil, b)
-				} else {
-					relay.Forward(protocol.TMiss, msg.Seq, msg.Key, "", nil, nil)
-				}
-			case protocol.TSet:
-				// A PUT forwarded by λd during migration: stay in sync.
-				st.store.set(msg.Key, msg.Payload)
-				relay.Forward(protocol.TAck, msg.Seq, msg.Key, "", nil, nil)
+			case protocol.TGet, protocol.TSet:
+				// λd's fetches, and the PUTs it forwards during migration
+				// so both replicas stay in sync.
+				serve(relay, st.store, ctx.FunctionName(), ctx.InstanceID(), msg)
 			case protocol.TBye:
 				// Migration complete.
 				return
@@ -204,7 +198,6 @@ func runBackupDest(ctx *lambdaemu.Context, cfg Config, st *nodeState, pl *Payloa
 			} else {
 				st.conn.Forward(protocol.TMiss, req.Seq, req.Key, "", nil, nil)
 			}
-			st.served++
 		}
 		inFlight, replyTo = "", nil
 	}
@@ -234,32 +227,20 @@ func runBackupDest(ctx *lambdaemu.Context, cfg Config, st *nodeState, pl *Payloa
 				st.inbox = nil
 				continue
 			}
-			switch msg.Type {
-			case protocol.TPing:
-				st.conn.Forward(protocol.TPong, msg.Seq, ctx.FunctionName(), ctx.InstanceID(), nil, nil)
-			case protocol.TGet:
-				if b, ok := st.store.get(msg.Key); ok {
-					st.conn.Forward(protocol.TData, msg.Seq, msg.Key, "", nil, b)
-					st.served++
-				} else if msg.Key == inFlight {
+			if msg.Type == protocol.TGet && !st.store.has(msg.Key) {
+				// Not migrated yet: answered when the relay fetch lands.
+				if msg.Key == inFlight {
 					replyTo = append(replyTo, msg)
 				} else {
 					deferred[msg.Key] = append(deferred[msg.Key], msg)
 					frontQueue = append(frontQueue, msg.Key)
 				}
-			case protocol.TSet:
-				// Insert locally, then forward to λs so both replicas
-				// hold the new data (the ack from λs is skipped below).
-				// The store owns the payload; the relay forward only
-				// borrows it.
-				st.store.set(msg.Key, msg.Payload)
+			} else if serve(st.conn, st.store, ctx.FunctionName(), ctx.InstanceID(), msg) && msg.Type == protocol.TSet {
+				// Stored locally; forward to λs too so both replicas hold
+				// the new data (the ack from λs is skipped below). The
+				// store owns the payload; the relay forward only borrows it.
 				relaySeq++
 				relay.Forward(protocol.TSet, relaySeq, msg.Key, "", nil, msg.Payload)
-				st.conn.Forward(protocol.TAck, msg.Seq, msg.Key, "", nil, nil)
-				st.served++
-			case protocol.TDel:
-				st.store.del(msg.Key)
-				st.conn.Forward(protocol.TAck, msg.Seq, msg.Key, "", nil, nil)
 			}
 			nextFetch()
 		case msg, ok := <-relayInbox:

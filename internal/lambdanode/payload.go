@@ -1,10 +1,12 @@
 // Package lambdanode implements the InfiniCache Lambda function runtime
 // (§3.3 of the paper): the code that executes inside every cache-node
 // function instance. It manages cached object chunks in function memory,
-// keeps a persistent outbound TCP connection to its proxy, aligns its
+// keeps a persistent outbound connection to its proxy, aligns its
 // lifetime to 100 ms billing cycles (anticipatory billed duration
 // control), answers preflight PINGs, and runs both sides of the
-// delta-sync backup protocol of §4.2.
+// delta-sync backup protocol of §4.2. WarmPool runs the same chunk
+// serving without the platform: always-warm nodes for stacks that
+// exercise the request plane alone.
 package lambdanode
 
 import (

@@ -36,7 +36,6 @@ type nodeState struct {
 	inbox      <-chan *protocol.Message
 	proxyAddr  string
 	lastBackup time.Time
-	served     int64 // lifetime chunk requests, for tests
 }
 
 const localsKey = "infinicache.nodeState"
@@ -198,7 +197,6 @@ func runServe(ctx *lambdaemu.Context, cfg Config, st *nodeState, pl *Payload) {
 			conn.Flush()
 			if served > 0 {
 				reqsThisCycle += served
-				st.served += int64(served)
 				realign()
 			}
 			if !ok {
@@ -233,38 +231,44 @@ func runServe(ctx *lambdaemu.Context, cfg Config, st *nodeState, pl *Payload) {
 }
 
 // handleMessage processes one proxy message; it reports whether the
-// message was a billable chunk request (GET/SET). Replies go out via
+// message was a billable chunk request (GET/SET).
+func handleMessage(ctx *lambdaemu.Context, cfg Config, st *nodeState, msg *protocol.Message) bool {
+	if msg.Type == protocol.TBackupCmd {
+		// Step 4: the proxy set up a relay; run the source side inline.
+		runBackupSource(ctx, cfg, st, msg.Addr)
+		return false
+	}
+	return serve(st.conn, st.store, ctx.FunctionName(), ctx.InstanceID(), msg)
+}
+
+// serve is the one code path that answers a PING, GET, SET or DEL from a
+// chunk store — the runtime's, on its proxy and relay connections, and
+// WarmPool's. It reports whether msg was a billable chunk request
+// (GET/SET) and ignores every other type. Replies go out via
 // Conn.Forward — a rewritten header around a borrowed payload — so the
 // per-chunk reply path allocates no Message: a GET's DATA frame wraps
 // the store's own buffer, and a SET's payload moves from the wire into
 // the store without a copy (the store owns it from then on).
-func handleMessage(ctx *lambdaemu.Context, cfg Config, st *nodeState, msg *protocol.Message) bool {
+func serve(conn *protocol.Conn, s *store, name, instance string, msg *protocol.Message) bool {
 	switch msg.Type {
 	case protocol.TPing:
 		// Preflight (§3.3): reply immediately; the caller realigns the
 		// timer when the subsequent request is served.
-		st.conn.Forward(protocol.TPong, msg.Seq, ctx.FunctionName(), ctx.InstanceID(), nil, nil)
-		return false
+		conn.Forward(protocol.TPong, msg.Seq, name, instance, nil, nil)
 	case protocol.TGet:
-		if b, ok := st.store.get(msg.Key); ok {
-			st.conn.Forward(protocol.TData, msg.Seq, msg.Key, "", nil, b)
+		if b, ok := s.get(msg.Key); ok {
+			conn.Forward(protocol.TData, msg.Seq, msg.Key, "", nil, b)
 		} else {
-			st.conn.Forward(protocol.TMiss, msg.Seq, msg.Key, "", nil, nil)
+			conn.Forward(protocol.TMiss, msg.Seq, msg.Key, "", nil, nil)
 		}
 		return true
 	case protocol.TSet:
-		st.store.set(msg.Key, msg.Payload)
-		st.conn.Forward(protocol.TAck, msg.Seq, msg.Key, "", nil, nil)
+		s.set(msg.Key, msg.Payload)
+		conn.Forward(protocol.TAck, msg.Seq, msg.Key, "", nil, nil)
 		return true
 	case protocol.TDel:
-		st.store.del(msg.Key)
-		st.conn.Forward(protocol.TAck, msg.Seq, msg.Key, "", nil, nil)
-		return false
-	case protocol.TBackupCmd:
-		// Step 4: the proxy set up a relay; run the source side inline.
-		runBackupSource(ctx, cfg, st, msg.Addr)
-		return false
-	default:
-		return false
+		s.del(msg.Key)
+		conn.Forward(protocol.TAck, msg.Seq, msg.Key, "", nil, nil)
 	}
+	return false
 }

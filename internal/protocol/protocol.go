@@ -113,8 +113,7 @@ const (
 
 	// TRing fetches the cluster ring: client -> proxy requests it, the
 	// proxy replies with another TRing whose Args[0] is the epoch
-	// version and whose payload is the encoded member list (empty when
-	// the proxy runs without membership).
+	// version and whose payload is the encoded member list.
 	TRing
 	// TJoin opens and closes a proxy -> proxy migration stream. As the
 	// first frame on a connection it is a hello (Addr = source proxy,

@@ -114,39 +114,15 @@ func (bn *burstNode) run(name, proxyAddr string) {
 	}
 }
 
-// burstStack wires one proxy over a single burstNode and a RS(1+0)
-// client, so every object is exactly one chunk on that node and chunk
-// traffic counts are deterministic.
-func burstStack(t *testing.T, bn *burstNode) (*Proxy, *client.Client) {
-	t.Helper()
-	bn.store = make(map[string][]byte)
-	bn.heldCh = make(chan uint64, 64)
-	p, err := New(Config{
-		Invoker:        bn,
-		Nodes:          []string{"burst-node"},
-		NodeMemoryMB:   256,
-		PingTimeout:    time.Second,
-		InvokeTimeout:  5 * time.Second,
-		RequestTimeout: 3 * time.Second,
-		Retries:        2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { p.Close() })
-	c, err := client.New(client.Config{
-		Proxies:        []client.ProxyInfo{{Addr: p.Addr(), PoolSize: 1}},
-		DataShards:     1,
-		ParityShards:   0,
-		RequestTimeout: 5 * time.Second,
-		Seed:           9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	return p, c
+// newBurstNode returns a burstNode answering GETs in bursts of holdGets.
+func newBurstNode(holdGets int) *burstNode {
+	return &burstNode{holdGets: holdGets, store: make(map[string][]byte), heldCh: make(chan uint64, 64)}
 }
+
+// burstClient is the batch tests' client: RS(1+0), so every object is
+// exactly one chunk on the one node and chunk traffic counts are
+// deterministic.
+var burstClient = client.Config{DataShards: 1, ParityShards: 0, Seed: 9}
 
 // TestMGetSingleWindowedBurst is the batch-API acceptance property: an
 // MGet of 16 keys reaches the owning proxy's node pool as ONE windowed
@@ -156,8 +132,8 @@ func burstStack(t *testing.T, bn *burstNode) (*Proxy, *client.Client) {
 // PING.
 func TestMGetSingleWindowedBurst(t *testing.T) {
 	const n = 16
-	bn := &burstNode{holdGets: n}
-	_, c := burstStack(t, bn)
+	bn := newBurstNode(n)
+	_, c := warmStack(t, bn, 1, Config{}, burstClient)
 	ctx := context.Background()
 
 	keys := make([]string, n)
@@ -214,8 +190,8 @@ func TestClientCancelReachesDispatcher(t *testing.T) {
 	}
 	for name, read := range reads {
 		t.Run(name, func(t *testing.T) {
-			bn := &burstNode{holdGets: 1}
-			p, c := burstStack(t, bn)
+			bn := newBurstNode(1)
+			p, c := warmStack(t, bn, 1, Config{}, burstClient)
 			ctx := context.Background()
 
 			if err := c.PutCtx(ctx, "precious", []byte("cancel-me")); err != nil {

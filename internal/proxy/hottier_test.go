@@ -5,142 +5,81 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"infinicache/internal/client"
+	"infinicache/internal/lambdaemu"
 	"infinicache/internal/lambdanode"
-	"infinicache/internal/protocol"
 )
 
 // The tests in this file drive the proxy-resident hot-object tier
-// through a real proxy against scripted always-warm Lambda nodes: a
+// through a real proxy against an always-warm lambdanode.WarmPool: a
 // tier hit must produce zero node chunk traffic, a superseding PUT must
 // never let a concurrent GET observe the stale payload (run under
 // -race), and eviction pressure must pin HotBytes at or under the cap.
 
-// hotPool is a minimal always-warm node pool (one goroutine per
-// function, each with its own chunk store — like real Lambda instances)
-// that counts chunk GETs and SETs so the tests can assert the tier
-// short-circuited the node path.
-type hotPool struct {
-	mu      sync.Mutex
-	started map[string]bool
-	gets    atomic.Int64
-	sets    atomic.Int64
-	// withholdSets parks chunk SETs unacknowledged (counted but never
-	// answered), so a test can cancel a PUT while every chunk is still
-	// in flight.
-	withholdSets atomic.Bool
-}
-
-func (hp *hotPool) Invoke(function string, payload []byte) error {
-	pl, err := lambdanode.DecodePayload(payload)
-	if err != nil {
-		return err
-	}
-	hp.mu.Lock()
-	if hp.started == nil {
-		hp.started = make(map[string]bool)
-	}
-	if hp.started[function] {
-		hp.mu.Unlock()
-		return nil
-	}
-	hp.started[function] = true
-	hp.mu.Unlock()
-	go hp.run(function, pl.ProxyAddr)
-	return nil
-}
-
-func (hp *hotPool) run(name, proxyAddr string) {
-	raw, err := net.Dial("tcp", proxyAddr)
-	if err != nil {
-		return
-	}
-	c := protocol.NewConn(raw)
-	defer c.Close()
-	c.Send(&protocol.Message{Type: protocol.TJoinLambda, Key: name})
-	c.Send(&protocol.Message{Type: protocol.TPong, Key: name})
-	store := make(map[string][]byte)
-	for {
-		m, err := c.Recv()
-		if err != nil {
-			return
-		}
-		switch m.Type {
-		case protocol.TPing:
-			c.Send(&protocol.Message{Type: protocol.TPong, Seq: m.Seq})
-		case protocol.TGet:
-			hp.gets.Add(1)
-			if b, ok := store[m.Key]; ok {
-				c.Forward(protocol.TData, m.Seq, m.Key, "", nil, b)
-			} else {
-				c.Forward(protocol.TMiss, m.Seq, m.Key, "", nil, nil)
-			}
-		case protocol.TSet:
-			hp.sets.Add(1)
-			if hp.withholdSets.Load() {
-				m.Recycle() // swallow: the chunk is never acknowledged
-				continue
-			}
-			store[m.Key] = append([]byte(nil), m.Payload...)
-			m.Recycle()
-			c.Send(&protocol.Message{Type: protocol.TAck, Seq: m.Seq})
-		case protocol.TDel:
-			delete(store, m.Key)
-			c.Send(&protocol.Message{Type: protocol.TAck, Seq: m.Seq})
-		}
-	}
-}
-
-// hotStack wires a hot-tier-enabled proxy over a hotPool and an
-// RS(2+1) client (multi-chunk objects, so sparse capture and the
-// first-d fan-in are exercised).
-func hotStack(t *testing.T, tierBytes, maxObj int64) (*Proxy, *client.Client, *hotPool) {
+// warmStack wires a proxy over inv with nodes Lambda functions and one
+// client of it. cfg and ccfg carry what a test varies; warmStack fills
+// in the invoker, the node names, the pool memory, the short timeouts
+// and retry budget every stack here runs with, and the client's view of
+// the proxy. The shapes in use: the hot-tier and write-op tests run 4
+// nodes and RS(2+1) (multi-chunk objects, so sparse capture and the
+// first-d fan-in are exercised), the streaming tests 12 nodes and
+// RS(10+2), the batch tests 1 node and RS(1+0).
+func warmStack(t testing.TB, inv lambdaemu.Invoker, nodes int, cfg Config, ccfg client.Config) (*Proxy, *client.Client) {
 	t.Helper()
-	pool := &hotPool{}
-	names := make([]string, 4)
-	for i := range names {
-		names[i] = fmt.Sprintf("hot-node%d", i)
+	cfg.Invoker, cfg.NodeMemoryMB, cfg.Retries = inv, 256, 2
+	cfg.PingTimeout, cfg.InvokeTimeout, cfg.RequestTimeout = time.Second, 5*time.Second, 3*time.Second
+	for i := 0; i < nodes; i++ {
+		cfg.Nodes = append(cfg.Nodes, fmt.Sprintf("node%d", i))
 	}
-	p, err := New(Config{
-		Invoker:           pool,
-		Nodes:             names,
-		NodeMemoryMB:      256,
-		PingTimeout:       time.Second,
-		InvokeTimeout:     5 * time.Second,
-		RequestTimeout:    3 * time.Second,
-		Retries:           2,
-		HotTierBytes:      tierBytes,
-		HotMaxObjectBytes: maxObj,
-	})
+	p, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { p.Close() })
-	c, err := client.New(client.Config{
-		Proxies:        []client.ProxyInfo{{Addr: p.Addr(), PoolSize: len(names)}},
-		DataShards:     2,
-		ParityShards:   1,
-		RequestTimeout: 5 * time.Second,
-		Seed:           11,
-	})
+	ccfg.Proxies = []client.ProxyInfo{{Addr: p.Addr(), PoolSize: nodes}}
+	ccfg.RequestTimeout = 20 * time.Second
+	c, err := client.New(ccfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	return p, c, pool
+	return p, c
+}
+
+// hotClient is the hot-tier and write-op tests' client: RS(2+1).
+var hotClient = client.Config{DataShards: 2, ParityShards: 1, Seed: 11}
+
+// TestWarmPoolExitsWithProxy: closing the proxy ends every node the
+// pool started, so Wait returns.
+func TestWarmPoolExitsWithProxy(t *testing.T) {
+	pool := &lambdanode.WarmPool{}
+	p, c := warmStack(t, pool, 4, Config{}, hotClient)
+	if err := c.PutCtx(context.Background(), "k", []byte("started")); err != nil {
+		t.Fatal(err)
+	}
+	p.Close()
+	done := make(chan struct{})
+	go func() {
+		pool.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("WarmPool.Wait did not return after the proxy closed")
+	}
 }
 
 // TestHotTierServesWithoutNodeTraffic is the tentpole property: once an
 // object is tier-resident, a GET produces ZERO chunk traffic to the
 // node pool and is answered from proxy memory.
 func TestHotTierServesWithoutNodeTraffic(t *testing.T) {
-	p, c, pool := hotStack(t, 1<<20, 1<<20)
+	pool := &lambdanode.WarmPool{}
+	p, c := warmStack(t, pool, 4, Config{HotTierBytes: 1 << 20, HotMaxObjectBytes: 1 << 20}, hotClient)
 	ctx := context.Background()
 	val := bytes.Repeat([]byte("hot-object-payload/"), 40)
 
@@ -152,12 +91,12 @@ func TestHotTierServesWithoutNodeTraffic(t *testing.T) {
 	if err := c.PutCtx(ctx, "wt", val); err != nil {
 		t.Fatal(err)
 	}
-	nodeGets := pool.gets.Load()
+	nodeGets := pool.Gets.Load()
 	got, err := c.GetCtx(ctx, "wt")
 	if err != nil || !bytes.Equal(got, val) {
 		t.Fatalf("hot GET: %v (len %d, want %d)", err, len(got), len(val))
 	}
-	if moved := pool.gets.Load() - nodeGets; moved != 0 {
+	if moved := pool.Gets.Load() - nodeGets; moved != 0 {
 		t.Fatalf("tier-resident GET cost %d node chunk GETs, want 0", moved)
 	}
 	if hits := p.Stats().HotHits.Load(); hits != 1 {
@@ -172,12 +111,12 @@ func TestHotTierServesWithoutNodeTraffic(t *testing.T) {
 	if _, err := c.GetCtx(ctx, "rt"); err != nil {
 		t.Fatal(err)
 	}
-	nodeGets = pool.gets.Load()
+	nodeGets = pool.Gets.Load()
 	got, err = c.GetCtx(ctx, "rt")
 	if err != nil || !bytes.Equal(got, val) {
 		t.Fatalf("read-admitted GET: %v", err)
 	}
-	if moved := pool.gets.Load() - nodeGets; moved != 0 {
+	if moved := pool.Gets.Load() - nodeGets; moved != 0 {
 		t.Fatalf("read-admitted GET cost %d node chunk GETs, want 0", moved)
 	}
 	if p.Stats().HotBytes.Load() <= 0 {
@@ -192,7 +131,7 @@ func TestHotTierServesWithoutNodeTraffic(t *testing.T) {
 // overwrite-vs-read interleavings: any GET that starts after PutCtx(vN)
 // returned must observe version >= N.
 func TestHotTierInvalidationOrdering(t *testing.T) {
-	p, c, _ := hotStack(t, 1<<20, 1<<20)
+	p, c := warmStack(t, &lambdanode.WarmPool{}, 4, Config{HotTierBytes: 1 << 20, HotMaxObjectBytes: 1 << 20}, hotClient)
 	ctx := context.Background()
 
 	mkval := func(version byte) []byte {
@@ -281,19 +220,20 @@ func TestHotTierInvalidationOrdering(t *testing.T) {
 // GET is a tier hit on the new version; a DEL makes the key a miss, and
 // its next write is admitted again.
 func TestHotTierOverwriteStaysResident(t *testing.T) {
-	p, c, pool := hotStack(t, 1<<20, 1<<20)
+	pool := &lambdanode.WarmPool{}
+	p, c := warmStack(t, pool, 4, Config{HotTierBytes: 1 << 20, HotMaxObjectBytes: 1 << 20}, hotClient)
 	ctx := context.Background()
 	mkval := func(version byte) []byte { return bytes.Repeat([]byte{version}, 1536) }
 
 	// tierHit requires the next GET to return want from the tier alone.
 	tierHit := func(when string, want []byte) {
 		t.Helper()
-		gets, hits := pool.gets.Load(), p.Stats().HotHits.Load()
+		gets, hits := pool.Gets.Load(), p.Stats().HotHits.Load()
 		got, err := c.GetCtx(ctx, "ow")
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("%s: GET = %v (%d bytes), want version %d", when, err, len(got), want[0])
 		}
-		if moved := pool.gets.Load() - gets; moved != 0 {
+		if moved := pool.Gets.Load() - gets; moved != 0 {
 			t.Fatalf("%s: GET cost %d node chunk GETs, want 0", when, moved)
 		}
 		if p.Stats().HotHits.Load() != hits+1 {
@@ -328,7 +268,7 @@ func TestHotTierOverwriteStaysResident(t *testing.T) {
 // (evicted entries just fall through to the node path).
 func TestHotTierEvictionPressure(t *testing.T) {
 	const tierCap = 32 << 10
-	p, c, _ := hotStack(t, tierCap, 1<<20)
+	p, c := warmStack(t, &lambdanode.WarmPool{}, 4, Config{HotTierBytes: tierCap, HotMaxObjectBytes: 1 << 20}, hotClient)
 	ctx := context.Background()
 
 	const objs = 24
@@ -366,7 +306,7 @@ func TestHotTierEvictionPressure(t *testing.T) {
 // tier-resident copy — the next GET reports a miss instead of serving
 // the deleted object from proxy memory.
 func TestHotTierDelInvalidates(t *testing.T) {
-	_, c, _ := hotStack(t, 1<<20, 1<<20)
+	_, c := warmStack(t, &lambdanode.WarmPool{}, 4, Config{HotTierBytes: 1 << 20, HotMaxObjectBytes: 1 << 20}, hotClient)
 	ctx := context.Background()
 	val := bytes.Repeat([]byte("z"), 2048)
 	if err := c.PutCtx(ctx, "gone", val); err != nil {
@@ -389,7 +329,8 @@ func TestHotTierDelInvalidates(t *testing.T) {
 // TestHotTierSizeThreshold: objects above HotMaxObjectBytes are never
 // admitted — repeated PUTs and GETs keep paying node traffic.
 func TestHotTierSizeThreshold(t *testing.T) {
-	p, c, pool := hotStack(t, 1<<20, 1024)
+	pool := &lambdanode.WarmPool{}
+	p, c := warmStack(t, pool, 4, Config{HotTierBytes: 1 << 20, HotMaxObjectBytes: 1024}, hotClient)
 	ctx := context.Background()
 	big := bytes.Repeat([]byte("B"), 8192)
 	for i := 0; i < 3; i++ {
@@ -397,11 +338,11 @@ func TestHotTierSizeThreshold(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before := pool.gets.Load()
+	before := pool.Gets.Load()
 	if _, err := c.GetCtx(ctx, "big"); err != nil {
 		t.Fatal(err)
 	}
-	if moved := pool.gets.Load() - before; moved == 0 {
+	if moved := pool.Gets.Load() - before; moved == 0 {
 		t.Fatal("over-threshold object was served from the tier")
 	}
 	if hits := p.Stats().HotHits.Load(); hits != 0 {
@@ -414,25 +355,26 @@ func TestHotTierSizeThreshold(t *testing.T) {
 // as a clean MISS (the §5.2 RESET path) — not as an eternal
 // "write in progress" transient wedging every future GET.
 func TestCancelledPutLeavesCleanMiss(t *testing.T) {
-	_, c, pool := hotStack(t, 1<<20, 1<<20)
+	pool := &lambdanode.WarmPool{}
+	_, c := warmStack(t, pool, 4, Config{HotTierBytes: 1 << 20, HotMaxObjectBytes: 1 << 20}, hotClient)
 	ctx := context.Background()
 
-	pool.withholdSets.Store(true)
-	before := pool.sets.Load()
+	pool.HoldSets.Store(true)
+	before := pool.Sets.Load()
 	cctx, cancel := context.WithCancel(ctx)
 	errCh := make(chan error, 1)
 	go func() { errCh <- c.PutCtx(cctx, "doomed", bytes.Repeat([]byte("x"), 4096)) }()
 	// Wait until all 3 chunk SETs are in flight at the nodes, then
 	// abandon the PUT.
 	deadline := time.Now().Add(10 * time.Second)
-	for pool.sets.Load()-before < 3 && time.Now().Before(deadline) {
+	for pool.Sets.Load()-before < 3 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	cancel()
 	if err := <-errCh; !errors.Is(err, context.Canceled) {
 		t.Fatalf("PutCtx = %v, want context.Canceled", err)
 	}
-	pool.withholdSets.Store(false)
+	pool.HoldSets.Store(false)
 
 	// Cancellation processing is asynchronous; once it settles the key
 	// must be a clean miss, never a permanent transient.

@@ -46,10 +46,7 @@ const migSupersededErr = "proxy: migration superseded"
 // before sources: a redirect target has to be enforcing the new epoch
 // before anyone is redirected to it.
 func (p *Proxy) SetEpoch(prev, next *cluster.Epoch) {
-	if next == nil {
-		return
-	}
-	if cur := p.epoch.Load(); cur != nil && cur.Version() >= next.Version() {
+	if p.epoch.Load().Version() >= next.Version() {
 		return
 	}
 	if prev != nil && next.Contains(p.addr) {
@@ -85,9 +82,6 @@ func (p *Proxy) SetEpoch(prev, next *cluster.Epoch) {
 		p.mu.Unlock()
 	}
 }
-
-// Epoch returns the installed membership epoch (nil in legacy mode).
-func (p *Proxy) Epoch() *cluster.Epoch { return p.epoch.Load() }
 
 // MigrationsPending counts this proxy's unfinished migration work:
 // outbound workers still streaming plus inbound streams not yet done.
@@ -178,9 +172,8 @@ func (p *Proxy) fallbackOwner(key string) (string, uint64, bool) {
 	if prev == nil {
 		return "", 0, false
 	}
-	e := p.epoch.Load()
 	src := prev.Owner(routeKey(key))
-	if src == "" || src == p.addr || e == nil {
+	if src == "" || src == p.addr {
 		return "", 0, false
 	}
 	p.migMu.Lock()
@@ -191,7 +184,7 @@ func (p *Proxy) fallbackOwner(key string) (string, uint64, bool) {
 	if _, dead := p.tombs[key]; dead {
 		return "", 0, false
 	}
-	return src, e.Version(), true
+	return src, p.epoch.Load().Version(), true
 }
 
 // queueDels distributes chunk deletions (an overwrite's, an eviction's,

@@ -1,11 +1,62 @@
 package proxy
 
 import (
+	"context"
+	"fmt"
+	"net"
 	"testing"
 
 	"infinicache/internal/cluster"
+	"infinicache/internal/lambdanode"
 	"infinicache/internal/netsim"
+	"infinicache/internal/protocol"
 )
+
+// TestEpochWithoutSetEpoch: a proxy nobody installs an epoch on still
+// has one — version 0, itself alone — which it answers RING with, and
+// since it owns every key under it, it serves every key and redirects
+// none.
+func TestEpochWithoutSetEpoch(t *testing.T) {
+	p, c := warmStack(t, &lambdanode.WarmPool{}, 4, Config{}, hotClient)
+	raw, err := net.Dial("tcp", p.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := protocol.NewConn(raw)
+	defer conn.Close()
+	if err := conn.Send(&protocol.Message{Type: protocol.TJoinClient}); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.Send(&protocol.Message{Type: protocol.TRing, Seq: 1}); err != nil {
+		t.Fatal(err)
+	}
+	m, err := conn.Recv()
+	if err != nil || m.Type != protocol.TRing || m.Seq != 1 {
+		t.Fatalf("RING answered %v, %v", m, err)
+	}
+	e, err := cluster.DecodeEpoch(m.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []cluster.Member{{Addr: p.Addr(), PoolSize: 4}}
+	if m.Arg(0) != 0 || e.Version() != 0 || fmt.Sprint(e.Members()) != fmt.Sprint(want) {
+		t.Fatalf("RING = v%d (args %v) %v, want v0 %v", e.Version(), m.Args, e.Members(), want)
+	}
+
+	ctx := context.Background()
+	for i := 0; i < 64; i++ {
+		key := fmt.Sprintf("own/%d", i)
+		if err := c.PutCtx(ctx, key, []byte(key)); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := c.GetCtx(ctx, key); err != nil || string(got) != key {
+			t.Fatalf("GET %s = %q, %v", key, got, err)
+		}
+	}
+	if n := p.Stats().Redirects.Load(); n != 0 {
+		t.Fatalf("%d redirects from a proxy that owns every key", n)
+	}
+}
 
 // TestDoneMarkerBeforeEpochInstall: the deployment installs an epoch on
 // its proxies one after another, so a peer that got it first and has

@@ -31,13 +31,16 @@
 //
 // # Consistency rules
 //
-// The consistent-hash ring gives every key exactly one owning proxy, so
-// ordering decisions are local: a PUT generation invalidates the hot
-// tier before its first chunk reaches a node (beginPut), commits are
-// epoch-guarded against superseded incarnations (mapping.go), and loss
-// verdicts earned against a replaced entry neither drop nor taint the
-// new one — see the "Hot tier" section of ARCHITECTURE.md for the full
-// coherence argument.
+// Every proxy always has a membership epoch (migrate.go): New installs
+// a version-0 ring of the proxy alone, which owns every key, and
+// SetEpoch installs each published one. Its consistent-hash ring gives
+// every key exactly one owning proxy, so a request for a key owned
+// elsewhere is redirected, and ordering decisions are local: a PUT
+// generation invalidates the hot tier before its first chunk reaches a
+// node (beginPut), commits are epoch-guarded against superseded
+// incarnations (mapping.go), and loss verdicts earned against a
+// replaced entry neither drop nor taint the new one — see the "Hot
+// tier" section of ARCHITECTURE.md for the full coherence argument.
 package proxy
 
 import (
@@ -175,8 +178,8 @@ type Stats struct {
 	HotBytes     atomic.Int64 // resident payload bytes (gauge)
 	HotEvictions atomic.Int64 // objects evicted by the tier's CLOCK hand
 
-	// Membership / migration counters (all zero while the proxy runs
-	// without an epoch — the legacy fixed-ring mode).
+	// Membership / migration counters (all zero on a one-member ring,
+	// where the proxy owns every key).
 	Redirects         atomic.Int64 // WRONG_OWNER frames sent (stale client rings)
 	FallbackServes    atomic.Int64 // fallback redirects issued for not-yet-migrated keys
 	MigratedKeys      atomic.Int64 // keys streamed out and acked by their new owner
@@ -215,13 +218,14 @@ type Proxy struct {
 
 	stats Stats
 
-	// Membership state (nil epoch = legacy fixed-ring mode: no ownership
-	// checks, no redirects, no migration). epoch is the installed ring;
-	// prevEpoch is non-nil only while inbound migration for the current
-	// epoch is still pending from at least one previous-epoch member —
-	// the window during which a local table miss may instead be a
-	// not-yet-migrated key (fallback redirect) and DELs must leave
-	// tombstones so a late migration SET cannot resurrect them.
+	// Membership state. epoch is the installed ring and never nil: New
+	// installs a version-0 ring of this proxy alone, which owns every
+	// key, until SetEpoch replaces it. prevEpoch is non-nil only while
+	// inbound migration for the current epoch is still pending from at
+	// least one previous-epoch member — the window during which a local
+	// table miss may instead be a not-yet-migrated key (fallback
+	// redirect) and DELs must leave tombstones so a late migration SET
+	// cannot resurrect them.
 	epoch     atomic.Pointer[cluster.Epoch]
 	prevEpoch atomic.Pointer[cluster.Epoch]
 	migMu     sync.Mutex
@@ -362,6 +366,7 @@ func New(cfg Config) (*Proxy, error) {
 		done:     make(chan struct{}),
 		sessions: make(map[*session]struct{}),
 	}
+	p.epoch.Store(cluster.NewEpoch(0, []cluster.Member{{Addr: p.addr, PoolSize: len(cfg.Nodes)}}))
 	p.table = newMappingTable(len(cfg.Nodes), int64(cfg.NodeMemoryMB)<<20)
 	if cfg.HotTierBytes > 0 {
 		p.hot = newHotTier(cfg.HotTierBytes, cfg.HotMaxObjectBytes, &p.stats)

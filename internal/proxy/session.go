@@ -57,6 +57,13 @@ const (
 	setArgStripeData // = protocol.StreamArgStripeData
 )
 
+// maxChunks bounds a SET's total chunks, which sizes the mapping entry
+// and the hot-tier capture its generation allocates: a malformed frame
+// must not make the proxy allocate by an arbitrary number. Any real
+// generation is far below it — Reed-Solomon over GF(256) codes at most
+// 256 shards (ec.New).
+const maxChunks = 1 << 16
+
 // routeKey maps a mapping key to the key it routes by: every stripe of
 // a streamed object lives on (and migrates with) its parent key's
 // proxy, so ring ownership, fallback redirects and tombstones are all
@@ -454,17 +461,12 @@ func (s *session) handle(m *protocol.Message) {
 }
 
 // handleRing answers a client's ring fetch with the current epoch
-// (version in Args[0], encoded member list as payload). Without an
-// epoch the reply is empty — the client keeps its static ring.
+// (version in Args[0], encoded member list as payload).
 func (s *session) handleRing(m *protocol.Message) {
 	seq := m.Seq
 	m.Free()
 	s.needFlush = true
 	e := s.p.epoch.Load()
-	if e == nil {
-		s.conn.Send(&protocol.Message{Type: protocol.TRing, Seq: seq})
-		return
-	}
 	s.conn.Send(&protocol.Message{
 		Type: protocol.TRing, Seq: seq,
 		Args: []int64{int64(e.Version())}, Payload: e.Encode(),
@@ -486,12 +488,8 @@ func (s *session) handleJoinDone(m *protocol.Message) {
 // checkOwner enforces epoch ownership for key: when another proxy owns
 // it under the installed ring, the client is redirected (WRONG_OWNER
 // with the owner's address and the epoch version) and false returns.
-// Legacy mode (no epoch) always passes.
 func (s *session) checkOwner(seq uint64, key string) bool {
 	e := s.p.epoch.Load()
-	if e == nil {
-		return true
-	}
 	owner := e.Owner(routeKey(key))
 	if owner == "" || owner == s.p.addr {
 		return true
@@ -592,7 +590,8 @@ func (s *session) handleSet(m *protocol.Message) {
 	recovery := m.Arg(setArgRecovery) == 1
 	migration := m.Arg(setArgMigration) == 1
 
-	if lambdaIdx < 0 || lambdaIdx >= len(s.p.nodes) || idx < 0 || idx >= total || total <= 0 || m.Arg(setArgDataShards) <= 0 {
+	d := m.Arg(setArgDataShards)
+	if lambdaIdx < 0 || lambdaIdx >= len(s.p.nodes) || idx < 0 || idx >= total || total > maxChunks || d <= 0 || d > int64(total) {
 		s.sendErr(m.Seq, m.Key, "proxy: bad SET arguments")
 		m.Free()
 		return

@@ -4,11 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"net"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"infinicache/internal/client"
 	"infinicache/internal/lambdanode"
@@ -16,135 +12,11 @@ import (
 )
 
 // The tests in this file pin the streaming object plane's proxy-side
-// contract against scripted always-warm nodes: a sub-stripe ranged GET
-// must cost exactly the intersecting data chunks (no parity, no full-d
-// fan-out), and a corrupt intersecting chunk must escalate through the
-// checksum strike ladder into a degraded fan-out the client can
-// reconstruct byte-exactly.
-
-// rangePool is an always-warm fake node pool whose chunk store is
-// SHARED across nodes and keyed by chunk key, so a test can corrupt a
-// specific stored chunk computed from the range plan.
-type rangePool struct {
-	mu      sync.Mutex
-	started map[string]bool
-	store   map[string][]byte
-	gets    atomic.Int64
-}
-
-func newRangePool() *rangePool {
-	return &rangePool{started: make(map[string]bool), store: make(map[string][]byte)}
-}
-
-func (rp *rangePool) Invoke(function string, payload []byte) error {
-	pl, err := lambdanode.DecodePayload(payload)
-	if err != nil {
-		return err
-	}
-	rp.mu.Lock()
-	if rp.started[function] {
-		rp.mu.Unlock()
-		return nil
-	}
-	rp.started[function] = true
-	rp.mu.Unlock()
-	go rp.run(function, pl.ProxyAddr)
-	return nil
-}
-
-func (rp *rangePool) run(name, proxyAddr string) {
-	raw, err := net.Dial("tcp", proxyAddr)
-	if err != nil {
-		return
-	}
-	c := protocol.NewConn(raw)
-	defer c.Close()
-	c.Send(&protocol.Message{Type: protocol.TJoinLambda, Key: name})
-	c.Send(&protocol.Message{Type: protocol.TPong, Key: name})
-	for {
-		m, err := c.Recv()
-		if err != nil {
-			return
-		}
-		switch m.Type {
-		case protocol.TPing:
-			c.Send(&protocol.Message{Type: protocol.TPong, Seq: m.Seq})
-		case protocol.TGet:
-			rp.gets.Add(1)
-			rp.mu.Lock()
-			b, ok := rp.store[m.Key]
-			rp.mu.Unlock()
-			if ok {
-				c.Forward(protocol.TData, m.Seq, m.Key, "", nil, b)
-			} else {
-				c.Forward(protocol.TMiss, m.Seq, m.Key, "", nil, nil)
-			}
-		case protocol.TSet:
-			rp.mu.Lock()
-			rp.store[m.Key] = append([]byte(nil), m.Payload...)
-			rp.mu.Unlock()
-			m.Recycle()
-			c.Send(&protocol.Message{Type: protocol.TAck, Seq: m.Seq})
-		case protocol.TDel:
-			rp.mu.Lock()
-			delete(rp.store, m.Key)
-			rp.mu.Unlock()
-			c.Send(&protocol.Message{Type: protocol.TAck, Seq: m.Seq})
-		}
-	}
-}
-
-// corrupt flips one byte of the stored chunk, reporting whether the
-// chunk was resident.
-func (rp *rangePool) corrupt(chunkKey string) bool {
-	rp.mu.Lock()
-	defer rp.mu.Unlock()
-	b, ok := rp.store[chunkKey]
-	if !ok || len(b) == 0 {
-		return false
-	}
-	b[len(b)/2] ^= 0x40
-	return true
-}
-
-// streamStack wires an RS(10+2) client over a real proxy and 12 fake
-// nodes, with the client's stripe shard pinned so tests control the
-// range→chunk geometry exactly; hedged turns on Config.HedgedGets.
-func streamStack(t *testing.T, stripeShard int64, hedged bool) (*Proxy, *client.Client, *rangePool) {
-	t.Helper()
-	pool := newRangePool()
-	names := make([]string, 12)
-	for i := range names {
-		names[i] = fmt.Sprintf("rng-node%d", i)
-	}
-	p, err := New(Config{
-		Invoker:        pool,
-		Nodes:          names,
-		NodeMemoryMB:   512,
-		PingTimeout:    time.Second,
-		InvokeTimeout:  5 * time.Second,
-		RequestTimeout: 3 * time.Second,
-		Retries:        3,
-		HedgedGets:     hedged,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { p.Close() })
-	c, err := client.New(client.Config{
-		Proxies:        []client.ProxyInfo{{Addr: p.Addr(), PoolSize: len(names)}},
-		DataShards:     10,
-		ParityShards:   2,
-		RequestTimeout: 20 * time.Second,
-		Seed:           23,
-		StripeShard:    stripeShard,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	return p, c, pool
-}
+// contract against an always-warm lambdanode.WarmPool: a sub-stripe
+// ranged GET must cost exactly the intersecting data chunks (no parity,
+// no full-d fan-out), and a corrupt intersecting chunk must escalate
+// through the checksum strike ladder into a degraded fan-out the client
+// can reconstruct byte-exactly.
 
 // rangePattern fills a deterministic test payload distinct from the
 // replay harness pattern.
@@ -176,7 +48,8 @@ func getRangeFetchCountPin(t *testing.T, hedged bool) {
 		stripeData  = int64(stripeShard * d)
 		objSize     = int64(64 << 20)
 	)
-	p, c, pool := streamStack(t, stripeShard, hedged)
+	pool := &lambdanode.WarmPool{}
+	p, c := warmStack(t, pool, 12, Config{HedgedGets: hedged}, client.Config{DataShards: 10, ParityShards: 2, Seed: 23, StripeShard: stripeShard})
 	ctx := context.Background()
 	val := rangePattern(objSize)
 
@@ -198,7 +71,7 @@ func getRangeFetchCountPin(t *testing.T, hedged bool) {
 	}
 
 	proxyBefore := p.Stats().NodeChunkGets.Load()
-	nodeBefore := pool.gets.Load()
+	nodeBefore := pool.Gets.Load()
 	got, err := c.GetRange(ctx, "pin", off, n)
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +82,7 @@ func getRangeFetchCountPin(t *testing.T, hedged bool) {
 	if moved := p.Stats().NodeChunkGets.Load() - proxyBefore; moved != int64(planned) {
 		t.Fatalf("proxy submitted %d chunk GETs, want exactly %d (the intersecting data chunks)", moved, planned)
 	}
-	if moved := pool.gets.Load() - nodeBefore; moved != int64(planned) {
+	if moved := pool.Gets.Load() - nodeBefore; moved != int64(planned) {
 		t.Fatalf("nodes served %d chunk GETs, want exactly %d — parity or full-d fan-out leaked in", moved, planned)
 	}
 	if p.Stats().RangedGets.Load() == 0 {
@@ -239,7 +112,8 @@ func TestGetRangeCorruptChunkEscalates(t *testing.T) {
 		stripeData  = stripeShard * d
 		objSize     = 2 << 20
 	)
-	p, c, pool := streamStack(t, stripeShard, false)
+	pool := &lambdanode.WarmPool{}
+	p, c := warmStack(t, pool, 12, Config{}, client.Config{DataShards: 10, ParityShards: 2, Seed: 23, StripeShard: stripeShard})
 	ctx := context.Background()
 	val := rangePattern(objSize)
 
@@ -255,8 +129,8 @@ func TestGetRangeCorruptChunkEscalates(t *testing.T) {
 	}
 	sp := plan[0]
 	chunkKey := ChunkKey(protocol.StripeKey("rot", sp.Stripe), sp.Shards[0])
-	if !pool.corrupt(chunkKey) {
-		t.Fatalf("chunk %q not resident in the fake pool", chunkKey)
+	if !pool.Corrupt(chunkKey) {
+		t.Fatalf("chunk %q not resident in the pool", chunkKey)
 	}
 
 	got, err := c.GetRange(ctx, "rot", off, n)

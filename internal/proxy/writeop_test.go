@@ -11,6 +11,7 @@ import (
 
 	"infinicache/internal/client"
 	"infinicache/internal/ec"
+	"infinicache/internal/lambdanode"
 	"infinicache/internal/protocol"
 )
 
@@ -20,7 +21,7 @@ import (
 // however late the frame arrives, and it settles exactly once.
 //
 // TestWriteOpConformance drives raw SET frames through a real session —
-// real proxy, mapping table, hot tier and node dispatchers over hotPool
+// real proxy, mapping table, hot tier and node dispatchers over a WarmPool
 // — whose event loop the test goroutine plays by hand: the order in
 // which client frames and node completions reach the state machine is
 // the script's, not the scheduler's, so races a live loop meets once in
@@ -29,7 +30,7 @@ import (
 // session on the same proxy plays "another writer".
 
 const (
-	woTotal = 3 // RS(2+1), as hotStack's client speaks
+	woTotal = 3 // RS(2+1), as hotClient speaks
 	woData  = 2
 	woSize  = 1024 // object bytes; 512 per shard
 )
@@ -73,7 +74,7 @@ type writeHarness struct {
 	t    *testing.T
 	p    *Proxy
 	c    *client.Client // another session on the same proxy
-	pool *hotPool
+	pool *lambdanode.WarmPool
 
 	s       *session
 	far     *protocol.Conn           // the writer's end of s.conn
@@ -92,7 +93,8 @@ func newWriteHarness(t *testing.T, cold bool) *writeHarness {
 	if cold {
 		maxObj = 1
 	}
-	p, c, pool := hotStack(t, 1<<20, maxObj)
+	pool := &lambdanode.WarmPool{}
+	p, c := warmStack(t, pool, 4, Config{HotTierBytes: 1 << 20, HotMaxObjectBytes: maxObj}, hotClient)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -350,17 +352,23 @@ func (h *writeHarness) check(when, key string, present int, resident bool, open 
 			}
 		}
 	}
+	if used, sum := h.p.table.UsedBytes(), committedBytes(h.p); used != sum {
+		h.t.Errorf("%s: UsedBytes = %d, committed chunks sum to %d", when, used, sum)
+	}
+}
+
+// committedBytes sums the chunk sizes p's mapping table holds — what its
+// pool accounting must equal once no write is in flight.
+func committedBytes(p *Proxy) int64 {
 	var sum int64
-	for _, k := range h.p.table.Keys() {
-		if m, ok := h.p.table.Lookup(k); ok {
+	for _, k := range p.table.Keys() {
+		if m, ok := p.table.Lookup(k); ok {
 			for _, c := range m.Chunks {
 				sum += c.Size
 			}
 		}
 	}
-	if used := h.p.table.UsedBytes(); used != sum {
-		h.t.Errorf("%s: UsedBytes = %d, committed chunks sum to %d", when, used, sum)
-	}
+	return sum
 }
 
 const (
@@ -422,17 +430,17 @@ func TestWriteOpConformance(t *testing.T) {
 				shards := woShards(h.t, woValue(7))
 				seqs := h.burst(key, 7, shards, spread, 0, 1)
 				h.complete(2)
-				h.pool.withholdSets.Store(true)
-				before := h.pool.sets.Load()
+				h.pool.HoldSets.Store(true)
+				before := h.pool.Sets.Load()
 				seqs = append(seqs, h.burst(key, 7, shards, spread, 2)...)
-				for deadline := time.Now().Add(10 * time.Second); h.pool.sets.Load() == before; {
+				for deadline := time.Now().Add(10 * time.Second); h.pool.Sets.Load() == before; {
 					if time.Now().After(deadline) {
 						h.t.Fatal("the withheld SET never reached its node")
 					}
 					time.Sleep(time.Millisecond)
 				}
 				h.cancel(seqs[2])
-				h.pool.withholdSets.Store(false)
+				h.pool.HoldSets.Store(false)
 				h.complete(1) // the withdrawn request's nil outcome
 				return seqs
 			},
@@ -678,7 +686,7 @@ func TestWriteOpConformance(t *testing.T) {
 // through one session leave it empty, not N entries long — and the pool
 // accounting equals exactly the committed chunks.
 func TestWriteTableDrainsAsPutsReturn(t *testing.T) {
-	p, c, _ := hotStack(t, 1<<20, 1<<20)
+	p, c := warmStack(t, &lambdanode.WarmPool{}, 4, Config{HotTierBytes: 1 << 20, HotMaxObjectBytes: 1 << 20}, hotClient)
 	ctx := context.Background()
 	const n = 2000
 	val := bytes.Repeat([]byte("d4"), 512)

@@ -76,7 +76,7 @@ func ReadAzure(r io.Reader) (*Trace, error) {
 		if len(rec) <= need {
 			return nil, fmt.Errorf("workload: line %d: %d fields, need %d", line, len(rec), need+1)
 		}
-		ts, err := parseAzureTime(rec[cols.ts])
+		at, err := unixOffset(parseAzureTime(rec[cols.ts]))
 		if err != nil {
 			return nil, fmt.Errorf("workload: line %d: bad timestamp %q: %w", line, rec[cols.ts], err)
 		}
@@ -86,7 +86,7 @@ func ReadAzure(r io.Reader) (*Trace, error) {
 		}
 		// Sizes arrive as integers, floats, or scientific notation.
 		f, err := strconv.ParseFloat(strings.TrimSpace(rec[cols.bytes]), 64)
-		if err != nil || math.IsNaN(f) || math.IsInf(f, 0) || f < 0 {
+		if err != nil || math.IsNaN(f) || f < 0 || f >= math.MaxInt64 {
 			return nil, fmt.Errorf("workload: line %d: bad size %q", line, rec[cols.bytes])
 		}
 		size := int64(math.Round(f))
@@ -98,12 +98,11 @@ func ReadAzure(r io.Reader) (*Trace, error) {
 		if err != nil {
 			return nil, fmt.Errorf("workload: line %d: bad Write flag %q", line, rec[cols.write])
 		}
-		abs := time.Duration(ts.UnixNano())
 		if read {
-			t.Records = append(t.Records, Record{Time: abs, Op: OpGet, Key: key, Size: size})
+			t.Records = append(t.Records, Record{Time: at, Op: OpGet, Key: key, Size: size})
 		}
 		if write {
-			t.Records = append(t.Records, Record{Time: abs, Op: OpPut, Key: key, Size: size})
+			t.Records = append(t.Records, Record{Time: at, Op: OpPut, Key: key, Size: size})
 		}
 		if read || write {
 			t.Objects[key] = size

@@ -3,8 +3,10 @@ package workload
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strings"
+	"time"
 )
 
 // Format names a trace serialisation. Three are supported:
@@ -65,10 +67,12 @@ func ReadTrace(f Format, r io.Reader) (*Trace, error) {
 	default:
 		return nil, fmt.Errorf("workload: unknown trace format %q", f)
 	}
+	if err == nil {
+		err = normalize(t)
+	}
 	if err != nil {
 		return nil, err
 	}
-	normalize(t)
 	return t, nil
 }
 
@@ -86,17 +90,31 @@ func WriteTrace(f Format, w io.Writer, t *Trace) error {
 }
 
 // normalize sorts records by time (stable, so simultaneous events keep
-// file order) and rebases offsets so the first record is at zero.
-func normalize(t *Trace) {
+// file order) and rebases offsets so the first record is at zero. A
+// trace whose span does not fit a time.Duration is refused.
+func normalize(t *Trace) error {
 	if len(t.Records) == 0 {
-		return
+		return nil
 	}
 	sort.SliceStable(t.Records, func(i, j int) bool {
 		return t.Records[i].Time < t.Records[j].Time
 	})
-	if base := t.Records[0].Time; base != 0 {
-		for i := range t.Records {
-			t.Records[i].Time -= base
-		}
+	base := t.Records[0].Time
+	if t.Records[len(t.Records)-1].Time-base < 0 {
+		return fmt.Errorf("workload: trace spans more than %v", time.Duration(math.MaxInt64))
 	}
+	for i := range t.Records {
+		t.Records[i].Time -= base
+	}
+	return nil
+}
+
+// unixOffset turns a parsed absolute timestamp into the record time a
+// reader keeps until normalize rebases it: nanoseconds since the Unix
+// epoch, which an int64 holds for the years 1678-2261 only.
+func unixOffset(ts time.Time, err error) (time.Duration, error) {
+	if err == nil && (ts.Year() < 1678 || ts.Year() > 2261) {
+		err = fmt.Errorf("year %d outside 1678-2261", ts.Year())
+	}
+	return time.Duration(ts.UnixNano()), err
 }

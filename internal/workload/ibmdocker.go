@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 	"time"
 )
@@ -70,21 +71,21 @@ func ReadIBMDocker(r io.Reader) (*Trace, error) {
 		if l.Timestamp == "" {
 			return nil, fmt.Errorf("workload: line %d: missing timestamp", line)
 		}
-		ts, err := time.Parse(time.RFC3339Nano, l.Timestamp)
+		at, err := unixOffset(time.Parse(time.RFC3339Nano, l.Timestamp))
 		if err != nil {
 			return nil, fmt.Errorf("workload: line %d: bad timestamp %q: %w", line, l.Timestamp, err)
 		}
-		size := int64(l.Written)
-		if size < 0 {
-			return nil, fmt.Errorf("workload: line %d: negative size %v", line, l.Written)
+		if l.Written < 0 || l.Written >= math.MaxInt64 {
+			return nil, fmt.Errorf("workload: line %d: size %v out of range", line, l.Written)
 		}
+		size := int64(l.Written)
 		if size == 0 {
 			// Registries log written=0 for cache-validated responses;
 			// fall back to the catalogue when the blob was seen before.
 			size = t.Objects[key]
 		}
 		t.Records = append(t.Records, Record{
-			Time: time.Duration(ts.UnixNano()), Op: op, Key: key, Size: size,
+			Time: at, Op: op, Key: key, Size: size,
 		})
 		if size > 0 || t.Objects[key] == 0 {
 			t.Objects[key] = size

@@ -124,6 +124,8 @@ func TestIBMDockerReaderMalformed(t *testing.T) {
 		"bad timestamp": `{"http.request.method":"GET","http.request.uri":"/v2/a/blobs/x","http.response.written":1,"timestamp":"yesterday"}`,
 		"no timestamp":  `{"http.request.method":"GET","http.request.uri":"/v2/a/blobs/x","http.response.written":1}`,
 		"negative size": `{"http.request.method":"GET","http.request.uri":"/v2/a/blobs/x","http.response.written":-5,"timestamp":"2017-06-20T10:00:00Z"}`,
+		"huge size":     `{"http.request.method":"GET","http.request.uri":"/v2/a/blobs/x","http.response.written":1e300,"timestamp":"2017-06-20T10:00:00Z"}`,
+		"year 1000":     `{"http.request.method":"GET","http.request.uri":"/v2/a/blobs/x","http.response.written":1,"timestamp":"1000-06-20T10:00:00Z"}`,
 	} {
 		if _, err := ReadTrace(FormatIBMDocker, strings.NewReader(in)); err == nil {
 			t.Errorf("%s: want error, got none", name)
@@ -161,6 +163,15 @@ func TestAzureReaderDetails(t *testing.T) {
 	}
 }
 
+// TestCSVSpanOverflow: a trace whose span does not fit a time.Duration
+// cannot be rebased to start at zero and stay sorted, so it is refused.
+func TestCSVSpanOverflow(t *testing.T) {
+	in := "timestamp_ns,op,key,size_bytes\n-9000000000000000000,GET,a,1\n9000000000000000000,GET,a,1\n"
+	if _, err := ReadTrace(FormatCSV, strings.NewReader(in)); err == nil {
+		t.Fatal("a trace spanning 570 years was accepted")
+	}
+}
+
 func TestAzureReaderMalformed(t *testing.T) {
 	head := "Timestamp,AnonBlobName,BlobBytes,Read,Write\n"
 	for name, in := range map[string]string{
@@ -168,6 +179,8 @@ func TestAzureReaderMalformed(t *testing.T) {
 		"bad timestamp":   head + "noon,blob-a,1,True,False",
 		"bad size":        head + "2020-11-01 00:00:00,blob-a,many,True,False",
 		"negative size":   head + "2020-11-01 00:00:00,blob-a,-1,True,False",
+		"huge size":       head + "2020-11-01 00:00:00,blob-a,1e300,True,False",
+		"year 1000":       head + "1000-11-01 00:00:00,blob-a,1,True,False",
 		"bad flag":        head + "2020-11-01 00:00:00,blob-a,1,maybe,False",
 		"empty blob":      head + "2020-11-01 00:00:00,,1,True,False",
 	} {
