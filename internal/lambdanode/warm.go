@@ -9,17 +9,15 @@ import (
 )
 
 // WarmPool is an always-warm lambdaemu.Invoker: the first Invoke of a
-// function starts it, once, as a goroutine that dials the proxy, JOINs,
-// PONGs and then serves chunk requests off that one connection until
-// the proxy hangs up — no platform, cold start, billing cycle or BYE.
+// function starts it, once, as a goroutine that dials the proxy over
+// TCP, JOINs, PONGs and then serves chunk requests off that one
+// connection until the proxy hangs up — no platform, cold start,
+// billing cycle or BYE.
 // Each node answers through serve over its own store, exactly as an
 // instance of the runtime does; only the lifetime is different. It is
 // the node pool of stacks that measure or test the request plane alone.
 // The counters, HoldSets and Corrupt are test affordances.
 type WarmPool struct {
-	// Dial opens a node's connection to the proxy; nil means TCP.
-	Dial func(addr string) (net.Conn, error)
-
 	Gets, Sets, Pings atomic.Int64 // chunk GETs, chunk SETs and PINGs received
 	// HoldSets parks chunk SETs unanswered: counted, never stored or acked.
 	HoldSets atomic.Bool
@@ -72,11 +70,7 @@ func (wp *WarmPool) Corrupt(chunkKey string) bool {
 
 func (wp *WarmPool) run(n *warmNode, name, proxyAddr string) {
 	defer wp.wg.Done()
-	dial := wp.Dial
-	if dial == nil {
-		dial = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
-	}
-	raw, err := dial(proxyAddr)
+	raw, err := net.Dial("tcp", proxyAddr)
 	if err != nil {
 		return
 	}

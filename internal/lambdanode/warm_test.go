@@ -6,24 +6,58 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"infinicache/internal/protocol"
 )
 
-// fakeProxy hands a WarmPool one end of an in-memory pipe per dial and
-// delivers the other end, wrapped, on conns.
+// fakeProxy is a loopback listener standing in for the proxy: it counts
+// the node connections it accepts and delivers each, wrapped, on conns
+// (hanging up on any that find conns full). payload invokes a function
+// against it.
 type fakeProxy struct {
-	dials atomic.Int64
-	conns chan *protocol.Conn
+	ln      net.Listener
+	payload []byte
+	accepts atomic.Int64
+	conns   chan *protocol.Conn
+	done    chan struct{} // closed when the accept loop exits
 }
 
-func newFakeProxy() *fakeProxy { return &fakeProxy{conns: make(chan *protocol.Conn, 16)} }
+func newFakeProxy(t *testing.T) *fakeProxy {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := &fakeProxy{
+		ln:      ln,
+		payload: (&Payload{Cmd: CmdRequest, ProxyAddr: ln.Addr().String()}).Encode(),
+		conns:   make(chan *protocol.Conn, 16),
+		done:    make(chan struct{}),
+	}
+	go func() {
+		defer close(fp.done)
+		for {
+			raw, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			fp.accepts.Add(1)
+			select {
+			case fp.conns <- protocol.NewConn(raw):
+			default: // more connections than any test takes: hang up
+				raw.Close()
+			}
+		}
+	}()
+	t.Cleanup(fp.close)
+	return fp
+}
 
-func (fp *fakeProxy) dial(string) (net.Conn, error) {
-	fp.dials.Add(1)
-	near, far := net.Pipe()
-	fp.conns <- protocol.NewConn(far)
-	return near, nil
+// close stops accepting and returns once the accept loop has exited.
+func (fp *fakeProxy) close() {
+	fp.ln.Close()
+	<-fp.done
 }
 
 // accept takes the next node connection and reads its JOIN and PONG.
@@ -42,17 +76,30 @@ func (fp *fakeProxy) accept(t *testing.T, name string) *protocol.Conn {
 	return c
 }
 
-var warmPayload = (&Payload{Cmd: CmdRequest, ProxyAddr: "proxy"}).Encode()
+// waitPool fails t unless wp.Wait returns within a few seconds.
+func waitPool(t *testing.T, wp *WarmPool) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		wp.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("WarmPool.Wait did not return after the proxy hung up on every node")
+	}
+}
 
 // TestWarmPoolDialsOncePerFunction: however often a function is
-// invoked, the pool starts it once — one dial, one JOIN — and Wait
-// returns once the proxy side has hung up on every node.
+// invoked, the pool starts it once — one connection, one JOIN — and
+// Wait returns once the proxy side has hung up on every node.
 func TestWarmPoolDialsOncePerFunction(t *testing.T) {
-	fp := newFakeProxy()
-	wp := &WarmPool{Dial: fp.dial}
+	fp := newFakeProxy(t)
+	wp := &WarmPool{}
 	for i := 0; i < 10; i++ {
 		for _, fn := range []string{"fn-a", "fn-b"} {
-			if err := wp.Invoke(fn, warmPayload); err != nil {
+			if err := wp.Invoke(fn, fp.payload); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -67,9 +114,12 @@ func TestWarmPoolDialsOncePerFunction(t *testing.T) {
 		seen[m.Key] = true
 		c.Close()
 	}
-	wp.Wait()
-	if n := fp.dials.Load(); n != 2 || !seen["fn-a"] || !seen["fn-b"] {
-		t.Fatalf("%d dials joining %v; want one per function", n, seen)
+	// A second connection for either function keeps Wait from returning
+	// while it is open, and shows in accepts once it is closed.
+	waitPool(t, wp)
+	fp.close()
+	if n := fp.accepts.Load(); n != 2 || !seen["fn-a"] || !seen["fn-b"] {
+		t.Fatalf("%d connections joining %v; want one per function", n, seen)
 	}
 }
 
@@ -81,9 +131,9 @@ func TestWarmPoolDialsOncePerFunction(t *testing.T) {
 // buffer, allocates a whole chunk per SET.
 func TestWarmPoolSetRecyclesReplacedBuffer(t *testing.T) {
 	const size, sets = 64 << 10, 64
-	fp := newFakeProxy()
-	wp := &WarmPool{Dial: fp.dial}
-	if err := wp.Invoke("fn", warmPayload); err != nil {
+	fp := newFakeProxy(t)
+	wp := &WarmPool{}
+	if err := wp.Invoke("fn", fp.payload); err != nil {
 		t.Fatal(err)
 	}
 	c := fp.accept(t, "fn")
@@ -117,5 +167,5 @@ func TestWarmPoolSetRecyclesReplacedBuffer(t *testing.T) {
 		t.Fatalf("an overwriting SET allocates %d bytes, want well under the %d-byte chunk", best, size)
 	}
 	c.Close()
-	wp.Wait()
+	waitPool(t, wp)
 }

@@ -21,33 +21,48 @@ import (
 // -race), and eviction pressure must pin HotBytes at or under the cap.
 
 // warmStack wires a proxy over inv with nodes Lambda functions and one
-// client of it. cfg and ccfg carry what a test varies; warmStack fills
-// in the invoker, the node names, the pool memory, the short timeouts
-// and retry budget every stack here runs with, and the client's view of
-// the proxy. The shapes in use: the hot-tier and write-op tests run 4
-// nodes and RS(2+1) (multi-chunk objects, so sparse capture and the
-// first-d fan-in are exercised), the streaming tests 12 nodes and
-// RS(10+2), the batch tests 1 node and RS(1+0).
+// client of it. cfg and ccfg carry what a test varies; warmStack sets
+// the invoker, the node names and the client's view of the proxy, and
+// fills each setting the caller left zero with the value most stacks
+// here run with: 256 MB nodes, a 1 s ping, 5 s invoke and 3 s request
+// timeout, 2 retries, and a 5 s client request timeout. The shapes in
+// use: the hot-tier and write-op tests run 4 nodes and RS(2+1)
+// (multi-chunk objects, so sparse capture and the first-d fan-in are
+// exercised), the streaming tests 12 nodes of 512 MB, 3 retries and
+// RS(10+2) with a 20 s client timeout, the batch tests 1 node and
+// RS(1+0).
 func warmStack(t testing.TB, inv lambdaemu.Invoker, nodes int, cfg Config, ccfg client.Config) (*Proxy, *client.Client) {
 	t.Helper()
-	cfg.Invoker, cfg.NodeMemoryMB, cfg.Retries = inv, 256, 2
-	cfg.PingTimeout, cfg.InvokeTimeout, cfg.RequestTimeout = time.Second, 5*time.Second, 3*time.Second
+	cfg.Invoker = inv
 	for i := 0; i < nodes; i++ {
 		cfg.Nodes = append(cfg.Nodes, fmt.Sprintf("node%d", i))
 	}
+	orDefault(&cfg.NodeMemoryMB, 256)
+	orDefault(&cfg.Retries, 2)
+	orDefault(&cfg.PingTimeout, time.Second)
+	orDefault(&cfg.InvokeTimeout, 5*time.Second)
+	orDefault(&cfg.RequestTimeout, 3*time.Second)
 	p, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { p.Close() })
 	ccfg.Proxies = []client.ProxyInfo{{Addr: p.Addr(), PoolSize: nodes}}
-	ccfg.RequestTimeout = 20 * time.Second
+	orDefault(&ccfg.RequestTimeout, 5*time.Second)
 	c, err := client.New(ccfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
 	return p, c
+}
+
+// orDefault sets *v to def when it is zero.
+func orDefault[T comparable](v *T, def T) {
+	var zero T
+	if *v == zero {
+		*v = def
+	}
 }
 
 // hotClient is the hot-tier and write-op tests' client: RS(2+1).

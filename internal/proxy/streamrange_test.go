@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"testing"
+	"time"
 
 	"infinicache/internal/client"
 	"infinicache/internal/lambdanode"
@@ -17,6 +18,12 @@ import (
 // no full-d fan-out), and a corrupt intersecting chunk must escalate
 // through the checksum strike ladder into a degraded fan-out the client
 // can reconstruct byte-exactly.
+
+// streamClient is the streaming tests' client: RS(10+2) with the stripe
+// shard pinned, so tests control the range→chunk geometry exactly.
+func streamClient(stripeShard int64) client.Config {
+	return client.Config{DataShards: 10, ParityShards: 2, RequestTimeout: 20 * time.Second, Seed: 23, StripeShard: stripeShard}
+}
 
 // rangePattern fills a deterministic test payload distinct from the
 // replay harness pattern.
@@ -49,7 +56,7 @@ func getRangeFetchCountPin(t *testing.T, hedged bool) {
 		objSize     = int64(64 << 20)
 	)
 	pool := &lambdanode.WarmPool{}
-	p, c := warmStack(t, pool, 12, Config{HedgedGets: hedged}, client.Config{DataShards: 10, ParityShards: 2, Seed: 23, StripeShard: stripeShard})
+	p, c := warmStack(t, pool, 12, Config{NodeMemoryMB: 512, Retries: 3, HedgedGets: hedged}, streamClient(stripeShard))
 	ctx := context.Background()
 	val := rangePattern(objSize)
 
@@ -113,7 +120,7 @@ func TestGetRangeCorruptChunkEscalates(t *testing.T) {
 		objSize     = 2 << 20
 	)
 	pool := &lambdanode.WarmPool{}
-	p, c := warmStack(t, pool, 12, Config{}, client.Config{DataShards: 10, ParityShards: 2, Seed: 23, StripeShard: stripeShard})
+	p, c := warmStack(t, pool, 12, Config{NodeMemoryMB: 512, Retries: 3}, streamClient(stripeShard))
 	ctx := context.Background()
 	val := rangePattern(objSize)
 
