@@ -173,7 +173,7 @@ func main() {
 			infinicache.WithShards(*d, *p),
 			infinicache.WithWarmupInterval(*warm),
 			infinicache.WithBackupInterval(*backup),
-			infinicache.WithMigrationRate(*migRate, 0),
+			infinicache.WithMigrationRate(*migRate),
 			infinicache.WithSeed(*seed),
 		}
 		if *hot > 0 {
@@ -192,7 +192,7 @@ func main() {
 			opts = append(opts, infinicache.WithFaultInjection(), infinicache.WithRecovery(true))
 		}
 		if *hedged {
-			opts = append(opts, infinicache.WithHedgedGets(0))
+			opts = append(opts, infinicache.WithHedgedGets())
 		}
 		cache, err = infinicache.New(opts...)
 		if err != nil {

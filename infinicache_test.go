@@ -300,9 +300,9 @@ func TestNewDefaults(t *testing.T) {
 		{"WithTimeout(3s)", []infinicache.Option{infinicache.WithTimeout(3 * time.Second)}, func(c *core.Config) { c.RequestTimeout = 3 * time.Second }},
 		{"WithRecovery(true)", []infinicache.Option{infinicache.WithRecovery(true)}, func(c *core.Config) { c.EnableRecovery = true }},
 		{"WithSeed(7)", []infinicache.Option{infinicache.WithSeed(7)}, func(c *core.Config) { c.Seed = 7 }},
-		{"WithMigrationRate(-1, 9)", []infinicache.Option{infinicache.WithMigrationRate(-1, 9)}, func(c *core.Config) { c.MigrationRateBytes, c.MigrationBurstBytes = -1, 9 }},
+		{"WithMigrationRate(-1)", []infinicache.Option{infinicache.WithMigrationRate(-1)}, func(c *core.Config) { c.MigrationRateBytes = -1 }},
 		{"WithFaultInjection()", []infinicache.Option{infinicache.WithFaultInjection()}, func(c *core.Config) { c.FaultInjection = true }},
-		{"WithHedgedGets(5ms)", []infinicache.Option{infinicache.WithHedgedGets(5 * time.Millisecond)}, func(c *core.Config) { c.HedgedGets, c.HedgeDelay = true, 5*time.Millisecond }},
+		{"WithHedgedGets()", []infinicache.Option{infinicache.WithHedgedGets()}, func(c *core.Config) { c.HedgedGets = true }},
 		{"last option wins", []infinicache.Option{infinicache.WithWarmupInterval(0), infinicache.WithWarmupInterval(time.Hour)}, func(c *core.Config) { c.WarmupInterval = time.Hour }},
 	} {
 		if got, want := infinicache.Resolve(tc.opts), defaults(tc.edit); !reflect.DeepEqual(got, want) {

@@ -16,8 +16,6 @@
 //     slots instead of serving a caller that left.
 //   - MGet/MPut (batch.go) fan a key set out across the owning proxies
 //     and ride each proxy connection as one pipelined burst.
-//   - Get/Put/Del/GetOrLoad remain as thin deprecated wrappers over the
-//     context variants.
 //
 // Inside, every operation is one attempt function (tryGet, tryRange,
 // tryPut, a DEL round trip) run by the single op driver, do, which owns

@@ -6,9 +6,9 @@
 // a new epoch; clients learn about epochs lazily — a request routed by
 // a stale ring gets a WRONG_OWNER redirect carrying the current
 // version, at which point the client re-fetches the ring (RING frames)
-// and retries. The migration/recovery plane (migrate.go) paces the
-// background key movement an epoch change triggers and single-flights
-// repair work so concurrent reconstructions coalesce.
+// and retries. Plane (plane.go) single-flights per-key work — the
+// client's degraded-GET repairs, the replay engine's miss backfills — so
+// concurrent attempts coalesce.
 package cluster
 
 import (

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"infinicache/internal/hashring"
+	"infinicache/internal/netsim"
 	"infinicache/internal/vclock"
 )
 
@@ -119,18 +120,21 @@ func TestDecodeEpochRejectsGarbage(t *testing.T) {
 	}
 }
 
+// The two Pacer tests drive what paces key migration: netsim's burst
+// bucket and its Wait on the virtual clock.
+
 func TestPacerPacesOnVirtualClock(t *testing.T) {
 	clk := vclock.NewManual(time.Unix(0, 0))
-	p := NewPacer(clk, 1000, 1000) // 1000 B/s, 1000 B burst
+	p := netsim.NewBurstBucket(1000, 1000) // 1000 B/s, 1000 B burst
 	done := make(chan struct{})
 
 	// The full burst passes without waiting.
-	if !p.Wait(done, 1000) {
+	if !p.Wait(clk, done, 1000) {
 		t.Fatal("burst-sized wait failed")
 	}
 	// The next 500 B must wait ~500ms of virtual time.
 	ch := make(chan bool, 1)
-	go func() { ch <- p.Wait(done, 500) }()
+	go func() { ch <- p.Wait(clk, done, 500) }()
 	select {
 	case <-ch:
 		t.Fatal("wait returned without clock advance")
@@ -146,15 +150,15 @@ func TestPacerPacesOnVirtualClock(t *testing.T) {
 }
 
 func TestPacerUnlimitedAndCancel(t *testing.T) {
-	if !NewPacer(nil, 0, 0).Wait(nil, 1<<30) {
+	if !netsim.NewBurstBucket(0, 0).Wait(vclock.NewReal(), nil, 1<<30) {
 		t.Fatal("unlimited pacer blocked")
 	}
 	clk := vclock.NewManual(time.Unix(0, 0))
-	p := NewPacer(clk, 10, 10)
+	p := netsim.NewBurstBucket(10, 10)
 	done := make(chan struct{})
-	p.Wait(done, 10) // drain the burst
+	p.Wait(clk, done, 10) // drain the burst
 	ch := make(chan bool, 1)
-	go func() { ch <- p.Wait(done, 1000) }()
+	go func() { ch <- p.Wait(clk, done, 1000) }()
 	for clk.Waiters() == 0 {
 		time.Sleep(time.Millisecond)
 	}

@@ -61,21 +61,18 @@ type Config struct {
 	// default).
 	RequestTimeout time.Duration
 	Seed           int64
-	// MigrationRateBytes/MigrationBurstBytes tune the paced key
-	// migration an AddProxy/RemoveProxy triggers (0 takes the proxy
-	// defaults; negative rate disables pacing).
-	MigrationRateBytes  int64
-	MigrationBurstBytes int64
+	// MigrationRateBytes paces the key migration an AddProxy/RemoveProxy
+	// triggers (0 takes the proxy default; negative disables pacing).
+	MigrationRateBytes int64
 	// FaultInjection arms the deterministic chaos plane: a seeded
 	// netsim.Faults engine (seeded from Seed) is threaded through the
 	// platform's node links and the client dialer, reachable via
 	// Deployment.Faults for the chaos scheduler. Off by default — the
 	// wire path then carries zero fault-filter overhead.
 	FaultInjection bool
-	// HedgedGets/HedgeDelay enable hedged degraded reads with per-node
-	// circuit breakers on every proxy (see proxy.Config).
+	// HedgedGets enables hedged degraded reads with per-node circuit
+	// breakers on every proxy (see proxy.Config).
 	HedgedGets bool
-	HedgeDelay time.Duration
 }
 
 func (c *Config) fillDefaults() error {
@@ -219,19 +216,17 @@ func (d *Deployment) buildProxy(pi int) (*proxy.Proxy, error) {
 		}
 	}
 	return proxy.New(proxy.Config{
-		Clock:               d.cfg.Clock,
-		Invoker:             d.Platform,
-		Nodes:               names,
-		NodeMemoryMB:        d.cfg.NodeMemoryMB,
-		ListenAddr:          fmt.Sprintf("proxy-%d", pi),
-		Listen:              d.network.Listen,
-		Dial:                d.network.Dial,
-		HotTierBytes:        d.cfg.HotTierBytes,
-		HotMaxObjectBytes:   d.cfg.HotMaxObjectBytes,
-		MigrationRateBytes:  d.cfg.MigrationRateBytes,
-		MigrationBurstBytes: d.cfg.MigrationBurstBytes,
-		HedgedGets:          d.cfg.HedgedGets,
-		HedgeDelay:          d.cfg.HedgeDelay,
+		Clock:              d.cfg.Clock,
+		Invoker:            d.Platform,
+		Nodes:              names,
+		NodeMemoryMB:       d.cfg.NodeMemoryMB,
+		ListenAddr:         fmt.Sprintf("proxy-%d", pi),
+		Listen:             d.network.Listen,
+		Dial:               d.network.Dial,
+		HotTierBytes:       d.cfg.HotTierBytes,
+		HotMaxObjectBytes:  d.cfg.HotMaxObjectBytes,
+		MigrationRateBytes: d.cfg.MigrationRateBytes,
+		HedgedGets:         d.cfg.HedgedGets,
 	})
 }
 

@@ -318,10 +318,3 @@ func (p *Platform) ForceReclaimMatching(pattern string, n int) int {
 	}
 	return count
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -16,19 +16,32 @@ import (
 	"infinicache/internal/vclock"
 )
 
-// Bucket is a fluid-model rate limiter: a transfer of n bytes occupies the
-// link for n/rate seconds of virtual time, serialized with other transfers
-// through the same bucket.
+// Bucket is a rate limiter in the GCRA form of a token bucket: a transfer
+// of n bytes occupies the link for n/rate seconds of virtual time,
+// serialized with other transfers through the same bucket, and a
+// reservation waits only for the part of the backlog beyond the burst
+// tolerance — delay = max(0, nextFree − now − burst/rate). At burst 0
+// that is the fluid model: a transfer waits until its last byte is on
+// the wire.
 type Bucket struct {
 	mu       sync.Mutex
 	rate     float64 // bytes per virtual second
+	burst    float64 // bytes of backlog let through without waiting
 	nextFree time.Time
 }
 
 // NewBucket returns a bucket with the given rate in bytes per virtual
-// second. A non-positive rate means unlimited.
+// second and no burst tolerance. A non-positive rate means unlimited.
 func NewBucket(rate float64) *Bucket {
 	return &Bucket{rate: rate}
+}
+
+// NewBurstBucket returns a bucket that lets burst bytes through ahead of
+// the rate: a token bucket of depth burst that starts full and repays
+// an oversized reservation from later refill, so no single transfer can
+// block the bucket for good.
+func NewBurstBucket(rate, burst float64) *Bucket {
+	return &Bucket{rate: rate, burst: burst}
 }
 
 // Rate returns the bucket's rate in bytes per virtual second (0 = unlimited).
@@ -46,8 +59,8 @@ func (b *Bucket) SetRate(rate float64) {
 }
 
 // Reserve books n bytes of transfer starting no earlier than now and
-// returns the virtual completion delay (time until the transfer's last
-// byte is on the wire).
+// returns the virtual delay until it is due: the time until the
+// transfer's last byte is on the wire, less the burst tolerance.
 func (b *Bucket) Reserve(now time.Time, n int) time.Duration {
 	if n <= 0 {
 		return 0
@@ -63,7 +76,26 @@ func (b *Bucket) Reserve(now time.Time, n int) time.Duration {
 	}
 	dur := time.Duration(float64(n) / b.rate * float64(time.Second))
 	b.nextFree = start.Add(dur)
-	return b.nextFree.Sub(now)
+	delay := b.nextFree.Sub(now)
+	if b.burst > 0 {
+		delay = max(0, delay-time.Duration(b.burst/b.rate*float64(time.Second)))
+	}
+	return delay
+}
+
+// Wait reserves n bytes at clk's now and blocks until the reservation
+// is due. It reports false if done closes first; the bytes stay booked.
+func (b *Bucket) Wait(clk vclock.Clock, done <-chan struct{}, n int) bool {
+	d := b.Reserve(clk.Now(), n)
+	if d <= 0 {
+		return true
+	}
+	select {
+	case <-clk.After(d):
+		return true
+	case <-done:
+		return false
+	}
 }
 
 // Path is a sequence of buckets a transfer must traverse plus a fixed

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"math/rand"
 	"net"
 	"testing"
 	"time"
@@ -55,6 +56,93 @@ func TestSetRate(t *testing.T) {
 	}
 	if d := b.Reserve(time.Now(), 2_000_000); d != time.Second {
 		t.Fatalf("delay = %v, want 1s", d)
+	}
+}
+
+// tokenBucket is the reference model a burst bucket must reproduce: a
+// token bucket of depth burst that starts full, refills at rate, and
+// lets an oversized request through by going into debt, which the next
+// requests repay by waiting debt/rate.
+type tokenBucket struct {
+	rate, burst, tokens float64
+	last                time.Time
+}
+
+func (tb *tokenBucket) reserve(now time.Time, n int) time.Duration {
+	tb.tokens = min(tb.burst, tb.tokens+now.Sub(tb.last).Seconds()*tb.rate)
+	tb.last = now
+	tb.tokens -= float64(n)
+	if tb.tokens >= 0 {
+		return 0
+	}
+	return time.Duration(-tb.tokens / tb.rate * float64(time.Second))
+}
+
+// fluidBucket is the fluid model Reserve must reproduce exactly at
+// burst 0: a transfer waits until its last byte is on the wire.
+type fluidBucket struct {
+	rate     float64
+	nextFree time.Time
+}
+
+func (fb *fluidBucket) reserve(now time.Time, n int) time.Duration {
+	start := now
+	if fb.nextFree.After(start) {
+		start = fb.nextFree
+	}
+	fb.nextFree = start.Add(time.Duration(float64(n) / fb.rate * float64(time.Second)))
+	return fb.nextFree.Sub(now)
+}
+
+// TestBurstBucketMatchesTokenBucket: the GCRA form agrees with the token
+// bucket it implements up to rounding — the i-th reservation may be off by
+// at most i ns, since nextFree adds up truncated nanosecond durations
+// where the token count stays a float — and at burst 0 it is exactly the
+// fluid Reserve. Offered load runs at about 5/6 of the rate, so the
+// sequences alternate between backlog and a full bucket, and one
+// reservation in 50 is larger than the burst.
+func TestBurstBucketMatchesTokenBucket(t *testing.T) {
+	for _, c := range []struct{ rate, burst float64 }{
+		{32 << 20, 4 << 20},
+		{1e6, 256 << 10},
+		{1000, 1000},
+	} {
+		t0 := time.Unix(0, 0)
+		rng := rand.New(rand.NewSource(int64(c.rate)))
+		gcra := NewBurstBucket(c.rate, c.burst)
+		ref := &tokenBucket{rate: c.rate, burst: c.burst, tokens: c.burst, last: t0}
+		fluid, fluid0 := NewBucket(c.rate), &fluidBucket{rate: c.rate}
+		now := t0
+		var drift time.Duration
+		waited := 0
+		for i := 0; i < 20000; i++ {
+			n := 1 + rng.Intn(int(c.burst)/2)
+			if rng.Intn(50) == 0 {
+				n = int(c.burst) + rng.Intn(int(c.burst))
+			}
+			now = now.Add(time.Duration(rng.Float64() * 2.4 * float64(n) / c.rate * float64(time.Second)))
+			got, want := gcra.Reserve(now, n), ref.reserve(now, n)
+			diff := got - want
+			if diff < 0 {
+				diff = -diff
+			}
+			if diff > time.Duration(i+1) {
+				t.Fatalf("rate %.0f burst %.0f: reservation %d of %d B: delay %v, token bucket %v (|diff| %v > %d ns)",
+					c.rate, c.burst, i+1, n, got, want, diff, i+1)
+			}
+			drift = max(drift, diff)
+			if want > 0 {
+				waited++
+			}
+			if got, want := fluid.Reserve(now, n), fluid0.reserve(now, n); got != want {
+				t.Fatalf("rate %.0f burst 0: reservation %d: delay %v, fluid Reserve %v", c.rate, i, got, want)
+			}
+		}
+		t.Logf("rate %.0f B/s burst %.0f B: %d of 20000 reservations waited, max drift %v", c.rate, c.burst, waited, drift)
+		if waited < 1000 || waited > 19000 {
+			t.Fatalf("rate %.0f burst %.0f: %d of 20000 reservations waited; the sequence must exercise both a backlog and a full bucket",
+				c.rate, c.burst, waited)
+		}
 	}
 }
 

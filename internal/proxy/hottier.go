@@ -65,21 +65,21 @@ type hotEntry struct {
 	total  int      // total shards
 	chunks [][]byte // len total, exactly d non-nil; GC-owned
 
-	// wire is the entry's precomputed reply image: the d DATA frames a
-	// hit replays, headers fully encoded at admission with only the seq
-	// left as a hole. A hit is then a single SendPrebuilt — no header
-	// encoding, no per-chunk Forward calls. The image pins the chunk
+	// wire is the entry's precomputed reply image, never nil: the d DATA
+	// frames a hit replays, headers fully encoded at admission with only
+	// the seq left as a hole. A hit is then a single SendPrebuilt — no
+	// header encoding, no per-chunk Forward calls. The image pins the chunk
 	// slices, which are immutable, so it shares the entry's lifetime
 	// rules (GC reclaims both together after eviction).
 	wire *protocol.Prebuilt
 }
 
-// buildWire precomputes the DATA-burst image for one admitted object.
-// Frame layout matches what serveHot's per-chunk Forward loop produced:
-// type DATA, the object key, args {index, object size, d, total,
-// CRC32-C}, the chunk payload. The checksum is computed here — once per
-// admission, off the hit path — so tier-served reads carry the same
-// end-to-end integrity arg as node-served ones.
+// buildWire precomputes the DATA-burst image for one admitted object:
+// per chunk, the frame a node-served GET forwards — type DATA, the
+// object key, args {index, object size, d, total, CRC32-C}, the chunk
+// payload. The checksum is computed here — once per admission, off the
+// hit path — so tier-served reads carry the same end-to-end integrity
+// arg as node-served ones. nil means a frame is over the wire limits.
 func buildWire(key string, size int64, d, total int, chunks [][]byte) *protocol.Prebuilt {
 	w := &protocol.Prebuilt{}
 	var args [5]int64
@@ -89,7 +89,7 @@ func buildWire(key string, size int64, d, total int, chunks [][]byte) *protocol.
 		}
 		args = [5]int64{int64(i), size, int64(d), int64(total), protocol.ChunkSum(key, i, chunk)}
 		if err := w.Append(protocol.TData, key, "", args[:], chunk); err != nil {
-			return nil // over wire limits; caller falls back to Forward
+			return nil
 		}
 	}
 	return w
@@ -228,9 +228,12 @@ func (h *hotTier) admit(c *hotCapture) {
 // insert admits one object captured under token. chunks must be sparse
 // by index with exactly d non-nil entries; ownership passes to the tier
 // (the slices must be fresh, GC-owned copies). The insert is dropped if
-// any invalidation for key landed after token was issued, or if the
-// policy refuses it (the object alone exceeds the tier capacity);
-// otherwise the payloads of the policy's eviction victims go with it.
+// its reply image cannot be built, if any invalidation for key landed
+// after token was issued, or if the policy refuses it (the object alone
+// exceeds the tier capacity); otherwise the payloads of the policy's
+// eviction victims go with it. The image cannot fail for a capture:
+// every key and chunk it copied arrived in a frame the reader already
+// held to the same wire limits.
 func (h *hotTier) insert(key string, size int64, d, total int, chunks [][]byte, token uint64) {
 	var bytes int64
 	for _, c := range chunks {
@@ -240,6 +243,9 @@ func (h *hotTier) insert(key string, size int64, d, total int, chunks [][]byte, 
 	// CPU work on immutable inputs, and a stale capture (checked below)
 	// just lets the image die with the entry.
 	wire := buildWire(key, size, d, total, chunks)
+	if wire == nil {
+		return
+	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if token < h.floor || token < h.lastInval[key] {

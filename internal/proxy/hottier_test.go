@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"infinicache/internal/client"
 	"infinicache/internal/lambdaemu"
 	"infinicache/internal/lambdanode"
+	"infinicache/internal/protocol"
 )
 
 // The tests in this file drive the proxy-resident hot-object tier
@@ -440,5 +442,37 @@ func TestHotTierTokenFencing(t *testing.T) {
 	}
 	if st.HotBytes.Load() != 5 {
 		t.Fatalf("HotBytes = %d, want 5", st.HotBytes.Load())
+	}
+}
+
+// TestHotTierRefusesUnbuildableImage: an entry whose reply image cannot
+// be built — here a key past the wire's MaxKeyLen — is never admitted,
+// so a tier hit always has an image to send and the key's GETs stay on
+// the node path.
+func TestHotTierRefusesUnbuildableImage(t *testing.T) {
+	var st Stats
+	h := newHotTier(1<<20, 1<<20, &st)
+	admitTwice := func(key string) uint64 {
+		t.Helper()
+		h.beginPut(key, 100)
+		admit, token := h.beginPut(key, 100)
+		if !admit {
+			t.Fatalf("second-touch PUT of a %d-byte key not admitted", len(key))
+		}
+		return token
+	}
+	h.insert("k", 100, 1, 1, [][]byte{[]byte("fresh")}, admitTwice("k"))
+	before := st.HotBytes.Load()
+
+	long := strings.Repeat("x", protocol.MaxKeyLen+1)
+	h.insert(long, 100, 1, 1, [][]byte{[]byte("bytes")}, admitTwice(long))
+	if h.resident(long) {
+		t.Fatal("an entry with no reply image was admitted")
+	}
+	if got := st.HotBytes.Load(); got != before {
+		t.Fatalf("HotBytes = %d after the refused insert, want %d", got, before)
+	}
+	if !h.resident("k") {
+		t.Fatal("the refused insert displaced a resident key")
 	}
 }

@@ -1,7 +1,6 @@
 package proxy
 
 import (
-	"fmt"
 	"hash/fnv"
 	"strings"
 	"sync"
@@ -239,6 +238,12 @@ func (p *Proxy) migrateOut(prev, next *cluster.Epoch) {
 		return st
 	}
 
+	// settled holds the keys no later pass needs to revisit. It is this
+	// worker's alone: the deployment installs each epoch once per proxy
+	// and SetEpoch ignores stale versions, so no other worker streams for
+	// ver, and one still streaming an older epoch's moves is harmless —
+	// the destination's copy wins, and a source drops only after acks.
+	settled := make(map[string]bool)
 	const maxPasses = 8
 	for pass := 0; pass < maxPasses; pass++ {
 		migrated := 0
@@ -246,28 +251,22 @@ func (p *Proxy) migrateOut(prev, next *cluster.Epoch) {
 			// Stripe entries route (and therefore move) with their
 			// parent key, so a streamed object's whole family lands on
 			// one destination.
-			if prev.Owner(routeKey(key)) != p.addr {
+			if settled[key] || prev.Owner(routeKey(key)) != p.addr {
 				continue
 			}
 			dst := next.Owner(routeKey(key))
 			if dst == "" || dst == p.addr {
 				continue
 			}
-			claim := fmt.Sprintf("mig:%d:%s", ver, key)
-			if !p.migPlane.TryStart(claim) {
-				continue // already handled (or being handled) this epoch
-			}
 			member, ok := next.Member(dst)
 			st := open(dst)
 			if !ok || st == nil {
 				// Can't reach the new owner: keep our copy (fallback
 				// serving still covers reads) and let a later pass retry.
-				p.migPlane.Finish(claim, false)
 				continue
 			}
-			done := p.migrateKey(st, member, key)
-			p.migPlane.Finish(claim, done)
-			if done {
+			if p.migrateKey(st, member, key) {
+				settled[key] = true
 				migrated++
 			}
 			select {
@@ -342,8 +341,9 @@ func (p *Proxy) migrateKey(st *migStream, dst cluster.Member, key string) bool {
 	if chunks == nil {
 		chunks, pooled = p.fetchChunks(&meta, key)
 		if chunks == nil {
-			// Mid-write or unfetchable right now; a later pass (or the
-			// fallback path, or plain loss handling) covers it.
+			// Mid-write or unfetchable right now: dropped from this
+			// epoch's migration, once; the fallback path, or plain loss
+			// handling, covers it.
 			p.stats.MigrationDrops.Add(1)
 			return true
 		}
@@ -357,7 +357,7 @@ func (p *Proxy) migrateKey(st *migStream, dst cluster.Member, key string) bool {
 			m.Free()
 		}
 	}
-	if !p.migPacer.Wait(p.done, totalBytes) {
+	if !p.migBucket.Wait(p.cfg.Clock, p.done, int(totalBytes)) {
 		freePooled()
 		return false // shutting down
 	}
@@ -441,27 +441,19 @@ func (p *Proxy) migrateKey(st *migStream, dst cluster.Member, key string) bool {
 // the key. The second return holds the pooled node replies backing the
 // chunk slices; the caller frees them after forwarding.
 func (p *Proxy) fetchChunks(meta *objMeta, key string) ([][]byte, []*protocol.Message) {
-	type want struct{ idx, node int }
-	var present []want
-	for i, c := range meta.Chunks {
-		if c.Present {
-			present = append(present, want{i, c.Node})
-		}
-	}
+	present := presentChunks(*meta)
 	if len(present) < meta.DataShards {
 		return nil, nil
 	}
 	replies := make(chan nodeReply, len(present)+1)
-	bySeq := make(map[uint64]want, len(present))
-	submitted := 0
-	for _, w := range present {
+	bySeq := make(map[uint64]int, len(present))
+	for _, idx := range present {
 		seq := p.nextSeq()
-		if !p.nodes[w.node].submit(protocol.TGet, seq, ChunkKey(key, w.idx), nil, replies) {
-			continue
+		if p.nodes[meta.Chunks[idx].Node].submit(protocol.TGet, seq, ChunkKey(key, idx), nil, replies) {
+			bySeq[seq] = idx
 		}
-		bySeq[seq] = w
-		submitted++
 	}
+	submitted := len(bySeq)
 	chunks := make([][]byte, meta.TotalShards)
 	var pooled []*protocol.Message
 	got := 0
@@ -469,7 +461,7 @@ func (p *Proxy) fetchChunks(meta *objMeta, key string) ([][]byte, []*protocol.Me
 	for i := 0; i < submitted; i++ {
 		select {
 		case r := <-replies:
-			w, mine := bySeq[r.Seq]
+			idx, mine := bySeq[r.Seq]
 			if !mine || r.Msg == nil {
 				if r.Msg != nil {
 					r.Msg.Free()
@@ -477,19 +469,16 @@ func (p *Proxy) fetchChunks(meta *objMeta, key string) ([][]byte, []*protocol.Me
 				continue
 			}
 			if r.Msg.Type == protocol.TData {
-				if c := meta.Chunks[w.idx]; c.HasSum && protocol.ChunkSum(key, w.idx, r.Msg.Payload) != c.Sum {
+				if c := meta.Chunks[idx]; c.HasSum && protocol.ChunkSum(key, idx, r.Msg.Payload) != c.Sum {
 					// Corrupt read-back: never migrate garbage. Strike
 					// the chunk like the GET path would and drop it from
 					// this pass; parity still covers the handoff if at
 					// least d clean chunks arrive.
-					p.stats.ChecksumFailures.Add(1)
-					if p.table.NoteChunkCorrupt(key, w.idx, meta.Epoch) {
-						p.stats.CorruptLost.Add(1)
-					}
+					p.strikeCorrupt(key, idx, meta.Epoch)
 					r.Msg.Free()
 					continue
 				}
-				chunks[w.idx] = r.Msg.Payload
+				chunks[idx] = r.Msg.Payload
 				pooled = append(pooled, r.Msg)
 				got++
 			} else {

@@ -91,3 +91,75 @@ func TestDoneMarkerBeforeEpochInstall(t *testing.T) {
 		t.Fatal("inbound window still open after every source reported done")
 	}
 }
+
+// TestUnfetchableKeyDropsOncePerEpoch: a moved key whose fetch cannot
+// gather d chunks is dropped from its epoch's migration once. The
+// worker's rescan passes skip it, so MigrationDrops counts 1 per epoch
+// that moves it, not 1 per pass.
+func TestUnfetchableKeyDropsOncePerEpoch(t *testing.T) {
+	nw := netsim.NewNetwork()
+	newProxy := func(addr string) *Proxy {
+		p, err := New(Config{
+			Invoker:      invokerFunc(func(string, []byte) error { return nil }),
+			Nodes:        []string{"test-node"},
+			NodeMemoryMB: 128,
+			ListenAddr:   addr,
+			Listen:       nw.Listen,
+			Dial:         nw.Dial,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { p.Close() })
+		return p
+	}
+	p0, p1 := newProxy("proxy-0"), newProxy("proxy-1")
+	alone := []cluster.Member{{Addr: "proxy-0", PoolSize: 1}}
+	both := append(alone, cluster.Member{Addr: "proxy-1", PoolSize: 1})
+
+	// A key the two-proxy ring moves to proxy-1, which proxy-0 holds
+	// with one of its d=2 chunks committed: mid-write, so unfetchable.
+	key := ""
+	for i := 0; key == ""; i++ {
+		if k := fmt.Sprintf("k%d", i); cluster.NewEpoch(0, both).Owner(k) == "proxy-1" {
+			key = k
+		}
+	}
+	_, epoch, _, _ := p0.table.BeginObject(key, 100, 2, 3, 0, 0)
+	p0.table.Reserve(0, 50, key)
+	p0.table.CommitChunk(key, 0, 0, 50, epoch, 0, false)
+
+	ms := cluster.NewMembership()
+	cur := ms.Publish(alone)
+	p0.SetEpoch(nil, cur)
+	// install publishes members and installs the epoch destinations
+	// first, then waits for every migration it started to finish.
+	install := func(members []cluster.Member) {
+		t.Helper()
+		next := ms.Publish(members)
+		for _, member := range []bool{true, false} {
+			for _, p := range []*Proxy{p1, p0} {
+				if next.Contains(p.Addr()) == member {
+					p.SetEpoch(cur, next)
+				}
+			}
+		}
+		cur = next
+		waitUntil(t, fmt.Sprintf("epoch v%d's migration to finish", next.Version()), func() bool {
+			return p0.MigrationsPending() == 0 && p1.MigrationsPending() == 0
+		})
+	}
+
+	install(both) // v2: the key moves to proxy-1
+	if n := p0.Stats().MigrationDrops.Load(); n != 1 {
+		t.Fatalf("MigrationDrops = %d after one epoch moved the unfetchable key, want 1", n)
+	}
+	install(alone) // v3: proxy-1 leaves; proxy-0 still owns the key
+	install(both)  // v4: the key moves again
+	if n := p0.Stats().MigrationDrops.Load(); n != 2 {
+		t.Fatalf("MigrationDrops = %d after two epochs moved the unfetchable key, want 2", n)
+	}
+	if _, ok := p0.table.Lookup(key); !ok {
+		t.Fatal("a dropped migration lost the source's copy")
+	}
+}

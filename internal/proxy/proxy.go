@@ -54,6 +54,7 @@ import (
 	"infinicache/internal/cluster"
 	"infinicache/internal/lambdaemu"
 	"infinicache/internal/lambdanode"
+	"infinicache/internal/netsim"
 	"infinicache/internal/protocol"
 	"infinicache/internal/vclock"
 )
@@ -94,20 +95,16 @@ type Config struct {
 	HotMaxObjectBytes int64
 	// MigrationRateBytes paces outbound key migration (bytes/second of
 	// virtual time) so a rebalance storm cannot crowd out foreground
-	// traffic. 0 picks the 32 MiB/s default; negative disables pacing.
+	// traffic; the bucket lets max(rate/8, 256 KiB) through ahead of the
+	// rate. 0 picks the 32 MiB/s default; negative disables pacing.
 	MigrationRateBytes int64
-	// MigrationBurstBytes is the pacer's bucket depth; 0 picks
-	// max(rate/8, 256 KiB).
-	MigrationBurstBytes int64
 	// HedgedGets enables hedged degraded reads: a GET fans out to only
 	// the first d present chunks (preferring nodes whose circuit breaker
-	// is closed), and after a p99-derived hedge delay on the virtual
-	// clock one extra parity chunk is requested from a healthy node.
-	// Off by default — the classic first-d-of-all fan-out is used.
+	// is closed), and after a hedge delay on the virtual clock — the
+	// observed chunk-RTT p99, 20ms until enough samples accumulate — one
+	// extra parity chunk is requested from a healthy node. Off by
+	// default — the classic first-d-of-all fan-out is used.
 	HedgedGets bool
-	// HedgeDelay pins the hedge delay; 0 derives it from the observed
-	// chunk-RTT p99 (20ms until enough samples accumulate).
-	HedgeDelay time.Duration
 }
 
 func (c *Config) fillDefaults() {
@@ -140,12 +137,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.MigrationRateBytes == 0 {
 		c.MigrationRateBytes = 32 << 20
-	}
-	if c.MigrationBurstBytes <= 0 {
-		c.MigrationBurstBytes = c.MigrationRateBytes / 8
-		if c.MigrationBurstBytes < 256<<10 {
-			c.MigrationBurstBytes = 256 << 10
-		}
 	}
 }
 
@@ -234,10 +225,9 @@ type Proxy struct {
 	migEarly  []string        // sources whose done marker for migEarlyV outran our own install of it
 	migEarlyV uint64
 	tombs     map[string]struct{}
-	migGen    atomic.Int64 // put generations for outbound migration SETs
-	migOut    atomic.Int64 // outbound migration workers still running
-	migPacer  *cluster.Pacer
-	migPlane  *cluster.Plane
+	migGen    atomic.Int64   // put generations for outbound migration SETs
+	migOut    atomic.Int64   // outbound migration workers still running
+	migBucket *netsim.Bucket // paces migrateKey's chunk bytes
 
 	hedge hedgeTracker // chunk-RTT sketch feeding the hedge delay
 
@@ -302,12 +292,9 @@ func (h *hedgeTracker) add(d time.Duration) {
 	h.mu.Unlock()
 }
 
-// delay returns the current hedge delay: the configured override, the
-// fitted p99, or the default while under-sampled.
+// hedgeDelay returns the current hedge delay: the fitted p99, or the
+// default while under-sampled.
 func (p *Proxy) hedgeDelay() time.Duration {
-	if p.cfg.HedgeDelay > 0 {
-		return p.cfg.HedgeDelay
-	}
 	if d := p.hedge.cached.Load(); d > 0 {
 		return time.Duration(d)
 	}
@@ -375,8 +362,7 @@ func New(cfg Config) (*Proxy, error) {
 		// two structures' orderings identical; see mappingTable.hot.
 		p.table.hot = p.hot
 	}
-	p.migPacer = cluster.NewPacer(cfg.Clock, cfg.MigrationRateBytes, cfg.MigrationBurstBytes)
-	p.migPlane = cluster.NewPlane(0)
+	p.migBucket = netsim.NewBurstBucket(float64(cfg.MigrationRateBytes), float64(max(cfg.MigrationRateBytes/8, 256<<10)))
 	p.nodes = make([]*nodeManager, len(cfg.Nodes))
 	for i, name := range cfg.Nodes {
 		p.nodes[i] = newNodeManager(p, i, name)
@@ -536,3 +522,19 @@ func (p *Proxy) Warmup() {
 }
 
 func (p *Proxy) nextSeq() uint64 { return p.seq.Add(1) }
+
+// strikeCorrupt is the read-back strike rule, for chunk idx of key's
+// incarnation epoch whose node returned bytes that do not match the
+// checksum its writing SET carried. The bytes are never used. One
+// strike reads as transit damage, which a refetch can clear; a second
+// marks the stored chunk positively lost, turning corruption into an
+// erasure that reconstruction repairs. Reports whether this strike lost
+// the chunk.
+func (p *Proxy) strikeCorrupt(key string, idx int, epoch uint64) bool {
+	p.stats.ChecksumFailures.Add(1)
+	if !p.table.NoteChunkCorrupt(key, idx, epoch) {
+		return false
+	}
+	p.stats.CorruptLost.Add(1)
+	return true
+}

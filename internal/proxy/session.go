@@ -560,20 +560,7 @@ func (s *session) sendErr(seq uint64, key, text string) {
 // pool-level eviction.
 func (s *session) serveHot(seq uint64, key string, e *hotEntry) {
 	s.p.table.Touch(key)
-	if e.wire != nil {
-		s.conn.SendPrebuilt(e.wire, seq)
-	} else {
-		// Image construction failed at admission (wire-limit edge);
-		// fall back to per-chunk forwarding.
-		var args [5]int64
-		for i, chunk := range e.chunks {
-			if chunk == nil {
-				continue
-			}
-			args = [5]int64{int64(i), e.size, int64(e.d), int64(e.total), protocol.ChunkSum(key, i, chunk)}
-			s.conn.Forward(protocol.TData, seq, key, "", args[:], chunk)
-		}
-	}
+	s.conn.SendPrebuilt(e.wire, seq)
 	s.needFlush = true
 	s.p.stats.GetHits.Add(1)
 }
@@ -1074,16 +1061,11 @@ func (s *session) completeRead(pc pendingChunk, resp *protocol.Message) {
 		// walked away: this is a straggler whose journey ends here.
 	case resp != nil && resp.Type == protocol.TData:
 		if c := e.chunks[idx]; c.HasSum && protocol.ChunkSum(e.key, idx, resp.Payload) != c.Sum {
-			// The node returned bytes that do not match the checksum the
-			// writing SET carried: corruption on the node→proxy hop or in
-			// storage. Never forward it. One strike reads as transit
-			// damage (the retry refetches cleanly); a second marks the
-			// stored chunk positively lost, turning corruption into an
-			// erasure the client repairs through reconstruction (a ranged
-			// retry plans a degraded stripe around it).
-			s.p.stats.ChecksumFailures.Add(1)
-			if s.p.table.NoteChunkCorrupt(e.key, idx, e.epoch) {
-				s.p.stats.CorruptLost.Add(1)
+			// Corruption on the node→proxy hop or in storage: never
+			// forward it. A chunk the strike loses is a miss the client
+			// reconstructs around (a ranged retry plans a degraded stripe
+			// around it); a first strike fails this fetch only.
+			if s.p.strikeCorrupt(e.key, idx, e.epoch) {
 				op.missed++
 			} else {
 				op.failed++

@@ -29,6 +29,7 @@ import (
 	"sync"
 	"time"
 
+	"infinicache/internal/cluster"
 	"infinicache/internal/stats"
 	"infinicache/internal/vclock"
 	"infinicache/internal/workload"
@@ -169,8 +170,7 @@ func Run(ctx context.Context, cfg Config, tr *workload.Trace, b Backend) (*Resul
 	}
 
 	var mu sync.Mutex
-	e := &engine{cfg: cfg, clk: clk, mu: &mu, res: res,
-		inserting: make(map[string]bool)}
+	e := &engine{cfg: cfg, clk: clk, mu: &mu, res: res, inserting: cluster.NewPlane(0)}
 
 	jobs := make(chan job, len(recs))
 	e.jobs = jobs
@@ -242,7 +242,7 @@ type engine struct {
 	// sessions miss the same object at once, only one re-inserts (even
 	// when the sessions run against different SessionBackends clients —
 	// the backfill suppression is keyed on the object, not the client).
-	inserting map[string]bool
+	inserting *cluster.Plane
 }
 
 // session is one worker goroutine's view of the run: the shared engine
@@ -368,12 +368,12 @@ func (e *session) finishGet(ctx context.Context, j job, hit bool, err error, lat
 		e.res.Misses++
 		h.Misses++
 		e.res.MissLatency = append(e.res.MissLatency, lat)
-		insert = e.claimInsert(j.rec.Key)
+		insert = !e.cfg.NoInsertOnMiss && e.inserting.TryStart(j.rec.Key)
 	case errors.Is(err, ErrLost):
 		e.res.Resets++
 		h.Resets++
 		e.res.MissLatency = append(e.res.MissLatency, lat)
-		insert = e.claimInsert(j.rec.Key)
+		insert = !e.cfg.NoInsertOnMiss && e.inserting.TryStart(j.rec.Key)
 	default:
 		e.res.Errors++
 		h.Errors++
@@ -384,7 +384,7 @@ func (e *session) finishGet(ctx context.Context, j job, hit bool, err error, lat
 	if insert {
 		insErr := e.b.Put(ctx, j.rec.Key, e.size(j.rec))
 		e.mu.Lock()
-		delete(e.inserting, j.rec.Key)
+		e.inserting.Finish(j.rec.Key, false)
 		e.res.Inserts++
 		if insErr != nil {
 			e.res.Errors++
@@ -408,16 +408,6 @@ func (e *engine) sampleErr(err error) {
 		}
 	}
 	e.res.ErrSamples = append(e.res.ErrSamples, s)
-}
-
-// claimInsert marks key as having an insertion in flight; callers hold
-// e.mu. False means another session already owns the backfill.
-func (e *engine) claimInsert(key string) bool {
-	if e.cfg.NoInsertOnMiss || e.inserting[key] {
-		return false
-	}
-	e.inserting[key] = true
-	return true
 }
 
 // Summary renders the Figure 11/13-style report: outcome counts, hit

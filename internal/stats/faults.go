@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // FaultCounters is a plain snapshot of the fault/recovery plane: what
 // the chaos scheduler injected and what the defence layers (checksums,
@@ -28,39 +25,6 @@ type FaultCounters struct {
 	Repairs          int64 // recovered chunks re-inserted into the pool
 }
 
-// Delta returns after - before, field-wise — the standard idiom for
-// isolating one phase of a run from counters that only ever grow.
-func (before FaultCounters) Delta(after FaultCounters) FaultCounters {
-	return FaultCounters{
-		FaultsInjected:   after.FaultsInjected - before.FaultsInjected,
-		Reclaims:         after.Reclaims - before.Reclaims,
-		SeveredConns:     after.SeveredConns - before.SeveredConns,
-		ChecksumFailures: after.ChecksumFailures - before.ChecksumFailures,
-		CorruptChunks:    after.CorruptChunks - before.CorruptChunks,
-		HedgedGets:       after.HedgedGets - before.HedgedGets,
-		HedgeWins:        after.HedgeWins - before.HedgeWins,
-		BreakerTrips:     after.BreakerTrips - before.BreakerTrips,
-		DegradedGets:     after.DegradedGets - before.DegradedGets,
-		Recoveries:       after.Recoveries - before.Recoveries,
-		Repairs:          after.Repairs - before.Repairs,
-	}
-}
-
-// Add accumulates other into c (merging per-proxy snapshots).
-func (c *FaultCounters) Add(other FaultCounters) {
-	c.FaultsInjected += other.FaultsInjected
-	c.Reclaims += other.Reclaims
-	c.SeveredConns += other.SeveredConns
-	c.ChecksumFailures += other.ChecksumFailures
-	c.CorruptChunks += other.CorruptChunks
-	c.HedgedGets += other.HedgedGets
-	c.HedgeWins += other.HedgeWins
-	c.BreakerTrips += other.BreakerTrips
-	c.DegradedGets += other.DegradedGets
-	c.Recoveries += other.Recoveries
-	c.Repairs += other.Repairs
-}
-
 // Table renders the counters as the aligned two-column table the replay
 // harness prints in its post-run fault report.
 func (c FaultCounters) Table() string {
@@ -78,13 +42,4 @@ func (c FaultCounters) Table() string {
 		{"chunk repairs", fmt.Sprint(c.Repairs)},
 	}
 	return Table([]string{"fault/recovery counter", "count"}, rows)
-}
-
-// String is a compact single-line rendering for logs.
-func (c FaultCounters) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "injected=%d reclaims=%d severed=%d crc-fail=%d corrupt-lost=%d hedged=%d hedge-wins=%d trips=%d degraded=%d recoveries=%d repairs=%d",
-		c.FaultsInjected, c.Reclaims, c.SeveredConns, c.ChecksumFailures, c.CorruptChunks,
-		c.HedgedGets, c.HedgeWins, c.BreakerTrips, c.DegradedGets, c.Recoveries, c.Repairs)
-	return b.String()
 }
