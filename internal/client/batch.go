@@ -215,7 +215,7 @@ func (c *Client) mputBurst(ctx context.Context, addr string, pairs []KV, idxs []
 	// encode.
 	poolSize := c.proxyInfo(addr).PoolSize
 	for k, i := range idxs {
-		if res[i].Err = c.stageValue(&w, k*total, poolSize, pairs[i].Key, pairs[i].Value, nil); res[i].Err != nil {
+		if res[i].Err = c.stageValue(&w, k*total, poolSize, pairs[i].Key, pairs[i].Value, putSet, nil); res[i].Err != nil {
 			for j := 0; j < total; j++ {
 				w.finish(k*total + j)
 			}

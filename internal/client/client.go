@@ -577,7 +577,7 @@ func (c *Client) tryPut(ctx context.Context, rt route, key string, value []byte,
 		return err
 	}
 	defer w.release()
-	if err := c.stageValue(&w, 0, rt.PoolSize, key, value, extra); err != nil {
+	if err := c.stageValue(&w, 0, rt.PoolSize, key, value, putSet, extra); err != nil {
 		return err
 	}
 	return c.collectAcks(ctx, &w, key)
@@ -590,7 +590,7 @@ func (c *Client) tryPut(ctx context.Context, rt route, key string, value []byte,
 // only those come from (and return to) the pool: caller memory is never
 // Put. Staging copies or writes each payload synchronously, so nothing
 // references either kind once it returns.
-func (c *Client) stageValue(w *wait, tag0, poolSize int, key string, value []byte, extra []int64) error {
+func (c *Client) stageValue(w *wait, tag0, poolSize int, key string, value []byte, kind setKind, extra []int64) error {
 	shards := make([][]byte, c.codec.TotalShards())
 	shardSize := c.codec.ShardSize(len(value))
 	whole := len(value) / shardSize
@@ -612,8 +612,18 @@ func (c *Client) stageValue(w *wait, tag0, poolSize int, key string, value []byt
 	if err := c.codec.Encode(shards); err != nil {
 		return err
 	}
-	return c.stageSets(w, tag0, poolSize, key, int64(len(value)), shards, false, extra)
+	return c.stageSets(w, tag0, poolSize, key, int64(len(value)), shards, kind, extra)
 }
+
+// setKind is which of the proxy's ingest rules a SET generation asks
+// for.
+type setKind int
+
+const (
+	putSet      setKind = iota // a PUT generation: (re)initialises the entry
+	recoverySet                // Args[6] = 1: re-inserts lost chunks of the entry, belongs to no generation
+	handoffSet                 // Args[7] = 1: a migration handoff, refused where the proxy holds the key
+)
 
 // stageSets is the one SET stager: it draws a fresh placement and
 // generation and pipelines one SET frame per shard (tag tag0+i of w)
@@ -621,14 +631,14 @@ func (c *Client) stageValue(w *wait, tag0, poolSize int, key string, value []byt
 // shard and no Message allocation per chunk (the header is assembled
 // directly by Conn.Forward around the pooled shard buffer). Nil shards
 // are skipped and their tags finished (the recovery path re-inserts a
-// sparse subset).
+// sparse subset). kind sets the frames' recovery and handoff flags.
 //
 // The whole burst rides one Pin window: every SET frame is staged back
 // to back and the closing Flush puts the burst on the wire in O(1)
 // syscalls (large shards vector out as they stage). The Flush must land
 // before collect blocks — an unflushed SET would wait forever for its
 // own ACK.
-func (c *Client) stageSets(w *wait, tag0, poolSize int, key string, objSize int64, shards [][]byte, recovery bool, extra []int64) error {
+func (c *Client) stageSets(w *wait, tag0, poolSize int, key string, objSize int64, shards [][]byte, kind setKind, extra []int64) error {
 	if poolSize < len(shards) {
 		// Only a redirect can route a write to a proxy outside the ring
 		// view (pool size unknown): there is no placement to draw.
@@ -636,9 +646,12 @@ func (c *Client) stageSets(w *wait, tag0, poolSize int, key string, objSize int6
 	}
 	nodes := c.placement(poolSize, len(shards))
 	gen := c.putGen.Add(1)
-	rec := int64(0)
-	if recovery {
+	rec, mig := int64(0), int64(0)
+	switch kind {
+	case recoverySet:
 		rec = 1
+	case handoffSet:
+		mig = 1
 	}
 	// Fixed-size scratch keeps the hot path allocation-free; extra is at
 	// most the two stream-geometry args a head stripe carries.
@@ -653,14 +666,13 @@ func (c *Client) stageSets(w *wait, tag0, poolSize int, key string, objSize int6
 			w.finish(tag0 + i)
 			continue
 		}
-		// Args[7] (migration flag) stays 0 on the client path; the chunk
-		// checksum rides Args[protocol.ChecksumArgSet] so the proxy can
-		// verify the payload — and the (key, idx) routing the sum is
-		// bound to — survived the wire before committing it.
+		// The chunk checksum rides Args[protocol.ChecksumArgSet] so the
+		// proxy can verify the payload — and the (key, idx) routing the
+		// sum is bound to — survived the wire before committing it.
 		args = [11]int64{
 			int64(i), int64(len(shards)), int64(nodes[i]),
 			objSize, int64(c.codec.DataShards()), gen, rec,
-			0, protocol.ChunkSum(key, i, shard),
+			mig, protocol.ChunkSum(key, i, shard),
 		}
 		copy(args[9:], extra)
 		if err := w.pc.conn.Forward(protocol.TSet, w.seq(tag0+i), key, "", args[:nargs], shard); err != nil {
@@ -913,7 +925,7 @@ func (c *Client) maybeRecover(ctx context.Context, rt route, key string, objSize
 		return
 	}
 	defer w.release()
-	if c.stageSets(&w, 0, rt.PoolSize, key, objSize, sparse, true, nil) == nil && c.collectAcks(ctx, &w, key) == nil {
+	if c.stageSets(&w, 0, rt.PoolSize, key, objSize, sparse, recoverySet, nil) == nil && c.collectAcks(ctx, &w, key) == nil {
 		completed = true
 		c.stats.Recoveries.Add(int64(len(missing)))
 	}
@@ -928,6 +940,53 @@ func (c *Client) DelCtx(ctx context.Context, key string) error {
 		return c.ask(ctx, rt.Addr, protocol.TDel, key, nil, 2, func(msg *protocol.Message) (bool, error) {
 			return true, c.classify(msg, key, protocol.TAck)
 		})
+	})
+}
+
+// Fetch reads bytes [0, n) of key from the proxy at from as an
+// authoritative ranged GET — served whoever the ring says owns the key —
+// run through the op driver's retry rules; a degraded stripe is
+// reconstructed on the way. The migration plane reads a moved entry
+// with it: n is the entry's size, so for the head of a streamed object
+// it returns exactly the first stripe.
+func (c *Client) Fetch(ctx context.Context, from, key string, n int64) ([]byte, error) {
+	var data []byte
+	err := c.do(ctx, key, func(route) (err error) {
+		data, err = c.tryRange(ctx, route{ProxyInfo{Addr: from}, true}, key, 0, n)
+		return err
+	})
+	return data, err
+}
+
+// Handoff writes value under key to the proxy to as one migration
+// generation: a single attempt whose SETs carry the handoff flag, so the
+// proxy ingests them only where it holds no copy of the key (a refusal
+// is an ErrRejected naming the proxy's reason). extra is the head
+// stripe's stream geometry, as for a PUT. Unacked chunks of a handoff
+// that times out are CANCELled at the proxy.
+func (c *Client) Handoff(ctx context.Context, to ProxyInfo, key string, value []byte, extra []int64) error {
+	pc, err := c.conn(to.Addr)
+	if err != nil {
+		return err
+	}
+	total := c.codec.TotalShards()
+	w, err := c.claim(pc, total, total+1)
+	if err != nil {
+		return err
+	}
+	defer w.release()
+	if err := c.stageValue(&w, 0, to.PoolSize, key, value, handoffSet, extra); err != nil {
+		return err
+	}
+	return c.collectAcks(ctx, &w, key)
+}
+
+// HandoffDone tells the proxy at to that the proxy src has handed it
+// every key it owed for epoch version: a JOIN frame whose Key names src,
+// acked with the key echoed.
+func (c *Client) HandoffDone(ctx context.Context, to, src string, version uint64) error {
+	return c.ask(ctx, to, protocol.TJoin, src, []int64{int64(version), 1}, 2, func(msg *protocol.Message) (bool, error) {
+		return true, c.classify(msg, src, protocol.TAck)
 	})
 }
 

@@ -2,6 +2,7 @@ package lambdaemu
 
 import (
 	"math/rand"
+	"slices"
 	"time"
 
 	"infinicache/internal/distrib"
@@ -201,12 +202,7 @@ func (p *Platform) idleInstances() []*Instance {
 		}
 		fn.mu.Unlock()
 	}
-	// Insertion sort by lastInvoke (pools are small; avoids sort import).
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].lastInvoke.Before(out[j-1].lastInvoke); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.SortStableFunc(out, func(a, b *Instance) int { return a.lastInvoke.Compare(b.lastInvoke) })
 	return out
 }
 
@@ -269,11 +265,7 @@ func (p *Platform) ForceReclaimN(function string, n int) int {
 	fn.mu.Unlock()
 	// Oldest first, mirroring the provider's bias against stale
 	// instances.
-	for i := 1; i < len(insts); i++ {
-		for j := i; j > 0 && insts[j].born.Before(insts[j-1].born); j-- {
-			insts[j], insts[j-1] = insts[j-1], insts[j]
-		}
-	}
+	slices.SortStableFunc(insts, func(a, b *Instance) int { return a.born.Compare(b.born) })
 	count := 0
 	for _, in := range insts {
 		if n >= 0 && count >= n {
@@ -300,11 +292,7 @@ func (p *Platform) ForceReclaimMatching(pattern string, n int) int {
 	}
 	p.mu.Unlock()
 	// Stable order so a fixed seed reclaims the same instances.
-	for i := 1; i < len(names); i++ {
-		for j := i; j > 0 && names[j] < names[j-1]; j-- {
-			names[j], names[j-1] = names[j-1], names[j]
-		}
-	}
+	slices.Sort(names)
 	count := 0
 	for _, name := range names {
 		if n >= 0 && count >= n {

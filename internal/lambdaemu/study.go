@@ -1,7 +1,9 @@
 package lambdaemu
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 )
 
 // This file implements the §4.1 black-box reclamation study as a
@@ -94,11 +96,9 @@ func RunStudy(cfg StudyConfig) StudyResult {
 					order = append(order, i)
 				}
 			}
-			for i := 1; i < len(order); i++ {
-				for j := i; j > 0 && fleet[order[j]].lastInvoke < fleet[order[j-1]].lastInvoke; j-- {
-					order[j], order[j-1] = order[j-1], order[j]
-				}
-			}
+			slices.SortStableFunc(order, func(a, b int) int {
+				return cmp.Compare(fleet[a].lastInvoke, fleet[b].lastInvoke)
+			})
 			for _, idx := range order[:min(n, len(order))] {
 				fleet[idx].alive = false
 				if cfg.WarmupEveryMin == 0 {

@@ -115,11 +115,10 @@ const (
 	// proxy replies with another TRing whose Args[0] is the epoch
 	// version and whose payload is the encoded member list.
 	TRing
-	// TJoin opens and closes a proxy -> proxy migration stream. As the
-	// first frame on a connection it is a hello (Addr = source proxy,
-	// Args[0] = epoch version); mid-stream with Args = [version, 1] it
-	// marks the stream complete ("everything I owed you for this epoch
-	// has been sent") and is acked with TAck on the same Seq.
+	// TJoin is a migration worker's done marker, sent on its client
+	// connection to a next-epoch member: Key = source proxy, Args =
+	// [epoch version, 1] — "everything I owed you for this epoch has been
+	// handed off". It is acked with TAck on the same Seq, echoing the key.
 	TJoin
 	// TWrongOwner redirects a request routed by a stale ring: Addr is
 	// the owning proxy under the responder's epoch, Args[0] the epoch

@@ -126,15 +126,6 @@ func (h *hotTier) get(key string) (e *hotEntry, token uint64, capture bool) {
 	return nil, h.seq, capture
 }
 
-// peek returns key's resident entry without touching the CLOCK bit or
-// the hit/miss counters — the migration fast path reads through here,
-// and background traffic must not distort recency or the stats.
-func (h *hotTier) peek(key string) *hotEntry {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.entries[key]
-}
-
 // resident reports whether key currently lives in the tier, with no
 // side effects (backup META demotion asks this for every chunk).
 func (h *hotTier) resident(key string) bool {

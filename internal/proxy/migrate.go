@@ -1,24 +1,29 @@
 package proxy
 
 import (
-	"hash/fnv"
+	"context"
+	"errors"
 	"strings"
 	"sync"
 
+	"infinicache/internal/client"
 	"infinicache/internal/cluster"
 	"infinicache/internal/protocol"
 )
 
 // This file is the proxy half of the migration/recovery plane: epoch
 // installation, the inbound-migration window (fallback redirects and
-// DEL tombstones), and the paced outbound worker that streams moved
-// keys to their new owners.
+// DEL tombstones), and the paced outbound worker that hands moved keys
+// to their new owners. The worker is a client: it reads a moved entry
+// back through this proxy's own session and writes it to the new owner
+// as a PUT, so migration runs on the read and write paths every GET and
+// PUT exercises.
 //
 // Ownership and the handoff are governed by three rules:
 //
-//  1. A key's copy at its new owner always wins: migration SETs ingest
+//  1. A key's copy at its new owner always wins: handoff SETs ingest
 //     via BeginObjectIfAbsent, so a client PUT routed by the new ring
-//     can never be clobbered by the background stream.
+//     can never be clobbered by the background handoff.
 //  2. The old owner drops its copy only after the new owner acked every
 //     chunk (or refused the key as already superseded) — at every
 //     instant at least one proxy can serve the key.
@@ -37,9 +42,9 @@ const migSupersededErr = "proxy: migration superseded"
 // SetEpoch installs a new membership epoch. prev is the epoch being
 // replaced (nil for the initial install, which triggers no migration).
 // Stale installs (version <= current) are ignored. When this proxy was
-// a member of prev, a background worker streams every key whose
-// ownership moved to its new owner; when it is a member of next, the
-// inbound window opens until every other prev member reports done.
+// a member of prev, a background worker hands every key whose ownership
+// moved to its new owner; when it is a member of next, the inbound
+// window opens until every other prev member reports done.
 //
 // The deployment layer must install the epoch on *destination* proxies
 // before sources: a redirect target has to be enforcing the new epoch
@@ -83,7 +88,7 @@ func (p *Proxy) SetEpoch(prev, next *cluster.Epoch) {
 }
 
 // MigrationsPending counts this proxy's unfinished migration work:
-// outbound workers still streaming plus inbound streams not yet done.
+// outbound workers still running plus inbound sources not yet done.
 func (p *Proxy) MigrationsPending() int64 {
 	n := p.migOut.Load()
 	prev := p.prevEpoch.Load()
@@ -104,7 +109,7 @@ func (p *Proxy) MigrationsPending() int64 {
 // closes the inbound window once every prev-epoch member has reported.
 //
 // The deployment installs an epoch on one proxy after another, and a
-// source with nothing to stream sends its marker at once — so a marker
+// source with nothing to hand off sends its marker at once — so a marker
 // can arrive for an epoch this proxy is about to install. It is kept
 // for SetEpoch: dropped, the window it should have closed would stay
 // open for good.
@@ -162,8 +167,8 @@ func (p *Proxy) tombstoned(key string) bool {
 }
 
 // fallbackOwner resolves a local miss during the inbound window: if the
-// key's previous-epoch owner has not finished streaming to us (and the
-// key was not deleted meanwhile), the client should ask that owner
+// key's previous-epoch owner has not finished handing off to us (and
+// the key was not deleted meanwhile), the client should ask that owner
 // directly. Returns the owner, the current epoch version, and whether a
 // fallback applies.
 func (p *Proxy) fallbackOwner(key string) (string, uint64, bool) {
@@ -196,83 +201,79 @@ func (p *Proxy) queueDels(dels []evictedChunk) {
 	}
 }
 
-// migStream is one open connection to a destination proxy.
-type migStream struct {
-	conn  *protocol.Conn
-	inbox <-chan *protocol.Message
-}
-
-// migrateOut streams every key whose ownership moved away from this
-// proxy to its new owner, then sends a done marker to every other
-// next-epoch member (even ones that received nothing — their inbound
-// window is waiting on us). It rescans the table until a pass finds no
-// new moved keys, closing the race with PUT generations whose chunks
-// were in flight when the epoch was installed.
+// migrateOut hands every key whose ownership moved away from this proxy
+// to its new owner, then sends a done marker to every other next-epoch
+// member (even ones that received nothing — their inbound window is
+// waiting on us). It rescans the table until a pass finds no new moved
+// keys, closing the race with PUT generations whose chunks were in
+// flight when the epoch was installed.
+//
+// For its lifetime the worker is a client of this proxy and its peers:
+// one client.Client per RS geometry it meets, all closed when it
+// returns. Closing them ends its sessions at the destinations, which is
+// what settles a handoff generation left incomplete there.
 func (p *Proxy) migrateOut(prev, next *cluster.Epoch) {
 	defer p.wg.Done()
 	defer p.migOut.Add(-1)
-	streams := make(map[string]*migStream)
-	defer func() {
-		for _, st := range streams {
-			st.conn.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() {
+		select {
+		case <-p.done:
+			cancel()
+		case <-ctx.Done():
 		}
 	}()
-	ver := next.Version()
-	open := func(addr string) *migStream {
-		if st, ok := streams[addr]; ok {
-			return st
+	clients := make(map[[2]int]*client.Client)
+	defer func() {
+		for _, c := range clients {
+			if c != nil {
+				c.Close()
+			}
 		}
-		raw, err := p.cfg.Dial(addr)
-		if err != nil {
-			return nil
+	}()
+	// clientFor returns the worker's RS(d+parity) client, or nil when
+	// none can be built: this proxy's pool is smaller than d+parity.
+	clientFor := func(d, parity int) *client.Client {
+		c, ok := clients[[2]int{d, parity}]
+		if !ok {
+			c, _ = client.New(client.Config{
+				Proxies:    []client.ProxyInfo{{Addr: p.addr, PoolSize: len(p.nodes)}},
+				DataShards: d, ParityShards: parity,
+				Clock: p.cfg.Clock, RequestTimeout: p.cfg.RequestTimeout, Dial: p.cfg.Dial,
+			})
+			clients[[2]int{d, parity}] = c
 		}
-		conn := protocol.NewConn(raw)
-		if err := conn.Send(&protocol.Message{
-			Type: protocol.TJoin, Addr: p.addr, Args: []int64{int64(ver)},
-		}); err != nil {
-			conn.Close()
-			return nil
-		}
-		st := &migStream{conn: conn, inbox: protocol.Pump(conn)}
-		streams[addr] = st
-		return st
+		return c
 	}
 
 	// settled holds the keys no later pass needs to revisit. It is this
 	// worker's alone: the deployment installs each epoch once per proxy
-	// and SetEpoch ignores stale versions, so no other worker streams for
-	// ver, and one still streaming an older epoch's moves is harmless —
-	// the destination's copy wins, and a source drops only after acks.
+	// and SetEpoch ignores stale versions, so no other worker hands off
+	// for this epoch, and one still running an older epoch's moves is
+	// harmless — the destination's copy wins, and a source drops only
+	// after acks.
 	settled := make(map[string]bool)
 	const maxPasses = 8
 	for pass := 0; pass < maxPasses; pass++ {
 		migrated := 0
 		for _, key := range p.table.Keys() {
 			// Stripe entries route (and therefore move) with their
-			// parent key, so a streamed object's whole family lands on
-			// one destination.
+			// parent key, so a moved object's whole family lands on one
+			// destination.
 			if settled[key] || prev.Owner(routeKey(key)) != p.addr {
 				continue
 			}
-			dst := next.Owner(routeKey(key))
-			if dst == "" || dst == p.addr {
+			dst, ok := next.Member(next.Owner(routeKey(key)))
+			if !ok || dst.Addr == p.addr {
 				continue
 			}
-			member, ok := next.Member(dst)
-			st := open(dst)
-			if !ok || st == nil {
-				// Can't reach the new owner: keep our copy (fallback
-				// serving still covers reads) and let a later pass retry.
-				continue
-			}
-			if p.migrateKey(st, member, key) {
+			if p.migrateKey(ctx, clientFor, dst, key) {
 				settled[key] = true
 				migrated++
 			}
-			select {
-			case <-p.done:
+			if ctx.Err() != nil {
 				return
-			default:
 			}
 		}
 		if migrated == 0 && pass > 0 {
@@ -280,233 +281,78 @@ func (p *Proxy) migrateOut(prev, next *cluster.Epoch) {
 		}
 	}
 
-	// Done markers: every other next-epoch member is waiting on one.
+	// Done markers: every other next-epoch member is waiting on one. Any
+	// pool can build an RS(1+0) client.
+	marker := clientFor(1, 0)
 	var wg sync.WaitGroup
 	for _, m := range next.Members() {
 		if m.Addr == p.addr {
 			continue
 		}
-		st := open(m.Addr)
-		if st == nil {
-			continue
-		}
 		wg.Add(1)
-		go func(st *migStream) {
+		go func(addr string) {
 			defer wg.Done()
-			seq := p.nextSeq()
-			if err := st.conn.Forward(protocol.TJoin, seq, "", p.addr, []int64{int64(ver), 1}, nil); err != nil {
-				return
-			}
-			timeout := p.cfg.Clock.After(p.cfg.RequestTimeout)
-			for {
-				select {
-				case m, ok := <-st.inbox:
-					if !ok {
-						return
-					}
-					match := m.Type == protocol.TAck && m.Seq == seq
-					m.Free()
-					if match {
-						return
-					}
-				case <-timeout:
-					return
-				case <-p.done:
-					return
-				}
-			}
-		}(st)
+			marker.HandoffDone(ctx, addr, p.addr, next.Version())
+		}(m.Addr)
 	}
 	wg.Wait()
 }
 
-// migrateKey streams one key's chunks to its new owner and, on full
-// acknowledgement (or refusal — the destination's copy is newer), drops
-// the local entry. Returns true when the key needs no further passes.
-func (p *Proxy) migrateKey(st *migStream, dst cluster.Member, key string) bool {
+// migrateKey hands one key to its new owner dst. It reads the entry
+// back through this proxy's own session — an authoritative ranged GET
+// of the whole entry, which gets the session's strike ladder, degraded
+// plans and loss verdicts — and writes it to dst as one handoff
+// generation of all d+p chunks, so a chunk lost here arrives repaired.
+// On full acknowledgement, or a refusal (dst's copy is newer), the
+// local entry is dropped. Returns true when the key needs no further
+// pass; a handoff that failed otherwise keeps the local copy for a
+// later pass.
+func (p *Proxy) migrateKey(ctx context.Context, clientFor func(d, parity int) *client.Client, dst cluster.Member, key string) bool {
 	meta, ok := p.table.Lookup(key)
 	if !ok {
 		return true // deleted since the scan
 	}
-	// Gather at least d chunk payloads: the hot tier's resident copy is
-	// the fast path (immutable, zero node traffic); otherwise fan out to
-	// the nodes like a GET would.
-	var chunks [][]byte
-	var pooled []*protocol.Message
-	if p.hot != nil {
-		if e := p.hot.peek(key); e != nil && e.d == meta.DataShards && e.total == meta.TotalShards {
-			chunks = e.chunks
-		}
-	}
-	if chunks == nil {
-		chunks, pooled = p.fetchChunks(&meta, key)
-		if chunks == nil {
-			// Mid-write or unfetchable right now: dropped from this
-			// epoch's migration, once; the fallback path, or plain loss
-			// handling, covers it.
-			p.stats.MigrationDrops.Add(1)
-			return true
-		}
-	}
-	var totalBytes int64
-	for _, c := range chunks {
-		totalBytes += int64(len(c))
-	}
-	freePooled := func() {
-		for _, m := range pooled {
-			m.Free()
-		}
-	}
-	if !p.migBucket.Wait(p.cfg.Clock, p.done, int(totalBytes)) {
-		freePooled()
-		return false // shutting down
-	}
-
-	// One pinned burst of migration SETs, then collect the acks.
-	gen := p.migGen.Add(1)
-	seqs := make(map[uint64]bool, len(chunks))
-	st.conn.Pin()
-	var args [11]int64
-	// A multi-stripe head's stream geometry must survive the handoff,
-	// or the destination could not plan ranged reads over the family.
-	nargs := 9
-	if meta.StreamSize > 0 {
-		args[protocol.StreamArgSize] = meta.StreamSize
-		args[protocol.StreamArgStripeData] = meta.StripeData
-		nargs = 11
-	}
-	sendErr := false
-	for i, c := range chunks {
-		if c == nil {
-			continue
-		}
-		seq := p.nextSeq()
-		copy(args[:9], []int64{int64(i), int64(meta.TotalShards), destLambda(key, i, dst.PoolSize),
-			meta.Size, int64(meta.DataShards), gen, 0, 1, protocol.ChunkSum(key, i, c)})
-		if err := st.conn.Forward(protocol.TSet, seq, key, "", args[:nargs], c); err != nil {
-			sendErr = true
-			break
-		}
-		seqs[seq] = true
-	}
-	st.conn.Flush()
-	freePooled()
-	if sendErr {
+	c := clientFor(meta.DataShards, meta.TotalShards-meta.DataShards)
+	if c == nil {
 		p.stats.MigrationDrops.Add(1)
 		return true
 	}
-
-	allAcked, superseded := true, false
-	timeout := p.cfg.Clock.After(p.cfg.RequestTimeout)
-	for len(seqs) > 0 {
-		select {
-		case m, ok := <-st.inbox:
-			if !ok {
-				return true // stream died; keep the local copy
-			}
-			if seqs[m.Seq] {
-				delete(seqs, m.Seq)
-				if m.Type != protocol.TAck {
-					allAcked = false
-					if strings.Contains(string(m.Payload), migSupersededErr) {
-						superseded = true
-					}
-				}
-			}
-			m.Free()
-		case <-timeout:
-			return true
-		case <-p.done:
-			return false
-		}
+	shipped := protocol.ShardSizeFor(meta.Size, meta.DataShards) * int64(meta.TotalShards)
+	if !p.migBucket.Wait(p.cfg.Clock, p.done, int(shipped)) {
+		return false // shutting down
 	}
-	if allAcked || superseded {
-		// Handoff complete (or the destination already holds a newer
-		// copy): drop ours. Drop also invalidates the hot tier, so a
-		// redirect-then-refetch at the new owner can never race a stale
-		// tier hit here.
-		p.queueDels(p.table.Drop(key))
-		if allAcked {
-			p.stats.MigratedKeys.Add(1)
-			p.stats.MigratedBytes.Add(totalBytes)
-		} else {
-			p.stats.MigrationDrops.Add(1)
-		}
+	value, err := c.Fetch(ctx, p.addr, key, meta.Size)
+	switch {
+	case ctx.Err() != nil:
+		return false
+	case errors.Is(err, client.ErrMiss):
+		return true // gone since the Lookup
+	case err != nil:
+		// Lost, mid-write past the driver's retries, or unreadable right
+		// now: dropped from this epoch's migration, once; the fallback
+		// path, or plain loss handling, covers it.
+		p.stats.MigrationDrops.Add(1)
+		return true
 	}
+	// A multi-stripe head's stream geometry must survive the handoff, or
+	// the destination could not plan ranged reads over the family.
+	var extra []int64
+	if meta.StreamSize > 0 {
+		extra = []int64{meta.StreamSize, meta.StripeData}
+	}
+	err = c.Handoff(ctx, client.ProxyInfo{Addr: dst.Addr, PoolSize: dst.PoolSize}, key, value, extra)
+	if err != nil && !strings.Contains(err.Error(), migSupersededErr) {
+		return false
+	}
+	// Handed off, or the destination already holds a newer copy: drop
+	// ours. Drop also invalidates the hot tier, so a redirect-then-
+	// refetch at the new owner can never race a stale tier hit here.
+	p.queueDels(p.table.Drop(key))
+	if err != nil {
+		p.stats.MigrationDrops.Add(1)
+		return true
+	}
+	p.stats.MigratedKeys.Add(1)
+	p.stats.MigratedBytes.Add(shipped)
 	return true
-}
-
-// fetchChunks pulls key's present chunks off the nodes (the migration
-// read path). Returns nil when fewer than d arrive — the caller skips
-// the key. The second return holds the pooled node replies backing the
-// chunk slices; the caller frees them after forwarding.
-func (p *Proxy) fetchChunks(meta *objMeta, key string) ([][]byte, []*protocol.Message) {
-	present := presentChunks(*meta)
-	if len(present) < meta.DataShards {
-		return nil, nil
-	}
-	replies := make(chan nodeReply, len(present)+1)
-	bySeq := make(map[uint64]int, len(present))
-	for _, idx := range present {
-		seq := p.nextSeq()
-		if p.nodes[meta.Chunks[idx].Node].submit(protocol.TGet, seq, ChunkKey(key, idx), nil, replies) {
-			bySeq[seq] = idx
-		}
-	}
-	submitted := len(bySeq)
-	chunks := make([][]byte, meta.TotalShards)
-	var pooled []*protocol.Message
-	got := 0
-	timeout := p.cfg.Clock.After(p.cfg.RequestTimeout)
-	for i := 0; i < submitted; i++ {
-		select {
-		case r := <-replies:
-			idx, mine := bySeq[r.Seq]
-			if !mine || r.Msg == nil {
-				if r.Msg != nil {
-					r.Msg.Free()
-				}
-				continue
-			}
-			if r.Msg.Type == protocol.TData {
-				if c := meta.Chunks[idx]; c.HasSum && protocol.ChunkSum(key, idx, r.Msg.Payload) != c.Sum {
-					// Corrupt read-back: never migrate garbage. Strike
-					// the chunk like the GET path would and drop it from
-					// this pass; parity still covers the handoff if at
-					// least d clean chunks arrive.
-					p.strikeCorrupt(key, idx, meta.Epoch)
-					r.Msg.Free()
-					continue
-				}
-				chunks[idx] = r.Msg.Payload
-				pooled = append(pooled, r.Msg)
-				got++
-			} else {
-				r.Msg.Free()
-			}
-		case <-timeout:
-			i = submitted // abandon stragglers; their replies fall to GC
-		case <-p.done:
-			i = submitted
-		}
-	}
-	if got < meta.DataShards {
-		for _, m := range pooled {
-			m.Free()
-		}
-		return nil, nil
-	}
-	return chunks, pooled
-}
-
-// destLambda spreads a migrated key's chunks over the destination pool
-// deterministically: consecutive chunk indices land on distinct nodes
-// (mod pool), mirroring the client's no-repeat placement.
-func destLambda(key string, idx, pool int) int64 {
-	if pool <= 0 {
-		return 0
-	}
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	return int64((h.Sum64() + uint64(idx)) % uint64(pool))
 }

@@ -1,10 +1,12 @@
 package proxy
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net"
 	"testing"
+	"time"
 
 	"infinicache/internal/cluster"
 	"infinicache/internal/lambdanode"
@@ -95,13 +97,15 @@ func TestDoneMarkerBeforeEpochInstall(t *testing.T) {
 // TestUnfetchableKeyDropsOncePerEpoch: a moved key whose fetch cannot
 // gather d chunks is dropped from its epoch's migration once. The
 // worker's rescan passes skip it, so MigrationDrops counts 1 per epoch
-// that moves it, not 1 per pass.
+// that moves it, not 1 per pass. The pools hold the key's RS(2+1)
+// geometry, so it is the read that drops it (busy-write past the op
+// driver's retries), not a client that cannot be built.
 func TestUnfetchableKeyDropsOncePerEpoch(t *testing.T) {
 	nw := netsim.NewNetwork()
 	newProxy := func(addr string) *Proxy {
 		p, err := New(Config{
 			Invoker:      invokerFunc(func(string, []byte) error { return nil }),
-			Nodes:        []string{"test-node"},
+			Nodes:        []string{"n0", "n1", "n2"},
 			NodeMemoryMB: 128,
 			ListenAddr:   addr,
 			Listen:       nw.Listen,
@@ -114,8 +118,8 @@ func TestUnfetchableKeyDropsOncePerEpoch(t *testing.T) {
 		return p
 	}
 	p0, p1 := newProxy("proxy-0"), newProxy("proxy-1")
-	alone := []cluster.Member{{Addr: "proxy-0", PoolSize: 1}}
-	both := append(alone, cluster.Member{Addr: "proxy-1", PoolSize: 1})
+	alone := []cluster.Member{{Addr: "proxy-0", PoolSize: 3}}
+	both := append(alone, cluster.Member{Addr: "proxy-1", PoolSize: 3})
 
 	// A key the two-proxy ring moves to proxy-1, which proxy-0 holds
 	// with one of its d=2 chunks committed: mid-write, so unfetchable.
@@ -161,5 +165,90 @@ func TestUnfetchableKeyDropsOncePerEpoch(t *testing.T) {
 	}
 	if _, ok := p0.table.Lookup(key); !ok {
 		t.Fatal("a dropped migration lost the source's copy")
+	}
+}
+
+// movedKey returns a key that the ring of src and dst gives to dst.
+func movedKey(src, dst *Proxy) string {
+	ring := cluster.NewEpoch(0, []cluster.Member{
+		{Addr: src.Addr(), PoolSize: src.PoolSize()}, {Addr: dst.Addr(), PoolSize: dst.PoolSize()},
+	})
+	for i := 0; ; i++ {
+		if k := fmt.Sprintf("moved/%d", i); ring.Owner(k) == dst.Addr() {
+			return k
+		}
+	}
+}
+
+// joinRing replaces src's ring of itself alone with the ring of src and
+// dst, installed on the destination first as a deployment does, and
+// waits for the migration it starts to finish.
+func joinRing(t *testing.T, src, dst *Proxy) {
+	t.Helper()
+	a := cluster.Member{Addr: src.Addr(), PoolSize: src.PoolSize()}
+	b := cluster.Member{Addr: dst.Addr(), PoolSize: dst.PoolSize()}
+	ms := cluster.NewMembership()
+	alone := ms.Publish([]cluster.Member{a})
+	both := ms.Publish([]cluster.Member{a, b})
+	dst.SetEpoch(alone, both)
+	src.SetEpoch(alone, both)
+	waitUntil(t, "the migration to finish", func() bool {
+		return src.MigrationsPending() == 0 && dst.MigrationsPending() == 0
+	})
+}
+
+// TestHandoffRepairsLostChunk: a moved entry that lost a data chunk at
+// its source is read back through a degraded plan and arrives at its new
+// owner with all d+p chunks, readable there.
+func TestHandoffRepairsLostChunk(t *testing.T) {
+	src, c := warmStack(t, &lambdanode.WarmPool{}, 4, Config{}, hotClient)
+	dst, dc := warmStack(t, &lambdanode.WarmPool{}, 4, Config{}, hotClient)
+	ctx := context.Background()
+	key := movedKey(src, dst)
+	val := bytes.Repeat([]byte("handoff/"), 100)
+	if err := c.PutCtx(ctx, key, val); err != nil {
+		t.Fatal(err)
+	}
+	meta, _ := src.table.Lookup(key)
+	src.table.MarkChunkLost(key, 0, meta.Epoch)
+
+	joinRing(t, src, dst)
+	if n := src.Stats().MigratedKeys.Load(); n != 1 {
+		t.Fatalf("MigratedKeys = %d, want 1", n)
+	}
+	moved, ok := dst.table.Lookup(key)
+	if !ok {
+		t.Fatal("the new owner holds no entry for the moved key")
+	}
+	if n := len(presentChunks(moved)); n != moved.TotalShards {
+		t.Fatalf("the new owner holds %d of the moved key's %d chunks", n, moved.TotalShards)
+	}
+	if got, err := dc.GetCtx(ctx, key); err != nil || !bytes.Equal(got, val) {
+		t.Fatalf("GET at the new owner = %d bytes, %v; want the %d put", len(got), err, len(val))
+	}
+}
+
+// TestHandoffTimeoutCancels: a handoff whose chunk SETs the destination
+// never acks times out at the source, which CANCELs them there and
+// keeps its own copy.
+func TestHandoffTimeoutCancels(t *testing.T) {
+	src, c := warmStack(t, &lambdanode.WarmPool{}, 4, Config{RequestTimeout: 300 * time.Millisecond}, hotClient)
+	pool := &lambdanode.WarmPool{}
+	dst, _ := warmStack(t, pool, 4, Config{}, hotClient)
+	key := movedKey(src, dst)
+	if err := c.PutCtx(context.Background(), key, []byte("held at the destination")); err != nil {
+		t.Fatal(err)
+	}
+	pool.HoldSets.Store(true)
+
+	joinRing(t, src, dst)
+	if n := dst.Stats().Cancels.Load(); n == 0 {
+		t.Fatal("the timed-out handoff CANCELled nothing at the destination")
+	}
+	if n := src.Stats().MigratedKeys.Load(); n != 0 {
+		t.Fatalf("MigratedKeys = %d after a handoff that timed out", n)
+	}
+	if _, ok := src.table.Lookup(key); !ok {
+		t.Fatal("the source dropped its copy of a key the destination never acked")
 	}
 }

@@ -47,6 +47,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -72,9 +73,10 @@ type Config struct {
 	// ListenAddr is the address to bind; on TCP ":0" picks a free port.
 	ListenAddr string
 	// Listen and Dial are the proxy's transport: Listen binds its own
-	// listener (on ListenAddr) and one more per backup relay, Dial opens
-	// its migration streams to peer proxies. nil means TCP; an emulated
-	// deployment passes a netsim.Network's pair instead.
+	// listener (on ListenAddr) and one more per backup relay, Dial is how
+	// its migration worker, a client of this proxy and of its peers,
+	// reaches them. nil means TCP; an emulated deployment passes a
+	// netsim.Network's pair instead.
 	Listen func(addr string) (net.Listener, error)
 	Dial   func(addr string) (net.Conn, error)
 	// PingTimeout bounds a preflight PING round trip (virtual time).
@@ -225,7 +227,6 @@ type Proxy struct {
 	migEarly  []string        // sources whose done marker for migEarlyV outran our own install of it
 	migEarlyV uint64
 	tombs     map[string]struct{}
-	migGen    atomic.Int64   // put generations for outbound migration SETs
 	migOut    atomic.Int64   // outbound migration workers still running
 	migBucket *netsim.Bucket // paces migrateKey's chunk bytes
 
@@ -272,13 +273,8 @@ func (h *hedgeTracker) add(d time.Duration) {
 		buf := make([]time.Duration, h.n)
 		copy(buf, h.ring[:h.n])
 		h.mu.Unlock()
-		// Insertion sort outside the lock; 256 elements at most, and
-		// refits are amortised 1-in-64 samples.
-		for i := 1; i < len(buf); i++ {
-			for j := i; j > 0 && buf[j] < buf[j-1]; j-- {
-				buf[j], buf[j-1] = buf[j-1], buf[j]
-			}
-		}
+		// Sorted outside the lock; refits are amortised 1-in-64 samples.
+		slices.Sort(buf)
 		p99 := buf[(len(buf)*99)/100]
 		if p99 < hedgeMinDelay {
 			p99 = hedgeMinDelay
@@ -435,7 +431,8 @@ func (p *Proxy) acceptLoop() {
 }
 
 // handleConn classifies an inbound connection by its first message:
-// Lambda nodes announce JOIN_LAMBDA, clients JOIN_CLIENT.
+// Lambda nodes announce JOIN_LAMBDA, clients — a peer's migration worker
+// among them — JOIN_CLIENT.
 func (p *Proxy) handleConn(raw net.Conn) {
 	defer p.wg.Done()
 	conn := protocol.NewConn(raw)
@@ -460,10 +457,10 @@ func (p *Proxy) handleConn(raw net.Conn) {
 		case <-p.done:
 			conn.Close()
 		}
-	case protocol.TJoinClient, protocol.TJoin:
-		// TJoin is a peer proxy's migration stream: it reuses the whole
-		// client-session machinery (its SET frames carry the migration
-		// flag; its mid-stream TJoin frames are done markers).
+	case protocol.TJoinClient:
+		// A peer proxy's migration worker is a client too: its handoff
+		// SETs carry the migration flag and its JOIN frames are done
+		// markers.
 		s := newSession(p, conn)
 		p.mu.Lock()
 		if p.closed {

@@ -18,8 +18,9 @@ import (
 //	        overwrite from chunks of the same PUT)
 //	Args[6] recovery flag (1 = re-insert of a single lost chunk; the
 //	        frame belongs to no generation, Args[5] is ignored)
-//	Args[7] migration flag (1 = proxy->proxy key handoff; ingest via
-//	        BeginObjectIfAbsent, never over an existing entry)
+//	Args[7] migration flag (1 = proxy->proxy key handoff, written by
+//	        client.Handoff; ingest via BeginObjectIfAbsent, never over
+//	        an existing entry)
 //	Args[8] chunk CRC32-C (optional; absent on legacy frames). Verified
 //	        against the payload on arrival and stored with the chunk's
 //	        mapping so node read-backs can be verified end to end. It is
@@ -140,10 +141,11 @@ type hedgeItem struct {
 // however late its frame arrives: a generation whose in-flight count
 // touched zero mid-burst is still this generation. A dense generation
 // (a client PUT, an MPut pair, a PutReader stripe) sends all total
-// frames and settles when they have all arrived and none is in flight;
-// a migration generation is sparse (migrateKey skips absent chunks and
-// total is the RS total), never completes by count, and settles when
-// superseded or when its stream closes.
+// frames and settles when they have all arrived and none is in flight.
+// A migration generation never completes by count and settles when
+// superseded or when its connection closes: the migration worker sends
+// dense ones (client.Handoff), but a sparse one — total is the RS total
+// and absent chunks are skipped — is still accepted.
 type writeOp struct {
 	key       string
 	gen       int64
@@ -473,14 +475,14 @@ func (s *session) handleRing(m *protocol.Message) {
 	})
 }
 
-// handleJoinDone processes a migration stream's done marker
-// (Args = [version, 1], Addr = source proxy) and acks it so the source
-// can retire the stream knowing the marker landed.
+// handleJoinDone processes a migration worker's done marker
+// (client.HandoffDone: Args = [version, 1], Key = source proxy) and
+// acks it, echoing the key, so the source knows the marker landed.
 func (s *session) handleJoinDone(m *protocol.Message) {
-	if m.Arg(1) == 1 && m.Addr != "" {
-		s.p.markMigrationDone(uint64(m.Arg(0)), m.Addr)
+	if m.Arg(1) == 1 && m.Key != "" {
+		s.p.markMigrationDone(uint64(m.Arg(0)), m.Key)
 		s.needFlush = true
-		s.conn.Forward(protocol.TAck, m.Seq, "", "", nil, nil)
+		s.conn.Forward(protocol.TAck, m.Seq, m.Key, "", nil, nil)
 	}
 	m.Free()
 }
