@@ -7,6 +7,21 @@
 // A ScaledClock maps virtual durations onto shorter real sleeps, letting a
 // benchmark that models a 600 ms Lambda-side transfer finish in 60 ms of
 // wall time without distorting any measured ratio.
+//
+// A compressed clock only keeps ratios if a short wait takes the time it
+// asks for. On Linux the Go runtime parks an idle processor in epoll_wait
+// with a whole-millisecond timeout, so a runtime timer under 1 ms fires
+// after ~1.08 ms: at a 0.1 scale a 50 µs link latency or a 75 µs chunk
+// transfer costs a millisecond of wall time, and at 0.01 a 5 µs latency
+// costs 100 virtual ms, a whole billing cycle. Real and Scaled therefore
+// hand every wait shorter than 10 ms of real time to one process-wide
+// waker: a timerfd the netpoller watches, armed for the earliest
+// deadline of a heap of waiters and read by one goroutine while any wait
+// is queued. Waits of 10 ms or more, where the rounding is at most 10 %,
+// stay on the runtime timer, so an abandoned long timeout stays
+// garbage-collectable. Off Linux, or when timerfd_create fails, every
+// wait uses the runtime timer. No wait returns before its deadline, and
+// none spins.
 package vclock
 
 import (
@@ -33,9 +48,37 @@ type Real struct{}
 func NewReal() Real { return Real{} }
 
 func (Real) Now() time.Time                         { return time.Now() }
-func (Real) Sleep(d time.Duration)                  { time.Sleep(d) }
-func (Real) After(d time.Duration) <-chan time.Time { return time.After(d) }
+func (Real) Sleep(d time.Duration)                  { sleep(d) }
+func (Real) After(d time.Duration) <-chan time.Time { return after(d) }
 func (Real) Since(t time.Time) time.Duration        { return time.Since(t) }
+
+// preciseBound is the real wait below which the runtime timer's
+// millisecond rounding would distort the wait by more than 10 %; shorter
+// waits go to the precise waker.
+const preciseBound = 10 * time.Millisecond
+
+// after returns a channel that receives the time once the real duration
+// d has passed.
+func after(d time.Duration) <-chan time.Time {
+	switch {
+	case d <= 0:
+		ch := make(chan time.Time, 1)
+		ch <- time.Now()
+		return ch
+	case d < preciseBound:
+		return preciseAfter(d)
+	}
+	return time.After(d)
+}
+
+// sleep blocks for the real duration d.
+func sleep(d time.Duration) {
+	if d > 0 && d < preciseBound {
+		<-preciseAfter(d)
+		return
+	}
+	time.Sleep(d) // returns at once for d <= 0
+}
 
 // Scaled compresses virtual time by a constant factor: a virtual duration d
 // takes d*scale of wall time. Now() reports virtual time that advances
@@ -61,16 +104,12 @@ func (s *Scaled) Now() time.Time {
 	return s.base.Add(time.Duration(float64(wall) / s.scale))
 }
 
-func (s *Scaled) Sleep(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	time.Sleep(time.Duration(float64(d) * s.scale))
-}
+func (s *Scaled) Sleep(d time.Duration) { sleep(s.real(d)) }
 
-func (s *Scaled) After(d time.Duration) <-chan time.Time {
-	return time.After(time.Duration(float64(d) * s.scale))
-}
+func (s *Scaled) After(d time.Duration) <-chan time.Time { return after(s.real(d)) }
+
+// real is the wall time a virtual duration d takes.
+func (s *Scaled) real(d time.Duration) time.Duration { return time.Duration(float64(d) * s.scale) }
 
 func (s *Scaled) Since(t time.Time) time.Duration { return s.Now().Sub(t) }
 
@@ -146,9 +185,12 @@ func (m *Manual) Advance(d time.Duration) {
 // Pump starts a goroutine that steps the clock for tests that run real
 // goroutines on virtual time: whenever something is blocked on m it
 // advances 5 ms of virtual time, then sleeps 200 µs of real time so the
-// goroutines it woke can run. Time thus moves only while a component is
-// actually waiting on it, and the step:sleep ratio caps compression at
-// ~25x, so no virtual deadline (a billing cycle, a ping timeout, T_bak)
+// goroutines it woke can run. That sleep is on the runtime timer, not
+// the precise waker, so on Linux it lasts ~1.08 ms: the cadence is 5
+// virtual ms per ~1.08 real ms, about 4.6x, and the tests built on the
+// pump were tuned against it. Time thus moves only while a component is
+// actually waiting on it, and the cadence caps compression, so no
+// virtual deadline (a billing cycle, a ping timeout, T_bak)
 // expires while the real work it waits on — a round trip, a chunk store
 // — is still in flight on a busy one-core scheduler; pumping faster
 // makes mid-migration sources time out and chunks go missing. stop ends

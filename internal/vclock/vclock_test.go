@@ -1,6 +1,9 @@
 package vclock
 
 import (
+	"math/rand"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -42,6 +45,92 @@ func TestScaledClockInvalidScalePanics(t *testing.T) {
 		}
 	}()
 	NewScaled(0)
+}
+
+// TestShortWaitIsPrecise pins the waker: a 50 µs sleep takes tens of
+// µs more, not the runtime timer's whole millisecond.
+func TestShortWaitIsPrecise(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("the precise waker is Linux-only; elsewhere waits use the runtime timer")
+	}
+	c := NewScaled(1)
+	took := make([]time.Duration, 200)
+	for i := range took {
+		start := time.Now()
+		c.Sleep(50 * time.Microsecond)
+		took[i] = time.Since(start)
+	}
+	slices.Sort(took)
+	if med := took[len(took)/2]; med > 300*time.Microsecond {
+		t.Fatalf("median 50µs sleep took %v, want under 300µs", med)
+	}
+}
+
+// TestShortWaitsNeverEarly races Sleep and After on both wall-time
+// clocks, with waits on either side of the precise bound, and checks
+// that every wait returns and none returns before its deadline.
+func TestShortWaitsNeverEarly(t *testing.T) {
+	clocks := []struct {
+		c     Clock
+		scale float64
+	}{{NewReal(), 1}, {NewScaled(0.5), 0.5}}
+	for _, cl := range clocks {
+		for _, d := range []time.Duration{0, -time.Millisecond} {
+			select {
+			case <-cl.c.After(d):
+			default:
+				t.Fatalf("After(%v) did not fire at once", d)
+			}
+			cl.c.Sleep(d)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := range 64 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			cl := clocks[g%len(clocks)]
+			for i := range 20 {
+				d := time.Duration(rng.Int63n(int64(3 * time.Millisecond)))
+				if g == 0 && i == 0 {
+					d = 15 * time.Millisecond // one wait on the runtime timer
+				}
+				want := time.Duration(float64(d) * cl.scale)
+				start := time.Now()
+				if rng.Intn(2) == 0 {
+					cl.c.Sleep(d)
+				} else {
+					<-cl.c.After(d)
+				}
+				if took := time.Since(start); took < want {
+					t.Errorf("a %v wait (%v real) returned after %v", d, want, took)
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("short waits did not all return")
+	}
+}
+
+// TestShortWaitLeavesNoGoroutine pins the waker's reader to the waits
+// it serves: once none is queued it returns, so a process that has
+// stopped waiting holds no goroutine for it.
+func TestShortWaitLeavesNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	NewReal().Sleep(50 * time.Microsecond)
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d goroutines outlived the wait", n-before)
+	}
 }
 
 func TestManualClockNow(t *testing.T) {
