@@ -1,12 +1,15 @@
 // ic-replay replays a trace open-loop against a pluggable cache
 // backend and prints a Figure 11/13-style report: per-outcome latency
 // percentiles measured from each request's scheduled arrival, hit
-// ratio, and backend cost.
+// ratio, and backend cost. -backend sim runs the same trace through the
+// discrete-event model (internal/sim) instead, without a clock or a
+// replay, and prints a Table 1/Figure 13-style block: hit ratio, RESETs,
+// recoveries, cost by component, and the ElastiCache comparison.
 //
 // Usage:
 //
 //	ic-replay -trace trace.csv [-format csv|ibmdocker|azure]
-//	          [-backend infinicache|redis|dummy]
+//	          [-backend infinicache|sim|redis|dummy] [-large-only]
 //	          [-speedup 60] [-sessions 8] [-batch 8] [-size-cap 1048576]
 //	          [-preload] [-no-insert]
 //	          [-proxies 1] [-nodes 20] [-mem 1536] [-d 10] [-p 2]
@@ -17,13 +20,16 @@
 //	          [-instance cache.r5.large] [-seed 1]
 //
 // Without -trace, a canonical synthetic trace of -hours hours is
-// generated (the same generator as ic-sim, so results line up).
+// generated; -large-only keeps only the records of objects >= 10 MB.
+// Each other flag is read by some backends only (see flagReaders), and
+// setting one the chosen backend would ignore is an error.
+//
 // -speedup divides trace inter-arrival times; 0 disables pacing and
 // replays as fast as the sessions drain. -timescale additionally
-// compresses the infinicache/redis backends' virtual clock, which
-// speeds up the replay AND every deployment timer (warm-ups, billing,
-// reclamation) coherently — use -speedup to change only the offered
-// load.
+// compresses the virtual clock of the replay and of the
+// infinicache/redis backends, which speeds up the replay AND every
+// deployment timer (warm-ups, billing, reclamation) coherently — use
+// -speedup to change only the offered load.
 //
 // -clients n replays through n independent InfiniCache clients spread
 // round-robin across the session workers, so each client keeps its own
@@ -49,9 +55,11 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -63,17 +71,53 @@ import (
 	"infinicache/internal/core"
 	"infinicache/internal/exps"
 	"infinicache/internal/replay"
+	"infinicache/internal/sim"
 	"infinicache/internal/stats"
 	"infinicache/internal/vclock"
 	"infinicache/internal/workload"
 )
+
+// Backend groups, by what a backend does with the trace.
+const (
+	backends  = "infinicache/sim/redis/dummy"
+	replayers = "infinicache/redis/dummy" // replay it through a cache
+	pools     = "infinicache/sim"         // serve it from a Lambda pool
+)
+
+// flagReaders names the backends that read each flag. A flag missing
+// here (-trace, -format, -hours, -seed, -large-only, -backend) shapes
+// the trace, which every backend reads.
+var flagReaders = map[string]string{
+	"speedup": replayers, "sessions": replayers, "batch": replayers, "size-cap": replayers,
+	"preload": replayers, "no-insert": replayers, "timescale": replayers,
+	"nodes": pools, "mem": pools, "d": pools, "p": pools,
+	"warm": pools, "backup": pools, "hot": pools, "hot-max": pools,
+	"proxies": "infinicache", "clients": "infinicache", "churn": "infinicache",
+	"chaos": "infinicache", "hedged": "infinicache", "mig-rate": "infinicache",
+	"shards": "redis", "redis-mem": "redis", "instance": "redis",
+}
+
+// checkFlags refuses a flag set on fs that backend would ignore.
+func checkFlags(fs *flag.FlagSet, backend string) error {
+	if !slices.Contains(strings.Split(backends, "/"), backend) {
+		return fmt.Errorf("unknown backend %q (want %s)", backend, backends)
+	}
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if r, ok := flagReaders[f.Name]; ok && err == nil && !slices.Contains(strings.Split(r, "/"), backend) {
+			err = fmt.Errorf("-%s is not read by -backend %s (only by %s)", f.Name, backend, r)
+		}
+	})
+	return err
+}
 
 func main() {
 	traceFile := flag.String("trace", "", "trace file to replay (default: synthetic)")
 	format := flag.String("format", "csv",
 		"trace format: "+strings.Join(workload.Formats(), ", "))
 	hours := flag.Int("hours", 1, "synthetic trace length (ignored with -trace)")
-	backend := flag.String("backend", "infinicache", "backend: infinicache, redis, dummy")
+	largeOnly := flag.Bool("large-only", false, "keep only the records of objects >= 10 MB")
+	backend := flag.String("backend", "infinicache", "backend: "+backends)
 	speedup := flag.Float64("speedup", 1, "replay speed factor (0 = unpaced)")
 	sessions := flag.Int("sessions", 8, "concurrent client sessions")
 	batch := flag.Int("batch", 1, "MGet burst cap for queued requests (>= 2 enables batching)")
@@ -82,39 +126,41 @@ func main() {
 	noInsert := flag.Bool("no-insert", false, "disable GET-upon-miss insertion")
 	seed := flag.Int64("seed", 1, "random seed")
 
-	proxies := flag.Int("proxies", 1, "infinicache: proxies at start")
-	nodes := flag.Int("nodes", 20, "infinicache: Lambda pool size")
-	mem := flag.Int("mem", 1536, "infinicache: Lambda memory MB")
-	d := flag.Int("d", 10, "infinicache: data shards")
-	p := flag.Int("p", 2, "infinicache: parity shards")
-	warm := flag.Duration("warm", time.Minute, "infinicache: T_warm (0 disables)")
-	backup := flag.Duration("backup", 5*time.Minute, "infinicache: T_bak (0 disables)")
-	hot := flag.Int64("hot", 0, "infinicache: proxy hot-tier bytes (0 disables)")
-	hotMax := flag.Int64("hot-max", 0, "infinicache: hot-tier admission cap (0 = 1 MiB)")
-	clients := flag.Int("clients", 1, "infinicache: independent clients spread across sessions")
-	churnSpec := flag.String("churn", "", "infinicache: churn schedule, e.g. '30ms:+1,2s:-1' (virtual offsets from replay start)")
-	chaosSpec := flag.String("chaos", "", "infinicache: chaos schedule, e.g. '0s:corrupt:*:0.02:2s,10ms:reclaim:p0-node0:all' (see internal/chaos)")
-	hedged := flag.Bool("hedged", false, "infinicache: enable hedged degraded GETs with per-node circuit breakers")
-	migRate := flag.Int64("mig-rate", 0, "infinicache: migration pacing bytes/sec (0 = 32 MiB/s default, negative = unpaced)")
-	timescale := flag.Float64("timescale", 0, "virtual clock scale for infinicache/redis (0.01 = 100x faster; 0 = real time)")
+	proxies := flag.Int("proxies", 1, "proxies at start")
+	nodes := flag.Int("nodes", 20, "Lambda pool size")
+	mem := flag.Int("mem", 1536, "Lambda memory MB")
+	d := flag.Int("d", 10, "data shards")
+	p := flag.Int("p", 2, "parity shards")
+	warm := flag.Duration("warm", time.Minute, "T_warm (0 disables)")
+	backup := flag.Duration("backup", 5*time.Minute, "T_bak (0 disables)")
+	hot := flag.Int64("hot", 0, "proxy hot-tier bytes (0 disables)")
+	hotMax := flag.Int64("hot-max", 0, "hot-tier admission cap (0 = 1 MiB)")
+	clients := flag.Int("clients", 1, "independent clients spread across sessions")
+	churnSpec := flag.String("churn", "", "churn schedule, e.g. '30ms:+1,2s:-1' (virtual offsets from replay start)")
+	chaosSpec := flag.String("chaos", "", "chaos schedule, e.g. '0s:corrupt:*:0.02:2s,10ms:reclaim:p0-node0:all' (see internal/chaos)")
+	hedged := flag.Bool("hedged", false, "enable hedged degraded GETs with per-node circuit breakers")
+	migRate := flag.Int64("mig-rate", 0, "migration pacing bytes/sec (0 = 32 MiB/s default, negative = unpaced)")
+	timescale := flag.Float64("timescale", 0, "virtual clock scale (0.01 = 100x faster; 0 = real time)")
 
-	shards := flag.Int("shards", 1, "redis: number of cache servers")
-	redisMem := flag.Int64("redis-mem", 4<<30, "redis: memory bytes per shard")
-	instance := flag.String("instance", "cache.r5.large", "redis: instance type for pricing")
+	shards := flag.Int("shards", 1, "number of cache servers")
+	redisMem := flag.Int64("redis-mem", 4<<30, "memory bytes per shard")
+	instance := flag.String("instance", "cache.r5.large", "instance type for pricing")
+	flag.VisitAll(func(f *flag.Flag) {
+		if r, ok := flagReaders[f.Name]; ok {
+			f.Usage = r + ": " + f.Usage
+		}
+	})
 	flag.Parse()
+	if err := checkFlags(flag.CommandLine, *backend); err != nil {
+		log.Fatal(err)
+	}
 
 	churn, err := parseChurn(*churnSpec)
 	if err != nil {
 		log.Fatalf("-churn: %v", err)
 	}
-	if (len(churn) > 0 || *clients > 1) && *backend != "infinicache" {
-		log.Fatalf("-churn and -clients need -backend infinicache (got %q)", *backend)
-	}
 	var chaosSched *chaos.Schedule
 	if *chaosSpec != "" {
-		if *backend != "infinicache" {
-			log.Fatalf("-chaos needs -backend infinicache (got %q)", *backend)
-		}
 		if chaosSched, err = chaos.Parse(*chaosSpec); err != nil {
 			log.Fatalf("-chaos: %v", err)
 		}
@@ -138,9 +184,27 @@ func main() {
 	} else {
 		trace = exps.CanonicalTrace(*hours, *seed)
 	}
+	if *largeOnly {
+		trace = trace.LargeOnly()
+	}
 	st := trace.ComputeStats()
 	fmt.Printf("trace: %d records, %d objects, WSS %.1f MB, %.0f GETs/hour\n",
 		st.Records, st.DistinctObjects, float64(st.WorkingSetBytes)/(1<<20), st.GetsPerHour)
+
+	if *backend == "sim" {
+		fmt.Println()
+		simulate(os.Stdout, trace, sim.Config{
+			Nodes:          *nodes,
+			NodeMemoryMB:   *mem,
+			DataShards:     *d,
+			ParityShards:   *p,
+			WarmupInterval: *warm,
+			BackupInterval: *backup,
+			ReclaimPolicy:  exps.CanonicalPolicy(),
+			Seed:           *seed,
+		}, *hot, *hotMax)
+		return
+	}
 
 	var clk vclock.Clock = vclock.NewReal()
 	if *timescale > 0 {
@@ -173,17 +237,11 @@ func main() {
 			infinicache.WithShards(*d, *p),
 			infinicache.WithWarmupInterval(*warm),
 			infinicache.WithBackupInterval(*backup),
+			infinicache.WithHotTier(*hot),
+			infinicache.WithHotTierMaxObject(*hotMax),
 			infinicache.WithMigrationRate(*migRate),
+			infinicache.WithTimeScale(*timescale),
 			infinicache.WithSeed(*seed),
-		}
-		if *hot > 0 {
-			opts = append(opts, infinicache.WithHotTier(*hot))
-			if *hotMax > 0 {
-				opts = append(opts, infinicache.WithHotTierMaxObject(*hotMax))
-			}
-		}
-		if *timescale > 0 {
-			opts = append(opts, infinicache.WithTimeScale(*timescale))
 		}
 		if chaosSched != nil {
 			// The chaos integrity invariant depends on the repair plane:
@@ -226,8 +284,6 @@ func main() {
 				ib.VerifyReads(true)
 			}
 		}
-	default:
-		log.Fatalf("unknown backend %q (want infinicache, redis, or dummy)", *backend)
 	}
 	defer b.Close()
 
@@ -323,6 +379,47 @@ func main() {
 		fmt.Printf("chaos: fault classes landed: %d; corrupt reads: %d/%d (%.2f%% data integrity); availability: %d RESETs, %d errors of %d GETs\n",
 			rep.Classes(), corrupt, res.Hits, integrity, res.Resets, res.Errors, res.Gets)
 	}
+}
+
+// simulate runs cfg's modeled deployment over trace and writes its
+// block, plus a hot-tier column when hot > 0 and the ElastiCache
+// comparison.
+func simulate(w io.Writer, trace *workload.Trace, cfg sim.Config, hot, hotMax int64) {
+	res := sim.Run(cfg, trace)
+	report := func(name string, r *sim.Result) {
+		fmt.Fprintf(w, "%s:\n", name)
+		fmt.Fprintf(w, "  hit ratio:   %.1f%% (%d hits / %d gets)\n", r.HitRatio()*100, r.Hits, r.Gets)
+		if r.HotHits > 0 {
+			fmt.Fprintf(w, "  hot hits:    %d (%.1f%% of gets, served from proxy memory)\n",
+				r.HotHits, 100*float64(r.HotHits)/float64(r.Gets))
+		}
+		fmt.Fprintf(w, "  cold misses: %d\n", r.ColdMisses)
+		fmt.Fprintf(w, "  RESETs:      %d\n", r.Resets)
+		fmt.Fprintf(w, "  recoveries:  %d chunks\n", r.Recoveries)
+		fmt.Fprintf(w, "  reclaims:    %d instances\n", r.Reclaims)
+		fmt.Fprintf(w, "  cost:        $%.2f total (serving $%.2f, warm-up $%.2f, backup $%.2f)\n",
+			r.TotalCost(), r.ServingCost, r.WarmupCost, r.BackupCost)
+		if r.Gets > 0 {
+			fmt.Fprintf(w, "  availability: %.2f%% of accesses\n", 100*(1-float64(r.Resets)/float64(r.Gets)))
+		}
+	}
+	report(fmt.Sprintf("InfiniCache (%d x %d MB, RS(%d+%d), warm %v, backup %v)",
+		cfg.Nodes, cfg.NodeMemoryMB, cfg.DataShards, cfg.ParityShards, cfg.WarmupInterval, cfg.BackupInterval), res)
+
+	if hot > 0 {
+		hotCfg := cfg
+		hotCfg.HotTierBytes = hot
+		hotCfg.HotMaxObjectBytes = hotMax
+		hotRes := sim.Run(hotCfg, trace)
+		fmt.Fprintln(w)
+		report(fmt.Sprintf("InfiniCache + hot tier (%d MB cap)", hot>>20), hotRes)
+		fmt.Fprintf(w, "\nhot tier saves $%.2f of serving cost (%.1fx cheaper serving)\n",
+			res.ServingCost-hotRes.ServingCost, res.ServingCost/hotRes.ServingCost)
+	}
+
+	ec := sim.RunElastiCache("cache.r5.24xlarge", trace, cfg.Seed+1)
+	fmt.Fprintf(w, "\nElastiCache (cache.r5.24xlarge): hit %.1f%%, cost $%.2f (%.0fx more expensive)\n",
+		ec.HitRatio()*100, ec.TotalCost, ec.TotalCost/res.TotalCost())
 }
 
 // faultCounters folds the chaos report and every layer's fault/defence

@@ -30,8 +30,9 @@ type Config struct {
 	// RS(d+p) code; the production run uses (10+2).
 	DataShards   int
 	ParityShards int
-	// Intervals: T_warm (1 min) and T_bak (5 min); T_bak = 0 disables
-	// backup (the "w/o backup" configuration).
+	// Intervals: T_warm (1 min) and T_bak (5 min). 0 disables either:
+	// T_warm = 0 bills no warm-up, T_bak = 0 is the "w/o backup"
+	// configuration.
 	WarmupInterval time.Duration
 	BackupInterval time.Duration
 	// ReclaimPolicy drives provider reclaim events per minute.
@@ -69,9 +70,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.ParityShards == 0 {
 		c.ParityShards = 2
-	}
-	if c.WarmupInterval == 0 {
-		c.WarmupInterval = time.Minute
 	}
 	if c.CorrelatedWipeProb == 0 {
 		c.CorrelatedWipeProb = 0.3

@@ -40,6 +40,14 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
+func TestWarmupZeroDisables(t *testing.T) {
+	cfg := paperConfig(5 * time.Minute)
+	cfg.WarmupInterval = 0
+	if r := Run(cfg, testTrace(t)); r.WarmupCost != 0 {
+		t.Fatalf("WarmupInterval 0 billed $%.4f of warm-up, want 0", r.WarmupCost)
+	}
+}
+
 func TestAccountingConsistency(t *testing.T) {
 	tr := testTrace(t)
 	r := Run(paperConfig(5*time.Minute), tr)

@@ -3,9 +3,9 @@
 // client API keeps an in-memory reference copy, and every ranged or
 // whole-object read is checked against the oracle's slice of it —
 // including the clamping semantics (empty and past-EOF ranges clamp,
-// they never error). The package exists so the property suite, the
-// deflake sweep, and future integration tests share one definition of
-// "correct bytes".
+// they never error). The package is test-only: the property suite and
+// the wide-range regression share this one definition of "correct
+// bytes".
 package streamtest
 
 import (
