@@ -14,8 +14,8 @@
 //	          [-preload] [-no-insert]
 //	          [-proxies 1] [-nodes 20] [-mem 1536] [-d 10] [-p 2]
 //	          [-warm 1m] [-backup 5m] [-hot bytes] [-hot-max bytes]
-//	          [-clients 1] [-churn "30ms:+1,2s:-1"] [-mig-rate bytes]
-//	          [-chaos "0s:corrupt:*:0.02:2s,10ms:reclaim:p0-node0:all"]
+//	          [-clients 1] [-mig-rate bytes]
+//	          [-chaos "0s:corrupt:*:0.02:2s,10ms:reclaim:p0-node0:all,30ms:join:1"]
 //	          [-hedged] [-timescale 0.01] [-shards 1] [-redis-mem bytes]
 //	          [-instance cache.r5.large] [-seed 1]
 //
@@ -33,22 +33,23 @@
 //
 // -clients n replays through n independent InfiniCache clients spread
 // round-robin across the session workers, so each client keeps its own
-// connections and ring view. -churn drives membership churn during the
-// replay: a comma-separated schedule of virtual-time offsets from the
-// replay start, each adding (+N) or removing (-N) proxies; after the
-// replay the run waits for migration to quiesce and reports how many
-// keys moved.
+// connections and ring view.
 //
-// -chaos drives the deterministic fault-injection plane during the
-// replay: a comma-separated schedule of OFFSET:KIND[:args] events
-// (reclaim storms, proxy crashes, link corruption/rot/latency/hangup,
-// dial refusals — see internal/chaos.Parse for the grammar), seeded and
-// paced on the virtual clock so a fixed seed reproduces the same fault
-// sequence. After the replay a fault/recovery report is printed:
-// injected counts per class and the defence-side counters (checksum
-// failures, hedged requests, breaker trips, EC recoveries, repairs).
-// -hedged additionally enables hedged degraded GETs with per-node
-// circuit breakers on every proxy.
+// -chaos drives the event plane during the replay: a comma-separated
+// schedule of OFFSET:KIND[:args] events (reclaim storms, proxy crashes,
+// link corruption/rot/latency/hangup, dial refusals, proxy joins and
+// leaves — see internal/chaos.Parse for the grammar), seeded and paced
+// on the virtual clock from the replay start so a fixed seed reproduces
+// the same sequence. The run waits for the schedule's last event, then
+// prints what fired. A schedule with joins or leaves then waits for
+// migration to quiesce and reports how many keys moved. A schedule with
+// any other event turns on client recovery and byte verification of
+// every hit, and reports injected counts per class, the defence-side
+// counters (checksum failures, hedged requests, breaker trips, EC
+// recoveries, repairs) and the corrupt reads; a join/leave-only
+// schedule runs the deployment it would run without -chaos. -hedged
+// additionally enables hedged degraded GETs with per-node circuit
+// breakers on every proxy.
 package main
 
 import (
@@ -60,10 +61,7 @@ import (
 	"os"
 	"os/signal"
 	"slices"
-	"sort"
-	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"infinicache"
@@ -92,8 +90,8 @@ var flagReaders = map[string]string{
 	"preload": replayers, "no-insert": replayers, "timescale": replayers,
 	"nodes": pools, "mem": pools, "d": pools, "p": pools,
 	"warm": pools, "backup": pools, "hot": pools, "hot-max": pools,
-	"proxies": "infinicache", "clients": "infinicache", "churn": "infinicache",
-	"chaos": "infinicache", "hedged": "infinicache", "mig-rate": "infinicache",
+	"proxies": "infinicache", "clients": "infinicache", "chaos": "infinicache",
+	"hedged": "infinicache", "mig-rate": "infinicache",
 	"shards": "redis", "redis-mem": "redis", "instance": "redis",
 }
 
@@ -136,8 +134,7 @@ func main() {
 	hot := flag.Int64("hot", 0, "proxy hot-tier bytes (0 disables)")
 	hotMax := flag.Int64("hot-max", 0, "hot-tier admission cap (0 = 1 MiB)")
 	clients := flag.Int("clients", 1, "independent clients spread across sessions")
-	churnSpec := flag.String("churn", "", "churn schedule, e.g. '30ms:+1,2s:-1' (virtual offsets from replay start)")
-	chaosSpec := flag.String("chaos", "", "chaos schedule, e.g. '0s:corrupt:*:0.02:2s,10ms:reclaim:p0-node0:all' (see internal/chaos)")
+	chaosSpec := flag.String("chaos", "", "event schedule, e.g. '0s:corrupt:*:0.02:2s,10ms:reclaim:p0-node0:all,30ms:join:1' (see internal/chaos)")
 	hedged := flag.Bool("hedged", false, "enable hedged degraded GETs with per-node circuit breakers")
 	migRate := flag.Int64("mig-rate", 0, "migration pacing bytes/sec (0 = 32 MiB/s default, negative = unpaced)")
 	timescale := flag.Float64("timescale", 0, "virtual clock scale (0.01 = 100x faster; 0 = real time)")
@@ -155,15 +152,14 @@ func main() {
 		log.Fatal(err)
 	}
 
-	churn, err := parseChurn(*churnSpec)
-	if err != nil {
-		log.Fatalf("-churn: %v", err)
-	}
 	var chaosSched *chaos.Schedule
+	faulting := false
 	if *chaosSpec != "" {
+		var err error
 		if chaosSched, err = chaos.Parse(*chaosSpec); err != nil {
 			log.Fatalf("-chaos: %v", err)
 		}
+		faulting = chaosSched.Faulting()
 	}
 
 	var trace *workload.Trace
@@ -243,15 +239,16 @@ func main() {
 			infinicache.WithTimeScale(*timescale),
 			infinicache.WithSeed(*seed),
 		}
-		if chaosSched != nil {
+		if faulting {
 			// The chaos integrity invariant depends on the repair plane:
 			// corrupt or reclaimed chunks become erasures the client
 			// reconstructs and re-inserts.
-			opts = append(opts, infinicache.WithFaultInjection(), infinicache.WithRecovery(true))
+			opts = append(opts, infinicache.WithRecovery(true))
 		}
 		if *hedged {
 			opts = append(opts, infinicache.WithHedgedGets())
 		}
+		var err error
 		cache, err = infinicache.New(opts...)
 		if err != nil {
 			log.Fatal(err)
@@ -276,8 +273,8 @@ func main() {
 				icBackends = append(icBackends, extra)
 			}
 		}
-		if chaosSched != nil {
-			// Under chaos every hit is byte-verified against the written
+		if faulting {
+			// Under faults every hit is byte-verified against the written
 			// pattern: the harness-level oracle for "zero corrupt bytes
 			// returned", independent of the protocol's own checksums.
 			for _, ib := range icBackends {
@@ -313,16 +310,7 @@ func main() {
 	fmt.Printf("replaying against %s (%d sessions, %d clients, speedup %v)...\n\n",
 		*backend, *sessions, max(*clients, 1), *speedup)
 
-	var churnWG sync.WaitGroup
-	if len(churn) > 0 {
-		churnWG.Add(1)
-		go func() {
-			defer churnWG.Done()
-			runChurn(cache.Deployment(), clk, churn)
-		}()
-	}
-
-	// The chaos scheduler starts after any preload: offsets are virtual
+	// The event scheduler starts after any preload: offsets are virtual
 	// time from the replay start, and the preloaded baseline is what the
 	// integrity report measures losses against.
 	var chaosRunner *chaos.Runner
@@ -342,28 +330,29 @@ func main() {
 		log.Fatalf("replay interrupted: %v", err)
 	}
 
-	if len(churn) > 0 {
-		churnWG.Wait()
-		dep := cache.Deployment()
-		if qerr := dep.QuiesceMigration(2 * time.Minute); qerr != nil {
-			log.Fatalf("churn: migration did not quiesce: %v", qerr)
-		}
-		var keys, bytes, drops int64
-		for _, p := range dep.Proxies {
-			st := p.Stats()
-			keys += st.MigratedKeys.Load()
-			bytes += st.MigratedBytes.Load()
-			drops += st.MigrationDrops.Load()
-		}
-		fmt.Printf("churn: epoch v%d, %d proxies; migrated %d keys (%.1f MB chunk payload), %d drops\n",
-			dep.Epoch().Version(), len(dep.ProxyInfos()), keys, float64(bytes)/(1<<20), drops)
-	}
-
 	if chaosRunner != nil {
-		chaosRunner.Stop()
+		chaosRunner.Wait()
 		rep := chaosRunner.Report()
+		dep := cache.Deployment()
+		if chaosSched.Churning() {
+			if qerr := dep.QuiesceMigration(2 * time.Minute); qerr != nil {
+				log.Fatalf("churn: migration did not quiesce: %v", qerr)
+			}
+			var keys, bytes, drops int64
+			for _, p := range dep.Proxies {
+				st := p.Stats()
+				keys += st.MigratedKeys.Load()
+				bytes += st.MigratedBytes.Load()
+				drops += st.MigrationDrops.Load()
+			}
+			fmt.Printf("churn: epoch v%d, %d proxies; migrated %d keys (%.1f MB chunk payload), %d drops\n",
+				dep.Epoch().Version(), len(dep.ProxyInfos()), keys, float64(bytes)/(1<<20), drops)
+		}
 		fmt.Printf("\n%s", rep.String())
-		fmt.Print(faultCounters(cache, rep).Table())
+		if !faulting {
+			return
+		}
+		fmt.Print(faultTable(dep, rep))
 		// Integrity is byte-exactness: every verified hit matched the
 		// written pattern. RESETs/errors during an active fault window
 		// are availability outcomes (the caller refetches), reported
@@ -422,97 +411,47 @@ func simulate(w io.Writer, trace *workload.Trace, cfg sim.Config, hot, hotMax in
 		ec.HitRatio()*100, ec.TotalCost, ec.TotalCost/res.TotalCost())
 }
 
-// faultCounters folds the chaos report and every layer's fault/defence
-// counters into one post-run snapshot.
-func faultCounters(cache *infinicache.Cache, rep chaos.Report) stats.FaultCounters {
-	fc := stats.FaultCounters{
-		Reclaims:     rep.Reclaimed,
-		SeveredConns: rep.Severed,
-	}
+// faultTable folds the chaos report and every layer's fault/defence
+// counters into one post-run table.
+func faultTable(dep *core.Deployment, rep chaos.Report) string {
+	var injected int64
 	for _, n := range rep.Injected {
-		fc.FaultsInjected += n
+		injected += n
 	}
-	dep := cache.Deployment()
+	var checksums, corrupt, hedged, wins, trips, degraded, repairs, recoveries int64
 	for _, p := range dep.Proxies {
 		st := p.Stats()
-		fc.ChecksumFailures += st.ChecksumFailures.Load()
-		fc.CorruptChunks += st.CorruptLost.Load()
-		fc.HedgedGets += st.HedgedGets.Load()
-		fc.HedgeWins += st.HedgeWins.Load()
-		fc.BreakerTrips += st.BreakerTrips.Load()
-		fc.DegradedGets += st.DegradedGets.Load()
-		fc.Repairs += st.Repairs.Load()
+		checksums += st.ChecksumFailures.Load()
+		corrupt += st.CorruptLost.Load()
+		hedged += st.HedgedGets.Load()
+		wins += st.HedgeWins.Load()
+		trips += st.BreakerTrips.Load()
+		degraded += st.DegradedGets.Load()
+		repairs += st.Repairs.Load()
 	}
 	for _, cl := range dep.Clients() {
 		st := cl.Stats()
-		fc.ChecksumFailures += st.ChecksumFailures.Load()
-		fc.Recoveries += st.Recoveries.Load()
+		checksums += st.ChecksumFailures.Load()
+		recoveries += st.Recoveries.Load()
 	}
-	return fc
-}
-
-// churnEvent is one membership change scheduled at a virtual-time
-// offset from the replay start. Positive delta adds proxies; negative
-// removes the newest ones.
-type churnEvent struct {
-	at    time.Duration
-	delta int
-}
-
-// parseChurn parses "30ms:+1,2s:-1" into a schedule sorted by offset.
-func parseChurn(spec string) ([]churnEvent, error) {
-	if spec == "" {
-		return nil, nil
+	var rows [][]string
+	for _, r := range []struct {
+		name string
+		n    int64
+	}{
+		{"faults injected (link)", injected},
+		{"instances reclaimed", rep.Reclaimed},
+		{"conns severed", rep.Severed},
+		{"checksum failures", checksums},
+		{"corrupt chunks lost", corrupt},
+		{"hedged requests", hedged},
+		{"hedge wins", wins},
+		{"breaker trips", trips},
+		{"degraded GETs", degraded},
+		{"EC recoveries", recoveries},
+		{"chunk repairs", repairs},
+	} {
+		rows = append(rows, []string{r.name, fmt.Sprint(r.n)})
 	}
-	var events []churnEvent
-	for _, part := range strings.Split(spec, ",") {
-		at, delta, ok := strings.Cut(strings.TrimSpace(part), ":")
-		if !ok {
-			return nil, fmt.Errorf("entry %q: want OFFSET:±N", part)
-		}
-		d, err := time.ParseDuration(at)
-		if err != nil || d < 0 {
-			return nil, fmt.Errorf("entry %q: bad offset %q", part, at)
-		}
-		n, err := strconv.Atoi(delta)
-		if err != nil || n == 0 {
-			return nil, fmt.Errorf("entry %q: bad delta %q (want non-zero ±N)", part, delta)
-		}
-		events = append(events, churnEvent{at: d, delta: n})
-	}
-	sort.Slice(events, func(i, j int) bool { return events[i].at < events[j].at })
-	return events, nil
-}
-
-// runChurn fires the schedule on the deployment clock: each event adds
-// or removes |delta| proxies (removal picks the newest member, never
-// the last one standing).
-func runChurn(dep *core.Deployment, clk vclock.Clock, events []churnEvent) {
-	start := clk.Now()
-	for _, ev := range events {
-		if d := ev.at - clk.Since(start); d > 0 {
-			<-clk.After(d)
-		}
-		for i := 0; i < ev.delta; i++ {
-			px, err := dep.AddProxy()
-			if err != nil {
-				log.Printf("churn: add proxy: %v", err)
-				continue
-			}
-			fmt.Printf("churn: +proxy %s (epoch v%d)\n", px.Addr(), dep.Epoch().Version())
-		}
-		for i := 0; i > ev.delta; i-- {
-			infos := dep.ProxyInfos()
-			if len(infos) < 2 {
-				log.Print("churn: refusing to remove the last proxy")
-				break
-			}
-			addr := infos[len(infos)-1].Addr
-			if err := dep.RemoveProxy(addr); err != nil {
-				log.Printf("churn: remove proxy %s: %v", addr, err)
-				continue
-			}
-			fmt.Printf("churn: -proxy %s (epoch v%d)\n", addr, dep.Epoch().Version())
-		}
-	}
+	return stats.Table([]string{"fault/recovery counter", "count"}, rows)
 }

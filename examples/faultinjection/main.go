@@ -54,8 +54,8 @@ func main() {
 	proxy := d.Proxies[0]
 
 	// Wave 1: lose p = 2 nodes; erasure coding absorbs it.
-	d.Platform.ForceReclaim(core.NodeName(0, 0))
-	d.Platform.ForceReclaim(core.NodeName(0, 1))
+	d.Platform.ForceReclaimMatching(core.NodeName(0, 0), -1)
+	d.Platform.ForceReclaimMatching(core.NodeName(0, 1), -1)
 	if _, err := client.GetCtx(ctx, "precious"); err != nil {
 		log.Fatalf("wave 1: %v", err)
 	}
@@ -72,7 +72,7 @@ func main() {
 
 	// Wave 2: reclaim ONE replica of every node; peers take over.
 	for i := 0; i < 8; i++ {
-		d.Platform.ForceReclaimN(core.NodeName(0, i), 1)
+		d.Platform.ForceReclaimMatching(core.NodeName(0, i), 1)
 	}
 	if _, err := client.GetCtx(ctx, "precious"); err != nil {
 		log.Fatalf("wave 2: %v", err)
@@ -81,7 +81,7 @@ func main() {
 
 	// Wave 3: scorched earth; only the backing store can help now.
 	for i := 0; i < 8; i++ {
-		d.Platform.ForceReclaim(core.NodeName(0, i))
+		d.Platform.ForceReclaimMatching(core.NodeName(0, i), -1)
 	}
 	_, err = client.GetCtx(ctx, "precious")
 	fmt.Printf("wave 3: reclaimed everything -> Get says: %v\n", err)

@@ -140,12 +140,6 @@ func WithMigrationRate(rate int64) Option {
 	return func(c *core.Config) { c.MigrationRateBytes = rate }
 }
 
-// WithFaultInjection arms the deterministic chaos plane: a seeded fault
-// engine is threaded through every node link and client dialer,
-// reachable via Deployment().Faults() for chaos scheduling
-// (internal/chaos). Off by default with zero wire-path overhead.
-func WithFaultInjection() Option { return func(c *core.Config) { c.FaultInjection = true } }
-
 // WithHedgedGets enables hedged degraded reads on every proxy: a GET
 // fans out to exactly d chunks, and a slow or failed chunk is hedged
 // with one extra request to a healthy node after a delay derived from

@@ -248,8 +248,8 @@ func TestPublicAPIFaultInjection(t *testing.T) {
 	}
 	// Kill up to p nodes through the exposed deployment.
 	d := cache.Deployment()
-	d.Platform.ForceReclaim("p0-node0")
-	d.Platform.ForceReclaim("p0-node1")
+	d.Platform.ForceReclaimMatching("p0-node0", -1)
+	d.Platform.ForceReclaimMatching("p0-node1", -1)
 	got, err := cl.GetCtx(ctx, "resilient")
 	if err != nil || !bytes.Equal(got, obj) {
 		t.Fatalf("get after reclaim: %v", err)
@@ -301,7 +301,6 @@ func TestNewDefaults(t *testing.T) {
 		{"WithRecovery(true)", []infinicache.Option{infinicache.WithRecovery(true)}, func(c *core.Config) { c.EnableRecovery = true }},
 		{"WithSeed(7)", []infinicache.Option{infinicache.WithSeed(7)}, func(c *core.Config) { c.Seed = 7 }},
 		{"WithMigrationRate(-1)", []infinicache.Option{infinicache.WithMigrationRate(-1)}, func(c *core.Config) { c.MigrationRateBytes = -1 }},
-		{"WithFaultInjection()", []infinicache.Option{infinicache.WithFaultInjection()}, func(c *core.Config) { c.FaultInjection = true }},
 		{"WithHedgedGets()", []infinicache.Option{infinicache.WithHedgedGets()}, func(c *core.Config) { c.HedgedGets = true }},
 		{"last option wins", []infinicache.Option{infinicache.WithWarmupInterval(0), infinicache.WithWarmupInterval(time.Hour)}, func(c *core.Config) { c.WarmupInterval = time.Hour }},
 	} {

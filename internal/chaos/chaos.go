@@ -1,9 +1,16 @@
-// Package chaos is the deterministic fault-injection plane: a seeded,
+// Package chaos is the event plane of a live run: a seeded,
 // virtual-clock-driven scheduler that replays a declarative schedule of
-// faults against a running deployment. Each event fires at a fixed
-// virtual offset from Run start, so a fixed (schedule, seed, clock)
-// triple reproduces the same fault sequence on every run — the property
-// the chaos soak test and the CI chaos smoke pin.
+// what happens to a running deployment — provider faults and membership
+// change alike. Each event fires at a fixed virtual offset from Run
+// start, so a fixed (schedule, seed, clock) triple reproduces the same
+// event sequence on every run — the property the chaos soak test and
+// the CI chaos and churn smokes pin.
+//
+// Membership events, which are not faults (Report.Classes skips them):
+//
+//   - join         adds N proxies, one epoch each.
+//   - leave        drains up to N proxies out, newest member first and
+//     never the last one standing.
 //
 // Fault classes and how they land:
 //
@@ -23,9 +30,9 @@
 //
 // The link-level classes (latency..refuse) are applied through a
 // netsim.Faults engine shared with the platform's node links and the
-// client dialer; reclaim and crashproxy go through the narrow Platform
-// and Cluster interfaces below, so this package imports neither
-// lambdaemu nor core and sits below both.
+// client dialer; reclaim, crashproxy, join and leave go through the
+// narrow Platform and Cluster interfaces below, so this package imports
+// neither lambdaemu nor core and sits below both.
 package chaos
 
 import (
@@ -56,22 +63,42 @@ type Cluster interface {
 	// returning how many were severed.
 	SeverProxyConns(i int) int
 	NumProxies() int
+	// JoinProxies adds n proxies; LeaveProxies drains n, newest first
+	// (the runner never asks it for the last one). Each returns how
+	// many changed.
+	JoinProxies(n int) (int, error)
+	LeaveProxies(n int) (int, error)
 }
 
-// Event is one scheduled fault.
+// Event is one scheduled fault or membership change.
 type Event struct {
 	At      time.Duration // virtual offset from Run start
-	Kind    string        // reclaim | crashproxy | latency | corrupt | rot | hangup | refuse
+	Kind    string        // reclaim | crashproxy | latency | corrupt | rot | hangup | refuse | join | leave
 	Pattern string        // link tag / function-name pattern ("*", exact, or trailing-* prefix)
-	N       int           // reclaim: max instances (-1 = all); crashproxy: proxy index
+	N       int           // reclaim: max instances (-1 = all); crashproxy: proxy index; join/leave: proxies
 	Rate    float64       // corrupt/rot/hangup: per-write/read probability
 	Extra   time.Duration // latency: added delay
 	Window  time.Duration // link rules: lifetime from injection (0 = rest of run)
 }
 
-// Schedule is a parsed fault schedule, sorted by offset.
+// Schedule is a parsed event schedule, sorted by offset.
 type Schedule struct {
 	Events []Event
+}
+
+// Faulting reports whether the schedule holds an event other than join
+// and leave — whether the run it drives is faulted at all. Churning
+// reports whether it holds a join or a leave.
+func (s *Schedule) Faulting() bool { return s.holds(false) }
+func (s *Schedule) Churning() bool { return s.holds(true) }
+
+func (s *Schedule) holds(membership bool) bool {
+	for _, ev := range s.Events {
+		if (ev.Kind == "join" || ev.Kind == "leave") == membership {
+			return true
+		}
+	}
+	return false
 }
 
 // Parse builds a Schedule from its comma-separated spec string. Each
@@ -84,12 +111,15 @@ type Schedule struct {
 //	OFFSET:rot:PATTERN:RATE[:WINDOW]
 //	OFFSET:hangup:PATTERN:RATE[:WINDOW]
 //	OFFSET:refuse:PATTERN[:WINDOW]
+//	OFFSET:join:N                    N >= 1
+//	OFFSET:leave:N                   N >= 1
 //
 // Durations use Go syntax ("250ms", "2s"); rates are in [0,1]. Link
 // tags are node function names ("p0-node3") on platform links and
-// "client" on client↔proxy links. Example:
+// "client" on client↔proxy links. Examples:
 //
 //	"0s:corrupt:*:0.02:2s,10ms:reclaim:p0-node0:all,40ms:crashproxy:0"
+//	"30ms:join:1,2s:leave:1"
 func Parse(spec string) (*Schedule, error) {
 	var events []Event
 	for _, raw := range strings.Split(spec, ",") {
@@ -138,6 +168,13 @@ func parseEvent(raw string) (Event, error) {
 		}
 		if ev.N, err = strconv.Atoi(args[0]); err != nil || ev.N < 0 {
 			return Event{}, fmt.Errorf("bad proxy index %q", args[0])
+		}
+	case "join", "leave":
+		if len(args) != 1 {
+			return Event{}, fmt.Errorf("want %s:N", ev.Kind)
+		}
+		if ev.N, err = strconv.Atoi(args[0]); err != nil || ev.N <= 0 {
+			return Event{}, fmt.Errorf("bad proxy count %q", args[0])
 		}
 	case netsim.FaultLatency:
 		if len(args) != 2 && len(args) != 3 {
@@ -214,6 +251,8 @@ func (r Report) Classes() int {
 	seen := map[string]bool{}
 	for _, f := range r.Fired {
 		switch f.Kind() {
+		case "join", "leave":
+			// Membership change, not a fault class.
 		case "reclaim":
 			seen["reclaim"] = r.Reclaimed > 0 || seen["reclaim"]
 		case "crashproxy":
@@ -231,7 +270,7 @@ func (r Report) Classes() int {
 	return n
 }
 
-// Kind returns the fired event's fault class.
+// Kind returns the fired event's kind.
 func (f Fired) Kind() string { return f.Event.Kind }
 
 func (r Report) String() string {
@@ -258,8 +297,8 @@ func (r Report) String() string {
 
 // Runner applies a Schedule against a deployment. Faults may be nil
 // only if the schedule has no link-level events; Platform and Cluster
-// may be nil if it has no reclaim / crashproxy events (Start verifies
-// all three).
+// may be nil if it has no reclaim / crashproxy, join, leave events
+// (Start verifies all three).
 type Runner struct {
 	sched    *Schedule
 	clock    vclock.Clock
@@ -299,13 +338,13 @@ func (r *Runner) Start() error {
 			if r.platform == nil {
 				return fmt.Errorf("chaos: schedule has reclaim events but no platform")
 			}
-		case "crashproxy":
+		case "crashproxy", "join", "leave":
 			if r.cluster == nil {
-				return fmt.Errorf("chaos: schedule has crashproxy events but no cluster")
+				return fmt.Errorf("chaos: schedule has %s events but no cluster", ev.Kind)
 			}
 		default:
 			if r.faults == nil {
-				return fmt.Errorf("chaos: schedule has %s events but no fault engine (enable fault injection)", ev.Kind)
+				return fmt.Errorf("chaos: schedule has %s events but no fault engine", ev.Kind)
 			}
 		}
 	}
@@ -372,6 +411,21 @@ func (r *Runner) apply(ev Event, at time.Duration) {
 		n := r.cluster.SeverProxyConns(ev.N)
 		severed = int64(n)
 		detail = fmt.Sprintf("proxy %d: %d conns severed", ev.N, n)
+	case "join", "leave":
+		var n int
+		var err error
+		verb := "joined"
+		if ev.Kind == "join" {
+			n, err = r.cluster.JoinProxies(ev.N)
+		} else {
+			// Never the last member: a leave asks for all but one at most.
+			n, err = r.cluster.LeaveProxies(min(ev.N, r.cluster.NumProxies()-1))
+			verb = "left"
+		}
+		detail = fmt.Sprintf("%d of %d proxies %s, %d members", n, ev.N, verb, r.cluster.NumProxies())
+		if err != nil {
+			detail += ": " + err.Error()
+		}
 	case netsim.FaultLatency:
 		r.faults.Add(ev.Pattern, ev.Kind, 1, ev.Extra, ev.Window)
 		detail = fmt.Sprintf("%s: +%v%s", ev.Pattern, ev.Extra, windowSuffix(ev))

@@ -19,6 +19,9 @@ func FuzzChaosParse(f *testing.F) {
 	f.Add("0s:corrupt:*:1.5")
 	f.Add("0s:latency:*:0s")
 	f.Add("9223372036854775807ns:crashproxy:0")
+	f.Add("30ms:join:1,2s:leave:1")
+	f.Add("0s:join:0")
+	f.Add("1s:leave:-1,0s:join:2:x")
 	f.Fuzz(func(t *testing.T, spec string) {
 		s, err := Parse(spec)
 		if err != nil {
@@ -39,6 +42,10 @@ func FuzzChaosParse(f *testing.F) {
 			case "crashproxy":
 				if ev.N < 0 {
 					t.Fatalf("%q: proxy index %d", spec, ev.N)
+				}
+			case "join", "leave":
+				if ev.N < 1 || ev.Pattern != "" || ev.Rate != 0 || ev.Window != 0 {
+					t.Fatalf("%q: %s event %+v", spec, ev.Kind, ev)
 				}
 			case "latency":
 				if ev.Extra <= 0 {

@@ -118,7 +118,7 @@ func TestBackupSurvivesSourceReclaim(t *testing.T) {
 	// Reclaim the OLDEST instance (the original source) of every node:
 	// without backup this would destroy all 6 chunks (> p = 2).
 	for i := 0; i < 6; i++ {
-		if n := d.Platform.ForceReclaimN(NodeName(0, i), 1); n != 1 {
+		if n := d.Platform.ForceReclaimMatching(NodeName(0, i), 1); n != 1 {
 			t.Fatalf("node %d: reclaimed %d instances", i, n)
 		}
 	}
@@ -157,7 +157,7 @@ func TestBackupDeltaSync(t *testing.T) {
 	})
 	// Reclaim one replica everywhere; both objects must survive.
 	for i := 0; i < 6; i++ {
-		d.Platform.ForceReclaimN(NodeName(0, i), 1)
+		d.Platform.ForceReclaimMatching(NodeName(0, i), 1)
 	}
 	for _, key := range []string{"delta-1", "delta-2"} {
 		if _, err := c.GetCtx(ctx, key); err != nil {

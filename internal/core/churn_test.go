@@ -307,8 +307,8 @@ func TestDegradedGetSingleFlightRecovery(t *testing.T) {
 		nodes[i] = perm[i]
 	}
 	putsBefore := d.Proxies[0].Stats().Puts.Load()
-	d.Platform.ForceReclaim(NodeName(0, nodes[4]))
-	d.Platform.ForceReclaim(NodeName(0, nodes[5]))
+	d.Platform.ForceReclaimMatching(NodeName(0, nodes[4]), -1)
+	d.Platform.ForceReclaimMatching(NodeName(0, nodes[5]), -1)
 
 	const readers = 8
 	var wg sync.WaitGroup

@@ -64,12 +64,6 @@ type Config struct {
 	// MigrationRateBytes paces the key migration an AddProxy/RemoveProxy
 	// triggers (0 takes the proxy default; negative disables pacing).
 	MigrationRateBytes int64
-	// FaultInjection arms the deterministic chaos plane: a seeded
-	// netsim.Faults engine (seeded from Seed) is threaded through the
-	// platform's node links and the client dialer, reachable via
-	// Deployment.Faults for the chaos scheduler. Off by default — the
-	// wire path then carries zero fault-filter overhead.
-	FaultInjection bool
 	// HedgedGets enables hedged degraded reads with per-node circuit
 	// breakers on every proxy (see proxy.Config).
 	HedgedGets bool
@@ -119,8 +113,10 @@ type Deployment struct {
 	// deployment is one process, and its bandwidth and latency are
 	// modelled in virtual time on top (netsim.Path), not by the kernel.
 	network *netsim.Network
-	// faults is the chaos plane's fault engine (nil unless
-	// Config.FaultInjection).
+	// faults is the chaos plane's fault engine, seeded from Config.Seed
+	// and threaded through every node link and client dial. Until a
+	// schedule adds a rule it costs each link one atomic load per
+	// Read, Write or dial.
 	faults *netsim.Faults
 
 	// membership owns the epoch sequence; every join/leave publishes the
@@ -152,10 +148,7 @@ func New(cfg Config) (*Deployment, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
 	}
-	var faults *netsim.Faults
-	if cfg.FaultInjection {
-		faults = netsim.NewFaults(cfg.Clock, cfg.Seed+977)
-	}
+	faults := netsim.NewFaults(cfg.Clock, cfg.Seed+977)
 	network := netsim.NewNetwork()
 	platform := lambdaemu.New(lambdaemu.Config{
 		Clock:           cfg.Clock,
@@ -381,22 +374,19 @@ func (d *Deployment) NewClient(opts ...client.Option) (*client.Client, error) {
 		EnableRecovery: d.cfg.EnableRecovery,
 		Seed:           d.cfg.Seed + 101,
 	}
-	ccfg.Dial = d.network.Dial
-	if f := d.faults; f != nil {
-		// Thread the chaos plane through the client↔proxy links too:
-		// refuse rules matching the "client" tag make dials fail, and
-		// corrupt/rot/latency/hangup rules apply to client traffic just
-		// as they do to node links.
-		ccfg.Dial = func(addr string) (net.Conn, error) {
-			if f.Refused("client") {
-				return nil, fmt.Errorf("core: dial %s refused (injected fault)", addr)
-			}
-			raw, err := d.network.Dial(addr)
-			if err != nil {
-				return nil, err
-			}
-			return netsim.NewFaultConn(raw, nil, f, "client"), nil
+	// The chaos plane reaches the client↔proxy links too: refuse rules
+	// matching the "client" tag make dials fail, and
+	// corrupt/rot/latency/hangup rules apply to client traffic just as
+	// they do to node links.
+	ccfg.Dial = func(addr string) (net.Conn, error) {
+		if d.faults.Refused("client") {
+			return nil, fmt.Errorf("core: dial %s refused (injected fault)", addr)
 		}
+		raw, err := d.network.Dial(addr)
+		if err != nil {
+			return nil, err
+		}
+		return netsim.NewFaultConn(raw, nil, d.faults, "client"), nil
 	}
 	cl, err := client.New(ccfg, opts...)
 	if err != nil {
@@ -417,7 +407,7 @@ func (d *Deployment) Clients() []*client.Client {
 }
 
 // Faults exposes the deployment's fault engine for chaos scheduling
-// (nil unless Config.FaultInjection was set).
+// (never nil).
 func (d *Deployment) Faults() *netsim.Faults { return d.faults }
 
 // NumProxies returns the current live proxy count.
@@ -425,6 +415,30 @@ func (d *Deployment) NumProxies() int {
 	d.pmu.Lock()
 	defer d.pmu.Unlock()
 	return len(d.Proxies)
+}
+
+// JoinProxies grows the cluster by n proxies, one AddProxy (and one
+// epoch) each, and returns how many joined.
+func (d *Deployment) JoinProxies(n int) (int, error) {
+	for i := 0; i < n; i++ {
+		if _, err := d.AddProxy(); err != nil {
+			return i, err
+		}
+	}
+	return n, nil
+}
+
+// LeaveProxies drains n proxies out of the cluster, newest member
+// first, one RemoveProxy (and one epoch) each; RemoveProxy refuses the
+// last one standing. It returns how many left.
+func (d *Deployment) LeaveProxies(n int) (int, error) {
+	for i := 0; i < n; i++ {
+		infos := d.ProxyInfos()
+		if err := d.RemoveProxy(infos[len(infos)-1].Addr); err != nil {
+			return i, err
+		}
+	}
+	return n, nil
 }
 
 // SeverProxyConns abruptly closes every established connection (client

@@ -183,8 +183,8 @@ func TestSurvivesUpToParityReclaims(t *testing.T) {
 	}
 	// Reclaim 2 of the 8 nodes (= p). At most 2 chunks lost; the object
 	// must still be readable via EC reconstruction.
-	d.Platform.ForceReclaim(NodeName(0, 0))
-	d.Platform.ForceReclaim(NodeName(0, 1))
+	d.Platform.ForceReclaimMatching(NodeName(0, 0), -1)
+	d.Platform.ForceReclaimMatching(NodeName(0, 1), -1)
 	got, err := c.GetCtx(ctx, "resilient")
 	if err != nil {
 		t.Fatalf("get after reclaim: %v", err)
@@ -202,7 +202,7 @@ func TestObjectLostBeyondParity(t *testing.T) {
 	}
 	// Reclaim every node: all chunks gone.
 	for i := 0; i < 8; i++ {
-		d.Platform.ForceReclaim(NodeName(0, i))
+		d.Platform.ForceReclaimMatching(NodeName(0, i), -1)
 	}
 	_, err := c.GetCtx(ctx, "fragile")
 	if !errors.Is(err, client.ErrLost) && !errors.Is(err, client.ErrMiss) {
@@ -232,7 +232,7 @@ func TestGetOrLoadResetsLostObject(t *testing.T) {
 	}
 	// Destroy the whole pool; next access must RESET.
 	for i := 0; i < 8; i++ {
-		d.Platform.ForceReclaim(NodeName(0, i))
+		d.Platform.ForceReclaimMatching(NodeName(0, i), -1)
 	}
 	if _, err := c.GetOrLoadCtx(ctx, "reset-me", loader); err != nil {
 		t.Fatal(err)

@@ -60,10 +60,10 @@ type Config struct {
 	// fault-filters what it returns. nil leaves handlers without a
 	// network: every Context.Dial fails.
 	Dial func(addr string) (net.Conn, error)
-	// NetFaults, when set, is consulted on every handler Dial (refusal
-	// rules, tagged by function name) and every byte moved on the
-	// resulting connections (corruption/latency/hangup rules) — the
-	// chaos plane's hook into the platform's network edge.
+	// NetFaults is consulted on every handler Dial (refusal rules,
+	// tagged by function name) and every byte moved on the resulting
+	// connections (corruption/latency/hangup rules) — the chaos plane's
+	// hook into the platform's network edge. nil never faults.
 	NetFaults *netsim.Faults
 }
 
@@ -429,7 +429,7 @@ func (p *Platform) dialFrom(in *Instance, addr string) (net.Conn, error) {
 	if p.cfg.Dial == nil {
 		return nil, errors.New("lambdaemu: platform has no network (Config.Dial is nil)")
 	}
-	if f := p.cfg.NetFaults; f != nil && f.Refused(in.fn.name) {
+	if p.cfg.NetFaults.Refused(in.fn.name) {
 		return nil, fmt.Errorf("lambdaemu: dial refused (injected fault) for %s", in.fn.name)
 	}
 	raw, err := p.cfg.Dial(addr)
@@ -441,14 +441,9 @@ func (p *Platform) dialFrom(in *Instance, addr string) (net.Conn, error) {
 		Latency: DefaultNetworkLatency,
 		Buckets: []*netsim.Bucket{in.host.bucket, in.bucket},
 	}
-	var c net.Conn
-	if p.cfg.NetFaults != nil {
-		// Tag the conn with the function name so per-node fault rules
-		// (corrupt/rot/latency/hangup) can target it.
-		c = netsim.NewFaultConn(raw, path, p.cfg.NetFaults, in.fn.name)
-	} else {
-		c = netsim.NewConn(raw, path)
-	}
+	// Tag the conn with the function name so per-node fault rules
+	// (corrupt/rot/latency/hangup) can target it.
+	c := netsim.NewFaultConn(raw, path, p.cfg.NetFaults, in.fn.name)
 	in.trackConn(c)
 	return c, nil
 }

@@ -245,8 +245,8 @@ func TestForceReclaimDropsStateAndSignalsDone(t *testing.T) {
 	for p.Ledger().ForFunction("victim").Invocations == 0 {
 		time.Sleep(time.Millisecond)
 	}
-	if n := p.ForceReclaim("victim"); n != 1 {
-		t.Fatalf("ForceReclaim = %d, want 1", n)
+	if n := p.ForceReclaimMatching("victim", -1); n != 1 {
+		t.Fatalf("ForceReclaimMatching = %d, want 1", n)
 	}
 	select {
 	case <-ctx.Done():
@@ -284,7 +284,7 @@ func TestReclaimFreesHostMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	wg.Wait()
-	p.ForceReclaim("a")
+	p.ForceReclaimMatching("a", -1)
 	// A second large function must fit into the freed host slot.
 	wg.Add(1)
 	if _, err := p.Register("b", FunctionConfig{MemoryMB: 1536}, func(*Context, []byte) { wg.Done() }); err != nil {
@@ -441,7 +441,7 @@ func TestContextDialGoesThroughConfigDial(t *testing.T) {
 	if d := <-wrote; d < 100*time.Millisecond {
 		t.Fatalf("a %d-byte write took %v of virtual time, want >= 100ms (instance bandwidth)", n, d)
 	}
-	if got := p.ForceReclaim("f"); got != 1 {
+	if got := p.ForceReclaimMatching("f", -1); got != 1 {
 		t.Fatalf("reclaimed %d instances, want 1", got)
 	}
 	if _, err := srv.Read(make([]byte, 1)); err != io.EOF {

@@ -3,6 +3,7 @@ package lambdaemu
 import (
 	"math/rand"
 	"slices"
+	"strings"
 	"time"
 
 	"infinicache/internal/distrib"
@@ -244,65 +245,38 @@ func (p *Platform) reclaimInstance(in *Instance, reason string) bool {
 	return true
 }
 
-// ForceReclaim reclaims a specific function's instances immediately
-// (fault-injection hook for tests and the faultinjection example).
-// It returns the number of instances reclaimed.
-func (p *Platform) ForceReclaim(function string) int {
-	return p.ForceReclaimN(function, -1)
-}
-
-// ForceReclaimN reclaims up to n instances of a function, oldest first;
-// n < 0 means all. It returns the number reclaimed.
-func (p *Platform) ForceReclaimN(function string, n int) int {
-	p.mu.Lock()
-	fn, ok := p.fns[function]
-	p.mu.Unlock()
-	if !ok {
-		return 0
-	}
-	fn.mu.Lock()
-	insts := append([]*Instance(nil), fn.instances...)
-	fn.mu.Unlock()
-	// Oldest first, mirroring the provider's bias against stale
-	// instances.
-	slices.SortStableFunc(insts, func(a, b *Instance) int { return a.born.Compare(b.born) })
-	count := 0
-	for _, in := range insts {
-		if n >= 0 && count >= n {
-			break
-		}
-		if p.reclaimInstance(in, "forced") {
-			count++
-		}
-	}
-	return count
-}
-
 // ForceReclaimMatching reclaims up to n instances across every function
-// whose name matches pattern (netsim.MatchTag syntax: exact, trailing
-// '*' prefix, or "*"), oldest first; n < 0 means all. The chaos plane
-// uses it to drive reclaim storms across a whole node pool.
+// whose name matches pattern (netsim.MatchTag syntax: an exact name,
+// trailing '*' prefix, or "*"), in name order and oldest first within a
+// function, mirroring the provider's bias against stale instances; n < 0
+// means all. It returns the number reclaimed. It is the one forced
+// reclaim: the chaos plane drives storms across a node pool with it, and
+// tests and examples kill one function's instances by its exact name.
 func (p *Platform) ForceReclaimMatching(pattern string, n int) int {
 	p.mu.Lock()
-	names := make([]string, 0, len(p.fns))
-	for name := range p.fns {
+	var fns []*Function
+	for name, fn := range p.fns {
 		if netsim.MatchTag(pattern, name) {
-			names = append(names, name)
+			fns = append(fns, fn)
 		}
 	}
 	p.mu.Unlock()
 	// Stable order so a fixed seed reclaims the same instances.
-	slices.Sort(names)
+	slices.SortFunc(fns, func(a, b *Function) int { return strings.Compare(a.name, b.name) })
 	count := 0
-	for _, name := range names {
-		if n >= 0 && count >= n {
-			break
+	for _, fn := range fns {
+		fn.mu.Lock()
+		insts := append([]*Instance(nil), fn.instances...)
+		fn.mu.Unlock()
+		slices.SortStableFunc(insts, func(a, b *Instance) int { return a.born.Compare(b.born) })
+		for _, in := range insts {
+			if n >= 0 && count >= n {
+				return count
+			}
+			if p.reclaimInstance(in, "forced") {
+				count++
+			}
 		}
-		left := -1
-		if n >= 0 {
-			left = n - count
-		}
-		count += p.ForceReclaimN(name, left)
 	}
 	return count
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"infinicache/internal/vclock"
@@ -59,12 +60,18 @@ func MatchTag(pattern, tag string) bool {
 	return false
 }
 
-// Faults is a seeded, virtual-time fault rule set consulted by tagged
-// Conns on every Read/Write and by dialers before connecting. All
+// Faults is a seeded, virtual-time fault rule set consulted by every
+// FaultConn on each Read/Write and by dialers before connecting. All
 // randomness flows from one seeded source, so a fixed schedule replays
-// the same fault stream for the same interleaving of transfers.
+// the same fault stream for the same interleaving of transfers. A nil
+// *Faults is an engine that never faults.
 type Faults struct {
 	clock vclock.Clock
+	// armed is set by the first Add. Until then a consult is this one
+	// atomic load: no lock, no draw from rng, so an engine nothing is
+	// scheduled against costs its links nothing and leaves a seeded
+	// run's fault stream where it was.
+	armed atomic.Bool
 
 	mu       sync.Mutex
 	rng      *rand.Rand
@@ -93,7 +100,11 @@ func (f *Faults) Add(pattern, kind string, rate float64, extra, window time.Dura
 	f.mu.Lock()
 	f.rules = append(f.rules, faultRule{pattern: pattern, kind: kind, rate: rate, extra: extra, until: until})
 	f.mu.Unlock()
+	f.armed.Store(true)
 }
+
+// live reports whether f has any rule to consult.
+func (f *Faults) live() bool { return f != nil && f.armed.Load() }
 
 // Counts snapshots the per-kind injected-fault counters.
 func (f *Faults) Counts() map[string]int64 {
@@ -106,20 +117,12 @@ func (f *Faults) Counts() map[string]int64 {
 	return out
 }
 
-// Injected returns the total faults injected across all kinds.
-func (f *Faults) Injected() int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	var n int64
-	for _, v := range f.injected {
-		n += v
-	}
-	return n
-}
-
 // Refused reports (and counts) whether a new dial for tag should be
 // refused under the current rules.
 func (f *Faults) Refused(tag string) bool {
+	if !f.live() {
+		return false
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	now := f.clock.Now()
@@ -195,9 +198,11 @@ func (f *Faults) planRead(tag string, b []byte) {
 // errInjectedHangup marks a chaos-injected connection kill.
 var errInjectedHangup = fmt.Errorf("netsim: injected connection hangup")
 
-// FaultConn wraps a net.Conn with a Path (as Conn does) plus a tagged
-// fault filter: writes may be delayed, bit-flipped, or cut short with a
-// connection kill; reads may be bit-flipped (rot).
+// FaultConn is the one emulated link: it wraps a net.Conn so every
+// Write is throttled through a Path (reads are not; the sender side
+// paces the wire) and filtered by a tagged fault engine: writes may be
+// delayed, bit-flipped, or cut short with a connection kill; reads may
+// be bit-flipped (rot).
 type FaultConn struct {
 	net.Conn
 	path   *Path
@@ -206,7 +211,8 @@ type FaultConn struct {
 }
 
 // NewFaultConn wraps inner with throttling through path and fault
-// injection from faults under the given tag. Either may be nil.
+// injection from faults under the given tag. Either may be nil: a nil
+// path does not throttle, and a nil or rule-less engine never faults.
 func NewFaultConn(inner net.Conn, path *Path, faults *Faults, tag string) *FaultConn {
 	return &FaultConn{Conn: inner, path: path, faults: faults, tag: tag}
 }
@@ -215,7 +221,7 @@ func (c *FaultConn) Write(b []byte) (int, error) {
 	if c.path != nil {
 		c.path.Transfer(len(b))
 	}
-	if c.faults == nil {
+	if !c.faults.live() {
 		return c.Conn.Write(b)
 	}
 	p := c.faults.planWrite(c.tag, b)
@@ -242,7 +248,7 @@ func (c *FaultConn) Write(b []byte) (int, error) {
 
 func (c *FaultConn) Read(b []byte) (int, error) {
 	n, err := c.Conn.Read(b)
-	if n > 0 && c.faults != nil {
+	if n > 0 && c.faults.live() {
 		c.faults.planRead(c.tag, b[:n])
 	}
 	return n, err

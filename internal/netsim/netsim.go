@@ -9,7 +9,6 @@
 package netsim
 
 import (
-	"net"
 	"sync"
 	"time"
 
@@ -121,25 +120,6 @@ func (p *Path) Transfer(n int) time.Duration {
 		p.Clock.Sleep(delay)
 	}
 	return delay
-}
-
-// Conn wraps a net.Conn so every Write is throttled through a Path.
-// Reads are not throttled; the sender side paces the wire.
-type Conn struct {
-	net.Conn
-	path *Path
-}
-
-// NewConn wraps inner with the given path. A nil path disables throttling.
-func NewConn(inner net.Conn, path *Path) *Conn {
-	return &Conn{Conn: inner, path: path}
-}
-
-func (c *Conn) Write(b []byte) (int, error) {
-	if c.path != nil {
-		c.path.Transfer(len(b))
-	}
-	return c.Conn.Write(b)
 }
 
 // BandwidthForMemory returns the modeled Lambda function bandwidth in

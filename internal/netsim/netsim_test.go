@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"bytes"
+	"io"
 	"math/rand"
 	"net"
 	"testing"
@@ -174,7 +176,7 @@ func TestConnThrottlesWrites(t *testing.T) {
 	clk := vclock.NewManual(time.Unix(0, 0))
 	t.Cleanup(clk.Pump())
 	bucket := NewBucket(1e6) // 1 MB/s virtual
-	tc := NewConn(a, &Path{Clock: clk, Buckets: []*Bucket{bucket}})
+	tc := NewFaultConn(a, &Path{Clock: clk, Buckets: []*Bucket{bucket}}, nil, "")
 
 	go func() {
 		buf := make([]byte, 1<<16)
@@ -197,6 +199,49 @@ func TestConnThrottlesWrites(t *testing.T) {
 	}
 	if d := bucket.Reserve(clk.Now(), 0); d != 0 {
 		t.Fatal("zero reserve after write should be 0")
+	}
+}
+
+// TestFaultConnWithoutRulesIsInert: every link carries a fault engine,
+// scheduled against or not. One with no rules must pass bytes through
+// untouched both ways, refuse no dial, and draw nothing from its RNG —
+// so arming every deployment cannot shift a seeded run's fault stream.
+func TestFaultConnWithoutRulesIsInert(t *testing.T) {
+	const seed = 42
+	a, b := net.Pipe()
+	defer b.Close()
+	f := NewFaults(vclock.NewManual(time.Unix(0, 0)), seed)
+	fc := NewFaultConn(a, nil, f, "p0-node0")
+	defer fc.Close()
+
+	payload := make([]byte, 4096)
+	rand.New(rand.NewSource(1)).Read(payload)
+	got := make([]byte, len(payload))
+	for _, dir := range []struct {
+		name string
+		w    net.Conn
+		r    net.Conn
+	}{{"write", fc, b}, {"read", b, fc}} {
+		errc := make(chan error, 1)
+		go func() { _, err := dir.w.Write(payload); errc <- err }()
+		if _, err := io.ReadFull(dir.r, got); err != nil {
+			t.Fatalf("%s: %v", dir.name, err)
+		}
+		if err := <-errc; err != nil {
+			t.Fatalf("%s: %v", dir.name, err)
+		}
+		if !bytes.Equal(got, payload) {
+			t.Fatalf("%s: bytes changed crossing a rule-less fault conn", dir.name)
+		}
+	}
+	if f.Refused("p0-node0") {
+		t.Error("a rule-less engine refused a dial")
+	}
+	if n := len(f.Counts()); n != 0 {
+		t.Errorf("a rule-less engine counted %d fault kinds", n)
+	}
+	if got, want := f.rng.Int63(), rand.New(rand.NewSource(seed)).Int63(); got != want {
+		t.Error("traffic over a rule-less engine drew from its RNG")
 	}
 }
 

@@ -17,8 +17,8 @@ import (
 // already modelled in virtual time by Path, so carrying its bytes
 // through the kernel's loopback stack models nothing and only leaks
 // real compute into that virtual time; a Network carries them through
-// memory instead. Conn and FaultConn wrap its connections exactly as
-// they wrap TCP ones.
+// memory instead. FaultConn wraps its connections exactly as it wraps
+// TCP ones.
 //
 // A Network is a value owned by whoever builds the deployment — names
 // are scoped to it, so two deployments in one process cannot collide.

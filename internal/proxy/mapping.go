@@ -410,10 +410,12 @@ func (t *mappingTable) Reserve(node int, size int64, protect string) ([]evictedC
 // a repair computed from a superseded version can never land in them.
 // Returns false (and releases the reservation) when the entry is gone,
 // has moved on, or holds different content; the caller then deletes the
-// node's copy like any superseded chunk.
+// node's copy like any superseded chunk. On success, moved is the node
+// whose copy the commit displaced (a straggler's old home), or -1: the
+// caller deletes that copy, which the accounting no longer tracks.
 // sum is the chunk's CRC32-C when hasSum is set (the SET frame carried
 // one); it is stored so later read-backs can be verified end to end.
-func (t *mappingTable) CommitChunk(key string, idx, node int, size int64, epoch uint64, sum int64, hasSum bool) bool {
+func (t *mappingTable) CommitChunk(key string, idx, node int, size int64, epoch uint64, sum int64, hasSum bool) (moved int, ok bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	o, ok := t.objects[key]
@@ -428,14 +430,18 @@ func (t *mappingTable) CommitChunk(key string, idx, node int, size int64, epoch 
 	if !ok {
 		// Release the reservation.
 		t.nodeUsed[node] -= size
-		return false
+		return -1, false
 	}
 	old := o.Chunks[idx]
+	moved = -1
 	if old.Size > 0 {
 		t.nodeUsed[old.Node] -= old.Size
+		if old.Node != node {
+			moved = old.Node
+		}
 	}
 	o.Chunks[idx] = chunkLoc{Node: node, Size: size, Present: true, Sum: sum, HasSum: hasSum}
-	return true
+	return moved, true
 }
 
 // NoteChunkCorrupt records a checksum failure on a chunk read back from
@@ -444,9 +450,9 @@ func (t *mappingTable) CommitChunk(key string, idx, node int, size int64, epoch 
 // when the chunk is rewritten), the second means the stored bytes are
 // bad: the chunk is escalated to a positive loss, which routes the
 // object through degraded-read reconstruction and recovery re-insert.
-// Epoch-guarded like MarkChunkLost. Returns whether the chunk was
-// escalated to lost by this call.
-func (t *mappingTable) NoteChunkCorrupt(key string, idx int, epoch uint64) bool {
+// Guarded like MarkChunkLost. Returns whether the chunk was escalated to
+// lost by this call.
+func (t *mappingTable) NoteChunkCorrupt(key string, idx, node int, epoch uint64) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	o, ok := t.objects[key]
@@ -454,7 +460,7 @@ func (t *mappingTable) NoteChunkCorrupt(key string, idx int, epoch uint64) bool 
 		return false
 	}
 	c := &o.Chunks[idx]
-	if !c.Present {
+	if !c.Present || c.Node != node {
 		return false
 	}
 	if c.Strikes++; c.Strikes < 2 {
@@ -495,11 +501,12 @@ func (t *mappingTable) ReleaseChunk(node int, size int64) {
 }
 
 // MarkChunkLost flags a chunk as gone (node answered MISS after a
-// reclaim). The caller passes the entry epoch its GET snapshotted: a
-// MISS earned against a superseded incarnation says nothing about the
-// current one's chunks and is ignored. It returns how many chunks
-// remain present.
-func (t *mappingTable) MarkChunkLost(key string, idx int, epoch uint64) int {
+// reclaim). The caller passes the entry epoch its GET snapshotted and
+// the node that answered: a MISS earned against a superseded
+// incarnation, or from a node the chunk has since moved off (a recovery
+// re-insert, whose DEL reached the old copy first), says nothing about
+// the slot and is ignored. It returns how many chunks remain present.
+func (t *mappingTable) MarkChunkLost(key string, idx, node int, epoch uint64) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	o, ok := t.objects[key]
@@ -507,7 +514,7 @@ func (t *mappingTable) MarkChunkLost(key string, idx int, epoch uint64) int {
 		return 0
 	}
 	c := &o.Chunks[idx]
-	if c.Present {
+	if c.Present && c.Node == node {
 		c.Present = false
 		o.Lost++
 		// The bytes are no longer on the node.

@@ -169,17 +169,17 @@ func TestMarkChunkLost(t *testing.T) {
 		tb.Reserve(i, 40, "a")
 		tb.CommitChunk("a", i, i, 40, epoch, 0, false)
 	}
-	if left := tb.MarkChunkLost("a", 0, epoch); left != 2 {
+	if left := tb.MarkChunkLost("a", 0, 0, epoch); left != 2 {
 		t.Fatalf("present after loss = %d, want 2", left)
 	}
 	if tb.NodeUsed(0) != 0 {
 		t.Fatal("lost chunk still accounted")
 	}
 	// Double-mark is idempotent.
-	if left := tb.MarkChunkLost("a", 0, epoch); left != 2 {
+	if left := tb.MarkChunkLost("a", 0, 0, epoch); left != 2 {
 		t.Fatal("double MarkChunkLost changed count")
 	}
-	if tb.MarkChunkLost("missing", 0, 1) != 0 {
+	if tb.MarkChunkLost("missing", 0, 0, 1) != 0 {
 		t.Fatal("unknown object should report 0")
 	}
 }
@@ -208,7 +208,7 @@ func TestEpochGuards(t *testing.T) {
 	tb.CommitChunk("a", 0, 1, 50, newEpoch, 0, false)
 
 	// A stale GET's MISS must not mark the new chunk lost.
-	tb.MarkChunkLost("a", 0, oldEpoch)
+	tb.MarkChunkLost("a", 0, 1, oldEpoch)
 	meta, _ := tb.Lookup("a")
 	if !meta.Chunks[0].Present || meta.Lost != 0 {
 		t.Fatal("stale-epoch MISS tainted the new incarnation")
@@ -223,7 +223,7 @@ func TestEpochGuards(t *testing.T) {
 	// A stale GET's... and a stale COMMIT: a chunk acked after another
 	// session's overwrite must not splice into the new incarnation.
 	tb.Reserve(2, 50, "a")
-	if tb.CommitChunk("a", 1, 2, 50, oldEpoch, 0, false) {
+	if _, ok := tb.CommitChunk("a", 1, 2, 50, oldEpoch, 0, false); ok {
 		t.Fatal("stale-epoch commit spliced into the new incarnation")
 	}
 	if tb.NodeUsed(2) != 0 {
@@ -249,11 +249,11 @@ func TestRecoveryContentFence(t *testing.T) {
 	tb.CommitChunk("a", 0, 0, 50, epoch, 111, true)
 	tb.Reserve(1, 50, "a")
 	tb.CommitChunk("a", 1, 1, 50, epoch, 222, true)
-	tb.MarkChunkLost("a", 0, epoch)
+	tb.MarkChunkLost("a", 0, 0, epoch)
 
 	// Recovery into a lost slot with the matching sum commits.
 	tb.Reserve(2, 50, "a")
-	if !tb.CommitChunk("a", 0, 2, 50, 0, 111, true) {
+	if _, ok := tb.CommitChunk("a", 0, 2, 50, 0, 111, true); !ok {
 		t.Fatal("recovery of a lost chunk with its own content refused")
 	}
 	if meta, _ := tb.Lookup("a"); !meta.Chunks[0].Present || meta.Chunks[0].Node != 2 {
@@ -261,7 +261,7 @@ func TestRecoveryContentFence(t *testing.T) {
 	}
 	// A straggler (slot present, same sum) still moves.
 	tb.Reserve(3, 50, "a")
-	if !tb.CommitChunk("a", 1, 3, 50, 0, 222, true) {
+	if _, ok := tb.CommitChunk("a", 1, 3, 50, 0, 222, true); !ok {
 		t.Fatal("straggler re-insert with the slot's own content refused")
 	}
 	if tb.NodeUsed(1) != 0 || tb.NodeUsed(3) != 50 {
@@ -269,12 +269,12 @@ func TestRecoveryContentFence(t *testing.T) {
 	}
 	// A different sum is refused and releases its reservation.
 	tb.Reserve(1, 50, "a")
-	if tb.CommitChunk("a", 0, 1, 50, 0, 999, true) {
+	if _, ok := tb.CommitChunk("a", 0, 1, 50, 0, 999, true); ok {
 		t.Fatal("recovery carrying other content committed")
 	}
 	// So is a frame that carries no sum at all.
 	tb.Reserve(1, 50, "a")
-	if tb.CommitChunk("a", 0, 1, 50, 0, 0, false) {
+	if _, ok := tb.CommitChunk("a", 0, 1, 50, 0, 0, false); ok {
 		t.Fatal("sum-less recovery committed")
 	}
 	if tb.NodeUsed(1) != 0 {
@@ -285,11 +285,48 @@ func TestRecoveryContentFence(t *testing.T) {
 	// the superseded version must not land in the overwrite.
 	tb.BeginObject("a", 100, 1, 2, 0, 0)
 	tb.Reserve(0, 50, "a")
-	if tb.CommitChunk("a", 0, 0, 50, 0, 111, true) {
+	if _, ok := tb.CommitChunk("a", 0, 0, 50, 0, 111, true); ok {
 		t.Fatal("recovery committed into a fresh incarnation")
 	}
 	if tb.UsedBytes() != 0 {
 		t.Fatalf("UsedBytes = %d after refused recovery, want 0", tb.UsedBytes())
+	}
+}
+
+// TestMovedChunkIgnoresOldNode: a recovery re-insert that moves a
+// present chunk reports the node it moved off, and a verdict from that
+// node — a straggler fetch meeting the DEL of the old copy reads MISS,
+// a read-back of it fails its checksum — leaves the moved slot present.
+// Verdicts from the node the slot points at still land.
+func TestMovedChunkIgnoresOldNode(t *testing.T) {
+	tb := newTable()
+	_, epoch, _, _ := tb.BeginObject("a", 100, 1, 2, 0, 0)
+	tb.Reserve(0, 50, "a")
+	tb.CommitChunk("a", 0, 0, 50, epoch, 111, true)
+	tb.Reserve(1, 50, "a")
+	tb.CommitChunk("a", 1, 1, 50, epoch, 222, true)
+
+	tb.Reserve(3, 50, "a")
+	if moved, ok := tb.CommitChunk("a", 1, 3, 50, 0, 222, true); !ok || moved != 1 {
+		t.Fatalf("moving chunk 1 to node 3: moved %d, ok %v; want node 1, true", moved, ok)
+	}
+	tb.Reserve(3, 50, "a")
+	if moved, ok := tb.CommitChunk("a", 1, 3, 50, 0, 222, true); !ok || moved != -1 {
+		t.Fatalf("re-inserting chunk 1 where it is: moved %d, ok %v; want -1, true", moved, ok)
+	}
+	if left := tb.MarkChunkLost("a", 1, 1, epoch); left != 2 {
+		t.Fatalf("a MISS from the old node left %d chunks present, want 2", left)
+	}
+	for i := 0; i < 2; i++ {
+		if tb.NoteChunkCorrupt("a", 1, 1, epoch) {
+			t.Fatal("a corrupt read-back from the old node lost the moved chunk")
+		}
+	}
+	if meta, _ := tb.Lookup("a"); !meta.Chunks[1].Present || meta.Chunks[1].Node != 3 || tb.NodeUsed(3) != 50 {
+		t.Fatalf("moved slot = %+v, node 3 holds %d bytes", meta.Chunks[1], tb.NodeUsed(3))
+	}
+	if left := tb.MarkChunkLost("a", 1, 3, epoch); left != 1 {
+		t.Fatalf("a MISS from the slot's node left %d chunks present, want 1", left)
 	}
 }
 

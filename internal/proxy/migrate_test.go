@@ -210,7 +210,7 @@ func TestHandoffRepairsLostChunk(t *testing.T) {
 		t.Fatal(err)
 	}
 	meta, _ := src.table.Lookup(key)
-	src.table.MarkChunkLost(key, 0, meta.Epoch)
+	src.table.MarkChunkLost(key, 0, meta.Chunks[0].Node, meta.Epoch)
 
 	joinRing(t, src, dst)
 	if n := src.Stats().MigratedKeys.Load(); n != 1 {

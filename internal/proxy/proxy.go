@@ -525,13 +525,14 @@ func (p *Proxy) nextSeq() uint64 { return p.seq.Add(1) }
 // checksum its writing SET carried. The bytes are never used. One
 // strike reads as transit damage, which a refetch can clear; a second
 // marks the stored chunk positively lost, turning corruption into an
-// erasure that reconstruction repairs. Reports whether this strike lost
-// the chunk.
-func (p *Proxy) strikeCorrupt(key string, idx int, epoch uint64) bool {
+// erasure that reconstruction repairs, and deletes the bad copy from
+// node, which served it. Reports whether this strike lost the chunk.
+func (p *Proxy) strikeCorrupt(key string, idx, node int, epoch uint64) bool {
 	p.stats.ChecksumFailures.Add(1)
-	if !p.table.NoteChunkCorrupt(key, idx, epoch) {
+	if !p.table.NoteChunkCorrupt(key, idx, node, epoch) {
 		return false
 	}
 	p.stats.CorruptLost.Add(1)
+	p.nodes[node].queueDel(ChunkKey(key, idx))
 	return true
 }

@@ -1067,7 +1067,7 @@ func (s *session) completeRead(pc pendingChunk, resp *protocol.Message) {
 			// forward it. A chunk the strike loses is a miss the client
 			// reconstructs around (a ranged retry plans a degraded stripe
 			// around it); a first strike fails this fetch only.
-			if s.p.strikeCorrupt(e.key, idx, e.epoch) {
+			if s.p.strikeCorrupt(e.key, idx, pc.node, e.epoch) {
 				op.missed++
 			} else {
 				op.failed++
@@ -1102,11 +1102,12 @@ func (s *session) completeRead(pc pendingChunk, resp *protocol.Message) {
 		}
 	case resp != nil && resp.Type == protocol.TMiss:
 		// The node definitively lost this chunk (reclaimed instance):
-		// record it in the mapping table. Epoch-guarded — if an
-		// overwrite replaced the entry mid-fan-out, this MISS is about
-		// the old generation's chunk and must not taint the new one.
+		// record it in the mapping table. Epoch- and node-guarded — if
+		// an overwrite replaced the entry mid-fan-out, or a repair moved
+		// the chunk off this node, this MISS is about a copy the slot no
+		// longer points at and must not taint it.
 		s.p.stats.ChunkMisses.Add(1)
-		s.p.table.MarkChunkLost(e.key, idx, e.epoch)
+		s.p.table.MarkChunkLost(e.key, idx, pc.node, e.epoch)
 		op.missed++
 		s.requestBackup(op, false)
 	default:
@@ -1258,8 +1259,16 @@ func (s *session) completeSet(op *setOp, resp *protocol.Message) {
 		s.sendErr(op.clientSeq, op.key, "proxy: chunk store failed")
 	default:
 		superseded := !recovery && s.writes[op.key] != w
-		if !superseded && s.p.table.CommitChunk(op.key, op.idx, op.node, op.size, epoch, op.sum, op.hasSum) {
+		moved, ok := -1, false
+		if !superseded {
+			moved, ok = s.p.table.CommitChunk(op.key, op.idx, op.node, op.size, epoch, op.sum, op.hasSum)
+		}
+		if ok {
 			committed = true
+			if moved >= 0 {
+				// A repair moved a straggler: its old copy is garbage now.
+				s.p.nodes[moved].queueDel(ChunkKey(op.key, op.idx))
+			}
 			if recovery {
 				s.p.stats.Repairs.Add(1)
 			}

@@ -272,7 +272,7 @@ func (h *writeHarness) nodeHas(n int, chunkKey string) bool {
 func (h *writeHarness) lose(key string, idx int) {
 	h.t.Helper()
 	meta := h.lookup(key)
-	h.p.table.MarkChunkLost(key, idx, meta.Epoch)
+	h.p.table.MarkChunkLost(key, idx, meta.Chunks[idx].Node, meta.Epoch)
 	h.p.nodes[meta.Chunks[idx].Node].queueDel(ChunkKey(key, idx))
 }
 
@@ -608,6 +608,24 @@ func TestWriteOpConformance(t *testing.T) {
 				}
 				h.readsBack(key, woValue(5))
 			},
+		},
+		{
+			// A repair of a chunk that was only slow moves it to another
+			// node: the old node's copy is deleted, so exactly one node
+			// stores it (check asserts that for every row).
+			name: "recovery moves a straggler", cold: true,
+			script: func(h *writeHarness) []uint64 {
+				h.put(key, woValue(5))
+				_, free := h.placement(key)
+				seq := h.set(setFrame{key: key, idx: 0, node: free, gen: 7, payload: woShards(h.t, woValue(5))[0], recovery: true})
+				h.complete(1)
+				if n := h.lookup(key).Chunks[0].Node; n != free {
+					h.t.Errorf("chunk 0 maps to node %d after the repair, want %d", n, free)
+				}
+				return []uint64{seq}
+			},
+			want: []string{"ACK"}, present: 3,
+			verify: func(h *writeHarness) { h.readsBack(key, woValue(5)) },
 		},
 		{
 			// D5: a repair computed from version 5 arrives after version 9
