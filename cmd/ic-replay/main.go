@@ -12,11 +12,10 @@
 //	          [-backend infinicache|sim|redis|dummy] [-large-only]
 //	          [-speedup 60] [-sessions 8] [-batch 8] [-size-cap 1048576]
 //	          [-preload] [-no-insert]
-//	          [-proxies 1] [-nodes 20] [-mem 1536] [-d 10] [-p 2]
+//	          [-proxies 1] [-clients 1] [-nodes 20] [-mem 1536] [-d 10] [-p 2]
 //	          [-warm 1m] [-backup 5m] [-hot bytes] [-hot-max bytes]
-//	          [-clients 1] [-mig-rate bytes]
 //	          [-chaos "0s:corrupt:*:0.02:2s,10ms:reclaim:p0-node0:all,30ms:join:1"]
-//	          [-hedged] [-timescale 0.01] [-shards 1] [-redis-mem bytes]
+//	          [-timescale 0.01] [-shards 1] [-redis-mem bytes]
 //	          [-instance cache.r5.large] [-seed 1]
 //
 // Without -trace, a canonical synthetic trace of -hours hours is
@@ -45,11 +44,9 @@
 // migration to quiesce and reports how many keys moved. A schedule with
 // any other event turns on client recovery and byte verification of
 // every hit, and reports injected counts per class, the defence-side
-// counters (checksum failures, hedged requests, breaker trips, EC
+// counters (checksum failures, corrupt chunks lost, degraded GETs, EC
 // recoveries, repairs) and the corrupt reads; a join/leave-only
-// schedule runs the deployment it would run without -chaos. -hedged
-// additionally enables hedged degraded GETs with per-node circuit
-// breakers on every proxy.
+// schedule runs the deployment it would run without -chaos.
 package main
 
 import (
@@ -91,7 +88,6 @@ var flagReaders = map[string]string{
 	"nodes": pools, "mem": pools, "d": pools, "p": pools,
 	"warm": pools, "backup": pools, "hot": pools, "hot-max": pools,
 	"proxies": "infinicache", "clients": "infinicache", "chaos": "infinicache",
-	"hedged": "infinicache", "mig-rate": "infinicache",
 	"shards": "redis", "redis-mem": "redis", "instance": "redis",
 }
 
@@ -135,8 +131,6 @@ func main() {
 	hotMax := flag.Int64("hot-max", 0, "hot-tier admission cap (0 = 1 MiB)")
 	clients := flag.Int("clients", 1, "independent clients spread across sessions")
 	chaosSpec := flag.String("chaos", "", "event schedule, e.g. '0s:corrupt:*:0.02:2s,10ms:reclaim:p0-node0:all,30ms:join:1' (see internal/chaos)")
-	hedged := flag.Bool("hedged", false, "enable hedged degraded GETs with per-node circuit breakers")
-	migRate := flag.Int64("mig-rate", 0, "migration pacing bytes/sec (0 = 32 MiB/s default, negative = unpaced)")
 	timescale := flag.Float64("timescale", 0, "virtual clock scale (0.01 = 100x faster; 0 = real time)")
 
 	shards := flag.Int("shards", 1, "number of cache servers")
@@ -235,7 +229,6 @@ func main() {
 			infinicache.WithBackupInterval(*backup),
 			infinicache.WithHotTier(*hot),
 			infinicache.WithHotTierMaxObject(*hotMax),
-			infinicache.WithMigrationRate(*migRate),
 			infinicache.WithTimeScale(*timescale),
 			infinicache.WithSeed(*seed),
 		}
@@ -244,9 +237,6 @@ func main() {
 			// corrupt or reclaimed chunks become erasures the client
 			// reconstructs and re-inserts.
 			opts = append(opts, infinicache.WithRecovery(true))
-		}
-		if *hedged {
-			opts = append(opts, infinicache.WithHedgedGets())
 		}
 		var err error
 		cache, err = infinicache.New(opts...)
@@ -418,14 +408,11 @@ func faultTable(dep *core.Deployment, rep chaos.Report) string {
 	for _, n := range rep.Injected {
 		injected += n
 	}
-	var checksums, corrupt, hedged, wins, trips, degraded, repairs, recoveries int64
+	var checksums, corrupt, degraded, repairs, recoveries int64
 	for _, p := range dep.Proxies {
 		st := p.Stats()
 		checksums += st.ChecksumFailures.Load()
 		corrupt += st.CorruptLost.Load()
-		hedged += st.HedgedGets.Load()
-		wins += st.HedgeWins.Load()
-		trips += st.BreakerTrips.Load()
 		degraded += st.DegradedGets.Load()
 		repairs += st.Repairs.Load()
 	}
@@ -444,9 +431,6 @@ func faultTable(dep *core.Deployment, rep chaos.Report) string {
 		{"conns severed", rep.Severed},
 		{"checksum failures", checksums},
 		{"corrupt chunks lost", corrupt},
-		{"hedged requests", hedged},
-		{"hedge wins", wins},
-		{"breaker trips", trips},
 		{"degraded GETs", degraded},
 		{"EC recoveries", recoveries},
 		{"chunk repairs", repairs},

@@ -133,20 +133,6 @@ func WithRecovery(on bool) Option { return func(c *core.Config) { c.EnableRecove
 // WithSeed makes placement and policies deterministic.
 func WithSeed(seed int64) Option { return func(c *core.Config) { c.Seed = seed } }
 
-// WithMigrationRate paces post-churn key migration at rate bytes/second,
-// letting max(rate/8, 256 KiB) through ahead of the rate. Rate 0 takes
-// the 32 MiB/s default; a negative rate disables pacing entirely.
-func WithMigrationRate(rate int64) Option {
-	return func(c *core.Config) { c.MigrationRateBytes = rate }
-}
-
-// WithHedgedGets enables hedged degraded reads on every proxy: a GET
-// fans out to exactly d chunks, and a slow or failed chunk is hedged
-// with one extra request to a healthy node after a delay derived from
-// the observed chunk-RTT p99. Per-node circuit breakers steer requests
-// away from black-holed nodes.
-func WithHedgedGets() Option { return func(c *core.Config) { c.HedgedGets = true } }
-
 // Cache is a running InfiniCache deployment.
 type Cache struct {
 	d *core.Deployment

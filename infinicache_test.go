@@ -300,8 +300,6 @@ func TestNewDefaults(t *testing.T) {
 		{"WithTimeout(3s)", []infinicache.Option{infinicache.WithTimeout(3 * time.Second)}, func(c *core.Config) { c.RequestTimeout = 3 * time.Second }},
 		{"WithRecovery(true)", []infinicache.Option{infinicache.WithRecovery(true)}, func(c *core.Config) { c.EnableRecovery = true }},
 		{"WithSeed(7)", []infinicache.Option{infinicache.WithSeed(7)}, func(c *core.Config) { c.Seed = 7 }},
-		{"WithMigrationRate(-1)", []infinicache.Option{infinicache.WithMigrationRate(-1)}, func(c *core.Config) { c.MigrationRateBytes = -1 }},
-		{"WithHedgedGets()", []infinicache.Option{infinicache.WithHedgedGets()}, func(c *core.Config) { c.HedgedGets = true }},
 		{"last option wins", []infinicache.Option{infinicache.WithWarmupInterval(0), infinicache.WithWarmupInterval(time.Hour)}, func(c *core.Config) { c.WarmupInterval = time.Hour }},
 	} {
 		if got, want := infinicache.Resolve(tc.opts), defaults(tc.edit); !reflect.DeepEqual(got, want) {

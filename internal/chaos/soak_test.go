@@ -69,7 +69,6 @@ func TestChaosSoak(t *testing.T) {
 		WarmInvokeDelay: 5 * time.Millisecond,
 		Seed:            7,
 		EnableRecovery:  true,
-		HedgedGets:      true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -61,12 +61,6 @@ type Config struct {
 	// default).
 	RequestTimeout time.Duration
 	Seed           int64
-	// MigrationRateBytes paces the key migration an AddProxy/RemoveProxy
-	// triggers (0 takes the proxy default; negative disables pacing).
-	MigrationRateBytes int64
-	// HedgedGets enables hedged degraded reads with per-node circuit
-	// breakers on every proxy (see proxy.Config).
-	HedgedGets bool
 }
 
 func (c *Config) fillDefaults() error {
@@ -209,17 +203,15 @@ func (d *Deployment) buildProxy(pi int) (*proxy.Proxy, error) {
 		}
 	}
 	return proxy.New(proxy.Config{
-		Clock:              d.cfg.Clock,
-		Invoker:            d.Platform,
-		Nodes:              names,
-		NodeMemoryMB:       d.cfg.NodeMemoryMB,
-		ListenAddr:         fmt.Sprintf("proxy-%d", pi),
-		Listen:             d.network.Listen,
-		Dial:               d.network.Dial,
-		HotTierBytes:       d.cfg.HotTierBytes,
-		HotMaxObjectBytes:  d.cfg.HotMaxObjectBytes,
-		MigrationRateBytes: d.cfg.MigrationRateBytes,
-		HedgedGets:         d.cfg.HedgedGets,
+		Clock:             d.cfg.Clock,
+		Invoker:           d.Platform,
+		Nodes:             names,
+		NodeMemoryMB:      d.cfg.NodeMemoryMB,
+		ListenAddr:        fmt.Sprintf("proxy-%d", pi),
+		Listen:            d.network.Listen,
+		Dial:              d.network.Dial,
+		HotTierBytes:      d.cfg.HotTierBytes,
+		HotMaxObjectBytes: d.cfg.HotMaxObjectBytes,
 	})
 }
 

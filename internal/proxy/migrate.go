@@ -39,6 +39,15 @@ import (
 // newer.
 const migSupersededErr = "proxy: migration superseded"
 
+// Outbound migration is paced at migRateBytes per second of virtual
+// time, so a rebalance storm cannot crowd out foreground traffic; the
+// bucket lets migBurstBytes (an eighth of a second's worth) through
+// ahead of the rate.
+const (
+	migRateBytes  = 32 << 20
+	migBurstBytes = migRateBytes / 8
+)
+
 // SetEpoch installs a new membership epoch. prev is the epoch being
 // replaced (nil for the initial install, which triggers no migration).
 // Stale installs (version <= current) are ignored. When this proxy was

@@ -132,17 +132,6 @@ type nodeManager struct {
 	// fault); the loop goroutine remains the only writer.
 	connMirror atomic.Pointer[protocol.Conn]
 
-	// Circuit breaker (only consulted while Config.HedgedGets is on): a
-	// node that keeps exhausting chunk-request retries is "open" — GET
-	// fan-out routes around it — until a cooldown on the virtual clock
-	// elapses, after which a single half-open probe decides whether it
-	// closes again. Keeps a black-holed node from consuming window slots
-	// on every degraded read.
-	brkMu    sync.Mutex
-	brkFails int       // consecutive exhausted requests
-	brkUntil time.Time // open until this instant; zero = closed
-	brkProbe bool      // one half-open probe is outstanding
-
 	// Loop-local state (only the run goroutine touches these).
 	conn        *protocol.Conn
 	inbox       <-chan *protocol.Message
@@ -188,61 +177,6 @@ type sentMark struct {
 func (nm *nodeManager) setState(s nodeState) {
 	nm.state = s
 	nm.stateMirror.Store(int32(s))
-}
-
-// Breaker tuning: trip after breakerFailures consecutive exhausted
-// requests, stay open for breakerCooldown of virtual time, then admit
-// one half-open probe.
-const (
-	breakerFailures = 3
-	breakerCooldown = 500 * time.Millisecond
-)
-
-// noteResult feeds the breaker: ok on any delivered response (the node
-// answered, even with an error frame), false when a request exhausted
-// its retries. No-op while hedging is disabled so the hot path stays
-// untouched.
-func (nm *nodeManager) noteResult(ok bool) {
-	if !nm.p.cfg.HedgedGets {
-		return
-	}
-	nm.brkMu.Lock()
-	defer nm.brkMu.Unlock()
-	if ok {
-		nm.brkFails, nm.brkUntil, nm.brkProbe = 0, time.Time{}, false
-		return
-	}
-	nm.brkFails++
-	now := nm.p.cfg.Clock.Now()
-	// Trip on crossing the threshold while closed, or on a failed
-	// half-open probe; an already-open breaker just stays open.
-	if nm.brkProbe || (nm.brkFails >= breakerFailures && (nm.brkUntil.IsZero() || !now.Before(nm.brkUntil))) {
-		nm.brkUntil = now.Add(breakerCooldown)
-		nm.brkProbe = false
-		nm.p.stats.BreakerTrips.Add(1)
-	}
-}
-
-// allowRequest reports whether hedged GET fan-out should route a chunk
-// request at this node: closed → yes, open → no, cooled down → one
-// half-open probe. Always true while hedging is disabled.
-func (nm *nodeManager) allowRequest() bool {
-	if !nm.p.cfg.HedgedGets {
-		return true
-	}
-	nm.brkMu.Lock()
-	defer nm.brkMu.Unlock()
-	if nm.brkUntil.IsZero() {
-		return true
-	}
-	if nm.p.cfg.Clock.Now().Before(nm.brkUntil) {
-		return false
-	}
-	if nm.brkProbe {
-		return false
-	}
-	nm.brkProbe = true
-	return true
 }
 
 // State returns the last published connection state.
@@ -375,17 +309,6 @@ func (nm *nodeManager) startReader(conn *protocol.Conn) <-chan *protocol.Message
 			switch m.Type {
 			case protocol.TData, protocol.TMiss, protocol.TAck, protocol.TErr:
 				if pr, parked := nm.takeForReply(m); pr != nil {
-					if nm.p.cfg.HedgedGets {
-						nm.noteResult(true)
-						// deadline = send time + RequestTimeout, so the
-						// round trip is recoverable without a field.
-						if !pr.deadline.IsZero() {
-							rtt := nm.p.cfg.Clock.Now().Sub(pr.deadline.Add(-nm.p.cfg.RequestTimeout))
-							if rtt >= 0 {
-								nm.p.hedge.add(rtt)
-							}
-						}
-					}
 					nm.deliver(pr, m)
 					// The freed window slot is the only send opportunity
 					// the loop would otherwise miss (responses no longer
@@ -509,7 +432,6 @@ func (nm *nodeManager) retryOrFail(pr *pending, charge bool) {
 	pr.deadline = time.Time{}
 	if pr.attempt >= nm.p.cfg.Retries || !nm.p.cfg.Clock.Now().Before(pr.expire) {
 		nm.p.stats.ChunkFailures.Add(1)
-		nm.noteResult(false)
 		nm.deliver(pr, nil)
 		return
 	}
@@ -681,7 +603,6 @@ func (nm *nodeManager) pump() {
 		if early != nil {
 			// Answered before the frame was out (see pending.sending):
 			// the request is done, whatever became of this copy of it.
-			nm.noteResult(true)
 			nm.deliver(pr, early)
 		}
 		if err != nil {

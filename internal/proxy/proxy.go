@@ -47,7 +47,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -95,18 +94,6 @@ type Config struct {
 	// objects larger than this are never tier-resident. 0 takes the
 	// policy's default (clockcache.NewTier: 1 MiB).
 	HotMaxObjectBytes int64
-	// MigrationRateBytes paces outbound key migration (bytes/second of
-	// virtual time) so a rebalance storm cannot crowd out foreground
-	// traffic; the bucket lets max(rate/8, 256 KiB) through ahead of the
-	// rate. 0 picks the 32 MiB/s default; negative disables pacing.
-	MigrationRateBytes int64
-	// HedgedGets enables hedged degraded reads: a GET fans out to only
-	// the first d present chunks (preferring nodes whose circuit breaker
-	// is closed), and after a hedge delay on the virtual clock — the
-	// observed chunk-RTT p99, 20ms until enough samples accumulate — one
-	// extra parity chunk is requested from a healthy node. Off by
-	// default — the classic first-d-of-all fan-out is used.
-	HedgedGets bool
 }
 
 func (c *Config) fillDefaults() {
@@ -136,9 +123,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.Retries == 0 {
 		c.Retries = 3
-	}
-	if c.MigrationRateBytes == 0 {
-		c.MigrationRateBytes = 32 << 20
 	}
 }
 
@@ -183,9 +167,6 @@ type Stats struct {
 	// Fault-plane counters (chaos/integrity; zero in a healthy run).
 	ChecksumFailures atomic.Int64 // chunk payloads that failed CRC verification
 	CorruptLost      atomic.Int64 // chunks escalated to lost after repeat corruption
-	HedgedGets       atomic.Int64 // extra chunk requests issued by the hedge timer
-	HedgeWins        atomic.Int64 // hedged requests whose DATA made the first d
-	BreakerTrips     atomic.Int64 // per-node circuit-breaker open transitions
 	Repairs          atomic.Int64 // recovery re-insert chunks committed
 
 	// Wire-plane counters for client-facing connections, accumulated as
@@ -230,71 +211,11 @@ type Proxy struct {
 	migOut    atomic.Int64   // outbound migration workers still running
 	migBucket *netsim.Bucket // paces migrateKey's chunk bytes
 
-	hedge hedgeTracker // chunk-RTT sketch feeding the hedge delay
-
 	mu       sync.Mutex
 	closed   bool
 	done     chan struct{}
 	sessions map[*session]struct{}
 	wg       sync.WaitGroup
-}
-
-// hedgeTracker keeps a small ring of observed chunk round-trip times and
-// publishes a p99-derived hedge delay. Samples arrive from the node
-// readers (one per delivered response while hedging is enabled); the
-// published delay is recomputed every refresh window so delay() is one
-// atomic load on the GET path.
-type hedgeTracker struct {
-	mu       sync.Mutex
-	ring     [256]time.Duration
-	n        int // samples stored (caps at len(ring))
-	idx      int
-	sinceFit int
-	cached   atomic.Int64 // published delay in nanoseconds; 0 = default
-}
-
-const (
-	hedgeDefaultDelay = 20 * time.Millisecond
-	hedgeMinDelay     = time.Millisecond
-	hedgeMaxDelay     = 100 * time.Millisecond
-	hedgeMinSamples   = 32
-	hedgeRefitEvery   = 64
-)
-
-func (h *hedgeTracker) add(d time.Duration) {
-	h.mu.Lock()
-	h.ring[h.idx] = d
-	h.idx = (h.idx + 1) % len(h.ring)
-	if h.n < len(h.ring) {
-		h.n++
-	}
-	if h.sinceFit++; h.sinceFit >= hedgeRefitEvery && h.n >= hedgeMinSamples {
-		h.sinceFit = 0
-		buf := make([]time.Duration, h.n)
-		copy(buf, h.ring[:h.n])
-		h.mu.Unlock()
-		// Sorted outside the lock; refits are amortised 1-in-64 samples.
-		slices.Sort(buf)
-		p99 := buf[(len(buf)*99)/100]
-		if p99 < hedgeMinDelay {
-			p99 = hedgeMinDelay
-		}
-		if p99 > hedgeMaxDelay {
-			p99 = hedgeMaxDelay
-		}
-		h.cached.Store(int64(p99))
-		return
-	}
-	h.mu.Unlock()
-}
-
-// hedgeDelay returns the current hedge delay: the fitted p99, or the
-// default while under-sampled.
-func (p *Proxy) hedgeDelay() time.Duration {
-	if d := p.hedge.cached.Load(); d > 0 {
-		return time.Duration(d)
-	}
-	return hedgeDefaultDelay
 }
 
 // SeverConns abruptly closes every live client session and node
@@ -358,7 +279,7 @@ func New(cfg Config) (*Proxy, error) {
 		// two structures' orderings identical; see mappingTable.hot.
 		p.table.hot = p.hot
 	}
-	p.migBucket = netsim.NewBurstBucket(float64(cfg.MigrationRateBytes), float64(max(cfg.MigrationRateBytes/8, 256<<10)))
+	p.migBucket = netsim.NewBurstBucket(migRateBytes, migBurstBytes)
 	p.nodes = make([]*nodeManager, len(cfg.Nodes))
 	for i, name := range cfg.Nodes {
 		p.nodes[i] = newNodeManager(p, i, name)

@@ -1,8 +1,6 @@
 package proxy
 
 import (
-	"time"
-
 	"infinicache/internal/bufpool"
 	"infinicache/internal/protocol"
 )
@@ -118,20 +116,6 @@ type session struct {
 	// else, so a frame or a completion finds its generation for as long
 	// as one of its frames can still arrive.
 	writes map[string]*writeOp
-
-	// Hedge timer state (Config.HedgedGets only): GETs with unrequested
-	// backup chunks queue here with their fire time; one armed vclock
-	// timer covers the head. Delays within a session are near-constant,
-	// so FIFO order is deadline order.
-	hedgeQ []hedgeItem
-	hedgeC <-chan time.Time
-}
-
-// hedgeItem is one armed hedge: when at passes and the GET is still
-// short of d chunks, one extra backup chunk is requested.
-type hedgeItem struct {
-	op *readOp
-	at time.Time
 }
 
 // writeOp tracks one PUT generation — all the chunk SETs of one logical
@@ -172,7 +156,7 @@ type writeOp struct {
 // it is a field, not a second type: need is the completion rule (the
 // first d arrivals of a parallel fan-out win, §3.2, versus every planned
 // chunk must land), ranged selects the DATA-frame encoding and the
-// terminal frame, and hedging and hot-tier capture are first-d only.
+// terminal frame, and hot-tier capture is first-d only.
 type readOp struct {
 	clientSeq uint64
 	key       string   // the key the client asked about (reply key)
@@ -191,11 +175,6 @@ type readOp struct {
 	// object's own for a whole-object read, one per planned stripe for a
 	// ranged read.
 	ents []readEntry
-
-	// backlog holds present chunk indexes (of ents[0]) deliberately not
-	// requested by the hedged fan-out (Config.HedgedGets): replacements
-	// for misses and hedge-timer extras pop from here.
-	backlog []int
 
 	// Read-through hot-tier admission: when the tier's ghost filter
 	// marked this key warm, the first d forwarded payloads are captured
@@ -238,12 +217,11 @@ type setOp struct {
 // pendingChunk links a node-request seq back to its op (exactly one of
 // read/set is non-nil).
 type pendingChunk struct {
-	read  *readOp
-	set   *setOp
-	ent   int  // index into read.ents of the entry the chunk belongs to
-	idx   int  // chunk index within that entry
-	node  int  // owning node manager, for cancellation
-	hedge bool // issued by the hedge timer (HedgeWins accounting)
+	read *readOp
+	set  *setOp
+	ent  int // index into read.ents of the entry the chunk belongs to
+	idx  int // chunk index within that entry
+	node int // owning node manager, for cancellation
 }
 
 func newSession(p *Proxy, conn *protocol.Conn) *session {
@@ -285,12 +263,6 @@ func (s *session) run() {
 			s.complete(r)
 			s.drainReady(&inbox)
 			s.settleFlush()
-		case <-s.hedgeC:
-			s.conn.Pin()
-			s.hedgeC = nil
-			s.fireHedges()
-			s.drainReady(&inbox)
-			s.settleFlush()
 		}
 	}
 	// The client hung up and its window drained: no frame of a generation
@@ -304,77 +276,13 @@ func (s *session) run() {
 	s.runAdmits()
 }
 
-// armHedge schedules one hedge for op after the proxy's current hedge
-// delay; the session's single timer is armed for the queue head.
-func (s *session) armHedge(op *readOp) {
-	delay := s.p.hedgeDelay()
-	s.hedgeQ = append(s.hedgeQ, hedgeItem{op: op, at: s.p.cfg.Clock.Now().Add(delay)})
-	if s.hedgeC == nil {
-		s.hedgeC = s.p.cfg.Clock.After(delay)
-	}
-}
-
-// fireHedges pops every due hedge: a GET still short of d chunks gets
-// one extra backup chunk requested (and re-arms if backups remain),
-// then the timer is re-armed for the new head.
-func (s *session) fireHedges() {
-	now := s.p.cfg.Clock.Now()
-	for len(s.hedgeQ) > 0 && !now.Before(s.hedgeQ[0].at) {
-		it := s.hedgeQ[0]
-		s.hedgeQ = s.hedgeQ[1:]
-		op := it.op
-		if op.done || op.remaining == 0 || len(op.backlog) == 0 {
-			continue
-		}
-		if s.requestBackup(op, true) && len(op.backlog) > 0 {
-			s.armHedge(op)
-		}
-	}
-	if s.hedgeC == nil && len(s.hedgeQ) > 0 {
-		d := s.hedgeQ[0].at.Sub(now)
-		if d < 0 {
-			d = 0
-		}
-		s.hedgeC = s.p.cfg.Clock.After(d)
-	}
-}
-
-// requestBackup pops the next backlog chunk — preferring one whose
-// node's breaker admits traffic — and issues its node GET. It does not
-// block in reserveWindow (stalling a hedge on backpressure would defeat
-// it) but still honours the hard window bound: the completions channel
-// holds exactly sessionWindow replies, and an overdrafted reply would
-// be dropped by the dispatcher, wedging the session. Reports whether a
-// request was issued.
-func (s *session) requestBackup(op *readOp, hedge bool) bool {
-	if len(op.backlog) == 0 || s.outstanding >= sessionWindow {
-		return false
-	}
-	pick := 0
-	for bi, ci := range op.backlog {
-		if s.p.nodes[op.ents[0].chunks[ci].Node].allowRequest() {
-			pick = bi
-			break
-		}
-	}
-	idx := op.backlog[pick]
-	op.backlog = append(op.backlog[:pick], op.backlog[pick+1:]...)
-	if !s.issueFetch(op, 0, idx, hedge) {
-		return false
-	}
-	if hedge {
-		s.p.stats.HedgedGets.Add(1)
-	}
-	return true
-}
-
 // issueFetch submits one chunk GET to its node on behalf of op: every
 // node read a session makes goes through here, so the window
 // accounting, the seq bookkeeping CANCEL relies on and the fetch count
 // exist once. The caller has made room in the session window. Reports
 // false (with its bookkeeping rolled back) when the proxy is shutting
 // down and no reply will come.
-func (s *session) issueFetch(op *readOp, ent, idx int, hedge bool) bool {
+func (s *session) issueFetch(op *readOp, ent, idx int) bool {
 	e := &op.ents[ent]
 	node := e.chunks[idx].Node
 	seq := s.p.nextSeq()
@@ -382,7 +290,7 @@ func (s *session) issueFetch(op *readOp, ent, idx int, hedge bool) bool {
 	op.requested++
 	op.remaining++
 	op.seqs = append(op.seqs, seq)
-	s.chunks[seq] = pendingChunk{read: op, ent: ent, idx: idx, node: node, hedge: hedge}
+	s.chunks[seq] = pendingChunk{read: op, ent: ent, idx: idx, node: node}
 	if !s.p.nodes[node].submit(protocol.TGet, seq, ChunkKey(e.key, idx), nil, s.completions) {
 		s.outstanding--
 		op.requested--
@@ -924,27 +832,10 @@ func (s *session) planWhole(op *readOp, meta objMeta, authoritative bool) bool {
 		s.unservable(op, op.key, meta)
 		return false
 	}
-	want := present
-	if s.p.cfg.HedgedGets && len(present) > d {
-		// Hedged fan-out: request exactly d chunks up front, preferring
-		// nodes whose breaker is closed; the remainder become backups
-		// that miss-replacement and the hedge timer pop from.
-		healthy := make([]int, 0, len(present))
-		var open []int
-		for _, i := range present {
-			if s.p.nodes[meta.Chunks[i].Node].allowRequest() {
-				healthy = append(healthy, i)
-			} else {
-				open = append(open, i)
-			}
-		}
-		ordered := append(healthy, open...)
-		want, op.backlog = ordered[:d], ordered[d:]
-	}
 	op.need = d
 	op.ents = []readEntry{{
 		key: op.key, epoch: meta.Epoch, chunks: meta.Chunks,
-		d: d, total: meta.TotalShards, want: want,
+		d: d, total: meta.TotalShards, want: present,
 	}}
 	return true
 }
@@ -1042,13 +933,10 @@ func (s *session) startRead(op *readOp) {
 			return
 		}
 		for _, idx := range e.want {
-			if !s.issueFetch(op, ent, idx, false) {
+			if !s.issueFetch(op, ent, idx) {
 				return // shutting down
 			}
 		}
-	}
-	if len(op.backlog) > 0 {
-		s.armHedge(op)
 	}
 	s.settleRead(op)
 }
@@ -1072,13 +960,9 @@ func (s *session) completeRead(pc pendingChunk, resp *protocol.Message) {
 			} else {
 				op.failed++
 			}
-			s.requestBackup(op, false)
 			break
 		}
 		s.forwardData(op, e, idx, resp.Payload)
-		if pc.hedge {
-			s.p.stats.HedgeWins.Add(1)
-		}
 		if op.capture != nil {
 			op.capture.add(idx, resp.Payload)
 		}
@@ -1109,12 +993,10 @@ func (s *session) completeRead(pc pendingChunk, resp *protocol.Message) {
 		s.p.stats.ChunkMisses.Add(1)
 		s.p.table.MarkChunkLost(e.key, idx, pc.node, e.epoch)
 		op.missed++
-		s.requestBackup(op, false)
 	default:
 		// Transient failure (timeout, mid-backup swap): the chunk
 		// may still exist; do not mark it lost.
 		op.failed++
-		s.requestBackup(op, false)
 	}
 	if resp != nil {
 		// Zero-rewrap relay: a forwarded payload went out under a
@@ -1173,12 +1055,11 @@ func (s *session) settleRead(op *readOp) {
 	// A ranged read has no first-d race: every planned chunk must land,
 	// so any miss or failure fails the attempt with a transient (the
 	// loss is recorded; the client's retry plans around it, degrading
-	// the stripe or drawing the loss verdict). A hedged fan-out with
-	// untried chunks it could not issue (window cap) can draw no loss
-	// verdict either. Otherwise confirmed losses alone exceeding parity
-	// mean the object is gone; anything less, the object may survive —
-	// tell the client to retry rather than declaring a loss.
-	if !op.ranged && len(op.backlog) == 0 && op.requested-op.missed < op.need {
+	// the stripe or drawing the loss verdict). Otherwise confirmed
+	// losses alone exceeding parity mean the object is gone; anything
+	// less, the object may survive — tell the client to retry rather
+	// than declaring a loss.
+	if !op.ranged && op.requested-op.missed < op.need {
 		s.objectLost(op.clientSeq, op.key, op.key, op.ents[0].epoch)
 		return
 	}

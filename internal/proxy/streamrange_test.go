@@ -3,7 +3,6 @@ package proxy
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"testing"
 	"time"
 
@@ -35,20 +34,15 @@ func rangePattern(n int64) []byte {
 	return b
 }
 
-// TestGetRangeFetchCountPin is the CI-pinned fan-out invariant: a 1 MiB
-// GetRange of a 64 MiB RS(10+2) streamed object must cost exactly the
-// data chunks the range intersects — two 1 MiB shards for a mid-shard
-// start — with no parity fetch and no full-d fan-out. It runs a second
-// time with Config.HedgedGets set: ranged reads share the session's
-// fetch path with the hedged first-d fan-out but stay un-hedged, so the
-// count is just as exact.
+// TestGetRangeFetchCountPin is the CI-pinned fan-out invariant, for
+// both read shapes. A 1 MiB GetRange of a 64 MiB RS(10+2) streamed
+// object must cost exactly the data chunks the range intersects — two
+// 1 MiB shards for a mid-shard start — with no parity fetch and no
+// full-d fan-out. A whole-object GET is the §3.2 first-d read: the
+// proxy asks all d+p chunk holders at once, so it has submitted all 12
+// chunk GETs by the time the client holds the object, and the two
+// stragglers are still served.
 func TestGetRangeFetchCountPin(t *testing.T) {
-	for _, hedged := range []bool{false, true} {
-		t.Run(fmt.Sprintf("hedged=%v", hedged), func(t *testing.T) { getRangeFetchCountPin(t, hedged) })
-	}
-}
-
-func getRangeFetchCountPin(t *testing.T, hedged bool) {
 	const (
 		stripeShard = 1 << 20
 		d           = 10
@@ -56,7 +50,7 @@ func getRangeFetchCountPin(t *testing.T, hedged bool) {
 		objSize     = int64(64 << 20)
 	)
 	pool := &lambdanode.WarmPool{}
-	p, c := warmStack(t, pool, 12, Config{NodeMemoryMB: 512, Retries: 3, HedgedGets: hedged}, streamClient(stripeShard))
+	p, c := warmStack(t, pool, 12, Config{NodeMemoryMB: 512, Retries: 3}, streamClient(stripeShard))
 	ctx := context.Background()
 	val := rangePattern(objSize)
 
@@ -104,6 +98,31 @@ func getRangeFetchCountPin(t *testing.T, hedged bool) {
 	}
 	if !bytes.Equal(full, val) {
 		t.Fatal("full-range read is not byte-exact")
+	}
+
+	// Whole-object read shape: first-d over every present chunk.
+	whole := rangePattern(1<<20 + 3)
+	if err := c.PutCtx(ctx, "whole", whole); err != nil {
+		t.Fatal(err)
+	}
+	proxyBefore = p.Stats().NodeChunkGets.Load()
+	nodeBefore = pool.Gets.Load()
+	obj, err := c.GetObject(ctx, "whole")
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved := p.Stats().NodeChunkGets.Load() - proxyBefore
+	got = obj.Bytes()
+	obj.Release()
+	if !bytes.Equal(got, whole) {
+		t.Fatalf("GetObject returned wrong bytes (len %d, want %d)", len(got), len(whole))
+	}
+	if moved != 12 {
+		t.Fatalf("proxy submitted %d chunk GETs for a whole-object GET, want all d+p = 12", moved)
+	}
+	waitUntil(t, "the nodes to serve all 12 chunk GETs", func() bool { return pool.Gets.Load()-nodeBefore >= 12 })
+	if served := pool.Gets.Load() - nodeBefore; served != 12 {
+		t.Fatalf("nodes served %d chunk GETs, want exactly 12", served)
 	}
 }
 
