@@ -259,7 +259,8 @@ func (w *wait) release() {
 // — and recycles the frame afterwards (a callback that keeps the
 // payload nils msg.Payload). It returns nil once every tag finished; on
 // timeout or ctx cancellation whatever is still pending is CANCELled at
-// the proxy and ErrTimeout / ctx.Err() returned; a closed channel
+// the proxy and ErrTimeout / ctx.Err() returned, a timeout also closing
+// the connection; a closed channel
 // returns errConnClosed. Afterwards w.pending names exactly the
 // unanswered tags.
 func (c *Client) collect(ctx context.Context, w *wait, onFrame func(tag int, msg *protocol.Message) bool) error {
@@ -279,7 +280,13 @@ func (c *Client) collect(ctx context.Context, w *wait, onFrame func(tag int, msg
 			w.abandon()
 			return ctx.Err()
 		case <-w.timeout:
+			// A proxy that stays silent for a whole RequestTimeout may
+			// be behind a broken stream — one garbled length field
+			// leaves a reader waiting for bytes that never come, with
+			// every later frame stuck behind them — so the connection
+			// is closed after the CANCELs and the next op redials.
 			w.abandon()
+			w.pc.close()
 			return ErrTimeout
 		}
 	}

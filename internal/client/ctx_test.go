@@ -230,6 +230,45 @@ func TestGetCtxDeadline(t *testing.T) {
 	}
 }
 
+// TestTimeoutRedials: a request timeout closes the connection it waited
+// on, so the next operation dials afresh. A proxy whose reader is stuck
+// mid-frame — a length field garbled on the wire — answers nothing on
+// that connection ever again, and every request sent down it would time
+// out in turn.
+func TestTimeoutRedials(t *testing.T) {
+	var mu sync.Mutex
+	var stuck *protocol.Conn
+	fp := newFakeProxy(t, func(c *protocol.Conn, m *protocol.Message) {
+		mu.Lock()
+		if stuck == nil {
+			stuck = c
+		}
+		answer := c != stuck && m.Type == protocol.TGet
+		mu.Unlock()
+		if answer {
+			c.Send(&protocol.Message{Type: protocol.TMiss, Seq: m.Seq, Key: m.Key})
+		}
+		m.Recycle()
+	})
+	c, err := New(Config{
+		Proxies:        []ProxyInfo{{Addr: fp.addr, PoolSize: 8}},
+		DataShards:     4,
+		ParityShards:   2,
+		RequestTimeout: 50 * time.Millisecond,
+		Seed:           1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	if _, err := c.GetCtx(context.Background(), "k"); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("GET on the silent connection = %v, want ErrTimeout", err)
+	}
+	if _, err := c.GetCtx(context.Background(), "k"); !errors.Is(err, ErrMiss) {
+		t.Fatalf("GET after the timeout = %v, want ErrMiss over a fresh connection", err)
+	}
+}
+
 // TestGeometryMismatchFailsLoudly: a client whose RS code disagrees
 // with the object's (per-client WithShards against a differently-coded
 // deployment) must surface an error, not silently return truncated or

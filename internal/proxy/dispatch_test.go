@@ -2,6 +2,7 @@ package proxy
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"sync/atomic"
@@ -18,7 +19,8 @@ import (
 // TCP: pipelining with at most one preflight per busy period, a backup
 // connection swap (Maybe) with a full in-flight window, a mid-window
 // BYE, stale responses after a retry, a connection dying under an
-// invocation, a request arriving under a warm-up — and, over the
+// invocation, a request arriving under a warm-up, a reply stream
+// broken mid-frame — and, over the
 // in-process transport, whose bounded buffer can hold the dispatcher
 // mid-frame, a reply that overtakes the re-driven copy of its own
 // request.
@@ -770,6 +772,91 @@ func TestConnDropDuringInvokeWait(t *testing.T) {
 	}
 	if fails := p.Stats().ChunkFailures.Load(); fails != 0 {
 		t.Fatalf("%d chunk failures", fails)
+	}
+}
+
+// TestBrokenStreamRedials: a reply frame whose length field was garbled
+// in transit leaves the dispatcher's reader waiting for payload bytes
+// that never come, and every later frame the node sends — ACKs, PONGs —
+// vanishes behind them. The node is alive and keeps its connection, so
+// only the dispatcher can end it: once a validation round goes
+// unanswered, the connection must be dropped, making the node redial on
+// its next invocation instead of PONGing down the same broken stream.
+func TestBrokenStreamRedials(t *testing.T) {
+	var invokes atomic.Int64
+	firstLife := make(chan *protocol.Conn, 1)
+	firstDead := make(chan struct{})
+	serve := func(c *protocol.Conn, onSet func(m *protocol.Message)) {
+		for {
+			m, err := c.Recv()
+			if err != nil {
+				return
+			}
+			switch m.Type {
+			case protocol.TPing:
+				c.Send(&protocol.Message{Type: protocol.TPong, Seq: m.Seq})
+			case protocol.TSet:
+				onSet(m)
+				c.Send(&protocol.Message{Type: protocol.TAck, Key: m.Key, Seq: m.Seq})
+				m.Recycle()
+			}
+		}
+	}
+	inv := invokerFunc(func(name string, payload []byte) error {
+		addr := proxyAddrFromPayload(t, payload)
+		switch invokes.Add(1) {
+		case 1:
+			go func() {
+				raw, err := net.Dial("tcp", addr)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				c := joinOver(t, raw, "test-node", false)
+				c.Send(&protocol.Message{Type: protocol.TPong, Key: "test-node"})
+				firstLife <- c
+				broken := false
+				serve(c, func(m *protocol.Message) {
+					if broken {
+						return
+					}
+					broken = true
+					// A DATA header announcing 1 MiB of payload, and none
+					// of it: the dispatcher's reader stalls here.
+					hdr := []byte{byte(protocol.TData), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x00, 0x10, 0x00, 0x00}
+					binary.BigEndian.PutUint64(hdr[1:9], m.Seq)
+					raw.Write(hdr)
+				})
+				close(firstDead)
+			}()
+		default:
+			go func() {
+				// The runtime reuses a live connection (ensureConn) and
+				// redials a dead one.
+				select {
+				case <-firstDead:
+				case <-time.After(time.Second):
+					(<-firstLife).Send(&protocol.Message{Type: protocol.TPong, Key: "test-node"})
+					return
+				}
+				c := joinProxy(t, addr, "test-node", false)
+				defer c.Close()
+				c.Send(&protocol.Message{Type: protocol.TPong, Key: "test-node"})
+				serve(c, func(*protocol.Message) {})
+			}()
+		}
+		return nil
+	})
+	p := testProxy(t, inv)
+
+	ch := make(chan nodeReply, 1)
+	seq := p.nextSeq()
+	p.nodes[0].submit(protocol.TSet, seq, "obj#0", []byte("chunk"), ch)
+	if r := awaitReply(t, ch); r.Msg == nil || r.Msg.Type != protocol.TAck || r.Seq != seq {
+		t.Fatalf("request behind a broken stream got %+v, want its ACK over a redialled connection", r.Msg)
+	}
+	if got := invokes.Load(); got != 2 {
+		t.Fatalf("%d invocations, want 2: one broken life, one redialled", got)
 	}
 }
 

@@ -225,14 +225,23 @@ func (t *mappingTable) BeginObject(key string, size int64, d, total int, streamS
 // variant of BeginObject: an existing entry means the destination
 // already holds a copy at least as new as the migrated one (a client
 // PUT routed by the new ring always beats the background stream), so
-// the stream's copy must be refused, never spliced over it. No hot-tier
-// admission either — a migrated key earns tier residency through the
-// ghost filter like any other read.
-func (t *mappingTable) BeginObjectIfAbsent(key string, size int64, d, total int, streamSize, stripeData int64) (epoch uint64, ok bool) {
+// the stream's copy must be refused, never spliced over it. The one
+// existing entry that is no copy is an ingest that never reached d
+// chunks: what an earlier handoff of the key leaves when its connection
+// dies before its session settles it. Refusing over that would have the
+// source drop the only copy, so the new generation replaces it (the
+// returned deletions are its committed chunks) and the earlier
+// generation's late commits fail on the epoch. No hot-tier admission
+// either — a migrated key earns tier residency through the ghost filter
+// like any other read.
+func (t *mappingTable) BeginObjectIfAbsent(key string, size int64, d, total int, streamSize, stripeData int64) (dels []evictedChunk, epoch uint64, ok bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if _, exists := t.objects[key]; exists {
-		return 0, false
+	if old, exists := t.objects[key]; exists {
+		if !old.Migrating || old.Lost > 0 || old.presentChunks() >= old.DataShards {
+			return nil, 0, false
+		}
+		dels = t.dropOneLocked(old)
 	}
 	t.epochSeq++
 	t.objects[key] = &objMeta{
@@ -247,7 +256,7 @@ func (t *mappingTable) BeginObjectIfAbsent(key string, size int64, d, total int,
 		StripeData:  stripeData,
 	}
 	t.lru.Add(key, size)
-	return t.epochSeq, true
+	return dels, t.epochSeq, true
 }
 
 // Keys returns a snapshot of every mapped object key (migration scan).

@@ -184,6 +184,43 @@ func TestMarkChunkLost(t *testing.T) {
 	}
 }
 
+// TestIngestReplacesIncompleteIngest: a handoff generation may ingest
+// over an earlier handoff's entry that never reached d chunks — what a
+// handoff leaves when its connection dies before its session settles
+// it — but never over a complete ingest or an entry a PUT made.
+func TestIngestReplacesIncompleteIngest(t *testing.T) {
+	tb := newTable()
+	_, first, ok := tb.BeginObjectIfAbsent("m", 100, 2, 3, 0, 0)
+	if !ok {
+		t.Fatal("ingest of an unknown key refused")
+	}
+	tb.Reserve(0, 40, "m")
+	tb.CommitChunk("m", 0, 0, 40, first, 0, false)
+
+	dels, second, ok := tb.BeginObjectIfAbsent("m", 100, 2, 3, 0, 0)
+	if !ok || second == first {
+		t.Fatalf("ingest over a 1-of-2 ingest: ok=%v epoch %d (first %d), want a fresh incarnation", ok, second, first)
+	}
+	if len(dels) != 1 || dels[0].Node != 0 || tb.NodeUsed(0) != 0 {
+		t.Fatalf("replaced ingest's chunk: dels=%v, node 0 holds %d bytes; want it deleted and released", dels, tb.NodeUsed(0))
+	}
+	if _, ok := tb.CommitChunk("m", 1, 1, 40, first, 0, false); ok {
+		t.Fatal("the replaced generation's late chunk committed")
+	}
+	for i := 0; i < 2; i++ {
+		tb.Reserve(i, 40, "m")
+		tb.CommitChunk("m", i, i, 40, second, 0, false)
+	}
+	if _, _, ok := tb.BeginObjectIfAbsent("m", 100, 2, 3, 0, 0); ok {
+		t.Fatal("ingest replaced a complete ingest")
+	}
+
+	tb.BeginObject("p", 100, 2, 3, 0, 0) // a PUT's entry, no chunk yet
+	if _, _, ok := tb.BeginObjectIfAbsent("p", 100, 2, 3, 0, 0); ok {
+		t.Fatal("ingest replaced a PUT's entry")
+	}
+}
+
 func mustEpoch(t *testing.T, tb *mappingTable, key string) uint64 {
 	t.Helper()
 	meta, ok := tb.Lookup(key)

@@ -727,6 +727,16 @@ func (nm *nodeManager) expireAndArm() <-chan time.Time {
 		nm.validated = false
 		nm.setState(stateSleeping)
 		nm.chargeQueued()
+		// The connection goes with it. A node that was running answered
+		// on it, so a PONG that never arrived may mean the stream itself
+		// is broken: one garbled length field leaves a reader waiting for
+		// bytes that never come, with every later frame stuck behind
+		// them. Reused, such a connection swallows every PONG and chunk
+		// reply to come; dropped, the node redials on its next
+		// invocation.
+		if nm.conn != nil {
+			nm.dropConn()
+		}
 		expired = true
 	}
 	var overdue []*pending

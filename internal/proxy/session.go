@@ -619,12 +619,14 @@ func (s *session) beginWrite(m *protocol.Message, migration bool) *writeOp {
 		w.refused = true
 	case migration:
 		// Proxy->proxy key handoff. Ingest only when the key is unknown
-		// here: an existing entry (a client PUT routed by the new ring)
+		// here, or holds no more than an earlier handoff's incomplete
+		// ingest: an existing entry (a client PUT routed by the new ring)
 		// or a tombstone (the key was deleted during the handoff window)
 		// is strictly newer than the streamed copy, so the whole
 		// generation is refused with migSupersededErr — the source drops
 		// its copy on seeing it.
-		epoch, fresh := s.p.table.BeginObjectIfAbsent(m.Key, objSize, dShards, total, streamSize, stripeData)
+		dels, epoch, fresh := s.p.table.BeginObjectIfAbsent(m.Key, objSize, dShards, total, streamSize, stripeData)
+		s.p.queueDels(dels)
 		w.epoch, w.refused = epoch, !fresh
 	default:
 		// The first chunk of a new PUT generation (re)initialises the

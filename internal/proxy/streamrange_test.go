@@ -41,8 +41,13 @@ func rangePattern(n int64) []byte {
 // full-d fan-out. A whole-object GET is the §3.2 first-d read: the
 // proxy asks all d+p chunk holders at once, so it has submitted all 12
 // chunk GETs by the time the client holds the object, and the two
-// stragglers are still served.
+// stragglers are still served. The subtest keeps the name it had when
+// a hedged read mode ran the same pin beside it.
 func TestGetRangeFetchCountPin(t *testing.T) {
+	t.Run("hedged=false", getRangeFetchCountPin)
+}
+
+func getRangeFetchCountPin(t *testing.T) {
 	const (
 		stripeShard = 1 << 20
 		d           = 10
