@@ -120,14 +120,13 @@ func WithTimeScale(s float64) Option { return func(c *core.Config) { c.TimeScale
 // WithTimeScale); pass a *vclock.Manual for deterministic tests.
 func WithClock(clk vclock.Clock) Option { return func(c *core.Config) { c.Clock = clk } }
 
-// WithTimeout bounds each client operation (default 60s; the default
-// for clients made by NewClient, override per client with
-// ClientTimeout).
+// WithTimeout bounds each client operation (default 60s), for every
+// client NewClient makes.
 func WithTimeout(d time.Duration) Option { return func(c *core.Config) { c.RequestTimeout = d } }
 
-// WithRecovery toggles client-side EC chunk recovery after degraded
-// reads: re-inserting the chunks a GET had to reconstruct. Off unless
-// set.
+// WithRecovery toggles client-side EC chunk recovery: a GET
+// re-inserts the chunks the proxy reports lost, data or parity. Off
+// unless set.
 func WithRecovery(on bool) Option { return func(c *core.Config) { c.EnableRecovery = on } }
 
 // WithSeed makes placement and policies deterministic.
@@ -161,13 +160,11 @@ type Stats = client.Stats
 // ClientOption tunes one client made by NewClient.
 type ClientOption = client.Option
 
-// Per-client options (NewClient(...)): request timeout, EC recovery,
-// RS code, placement seed and streaming stripe-shard overrides.
+// Per-client options (NewClient(...)): RS code, placement seed and
+// streaming stripe-shard overrides.
 var (
-	ClientTimeout  = client.WithRequestTimeout
-	ClientRecovery = client.WithRecovery
-	ClientShards   = client.WithShards
-	ClientSeed     = client.WithSeed
+	ClientShards = client.WithShards
+	ClientSeed   = client.WithSeed
 	// ClientStripeShard sets the target data-shard size for streaming
 	// PUTs: each PutReader stripe carries shard×d data bytes, so it
 	// bounds both the per-chunk payload and the client's resident

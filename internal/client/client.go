@@ -2,8 +2,8 @@
 // application-facing API. It erasure-codes objects with a Reed-Solomon
 // codec, balances requests over proxies with a consistent-hashing ring,
 // chooses random non-repeating Lambda placements for chunks, decodes
-// first-d responses, re-inserts reconstructed chunks (EC recovery), and
-// RESETs lost objects from the backing store.
+// first-d responses, re-inserts the chunks the proxy reports lost (EC
+// recovery), and RESETs lost objects from the backing store.
 //
 // The API is context-first and copy-light:
 //
@@ -56,8 +56,9 @@ type Config struct {
 	Clock        vclock.Clock
 	// RequestTimeout bounds one GET or PUT operation (virtual time).
 	RequestTimeout time.Duration
-	// EnableRecovery re-encodes and re-inserts chunks the proxy reported
-	// lost during a degraded GET.
+	// EnableRecovery re-inserts the chunks the proxy reports lost: a
+	// GET whose DATA frames list lost chunks rebuilds exactly those from
+	// the decoded object and writes them back before it returns.
 	EnableRecovery bool
 	Seed           int64
 	// Dial overrides the transport dialer; nil means net.Dial("tcp", ·).
@@ -87,17 +88,6 @@ func (c *Config) fillDefaults() {
 // Option adjusts a Config at construction time — the functional-options
 // boundary the public API (infinicache.NewClient) exposes.
 type Option func(*Config)
-
-// WithRequestTimeout bounds each GET/PUT/DEL operation.
-func WithRequestTimeout(d time.Duration) Option {
-	return func(c *Config) { c.RequestTimeout = d }
-}
-
-// WithRecovery toggles client-side EC chunk recovery after degraded
-// reads.
-func WithRecovery(on bool) Option {
-	return func(c *Config) { c.EnableRecovery = on }
-}
 
 // WithShards overrides the RS(d+p) code for this client.
 func WithShards(data, parity int) Option {
@@ -158,10 +148,14 @@ type Client struct {
 	// into one RING round trip.
 	refreshMu sync.Mutex
 
-	// recovery single-flights degraded-GET repair per (key, ring
-	// version): concurrent readers of the same degraded object coalesce
-	// onto one reconstruction instead of racing duplicate chunk SETs.
+	// recovery single-flights repair per (key, repaired as of the GET's
+	// send): concurrent readers of the same degraded object coalesce
+	// onto one re-insert instead of racing duplicate chunk SETs, and a
+	// reader whose GET was sent before this client's last repair
+	// completed stands down, since its lost list may predate it.
 	recovery *cluster.Plane
+	// repaired counts the repairs this client completed.
+	repaired atomic.Uint64
 
 	mu    sync.Mutex
 	conns map[string]*proxyConn
@@ -788,6 +782,7 @@ func (c *Client) GetCtx(ctx context.Context, key string) ([]byte, error) {
 type gather struct {
 	obj      *Object
 	received int
+	lost     []int // chunks the proxy reported lost, from the first accepted frame
 }
 
 // applyGetFrame advances a gather with one inbound frame. done reports
@@ -814,19 +809,26 @@ func (c *Client) applyGetFrame(g *gather, key string, msg *protocol.Message) (do
 		return false, nil // duplicate or out-of-range frame
 	}
 	// End-to-end integrity: the shard must be the size the geometry
-	// demands and must match the checksum computed at encode time
-	// (when the frame carries one). A mismatch means corruption in
-	// transit or at rest — treat it as a transient node failure so
-	// the retry path re-fetches (and the proxy escalates repeat
-	// offenders into erasures) instead of decoding garbage.
+	// demands and must match the checksum computed at encode time. A
+	// mismatch means corruption in transit or at rest — treat it as a
+	// transient node failure so the retry path re-fetches (and the
+	// proxy escalates repeat offenders into erasures) instead of
+	// decoding garbage.
 	if len(msg.Payload) != c.codec.ShardSize(size) {
 		c.stats.ChecksumFailures.Add(1)
 		return true, fmt.Errorf("%w: chunk %d: bad shard length", errTransient, idx)
 	}
-	if len(msg.Args) > protocol.ChecksumArgData &&
-		protocol.ChunkSum(key, idx, msg.Payload) != msg.Arg(protocol.ChecksumArgData) {
+	if protocol.ChunkSum(key, idx, msg.Payload) != msg.Arg(protocol.ChecksumArgData) {
 		c.stats.ChecksumFailures.Add(1)
 		return true, fmt.Errorf("%w: chunk %d: checksum mismatch", errTransient, idx)
+	}
+	if g.received == 0 && len(msg.Args) > protocol.ChecksumArgData {
+		// Every frame of the read carries the same lost list.
+		for _, l := range msg.Args[protocol.ChecksumArgData+1:] {
+			if l >= 0 && l < int64(total) {
+				g.lost = append(g.lost, int(l))
+			}
+		}
 	}
 	g.obj.shards[idx] = msg.Payload // ownership moves to the handle
 	msg.Payload = nil
@@ -863,6 +865,7 @@ func (c *Client) tryGet(ctx context.Context, rt route, key string) (*Object, err
 	}
 	total := c.codec.TotalShards()
 	g := gather{obj: newObject(total)}
+	repaired := c.repaired.Load()
 	err := c.ask(ctx, rt.Addr, protocol.TGet, key, args, total+2, func(msg *protocol.Message) (bool, error) {
 		return c.applyGetFrame(&g, key, msg)
 	})
@@ -875,59 +878,52 @@ func (c *Client) tryGet(ctx context.Context, rt route, key string) (*Object, err
 	}
 	// No recovery against a proxy outside the epoch view (PoolSize
 	// unknown) — a retired fallback target is about to drain anyway.
-	if c.cfg.EnableRecovery && rt.PoolSize > 0 {
-		c.maybeRecover(ctx, rt, key, int64(g.obj.size), g.obj.shards)
+	if c.cfg.EnableRecovery && rt.PoolSize > 0 && len(g.lost) > 0 {
+		c.maybeRecover(ctx, rt, key, repaired, g.obj, g.lost)
 	}
 	return g.obj, nil
 }
 
-// maybeRecover re-encodes and re-inserts chunks that did not arrive
-// (either lost to reclamation or straggling); this is the EC recovery
-// activity plotted in Figure 14. Reconstructed shards are appended to
-// the object's shard set, so the handle's Release recycles them too.
+// maybeRecover re-inserts exactly the chunks the proxy reported lost,
+// data or parity; this is the EC recovery activity plotted in Figure
+// 14. The handle's data shards are complete (decoded if the read needed
+// it), so only the parity shards the read did not collect are rebuilt;
+// they join the handle's shard set, so its Release recycles them too.
 //
-// Repair is single-flighted per (key, ring version) on the recovery
-// plane: N concurrent degraded GETs of the same object produce exactly
-// one set of recovery SETs — the others decode locally and skip the
-// re-insert. A completed repair is remembered (bounded done-memory), so
-// straggler-degraded reads of an already-repaired object do not write
-// again; an epoch bump naturally re-keys the space.
-func (c *Client) maybeRecover(ctx context.Context, rt route, key string, objSize int64, shards [][]byte) {
-	var missing []int
-	for i, s := range shards {
-		if s == nil {
-			missing = append(missing, i)
-		}
-	}
-	if len(missing) == 0 {
-		return
-	}
-	rkey := fmt.Sprintf("%s@%d", key, c.epoch.Load().Version())
+// Repair is single-flighted per (key, repaired count when the GET was
+// sent) on the recovery plane: N concurrent degraded GETs of the same
+// object produce exactly one set of recovery SETs, and a GET sent
+// before this client's last repair completed stands down — its lost
+// list may name chunks that repair already put back. A GET sent later
+// reads a list drawn after the repair committed, so it repairs only a
+// new loss.
+func (c *Client) maybeRecover(ctx context.Context, rt route, key string, repaired uint64, obj *Object, lost []int) {
+	rkey := fmt.Sprintf("%s@%d", key, repaired)
 	if !c.recovery.TryStart(rkey) {
-		return // repair already running or done for this key+epoch
+		return // this repair is running, or one completed since the GET was sent
 	}
 	completed := false
 	defer func() { c.recovery.Finish(rkey, completed) }()
-	// Rebuild every shard, then re-insert only the missing ones.
-	if err := c.codec.Reconstruct(shards); err != nil {
+	if err := c.codec.Reconstruct(obj.shards); err != nil {
 		return
 	}
-	sparse := make([][]byte, len(shards))
-	for _, i := range missing {
-		sparse[i] = shards[i]
+	sparse := make([][]byte, len(obj.shards))
+	for _, i := range lost {
+		sparse[i] = obj.shards[i]
 	}
 	pc, err := c.conn(rt.Addr)
 	if err != nil {
 		return
 	}
-	w, err := c.claim(pc, len(sparse), len(missing)+1)
+	w, err := c.claim(pc, len(sparse), len(lost)+1)
 	if err != nil {
 		return
 	}
 	defer w.release()
-	if c.stageSets(&w, 0, rt.PoolSize, key, objSize, sparse, recoverySet, nil) == nil && c.collectAcks(ctx, &w, key) == nil {
+	if c.stageSets(&w, 0, rt.PoolSize, key, int64(obj.size), sparse, recoverySet, nil) == nil && c.collectAcks(ctx, &w, key) == nil {
 		completed = true
-		c.stats.Recoveries.Add(int64(len(missing)))
+		c.repaired.Add(1)
+		c.stats.Recoveries.Add(int64(len(lost)))
 	}
 }
 

@@ -300,8 +300,7 @@ func (a *rangeAssembler) applyChunk(msg *protocol.Message, idx int) (done bool, 
 		a.c.stats.ChecksumFailures.Add(1)
 		return true, fmt.Errorf("%w: stripe %d chunk %d: bad shard length", errTransient, stripe, idx)
 	}
-	if flags&protocol.RangeFlagHasSum != 0 &&
-		protocol.ChunkSum(protocol.StripeKey(a.key, stripe), idx, msg.Payload) != msg.Arg(protocol.RangeDataArgSum) {
+	if protocol.ChunkSum(protocol.StripeKey(a.key, stripe), idx, msg.Payload) != msg.Arg(protocol.RangeDataArgSum) {
 		a.c.stats.ChecksumFailures.Add(1)
 		return true, fmt.Errorf("%w: stripe %d chunk %d: checksum mismatch", errTransient, stripe, idx)
 	}

@@ -309,6 +309,15 @@ func TestDegradedGetSingleFlightRecovery(t *testing.T) {
 	putsBefore := d.Proxies[0].Stats().Puts.Load()
 	d.Platform.ForceReclaimMatching(NodeName(0, nodes[4]), -1)
 	d.Platform.ForceReclaimMatching(NodeName(0, nodes[5]), -1)
+	// One read teaches the proxy the loss: its fetches from the two
+	// reclaimed nodes answer MISS, and the readers below find both
+	// chunks reported lost.
+	if got, err := c.GetCtx(ctx, "repair-me"); err != nil || !bytes.Equal(got, obj) {
+		t.Fatalf("read before the readers: %v", err)
+	}
+	waitFor(t, 10*time.Second, "the reclaimed nodes' MISSes", func() bool {
+		return d.Proxies[0].Stats().ChunkMisses.Load() >= 2
+	})
 
 	const readers = 8
 	var wg sync.WaitGroup

@@ -8,8 +8,12 @@ import "hash/crc32"
 //   - client SET (8 routing args): Args[ChecksumArgSet] = sum
 //   - proxy DATA ([idx, objSize, d, total]): Args[ChecksumArgData] = sum
 //
-// A frame without the checksum arg simply skips verification — older
-// peers and arg-free node frames keep working. The sum is CRC32-C
+// Both are required: the proxy refuses a SET without one, and the
+// client verifies every whole-object DATA frame (a missing sum reads as
+// 0 and fails). Node frames carry no args; the proxy verifies a chunk
+// read back from a node against the sum its SET carried. Args past
+// ChecksumArgData on a DATA frame list the object's chunks known lost
+// (see the proxy's session). The sum is CRC32-C
 // (Castagnoli): hardware-accelerated on both amd64 and arm64, and
 // strong enough to catch the bit flips and truncations the chaos plane
 // injects (integrity against faults, not against an adversary).

@@ -54,7 +54,7 @@ const (
 	RangeDataArgSize        = 1 // total object size (every frame, including terminal)
 	RangeDataArgShards      = 2 // d for the stripe
 	RangeDataArgTotal       = 3 // d+p for the stripe
-	RangeDataArgSum         = 4 // chunk checksum (valid when RangeFlagHasSum set)
+	RangeDataArgSum         = 4 // chunk checksum
 	RangeDataArgStripe      = 5 // stripe index
 	RangeDataArgStripeStart = 6 // object offset of the stripe's first byte
 	RangeDataArgStripeLen   = 7 // data bytes in the stripe
@@ -65,9 +65,6 @@ const (
 	// present chunks instead; the client must gather the stripe and
 	// reconstruct before slicing.
 	RangeFlagDegraded = 1
-	// RangeFlagHasSum marks RangeDataArgSum as a valid end-to-end chunk
-	// checksum.
-	RangeFlagHasSum = 2
 
 	// StreamObjectFlag in a TErr's Args[0] answers a whole-object GET of
 	// a multi-stripe object: the frame is not an error but a redirect to

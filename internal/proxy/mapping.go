@@ -13,14 +13,20 @@ import (
 type chunkLoc struct {
 	Node    int   // index into the proxy's node list
 	Size    int64 // bytes
-	Present bool  // false once known lost (node reclaimed / MISS)
+	Present bool  // false until committed, and once lost
+	// Lost marks a committed chunk known gone: its node answered MISS
+	// (MarkChunkLost) or it failed its checksum twice (NoteChunkCorrupt).
+	// It is what the proxy reports to a reader for repair, and the only
+	// slot a recovery re-insert fills. A slot an in-flight PUT has not
+	// committed yet is neither present nor lost. Any commit clears it.
+	// A lost slot's Node is the node it was lost on until RepairNode
+	// aims a repair elsewhere; either way no other chunk goes there.
+	Lost bool
 
-	// Sum is the chunk's CRC32-C, recorded at commit when the writing
-	// SET carried one (HasSum). Read-backs from nodes are verified
-	// against it; a mismatch is transit or storage corruption, never
-	// forwarded to a client.
-	Sum    int64
-	HasSum bool
+	// Sum is the chunk's CRC32-C, recorded at commit from the writing
+	// SET. Read-backs from nodes are verified against it; a mismatch is
+	// transit or storage corruption, never forwarded to a client.
+	Sum int64
 	// Strikes counts consecutive checksum failures on read-back. One
 	// strike is treated as transit corruption (retry heals it); a second
 	// means the stored bytes themselves are bad, and the chunk is
@@ -412,45 +418,74 @@ func (t *mappingTable) Reserve(node int, size int64, protect string) ([]evictedC
 // generation's chunk into another's (the RS decoder would mix shard
 // sets into silent corruption). epoch 0 is a recovery re-insert, which
 // belongs to no generation and is fenced by content instead: it commits
-// only into a slot whose last committed chunk in the current incarnation
-// carried the same checksum — the object's true chunk content, whether
-// the slot is lost (Sum survives MarkChunkLost and NoteChunkCorrupt) or
-// a straggler being moved. A fresh incarnation's slots carry no sum, so
-// a repair computed from a superseded version can never land in them.
-// Returns false (and releases the reservation) when the entry is gone,
-// has moved on, or holds different content; the caller then deletes the
-// node's copy like any superseded chunk. On success, moved is the node
-// whose copy the commit displaced (a straggler's old home), or -1: the
-// caller deletes that copy, which the accounting no longer tracks.
-// sum is the chunk's CRC32-C when hasSum is set (the SET frame carried
-// one); it is stored so later read-backs can be verified end to end.
-func (t *mappingTable) CommitChunk(key string, idx, node int, size int64, epoch uint64, sum int64, hasSum bool) (moved int, ok bool) {
+// only into a lost slot whose last committed chunk carried the same
+// checksum (Sum survives MarkChunkLost and NoteChunkCorrupt), or re-acks
+// a duplicate repair that already put that very chunk on node. A
+// present chunk elsewhere (a straggler) is never moved, and a fresh
+// incarnation's slots are not lost, so a repair computed from a
+// superseded version can never land in them. No commit puts a chunk on
+// a node that holds another chunk of the entry (sibling). Returns false
+// (and releases the reservation) when the entry is gone, has moved on,
+// holds different content or would co-locate two chunks; the caller
+// then deletes the node's copy like any superseded chunk. sum is the
+// chunk's CRC32-C from its SET frame; it is stored so later read-backs
+// can be verified end to end.
+func (t *mappingTable) CommitChunk(key string, idx, node int, size int64, epoch uint64, sum int64) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	o, ok := t.objects[key]
 	switch {
-	case !ok || idx < 0 || idx >= len(o.Chunks):
-		ok = false // dropped (eviction race)
+	case !ok || idx < 0 || idx >= len(o.Chunks) || o.sibling(idx, node):
+		ok = false // dropped (eviction race), or two chunks on one node
 	case epoch != 0:
 		ok = o.Epoch == epoch // else superseded (overwrite race)
 	default:
-		ok = hasSum && o.Chunks[idx].HasSum && o.Chunks[idx].Sum == sum
+		c := o.Chunks[idx]
+		ok = c.Sum == sum && (c.Lost || c.Present && c.Node == node)
 	}
 	if !ok {
 		// Release the reservation.
 		t.nodeUsed[node] -= size
-		return -1, false
+		return false
 	}
-	old := o.Chunks[idx]
-	moved = -1
-	if old.Size > 0 {
+	if old := o.Chunks[idx]; old.Size > 0 {
 		t.nodeUsed[old.Node] -= old.Size
-		if old.Node != node {
-			moved = old.Node
+	}
+	o.Chunks[idx] = chunkLoc{Node: node, Size: size, Present: true, Sum: sum}
+	return true
+}
+
+// sibling reports whether node holds a chunk of o other than chunk idx,
+// or is where a lost one was or is being repaired to: two lost chunks
+// repaired in one burst must not be aimed at one node.
+func (o *objMeta) sibling(idx, node int) bool {
+	for i, c := range o.Chunks {
+		if i != idx && (c.Present || c.Lost) && c.Node == node {
+			return true
 		}
 	}
-	o.Chunks[idx] = chunkLoc{Node: node, Size: size, Present: true, Sum: sum, HasSum: hasSum}
-	return moved, true
+	return false
+}
+
+// RepairNode picks the node a recovery re-insert of chunk idx of key
+// goes to: hint, unless hint holds another chunk of the object (see
+// sibling), in which case the next node in index order (wrapping) that
+// holds none. Only the proxy knows where the siblings live, so the
+// writer's placement is a hint. A lost slot records the pick, so the
+// next chunk of the same repair avoids it. ok is false when the object
+// is not mapped.
+func (t *mappingTable) RepairNode(key string, idx, hint int) (int, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	o, ok := t.objects[key]
+	node := hint
+	for i := 1; ok && i < len(t.nodeUsed) && o.sibling(idx, node); i++ {
+		node = (hint + i) % len(t.nodeUsed)
+	}
+	if ok && idx >= 0 && idx < len(o.Chunks) && o.Chunks[idx].Lost {
+		o.Chunks[idx].Node = node
+	}
+	return node, ok
 }
 
 // NoteChunkCorrupt records a checksum failure on a chunk read back from
@@ -475,7 +510,7 @@ func (t *mappingTable) NoteChunkCorrupt(key string, idx, node int, epoch uint64)
 	if c.Strikes++; c.Strikes < 2 {
 		return false
 	}
-	c.Present = false
+	c.Present, c.Lost = false, true
 	o.Lost++
 	t.nodeUsed[c.Node] -= c.Size
 	c.Size = 0
@@ -524,7 +559,7 @@ func (t *mappingTable) MarkChunkLost(key string, idx, node int, epoch uint64) in
 	}
 	c := &o.Chunks[idx]
 	if c.Present && c.Node == node {
-		c.Present = false
+		c.Present, c.Lost = false, true
 		o.Lost++
 		// The bytes are no longer on the node.
 		t.nodeUsed[c.Node] -= c.Size

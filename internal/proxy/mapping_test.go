@@ -26,11 +26,11 @@ func TestBeginCommitLookup(t *testing.T) {
 	if _, _, err := tb.Reserve(0, 500, "a"); err != nil {
 		t.Fatal(err)
 	}
-	tb.CommitChunk("a", 0, 0, 500, epoch, 0, false)
+	tb.CommitChunk("a", 0, 0, 500, epoch, 0)
 	if _, _, err := tb.Reserve(1, 500, "a"); err != nil {
 		t.Fatal(err)
 	}
-	tb.CommitChunk("a", 1, 1, 500, epoch, 0, false)
+	tb.CommitChunk("a", 1, 1, 500, epoch, 0)
 
 	meta, ok := tb.Lookup("a")
 	if !ok {
@@ -51,7 +51,7 @@ func TestLookupReturnsSnapshot(t *testing.T) {
 	tb := newTable()
 	_, epoch, _, _ := tb.BeginObject("a", 10, 1, 1, 0, 0)
 	tb.Reserve(0, 10, "a")
-	tb.CommitChunk("a", 0, 0, 10, epoch, 0, false)
+	tb.CommitChunk("a", 0, 0, 10, epoch, 0)
 	meta, _ := tb.Lookup("a")
 	meta.Chunks[0].Present = false
 	again, _ := tb.Lookup("a")
@@ -64,9 +64,9 @@ func TestOverwriteReturnsDeletions(t *testing.T) {
 	tb := newTable()
 	_, epoch, _, _ := tb.BeginObject("a", 100, 1, 2, 0, 0)
 	tb.Reserve(0, 50, "a")
-	tb.CommitChunk("a", 0, 0, 50, epoch, 0, false)
+	tb.CommitChunk("a", 0, 0, 50, epoch, 0)
 	tb.Reserve(1, 50, "a")
-	tb.CommitChunk("a", 1, 1, 50, epoch, 0, false)
+	tb.CommitChunk("a", 1, 1, 50, epoch, 0)
 
 	dels, _, _, _ := tb.BeginObject("a", 200, 1, 2, 0, 0)
 	if len(dels) != 2 {
@@ -81,7 +81,7 @@ func TestDrop(t *testing.T) {
 	tb := newTable()
 	_, epoch, _, _ := tb.BeginObject("a", 100, 1, 1, 0, 0)
 	tb.Reserve(2, 100, "a")
-	tb.CommitChunk("a", 0, 2, 100, epoch, 0, false)
+	tb.CommitChunk("a", 0, 2, 100, epoch, 0)
 	dels := tb.Drop("a")
 	if len(dels) != 1 || dels[0].Node != 2 || dels[0].Key != "a#0" {
 		t.Fatalf("dels = %+v", dels)
@@ -103,7 +103,7 @@ func TestReserveEvictsAtPoolPressure(t *testing.T) {
 		if _, _, err := tb.Reserve(i, 1<<20, key); err != nil {
 			t.Fatalf("reserve %d: %v", i, err)
 		}
-		tb.CommitChunk(key, 0, i, 1<<20, epoch, 0, false)
+		tb.CommitChunk(key, 0, i, 1<<20, epoch, 0)
 	}
 	// A new object must evict at least one victim.
 	tb.BeginObject("new", 1<<20, 1, 1, 0, 0)
@@ -125,7 +125,7 @@ func TestReserveNeverEvictsProtected(t *testing.T) {
 	if _, _, err := tb.Reserve(0, 600, "self"); err != nil {
 		t.Fatal(err)
 	}
-	tb.CommitChunk("self", 0, 0, 600, epoch, 0, false)
+	tb.CommitChunk("self", 0, 0, 600, epoch, 0)
 	// Second chunk exceeds the pool; the only candidate victim is the
 	// protected object itself, so Reserve must fail rather than evict it.
 	_, _, err := tb.Reserve(0, 600, "self")
@@ -156,7 +156,7 @@ func TestReleaseChunk(t *testing.T) {
 func TestCommitWithoutObjectReleases(t *testing.T) {
 	tb := newTable()
 	tb.Reserve(1, 100, "ghost")
-	tb.CommitChunk("ghost", 0, 1, 100, 1, 0, false) // object never began: must release
+	tb.CommitChunk("ghost", 0, 1, 100, 1, 0) // object never began: must release
 	if tb.NodeUsed(1) != 0 {
 		t.Fatal("orphan commit leaked accounting")
 	}
@@ -167,7 +167,7 @@ func TestMarkChunkLost(t *testing.T) {
 	_, epoch, _, _ := tb.BeginObject("a", 100, 2, 3, 0, 0)
 	for i := 0; i < 3; i++ {
 		tb.Reserve(i, 40, "a")
-		tb.CommitChunk("a", i, i, 40, epoch, 0, false)
+		tb.CommitChunk("a", i, i, 40, epoch, 0)
 	}
 	if left := tb.MarkChunkLost("a", 0, 0, epoch); left != 2 {
 		t.Fatalf("present after loss = %d, want 2", left)
@@ -195,7 +195,7 @@ func TestIngestReplacesIncompleteIngest(t *testing.T) {
 		t.Fatal("ingest of an unknown key refused")
 	}
 	tb.Reserve(0, 40, "m")
-	tb.CommitChunk("m", 0, 0, 40, first, 0, false)
+	tb.CommitChunk("m", 0, 0, 40, first, 0)
 
 	dels, second, ok := tb.BeginObjectIfAbsent("m", 100, 2, 3, 0, 0)
 	if !ok || second == first {
@@ -204,12 +204,12 @@ func TestIngestReplacesIncompleteIngest(t *testing.T) {
 	if len(dels) != 1 || dels[0].Node != 0 || tb.NodeUsed(0) != 0 {
 		t.Fatalf("replaced ingest's chunk: dels=%v, node 0 holds %d bytes; want it deleted and released", dels, tb.NodeUsed(0))
 	}
-	if _, ok := tb.CommitChunk("m", 1, 1, 40, first, 0, false); ok {
+	if ok := tb.CommitChunk("m", 1, 1, 40, first, 0); ok {
 		t.Fatal("the replaced generation's late chunk committed")
 	}
 	for i := 0; i < 2; i++ {
 		tb.Reserve(i, 40, "m")
-		tb.CommitChunk("m", i, i, 40, second, 0, false)
+		tb.CommitChunk("m", i, i, 40, second, 0)
 	}
 	if _, _, ok := tb.BeginObjectIfAbsent("m", 100, 2, 3, 0, 0); ok {
 		t.Fatal("ingest replaced a complete ingest")
@@ -237,12 +237,12 @@ func TestEpochGuards(t *testing.T) {
 	tb := newTable()
 	_, oldEpoch, _, _ := tb.BeginObject("a", 100, 1, 2, 0, 0)
 	tb.Reserve(0, 50, "a")
-	tb.CommitChunk("a", 0, 0, 50, oldEpoch, 0, false)
+	tb.CommitChunk("a", 0, 0, 50, oldEpoch, 0)
 
 	// Overwrite: a fresh incarnation replaces the entry.
 	_, newEpoch, _, _ := tb.BeginObject("a", 100, 1, 2, 0, 0)
 	tb.Reserve(1, 50, "a")
-	tb.CommitChunk("a", 0, 1, 50, newEpoch, 0, false)
+	tb.CommitChunk("a", 0, 1, 50, newEpoch, 0)
 
 	// A stale GET's MISS must not mark the new chunk lost.
 	tb.MarkChunkLost("a", 0, 1, oldEpoch)
@@ -260,7 +260,7 @@ func TestEpochGuards(t *testing.T) {
 	// A stale GET's... and a stale COMMIT: a chunk acked after another
 	// session's overwrite must not splice into the new incarnation.
 	tb.Reserve(2, 50, "a")
-	if _, ok := tb.CommitChunk("a", 1, 2, 50, oldEpoch, 0, false); ok {
+	if ok := tb.CommitChunk("a", 1, 2, 50, oldEpoch, 0); ok {
 		t.Fatal("stale-epoch commit spliced into the new incarnation")
 	}
 	if tb.NodeUsed(2) != 0 {
@@ -283,38 +283,39 @@ func TestRecoveryContentFence(t *testing.T) {
 	tb := newTable()
 	_, epoch, _, _ := tb.BeginObject("a", 100, 1, 2, 0, 0)
 	tb.Reserve(0, 50, "a")
-	tb.CommitChunk("a", 0, 0, 50, epoch, 111, true)
+	tb.CommitChunk("a", 0, 0, 50, epoch, 111)
 	tb.Reserve(1, 50, "a")
-	tb.CommitChunk("a", 1, 1, 50, epoch, 222, true)
+	tb.CommitChunk("a", 1, 1, 50, epoch, 222)
 	tb.MarkChunkLost("a", 0, 0, epoch)
 
 	// Recovery into a lost slot with the matching sum commits.
 	tb.Reserve(2, 50, "a")
-	if _, ok := tb.CommitChunk("a", 0, 2, 50, 0, 111, true); !ok {
+	if ok := tb.CommitChunk("a", 0, 2, 50, 0, 111); !ok {
 		t.Fatal("recovery of a lost chunk with its own content refused")
 	}
 	if meta, _ := tb.Lookup("a"); !meta.Chunks[0].Present || meta.Chunks[0].Node != 2 {
 		t.Fatalf("repaired slot = %+v", meta.Chunks[0])
 	}
-	// A straggler (slot present, same sum) still moves.
+	// A straggler (slot present on another node, same sum) is refused,
+	// and node 1 keeps its 50 bytes.
 	tb.Reserve(3, 50, "a")
-	if _, ok := tb.CommitChunk("a", 1, 3, 50, 0, 222, true); !ok {
-		t.Fatal("straggler re-insert with the slot's own content refused")
+	if ok := tb.CommitChunk("a", 1, 3, 50, 0, 222); ok {
+		t.Fatal("straggler re-insert moved a present chunk")
 	}
-	if tb.NodeUsed(1) != 0 || tb.NodeUsed(3) != 50 {
-		t.Fatalf("moved chunk accounting: node1 %d, node3 %d", tb.NodeUsed(1), tb.NodeUsed(3))
+	if tb.NodeUsed(1) != 50 || tb.NodeUsed(3) != 0 {
+		t.Fatalf("refused straggler accounting: node1 %d, node3 %d", tb.NodeUsed(1), tb.NodeUsed(3))
 	}
 	// A different sum is refused and releases its reservation.
 	tb.Reserve(1, 50, "a")
-	if _, ok := tb.CommitChunk("a", 0, 1, 50, 0, 999, true); ok {
+	if ok := tb.CommitChunk("a", 0, 1, 50, 0, 999); ok {
 		t.Fatal("recovery carrying other content committed")
 	}
 	// So is a frame that carries no sum at all.
 	tb.Reserve(1, 50, "a")
-	if _, ok := tb.CommitChunk("a", 0, 1, 50, 0, 0, false); ok {
+	if ok := tb.CommitChunk("a", 0, 1, 50, 0, 0); ok {
 		t.Fatal("sum-less recovery committed")
 	}
-	if tb.NodeUsed(1) != 0 {
+	if tb.NodeUsed(1) != 50 {
 		t.Fatal("refused recovery did not release its reservation")
 	}
 
@@ -322,7 +323,7 @@ func TestRecoveryContentFence(t *testing.T) {
 	// the superseded version must not land in the overwrite.
 	tb.BeginObject("a", 100, 1, 2, 0, 0)
 	tb.Reserve(0, 50, "a")
-	if _, ok := tb.CommitChunk("a", 0, 0, 50, 0, 111, true); ok {
+	if ok := tb.CommitChunk("a", 0, 0, 50, 0, 111); ok {
 		t.Fatal("recovery committed into a fresh incarnation")
 	}
 	if tb.UsedBytes() != 0 {
@@ -330,26 +331,27 @@ func TestRecoveryContentFence(t *testing.T) {
 	}
 }
 
-// TestMovedChunkIgnoresOldNode: a recovery re-insert that moves a
-// present chunk reports the node it moved off, and a verdict from that
-// node — a straggler fetch meeting the DEL of the old copy reads MISS,
-// a read-back of it fails its checksum — leaves the moved slot present.
-// Verdicts from the node the slot points at still land.
+// TestMovedChunkIgnoresOldNode: once a recovery re-insert has put a
+// lost chunk on another node, a verdict from the node it was lost on —
+// a late MISS, a read-back that fails its checksum — leaves the
+// repaired slot present. Verdicts from the node the slot points at
+// still land.
 func TestMovedChunkIgnoresOldNode(t *testing.T) {
 	tb := newTable()
 	_, epoch, _, _ := tb.BeginObject("a", 100, 1, 2, 0, 0)
 	tb.Reserve(0, 50, "a")
-	tb.CommitChunk("a", 0, 0, 50, epoch, 111, true)
+	tb.CommitChunk("a", 0, 0, 50, epoch, 111)
 	tb.Reserve(1, 50, "a")
-	tb.CommitChunk("a", 1, 1, 50, epoch, 222, true)
+	tb.CommitChunk("a", 1, 1, 50, epoch, 222)
 
+	tb.MarkChunkLost("a", 1, 1, epoch)
 	tb.Reserve(3, 50, "a")
-	if moved, ok := tb.CommitChunk("a", 1, 3, 50, 0, 222, true); !ok || moved != 1 {
-		t.Fatalf("moving chunk 1 to node 3: moved %d, ok %v; want node 1, true", moved, ok)
+	if ok := tb.CommitChunk("a", 1, 3, 50, 0, 222); !ok {
+		t.Fatal("repairing lost chunk 1 onto node 3 refused")
 	}
 	tb.Reserve(3, 50, "a")
-	if moved, ok := tb.CommitChunk("a", 1, 3, 50, 0, 222, true); !ok || moved != -1 {
-		t.Fatalf("re-inserting chunk 1 where it is: moved %d, ok %v; want -1, true", moved, ok)
+	if ok := tb.CommitChunk("a", 1, 3, 50, 0, 222); !ok {
+		t.Fatal("re-inserting chunk 1 where it is refused")
 	}
 	if left := tb.MarkChunkLost("a", 1, 1, epoch); left != 2 {
 		t.Fatalf("a MISS from the old node left %d chunks present, want 2", left)
@@ -375,7 +377,7 @@ func TestDropIfIncomplete(t *testing.T) {
 	tb := newTable()
 	_, epoch, _, _ := tb.BeginObject("a", 100, 2, 3, 0, 0)
 	tb.Reserve(0, 40, "a")
-	tb.CommitChunk("a", 0, 0, 40, epoch, 0, false) // 1 of 2 data shards: incomplete
+	tb.CommitChunk("a", 0, 0, 40, epoch, 0) // 1 of 2 data shards: incomplete
 	if _, ok := tb.DropIfIncomplete("a", epoch); !ok {
 		t.Fatal("incomplete entry not dropped")
 	}
@@ -386,7 +388,7 @@ func TestDropIfIncomplete(t *testing.T) {
 	// A complete entry must never be dropped by the failed-PUT path.
 	_, epoch, _, _ = tb.BeginObject("b", 100, 1, 2, 0, 0)
 	tb.Reserve(0, 50, "b")
-	tb.CommitChunk("b", 0, 0, 50, epoch, 0, false)
+	tb.CommitChunk("b", 0, 0, 50, epoch, 0)
 	if _, ok := tb.DropIfIncomplete("b", epoch); ok {
 		t.Fatal("complete entry dropped")
 	}
@@ -403,9 +405,9 @@ func TestUsedBytesAggregates(t *testing.T) {
 	tb := newTable()
 	_, epoch, _, _ := tb.BeginObject("a", 100, 1, 2, 0, 0)
 	tb.Reserve(0, 60, "a")
-	tb.CommitChunk("a", 0, 0, 60, epoch, 0, false)
+	tb.CommitChunk("a", 0, 0, 60, epoch, 0)
 	tb.Reserve(3, 60, "a")
-	tb.CommitChunk("a", 1, 3, 60, epoch, 0, false)
+	tb.CommitChunk("a", 1, 3, 60, epoch, 0)
 	if tb.UsedBytes() != 120 {
 		t.Fatalf("UsedBytes = %d, want 120", tb.UsedBytes())
 	}

@@ -131,7 +131,7 @@ func TestUnfetchableKeyDropsOncePerEpoch(t *testing.T) {
 	}
 	_, epoch, _, _ := p0.table.BeginObject(key, 100, 2, 3, 0, 0)
 	p0.table.Reserve(0, 50, key)
-	p0.table.CommitChunk(key, 0, 0, 50, epoch, 0, false)
+	p0.table.CommitChunk(key, 0, 0, 50, epoch, 0)
 
 	ms := cluster.NewMembership()
 	cur := ms.Publish(alone)

@@ -9,7 +9,9 @@ import (
 //
 //	Args[0] chunk index
 //	Args[1] total chunks (d+p)
-//	Args[2] destination lambda index (IDλ, chosen by the client)
+//	Args[2] destination lambda index (IDλ, chosen by the client; for a
+//	        recovery SET a hint the proxy overrides when that node holds
+//	        another chunk of the object)
 //	Args[3] object size in bytes
 //	Args[4] data shards d
 //	Args[5] put generation (client-unique per PUT; distinguishes a fresh
@@ -19,12 +21,12 @@ import (
 //	Args[7] migration flag (1 = proxy->proxy key handoff, written by
 //	        client.Handoff; ingest via BeginObjectIfAbsent, never over
 //	        an existing entry)
-//	Args[8] chunk CRC32-C (optional; absent on legacy frames). Verified
-//	        against the payload on arrival and stored with the chunk's
-//	        mapping so node read-backs can be verified end to end. It is
-//	        also what a recovery SET is fenced by: the chunk commits only
-//	        into a slot that last held this very sum (CommitChunk), so a
-//	        recovery frame without one is refused.
+//	Args[8] chunk CRC32-C (required; a SET without it is refused as bad
+//	        arguments). Verified against the payload on arrival and
+//	        stored with the chunk's mapping so node read-backs can be
+//	        verified end to end. It is also what a recovery SET is fenced
+//	        by: the chunk commits only into a lost slot that last held
+//	        this very sum (CommitChunk).
 //
 // GET requests may carry Args[0] = 1, the authoritative flag: serve
 // regardless of ring ownership and answer a plain MISS instead of a
@@ -36,8 +38,11 @@ import (
 //	Args[1] object size
 //	Args[2] data shards d
 //	Args[3] total chunks
-//	Args[4] chunk CRC32-C (optional; present when the stored chunk has
-//	        one, letting the client verify the proxy→client hop too)
+//	Args[4] chunk CRC32-C, letting the client verify the proxy→client
+//	        hop too
+//	Args[5:] the object's chunk indexes known lost when the read was
+//	        planned, present only when there are any: exactly the chunks
+//	        a client running recovery re-inserts
 const (
 	setArgIdx = iota
 	setArgTotal
@@ -197,6 +202,9 @@ type readEntry struct {
 	slen     int64 // data bytes in the stripe
 	degraded bool  // part of a reconstruct-d fan-out, not an exact read
 	want     []int // chunk indexes the plan fetches; issued by startRead
+	// lost lists the slots known lost at plan time, for a whole-object
+	// read: every DATA frame of the read carries them to the client.
+	lost []int64
 }
 
 // setOp tracks one client chunk SET through its node store.
@@ -211,7 +219,6 @@ type setOp struct {
 	cancelled bool   // the client abandoned the PUT; do not commit
 	payload   []byte // the client frame's pooled payload; recycled on completion
 	sum       int64  // chunk CRC32-C from the SET frame, stored at commit
-	hasSum    bool   // the frame carried a checksum arg
 }
 
 // pendingChunk links a node-request seq back to its op (exactly one of
@@ -475,8 +482,9 @@ func (s *session) serveHot(seq uint64, key string, e *hotEntry) {
 	s.p.stats.GetHits.Add(1)
 }
 
-// handleSet stores one erasure-coded chunk on the client-chosen node.
-// The frame's pooled payload travels to the node without a copy or a
+// handleSet stores one erasure-coded chunk on the client-chosen node
+// (for a recovery SET, the node RepairNode picks from that hint). The
+// frame's pooled payload travels to the node without a copy or a
 // re-wrap and is recycled when the node's ACK (or failure) completes
 // the op.
 func (s *session) handleSet(m *protocol.Message) {
@@ -488,7 +496,8 @@ func (s *session) handleSet(m *protocol.Message) {
 	migration := m.Arg(setArgMigration) == 1
 
 	d := m.Arg(setArgDataShards)
-	if lambdaIdx < 0 || lambdaIdx >= len(s.p.nodes) || idx < 0 || idx >= total || total > maxChunks || d <= 0 || d > int64(total) {
+	if lambdaIdx < 0 || lambdaIdx >= len(s.p.nodes) || idx < 0 || idx >= total || total > maxChunks || d <= 0 || d > int64(total) ||
+		len(m.Args) <= setArgChecksum {
 		s.sendErr(m.Seq, m.Key, "proxy: bad SET arguments")
 		m.Free()
 		return
@@ -500,22 +509,19 @@ func (s *session) handleSet(m *protocol.Message) {
 	if open := s.writes[m.Key]; open != nil && !recovery && open.gen == m.Arg(setArgPutGen) {
 		w = open
 	}
-	sum, hasSum := int64(0), false
-	if len(m.Args) > setArgChecksum {
-		sum, hasSum = m.Arg(setArgChecksum), true
-		if protocol.ChunkSum(m.Key, idx, m.Payload) != sum {
-			// Corrupted on the client→proxy (or source-proxy→here) hop —
-			// in the payload, or in the key/index the sum is bound to:
-			// never store garbage, and never store good bytes under
-			// garbled routing. Fail the generation so its partial entry
-			// is dropped, and answer a transient so the writer retries
-			// the whole PUT with fresh bytes.
-			s.p.stats.ChecksumFailures.Add(1)
-			s.failWrite(w)
-			s.sendTransient(m.Seq, m.Key, protocol.TransientNodeFailure)
-			m.Free()
-			return
-		}
+	sum := m.Arg(setArgChecksum)
+	if protocol.ChunkSum(m.Key, idx, m.Payload) != sum {
+		// Corrupted on the client→proxy (or source-proxy→here) hop — in
+		// the payload, or in the key/index the sum is bound to: never
+		// store garbage, and never store good bytes under garbled
+		// routing. Fail the generation so its partial entry is dropped,
+		// and answer a transient so the writer retries the whole PUT
+		// with fresh bytes.
+		s.p.stats.ChecksumFailures.Add(1)
+		s.failWrite(w)
+		s.sendTransient(m.Seq, m.Key, protocol.TransientNodeFailure)
+		m.Free()
+		return
 	}
 	if !migration && !s.checkOwner(m.Seq, m.Key) {
 		// A stale-ring client wrote here. Chunks of this generation that
@@ -530,8 +536,11 @@ func (s *session) handleSet(m *protocol.Message) {
 
 	if recovery {
 		// Recovery re-inserts one chunk of an existing object; if the
-		// object vanished meanwhile there is nothing to repair.
-		if _, ok := s.p.table.Lookup(m.Key); !ok {
+		// object vanished meanwhile there is nothing to repair. The
+		// writer's node is a hint: no node may hold two chunks of one
+		// object, and only the table knows where the siblings live.
+		var ok bool
+		if lambdaIdx, ok = s.p.table.RepairNode(m.Key, idx, lambdaIdx); !ok {
 			s.sendErr(m.Seq, m.Key, "proxy: recovery for unknown object")
 			m.Free()
 			return
@@ -570,7 +579,7 @@ func (s *session) handleSet(m *protocol.Message) {
 	seq := s.p.nextSeq()
 	op := &setOp{
 		clientSeq: m.Seq, seq: seq, w: w, key: m.Key, idx: idx, node: lambdaIdx,
-		size: size, payload: m.Payload, sum: sum, hasSum: hasSum,
+		size: size, payload: m.Payload, sum: sum,
 	}
 	s.outstanding++
 	s.chunks[seq] = pendingChunk{set: op, node: lambdaIdx}
@@ -834,10 +843,16 @@ func (s *session) planWhole(op *readOp, meta objMeta, authoritative bool) bool {
 		s.unservable(op, op.key, meta)
 		return false
 	}
+	var lost []int64
+	for i, c := range meta.Chunks {
+		if c.Lost {
+			lost = append(lost, int64(i))
+		}
+	}
 	op.need = d
 	op.ents = []readEntry{{
 		key: op.key, epoch: meta.Epoch, chunks: meta.Chunks,
-		d: d, total: meta.TotalShards, want: present,
+		d: d, total: meta.TotalShards, want: present, lost: lost,
 	}}
 	return true
 }
@@ -948,11 +963,22 @@ func (s *session) completeRead(pc pendingChunk, resp *protocol.Message) {
 	op, idx := pc.read, pc.idx
 	e := &op.ents[pc.ent]
 	switch {
+	case resp != nil && resp.Type == protocol.TMiss:
+		// The node definitively lost this chunk (reclaimed instance):
+		// record it in the mapping table, even when the read has already
+		// been answered — a loss learned from a straggler is what the
+		// next read reports for repair. Epoch- and node-guarded: if an
+		// overwrite replaced the entry mid-fan-out, or a repair put the
+		// chunk on another node, this MISS is about a copy the slot no
+		// longer points at and must not taint it.
+		s.p.stats.ChunkMisses.Add(1)
+		s.p.table.MarkChunkLost(e.key, idx, pc.node, e.epoch)
+		op.missed++
 	case op.done:
 		// First-d already served, verdict already sent, or the client
 		// walked away: this is a straggler whose journey ends here.
 	case resp != nil && resp.Type == protocol.TData:
-		if c := e.chunks[idx]; c.HasSum && protocol.ChunkSum(e.key, idx, resp.Payload) != c.Sum {
+		if c := e.chunks[idx]; protocol.ChunkSum(e.key, idx, resp.Payload) != c.Sum {
 			// Corruption on the node→proxy hop or in storage: never
 			// forward it. A chunk the strike loses is a miss the client
 			// reconstructs around (a ranged retry plans a degraded stripe
@@ -986,15 +1012,6 @@ func (s *session) completeRead(pc pendingChunk, resp *protocol.Message) {
 		if op.ranged {
 			s.sendRangeTerminal(op.clientSeq, op.key, op.size)
 		}
-	case resp != nil && resp.Type == protocol.TMiss:
-		// The node definitively lost this chunk (reclaimed instance):
-		// record it in the mapping table. Epoch- and node-guarded — if
-		// an overwrite replaced the entry mid-fan-out, or a repair moved
-		// the chunk off this node, this MISS is about a copy the slot no
-		// longer points at and must not taint it.
-		s.p.stats.ChunkMisses.Add(1)
-		s.p.table.MarkChunkLost(e.key, idx, pc.node, e.epoch)
-		op.missed++
 	default:
 		// Transient failure (timeout, mid-backup swap): the chunk
 		// may still exist; do not mark it lost.
@@ -1014,11 +1031,7 @@ func (s *session) forwardData(op *readOp, e *readEntry, idx int, payload []byte)
 	c := e.chunks[idx]
 	if !op.ranged {
 		args := [5]int64{int64(idx), op.size, int64(e.d), int64(e.total), c.Sum}
-		n := 4
-		if c.HasSum {
-			n = 5
-		}
-		s.conn.Forward(protocol.TData, op.clientSeq, op.key, "", args[:n], payload)
+		s.conn.Forward(protocol.TData, op.clientSeq, op.key, "", append(args[:], e.lost...), payload)
 		return
 	}
 	var args [9]int64
@@ -1029,15 +1042,10 @@ func (s *session) forwardData(op *readOp, e *readEntry, idx int, payload []byte)
 	args[protocol.RangeDataArgStripe] = int64(e.stripe)
 	args[protocol.RangeDataArgStripeStart] = e.start
 	args[protocol.RangeDataArgStripeLen] = e.slen
-	var flags int64
+	args[protocol.RangeDataArgSum] = c.Sum
 	if e.degraded {
-		flags |= protocol.RangeFlagDegraded
+		args[protocol.RangeDataArgFlags] = protocol.RangeFlagDegraded
 	}
-	if c.HasSum {
-		args[protocol.RangeDataArgSum] = c.Sum
-		flags |= protocol.RangeFlagHasSum
-	}
-	args[protocol.RangeDataArgFlags] = flags
 	s.conn.Forward(protocol.TData, op.clientSeq, op.key, "", args[:], payload)
 }
 
@@ -1142,16 +1150,8 @@ func (s *session) completeSet(op *setOp, resp *protocol.Message) {
 		s.sendErr(op.clientSeq, op.key, "proxy: chunk store failed")
 	default:
 		superseded := !recovery && s.writes[op.key] != w
-		moved, ok := -1, false
-		if !superseded {
-			moved, ok = s.p.table.CommitChunk(op.key, op.idx, op.node, op.size, epoch, op.sum, op.hasSum)
-		}
-		if ok {
+		if !superseded && s.p.table.CommitChunk(op.key, op.idx, op.node, op.size, epoch, op.sum) {
 			committed = true
-			if moved >= 0 {
-				// A repair moved a straggler: its old copy is garbage now.
-				s.p.nodes[moved].queueDel(ChunkKey(op.key, op.idx))
-			}
 			if recovery {
 				s.p.stats.Repairs.Add(1)
 			}
@@ -1164,11 +1164,13 @@ func (s *session) completeSet(op *setOp, resp *protocol.Message) {
 		// was re-driven) or cross-session (the entry's epoch no longer
 		// matches, and CommitChunk refused and released the
 		// reservation); a refused recovery carried content the slot
-		// never held. Committing would splice stale bytes into the
-		// newer incarnation. Delete the node's copy too: it may have
-		// clobbered the new generation's chunk under the same key —
-		// a lost chunk is recoverable through parity, a silently
-		// mixed one is not.
+		// never held, or found the slot not lost (a straggler, or one
+		// an in-flight PUT has yet to commit), or its node holding a
+		// sibling chunk by commit time. Committing would splice stale
+		// bytes into the newer incarnation. Delete the node's copy too:
+		// it may have clobbered the new generation's chunk under the
+		// same key — a lost chunk is recoverable through parity, a
+		// silently mixed one is not.
 		if superseded {
 			s.p.table.ReleaseChunk(op.node, op.size)
 		}

@@ -610,22 +610,99 @@ func TestWriteOpConformance(t *testing.T) {
 			},
 		},
 		{
-			// A repair of a chunk that was only slow moves it to another
-			// node: the old node's copy is deleted, so exactly one node
-			// stores it (check asserts that for every row).
+			// A repair of a chunk that was only slow is refused: only a
+			// lost slot takes a re-insert, so the chunk stays on its node
+			// and the repair's copy is deleted (check asserts that exactly
+			// one node stores it, for every row).
 			name: "recovery moves a straggler", cold: true,
 			script: func(h *writeHarness) []uint64 {
 				h.put(key, woValue(5))
-				_, free := h.placement(key)
+				nodes, free := h.placement(key)
 				seq := h.set(setFrame{key: key, idx: 0, node: free, gen: 7, payload: woShards(h.t, woValue(5))[0], recovery: true})
 				h.complete(1)
-				if n := h.lookup(key).Chunks[0].Node; n != free {
-					h.t.Errorf("chunk 0 maps to node %d after the repair, want %d", n, free)
+				if n := h.lookup(key).Chunks[0].Node; n != nodes[0] {
+					h.t.Errorf("chunk 0 maps to node %d after the refused repair, want %d", n, nodes[0])
+				}
+				return []uint64{seq}
+			},
+			want: []string{woSuperseded}, present: 3,
+			verify: func(h *writeHarness) { h.readsBack(key, woValue(5)) },
+		},
+		{
+			// A repair aimed at the node of another chunk of the object
+			// goes elsewhere: no node may hold two chunks of one object,
+			// or one reclaim takes both.
+			name: "recovery aimed at the node of a sibling chunk", cold: true,
+			script: func(h *writeHarness) []uint64 {
+				h.put(key, woValue(5))
+				nodes, _ := h.placement(key)
+				h.lose(key, 2)
+				seq := h.set(setFrame{key: key, idx: 2, node: nodes[0], gen: 7, payload: woShards(h.t, woValue(5))[2], recovery: true})
+				h.complete(1)
+				meta := h.lookup(key)
+				if n := meta.Chunks[2].Node; n == meta.Chunks[0].Node || n == meta.Chunks[1].Node {
+					h.t.Errorf("repaired chunk 2 landed on node %d, which holds a sibling (chunks on %d, %d)",
+						n, meta.Chunks[0].Node, meta.Chunks[1].Node)
 				}
 				return []uint64{seq}
 			},
 			want: []string{"ACK"}, present: 3,
 			verify: func(h *writeHarness) { h.readsBack(key, woValue(5)) },
+		},
+		{
+			// Both lost chunks of one repair are aimed at the node of the
+			// surviving chunk: each is moved off it, and not both onto
+			// the same next node, or the second commit would be refused.
+			name: "recovery of two lost chunks aimed at one node", cold: true,
+			script: func(h *writeHarness) []uint64 {
+				h.put(key, woValue(5))
+				nodes, _ := h.placement(key)
+				h.lose(key, 1)
+				h.lose(key, 2)
+				shards := woShards(h.t, woValue(5))
+				seqs := []uint64{
+					h.set(setFrame{key: key, idx: 1, node: nodes[0], gen: 7, payload: shards[1], recovery: true}),
+					h.set(setFrame{key: key, idx: 2, node: nodes[0], gen: 7, payload: shards[2], recovery: true}),
+				}
+				h.complete(2)
+				used := make(map[int]bool)
+				for i, c := range h.lookup(key).Chunks {
+					if used[c.Node] {
+						h.t.Errorf("chunk %d shares node %d with another chunk", i, c.Node)
+					}
+					used[c.Node] = true
+				}
+				return seqs
+			},
+			want: []string{"ACK", "ACK"}, present: 3,
+			verify: func(h *writeHarness) { h.readsBack(key, woValue(5)) },
+		},
+		{
+			// Two readers repair the same lost chunk onto the same node:
+			// the second re-insert finds the chunk already there and is
+			// acked, and the node keeps its copy.
+			name: "duplicate recovery of one lost chunk", cold: true,
+			script: func(h *writeHarness) []uint64 {
+				h.put(key, woValue(5))
+				_, free := h.placement(key)
+				h.lose(key, 1)
+				shard := woShards(h.t, woValue(5))[1]
+				seqs := []uint64{h.set(setFrame{key: key, idx: 1, node: free, gen: 7, payload: shard, recovery: true})}
+				h.complete(1)
+				seqs = append(seqs, h.set(setFrame{key: key, idx: 1, node: free, gen: 8, payload: shard, recovery: true}))
+				h.complete(1)
+				if n := h.lookup(key).Chunks[1].Node; n != free {
+					h.t.Errorf("chunk 1 maps to node %d after two repairs onto node %d", n, free)
+				}
+				return seqs
+			},
+			want: []string{"ACK", "ACK"}, present: 3,
+			verify: func(h *writeHarness) {
+				if n := h.p.Stats().Repairs.Load(); n != 2 {
+					h.t.Errorf("Repairs = %d, want 2", n)
+				}
+				h.readsBack(key, woValue(5))
+			},
 		},
 		{
 			// D5: a repair computed from version 5 arrives after version 9
