@@ -1,6 +1,7 @@
 package proxy
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"sync"
@@ -19,9 +20,14 @@ type chunkLoc struct {
 	// It is what the proxy reports to a reader for repair, and the only
 	// slot a recovery re-insert fills. A slot an in-flight PUT has not
 	// committed yet is neither present nor lost. Any commit clears it.
-	// A lost slot's Node is the node it was lost on until RepairNode
-	// aims a repair elsewhere; either way no other chunk goes there.
+	// A lost slot's Node is the node it was lost on until Place aims a
+	// repair elsewhere; either way no other chunk goes there.
 	Lost bool
+	// Aimed marks a slot whose generation's SET Place has sent to Node
+	// and which has not committed yet: the node is about to hold this
+	// chunk key, so an older incarnation's copy there is not deleted
+	// (see NewerOn). Any commit clears it.
+	Aimed bool
 
 	// Sum is the chunk's CRC32-C, recorded at commit from the writing
 	// SET. Read-backs from nodes are verified against it; a mismatch is
@@ -112,6 +118,9 @@ type mappingTable struct {
 	// identically. Lock order is strictly table.mu → hotTier.mu; the
 	// tier never calls back into the table.
 	hot *hotTier
+	// nodes is what Place reads of the node dispatchers; set once, so
+	// no SET converts the pool to an interface value.
+	nodes nodeStates
 }
 
 func newMappingTable(nodes int, nodeCapBytes int64) *mappingTable {
@@ -350,20 +359,139 @@ func (t *mappingTable) DropIfEpoch(key string, epoch uint64) ([]evictedChunk, bo
 	return t.dropLocked(o), true
 }
 
-// ErrNoCapacity is wrapped by Reserve failures.
+// ErrNoCapacity is wrapped by Place and Reserve failures.
 var ErrNoCapacity = fmt.Errorf("proxy: chunk exceeds pool capacity")
 
-// Reserve accounts size bytes on node, evicting cold objects (CLOCK, at
-// object granularity) while the *pool* lacks free memory — §3.2: "the
-// proxy starts to evict objects as long as there is not enough free
-// memory in the Lambda pool". Eviction is pool-level rather than
-// per-node: chunks are placed randomly, so per-node occupancy stays
-// near the pool average and the Lambda's memory headroom absorbs the
-// variance; per-node usage remains tracked for accounting. protect is
-// the object key being written, which must not evict itself.
+// nodeStates is what placement reads of the node dispatchers: whether
+// node i is running, and how many requests it holds, queued plus in
+// flight. Both are published atomics, read without a lock.
+type nodeStates interface {
+	awake(i int) bool
+	load(i int) int
+}
+
+// nodeSet is a bitmap of node indexes: the nodes one PUT generation has
+// placed chunks on.
+type nodeSet []uint64
+
+func newNodeSet(nodes int) nodeSet { return make(nodeSet, (nodes+63)/64) }
+
+func (s nodeSet) has(n int) bool { return s[n>>6]&(1<<(n&63)) != 0 }
+func (s nodeSet) add(n int)      { s[n>>6] |= 1 << (n & 63) }
+
+// errNoObject answers a recovery SET whose object is not mapped: there
+// is nothing to repair.
+var errNoObject = errors.New("proxy: recovery for unknown object")
+
+// Place is the one placement rule for a chunk SET — PUT, MPut, stripe,
+// handoff and recovery alike — and reserves size bytes on the node it
+// picks (reserveLocked). The writer's node is a hint: only the proxy
+// knows which nodes are running and where the object's other chunks
+// live. gen is the PUT generation's nodes so far, and epoch the
+// incarnation it created; a recovery SET has neither (nil, 0), and its
+// own set is the entry's other slots (sibling). The pick:
+//
+//   - the hint stands when it is not in the writer's own set and its
+//     node is awake, or the entry spans the whole pool;
+//   - else the least loaded awake node (requests held, then accounted
+//     bytes) that is not in the writer's set, that key's current entry
+//     does not name at all (occupied, chunk idx's own lost slot
+//     included: a move never volunteers a chunk to the node that just
+//     lost it), that has room for size bytes and that holds no more
+//     than the pool's average. A move never overfills a node, and
+//     never feeds running nodes at the expense of sleeping ones: once
+//     the running nodes hold more than their share, chunks stay on
+//     their hints, so a node that sleeps still gets its share of
+//     chunks and the pool's objects keep independent placements;
+//   - else the first node from the hint in index order that is not in
+//     the writer's set and holds no chunk of the entry, and failing
+//     that the hint.
+//
+// With every node asleep, that is the hint unless the writer's own set
+// rules it out. The pick joins gen, or for a recovery the lost slot, so
+// the next chunk of the same write avoids it; a generation's pick is
+// also recorded as aimed in its own entry's slot.
+func (t *mappingTable) Place(key string, idx, hint int, size int64, epoch uint64, gen nodeSet) (node int, dels []evictedChunk, evicted int, err error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	o := t.objects[key]
+	if o != nil && (idx < 0 || idx >= len(o.Chunks)) {
+		o = nil
+	}
+	if gen == nil && o == nil {
+		return hint, nil, 0, errNoObject
+	}
+	node = t.pickLocked(o, idx, hint, size, gen)
+	if gen != nil {
+		gen.add(node)
+		if o != nil && o.Epoch == epoch && !o.Chunks[idx].Present && !o.Chunks[idx].Lost {
+			o.Chunks[idx].Node, o.Chunks[idx].Aimed = node, true
+		}
+	} else if o.Chunks[idx].Lost {
+		o.Chunks[idx].Node = node
+	}
+	dels, evicted, err = t.reserveLocked(node, size, key)
+	return node, dels, evicted, err
+}
+
+// pickLocked is Place's choice of node; o is key's current entry, nil
+// when there is none.
+func (t *mappingTable) pickLocked(o *objMeta, idx, hint int, size int64, gen nodeSet) int {
+	nodes := t.nodes
+	own := func(n int) bool {
+		if gen == nil {
+			return o.sibling(idx, n)
+		}
+		return gen.has(n)
+	}
+	// An entry that spans the whole pool puts a chunk on every node
+	// anyway: moving one off a sleeping node saves no invoke, it only
+	// delays the one a later chunk will need there.
+	if (nodes.awake(hint) || o != nil && o.TotalShards >= len(t.nodeUsed)) && !own(hint) {
+		return hint
+	}
+	var total int64
+	for _, used := range t.nodeUsed {
+		total += used
+	}
+	best, bestLoad := -1, 0
+	for n, used := range t.nodeUsed {
+		if !nodes.awake(n) || used+size > t.nodeCap || used*int64(len(t.nodeUsed)) > total || own(n) || o != nil && o.occupied(-1, n) {
+			continue
+		}
+		if l := nodes.load(n); best < 0 || l < bestLoad || l == bestLoad && used < t.nodeUsed[best] {
+			best, bestLoad = n, l
+		}
+	}
+	if best >= 0 {
+		return best
+	}
+	for i := range t.nodeUsed {
+		if n := (hint + i) % len(t.nodeUsed); !own(n) && (o == nil || !o.occupied(idx, n)) {
+			return n
+		}
+	}
+	return hint
+}
+
+// Reserve accounts size bytes on node, evicting as reserveLocked does.
+// The SET path reserves through Place, which picks the node first.
 func (t *mappingTable) Reserve(node int, size int64, protect string) ([]evictedChunk, int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	return t.reserveLocked(node, size, protect)
+}
+
+// reserveLocked accounts size bytes on node, evicting cold objects
+// (CLOCK, at object granularity) while the *pool* lacks free memory —
+// §3.2: "the proxy starts to evict objects as long as there is not
+// enough free memory in the Lambda pool". Eviction is pool-level rather
+// than per-node: the writer's hints are drawn at random and Place moves
+// a chunk only onto a node with room, so per-node occupancy stays near
+// the pool average and the Lambda's memory headroom absorbs the
+// variance; per-node usage remains tracked for accounting. protect is
+// the object key being written, which must not evict itself.
+func (t *mappingTable) reserveLocked(node int, size int64, protect string) ([]evictedChunk, int, error) {
 	poolCap := t.nodeCap * int64(len(t.nodeUsed))
 	if size > poolCap {
 		return nil, 0, fmt.Errorf("%w: %d bytes > pool capacity %d", ErrNoCapacity, size, poolCap)
@@ -411,8 +539,8 @@ func (t *mappingTable) Reserve(node int, size int64, protect string) ([]evictedC
 	return dels, evicted, nil
 }
 
-// CommitChunk records a stored chunk's location; Reserve must have been
-// called for the same size beforehand. epoch is the incarnation the
+// CommitChunk records a stored chunk's location; Place must have
+// reserved the same size on node beforehand. epoch is the incarnation the
 // writing generation created with BeginObject: a commit arriving after
 // another session's overwrite replaced the entry must not splice one
 // generation's chunk into another's (the RS decoder would mix shard
@@ -427,9 +555,10 @@ func (t *mappingTable) Reserve(node int, size int64, protect string) ([]evictedC
 // a node that holds another chunk of the entry (sibling). Returns false
 // (and releases the reservation) when the entry is gone, has moved on,
 // holds different content or would co-locate two chunks; the caller
-// then deletes the node's copy like any superseded chunk. sum is the
-// chunk's CRC32-C from its SET frame; it is stored so later read-backs
-// can be verified end to end.
+// then deletes the node's copy like any superseded chunk, unless a
+// newer incarnation keeps that chunk key on the node (NewerOn). sum is
+// the chunk's CRC32-C from its SET frame; it is stored so later
+// read-backs can be verified end to end.
 func (t *mappingTable) CommitChunk(key string, idx, node int, size int64, epoch uint64, sum int64) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -467,25 +596,35 @@ func (o *objMeta) sibling(idx, node int) bool {
 	return false
 }
 
-// RepairNode picks the node a recovery re-insert of chunk idx of key
-// goes to: hint, unless hint holds another chunk of the object (see
-// sibling), in which case the next node in index order (wrapping) that
-// holds none. Only the proxy knows where the siblings live, so the
-// writer's placement is a hint. A lost slot records the pick, so the
-// next chunk of the same repair avoids it. ok is false when the object
-// is not mapped.
-func (t *mappingTable) RepairNode(key string, idx, hint int) (int, bool) {
+// occupied reports whether node holds a chunk of o, of any index, or
+// is where another chunk than idx was lost or is being written or
+// repaired to (idx -1: any chunk at all). A chunk Place moves off its
+// hint must not land there: if its write is refused (a superseded
+// generation, a repair of other content), the DEL of its copy would
+// take the entry's own chunk with it, and a lost or aimed slot's node
+// is where that slot's own chunk is about to go.
+func (o *objMeta) occupied(idx, node int) bool {
+	for i, c := range o.Chunks {
+		if c.Node == node && (c.Present || i != idx && (c.Lost || c.Aimed)) {
+			return true
+		}
+	}
+	return false
+}
+
+// NewerOn reports whether key's current entry is an incarnation other
+// than epoch that keeps chunk idx on node, committed or aimed: the
+// node's copy of that chunk key may be the newer one, so a superseded
+// chunk's DEL must not go out.
+func (t *mappingTable) NewerOn(key string, idx, node int, epoch uint64) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	o, ok := t.objects[key]
-	node := hint
-	for i := 1; ok && i < len(t.nodeUsed) && o.sibling(idx, node); i++ {
-		node = (hint + i) % len(t.nodeUsed)
+	if !ok || o.Epoch == epoch || idx < 0 || idx >= len(o.Chunks) {
+		return false
 	}
-	if ok && idx >= 0 && idx < len(o.Chunks) && o.Chunks[idx].Lost {
-		o.Chunks[idx].Node = node
-	}
-	return node, ok
+	c := o.Chunks[idx]
+	return c.Node == node && (c.Present || c.Aimed)
 }
 
 // NoteChunkCorrupt records a checksum failure on a chunk read back from

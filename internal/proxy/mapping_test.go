@@ -412,3 +412,170 @@ func TestUsedBytesAggregates(t *testing.T) {
 		t.Fatalf("UsedBytes = %d, want 120", tb.UsedBytes())
 	}
 }
+
+// fakeNodes is a node pool's published state, set by hand.
+type fakeNodes struct {
+	up    map[int]bool
+	loads map[int]int
+}
+
+func (f fakeNodes) awake(i int) bool { return f.up[i] }
+func (f fakeNodes) load(i int) int   { return f.loads[i] }
+
+// TestPlace is the placement rule, one row per case: a pool of 6 nodes
+// of 1000 bytes, an RS(2+2) object "k" of 100-byte chunks (unless a row
+// sets its total), and a SET of chunk idx hinted at a node.
+func TestPlace(t *testing.T) {
+	const size = 100
+	rows := []struct {
+		name      string
+		up        []int         // awake nodes
+		loads     map[int]int   // requests held per node
+		used      map[int]int64 // bytes accounted per node, besides the object's own
+		on        map[int]int   // committed chunks of the entry: index -> node
+		lost      []int         // committed chunks then lost
+		gen       []int         // nodes the writing generation already used
+		stale     bool          // the writer's generation was superseded
+		repair    bool          // a recovery SET: no generation
+		total     int           // chunks of the object; 0 means 4
+		idx, hint int
+		want      int
+	}{
+		{name: "awake hint stands", up: []int{0, 1, 2}, hint: 2, want: 2},
+		{name: "awake hint stands over a less loaded node", up: []int{0, 1}, loads: map[int]int{1: 5}, hint: 1, want: 1},
+		{name: "sleeping hint moves to the least loaded awake node", up: []int{1, 2, 3},
+			loads: map[int]int{1: 3, 2: 1, 3: 2}, hint: 5, want: 2},
+		{name: "load ties go to the fewest accounted bytes", up: []int{1, 2, 3},
+			used: map[int]int64{1: 200, 2: 150, 3: 100, 4: 600, 5: 600}, hint: 5, want: 3},
+		{name: "a move skips nodes above the pool's average", up: []int{0, 1},
+			loads: map[int]int{1: 1}, used: map[int]int64{0: 300, 1: 100, 4: 250, 5: 250}, hint: 4, want: 1},
+		{name: "a sleeping node keeps its hint while the running ones hold more than their share", up: []int{0, 1},
+			used: map[int]int64{0: 100, 1: 100}, hint: 4, want: 4},
+		{name: "awake hint the generation already used moves", up: []int{0, 1, 2}, gen: []int{0, 1}, hint: 1, want: 2},
+		{name: "no awake node has room: the hint stands", up: []int{0, 1},
+			used: map[int]int64{0: 950, 1: 901, 2: 960, 3: 960, 4: 960, 5: 960}, hint: 4, want: 4},
+		{name: "a node with exactly the room left takes it", up: []int{0, 1},
+			used: map[int]int64{0: 950, 1: 900, 2: 960, 3: 960, 4: 960, 5: 960}, hint: 4, want: 1},
+		{name: "all asleep: the hint stands", hint: 3, want: 3},
+		{name: "all asleep, hint already used: the next node in index order", gen: []int{3, 4}, hint: 3, want: 5},
+		{name: "an object on every node keeps a sleeping hint", up: []int{0, 1}, total: 6, hint: 5, want: 5},
+		{name: "an object on every node still moves a hint already used", up: []int{0, 1},
+			loads: map[int]int{0: 1}, total: 6, gen: []int{5}, hint: 5, want: 1},
+		{name: "every node used: the hint stands", up: []int{0, 1}, gen: []int{0, 1, 2, 3, 4, 5}, hint: 2, want: 2},
+		{name: "a superseded generation's move skips the newer entry's nodes, any index",
+			up: []int{0, 1, 2}, on: map[int]int{0: 0, 1: 1}, stale: true, idx: 1, hint: 4, want: 2},
+		{name: "a superseded generation's fallback skips them too",
+			on: map[int]int{0: 0, 1: 1}, gen: []int{4, 5}, stale: true, idx: 0, hint: 4, want: 2},
+		{name: "repair: awake hint stands", up: []int{4}, on: map[int]int{0: 0, 1: 1, 2: 2, 3: 3}, lost: []int{3},
+			repair: true, idx: 3, hint: 4, want: 4},
+		{name: "repair: hint on a sibling moves to an awake node off the entry",
+			up: []int{0, 1, 2, 3, 5}, on: map[int]int{0: 0, 1: 1, 2: 2, 3: 3}, lost: []int{3},
+			repair: true, idx: 3, hint: 0, want: 5},
+		{name: "repair: a move never returns a chunk to the node that lost it",
+			up: []int{0, 1, 2, 3}, on: map[int]int{0: 0, 1: 1, 2: 2, 3: 3}, lost: []int{3},
+			repair: true, idx: 3, hint: 5, want: 5},
+		{name: "repair: all asleep, hint on a sibling: the next node holding none, the lost one included",
+			on: map[int]int{0: 0, 1: 1, 2: 2, 3: 3}, lost: []int{2},
+			repair: true, idx: 2, hint: 1, want: 2},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			tb := newMappingTable(6, 1000)
+			for n, b := range row.used {
+				tb.Reserve(n, b, "ballast")
+			}
+			if row.total == 0 {
+				row.total = 4
+			}
+			_, epoch, _, _ := tb.BeginObject("k", 2*size, 2, row.total, 0, 0)
+			for idx, n := range row.on {
+				tb.Reserve(n, size, "k")
+				tb.CommitChunk("k", idx, n, size, epoch, int64(idx))
+			}
+			for _, idx := range row.lost {
+				tb.MarkChunkLost("k", idx, row.on[idx], epoch)
+			}
+			var gen nodeSet
+			if !row.repair {
+				gen = newNodeSet(6)
+				for _, n := range row.gen {
+					gen.add(n)
+				}
+			}
+			if row.stale {
+				epoch--
+			}
+			nodes := fakeNodes{up: make(map[int]bool), loads: row.loads}
+			for _, n := range row.up {
+				nodes.up[n] = true
+			}
+			before := tb.NodeUsed(row.want)
+			tb.nodes = nodes
+			node, dels, evicted, err := tb.Place("k", row.idx, row.hint, size, epoch, gen)
+			if err != nil || len(dels) != 0 || evicted != 0 {
+				t.Fatalf("Place = %d, %v, %d evicted, %v", node, dels, evicted, err)
+			}
+			if node != row.want {
+				t.Fatalf("placed on node %d, want %d", node, row.want)
+			}
+			if got := tb.NodeUsed(node); got != before+size {
+				t.Errorf("node %d accounts %d bytes after the pick, want %d", node, got, before+size)
+			}
+			meta, _ := tb.Lookup("k")
+			switch c := meta.Chunks[row.idx]; {
+			case row.repair && c.Node != node:
+				t.Errorf("lost slot records node %d, want the pick %d", c.Node, node)
+			case !row.repair && !gen.has(node):
+				t.Errorf("the generation's set does not record the pick %d", node)
+			case !row.repair && !row.stale && (!c.Aimed || c.Node != node):
+				t.Errorf("slot %d = %+v, want aimed at %d", row.idx, c, node)
+			case row.stale && c.Aimed:
+				t.Errorf("a superseded generation's pick was aimed in the newer entry: %+v", c)
+			}
+		})
+	}
+
+	t.Run("repair of an unknown object", func(t *testing.T) {
+		tb := newMappingTable(6, 1000)
+		tb.nodes = fakeNodes{}
+		if _, _, _, err := tb.Place("gone", 0, 1, size, 0, nil); !errors.Is(err, errNoObject) {
+			t.Fatalf("Place = %v, want errNoObject", err)
+		}
+		if tb.UsedBytes() != 0 {
+			t.Fatal("a refused repair reserved bytes")
+		}
+	})
+}
+
+// TestNewerOn: a superseded chunk's copy is spared exactly when the
+// key's newer incarnation placed the same chunk key on the same node,
+// in flight or committed.
+func TestNewerOn(t *testing.T) {
+	tb := newMappingTable(4, 1000)
+	tb.nodes = fakeNodes{up: map[int]bool{0: true, 1: true, 2: true, 3: true}}
+	_, old, _, _ := tb.BeginObject("k", 200, 2, 3, 0, 0)
+	tb.Place("k", 0, 2, 100, old, newNodeSet(4))
+	_, newer, _, _ := tb.BeginObject("k", 200, 2, 3, 0, 0)
+	if tb.NewerOn("k", 0, 2, old) {
+		t.Fatal("the newer incarnation has placed nothing yet")
+	}
+	tb.Place("k", 0, 2, 100, newer, newNodeSet(4))
+	for _, c := range []struct {
+		idx, node int
+		epoch     uint64
+		want      bool
+	}{
+		{0, 2, old, true},    // the newer chunk 0 is on its way to node 2
+		{0, 3, old, false},   // another node
+		{1, 2, old, false},   // another chunk
+		{0, 2, newer, false}, // the chunk's own incarnation
+	} {
+		if got := tb.NewerOn("k", c.idx, c.node, c.epoch); got != c.want {
+			t.Errorf("NewerOn(chunk %d, node %d, epoch %d) = %v, want %v", c.idx, c.node, c.epoch, got, c.want)
+		}
+	}
+	tb.CommitChunk("k", 0, 2, 100, newer, 0)
+	if !tb.NewerOn("k", 0, 2, old) {
+		t.Error("the newer chunk 0 committed on node 2, yet the old copy's DEL would go out")
+	}
+}

@@ -123,9 +123,13 @@ type nodeManager struct {
 	kickCh   chan struct{} // reader -> loop: a response freed window space
 	warmCh   chan struct{} // Proxy.Warmup -> loop: T_warm tick
 	queued   atomic.Int32  // len(queue) snapshot, published each loop turn
+	// load counts requests submitted and not yet answered — queued plus
+	// in flight — for placement to pick the least loaded node.
+	load atomic.Int32
 
-	// stateMirror publishes the current state for observers outside the
-	// loop (State; the dispatcher tests assert the Figure 6 state with it).
+	// stateMirror publishes the current state to readers outside the
+	// loop (State): placement, which moves a chunk SET off a sleeping
+	// node, and the dispatcher tests, which assert the Figure 6 state.
 	stateMirror atomic.Int32
 	// connMirror shadows the loop-local conn for observers that need to
 	// sever it from outside the loop (the chaos plane's proxy-crash
@@ -184,6 +188,14 @@ func (nm *nodeManager) State() nodeState {
 	return nodeState(nm.stateMirror.Load())
 }
 
+// nodeManagers is a proxy's node pool, indexed like its mapping table;
+// placement reads it as nodeStates. A node is awake unless its state is
+// Sleeping: Active and Maybe both have a running instance serving.
+type nodeManagers []*nodeManager
+
+func (ns nodeManagers) awake(i int) bool { return ns[i].State() != stateSleeping }
+func (ns nodeManagers) load(i int) int   { return int(ns[i].load.Load()) }
+
 func newNodeManager(p *Proxy, idx int, name string) *nodeManager {
 	return &nodeManager{
 		p:        p,
@@ -207,10 +219,12 @@ func newNodeManager(p *Proxy, idx int, name string) *nodeManager {
 // will come). The payload is borrowed until the reply is delivered;
 // the caller must not recycle it before then.
 func (nm *nodeManager) submit(typ protocol.Type, seq uint64, key string, payload []byte, respCh chan<- nodeReply) bool {
+	nm.load.Add(1)
 	select {
 	case nm.reqCh <- &pending{typ: typ, seq: seq, key: key, payload: payload, respCh: respCh}:
 		return true
 	case <-nm.p.done:
+		nm.load.Add(-1)
 		return false
 	}
 }
@@ -413,6 +427,7 @@ func (nm *nodeManager) enqueue(pr *pending) {
 // buffered; if the receiver vanished anyway, recycle rather than leak
 // the pooled payload.
 func (nm *nodeManager) deliver(pr *pending, m *protocol.Message) {
+	nm.load.Add(-1)
 	select {
 	case pr.respCh <- nodeReply{Seq: pr.seq, Msg: m}:
 	default:

@@ -146,6 +146,7 @@ type Stats struct {
 	BackupSwaps   atomic.Int64 // λd connections adopted (Maybe state)
 	ChunkFailures atomic.Int64 // chunk requests that exhausted retries
 	Cancels       atomic.Int64 // client CANCELs matched to an in-flight op
+	Replaced      atomic.Int64 // chunk SETs placed off the writer's node hint
 
 	// Hot-tier counters (all zero while the tier is disabled). HotBytes
 	// is a gauge — the tier's current resident payload bytes, pinned
@@ -184,7 +185,7 @@ type Proxy struct {
 	cfg   Config
 	ln    net.Listener
 	addr  string
-	nodes []*nodeManager
+	nodes nodeManagers
 	table *mappingTable
 	hot   *hotTier // nil when Config.HotTierBytes == 0
 
@@ -280,7 +281,8 @@ func New(cfg Config) (*Proxy, error) {
 		p.table.hot = p.hot
 	}
 	p.migBucket = netsim.NewBurstBucket(migRateBytes, migBurstBytes)
-	p.nodes = make([]*nodeManager, len(cfg.Nodes))
+	p.nodes = make(nodeManagers, len(cfg.Nodes))
+	p.table.nodes = p.nodes
 	for i, name := range cfg.Nodes {
 		p.nodes[i] = newNodeManager(p, i, name)
 		p.wg.Add(1)

@@ -9,9 +9,9 @@ import (
 //
 //	Args[0] chunk index
 //	Args[1] total chunks (d+p)
-//	Args[2] destination lambda index (IDλ, chosen by the client; for a
-//	        recovery SET a hint the proxy overrides when that node holds
-//	        another chunk of the object)
+//	Args[2] lambda index hint (IDλ, drawn by the client); the proxy
+//	        places every chunk itself (mappingTable.Place) and may put
+//	        it on another node
 //	Args[3] object size in bytes
 //	Args[4] data shards d
 //	Args[5] put generation (client-unique per PUT; distinguishes a fresh
@@ -143,6 +143,7 @@ type writeOp struct {
 	arrived   int    // frames answered or sent on to a node, refused ones included
 	inflight  int    // chunk SETs at the nodes
 	migration bool
+	nodes     nodeSet // where Place put the generation's chunks
 	// failed: a chunk did not commit (refused, store failed, cancelled,
 	// superseded). A failed generation must neither reach the hot tier
 	// nor leave a never-completable mapping entry behind.
@@ -482,21 +483,20 @@ func (s *session) serveHot(seq uint64, key string, e *hotEntry) {
 	s.p.stats.GetHits.Add(1)
 }
 
-// handleSet stores one erasure-coded chunk on the client-chosen node
-// (for a recovery SET, the node RepairNode picks from that hint). The
-// frame's pooled payload travels to the node without a copy or a
-// re-wrap and is recycled when the node's ACK (or failure) completes
-// the op.
+// handleSet stores one erasure-coded chunk on the node Place picks, the
+// writer's node being a hint. The frame's pooled payload travels to the
+// node without a copy or a re-wrap and is recycled when the node's ACK
+// (or failure) completes the op.
 func (s *session) handleSet(m *protocol.Message) {
 	s.p.stats.Puts.Add(1)
 	idx := int(m.Arg(setArgIdx))
 	total := int(m.Arg(setArgTotal))
-	lambdaIdx := int(m.Arg(setArgLambda))
+	hint := int(m.Arg(setArgLambda))
 	recovery := m.Arg(setArgRecovery) == 1
 	migration := m.Arg(setArgMigration) == 1
 
 	d := m.Arg(setArgDataShards)
-	if lambdaIdx < 0 || lambdaIdx >= len(s.p.nodes) || idx < 0 || idx >= total || total > maxChunks || d <= 0 || d > int64(total) ||
+	if hint < 0 || hint >= len(s.p.nodes) || idx < 0 || idx >= total || total > maxChunks || d <= 0 || d > int64(total) ||
 		len(m.Args) <= setArgChecksum {
 		s.sendErr(m.Seq, m.Key, "proxy: bad SET arguments")
 		m.Free()
@@ -534,18 +534,11 @@ func (s *session) handleSet(m *protocol.Message) {
 	}
 	size := int64(len(m.Payload))
 
-	if recovery {
-		// Recovery re-inserts one chunk of an existing object; if the
-		// object vanished meanwhile there is nothing to repair. The
-		// writer's node is a hint: no node may hold two chunks of one
-		// object, and only the table knows where the siblings live.
-		var ok bool
-		if lambdaIdx, ok = s.p.table.RepairNode(m.Key, idx, lambdaIdx); !ok {
-			s.sendErr(m.Seq, m.Key, "proxy: recovery for unknown object")
-			m.Free()
-			return
-		}
-	} else {
+	// A recovery re-inserts one chunk of an existing object and has no
+	// generation: Place refuses it if the object vanished meanwhile.
+	var gen nodeSet
+	var epoch uint64
+	if !recovery {
 		if w == nil {
 			w = s.beginWrite(m, migration)
 		}
@@ -558,9 +551,10 @@ func (s *session) handleSet(m *protocol.Message) {
 		if w.capture != nil {
 			w.capture.add(idx, m.Payload)
 		}
+		gen, epoch = w.nodes, w.epoch
 	}
 
-	dels, evicted, err := s.p.table.Reserve(lambdaIdx, size, m.Key)
+	node, dels, evicted, err := s.p.table.Place(m.Key, idx, hint, size, epoch, gen)
 	s.p.queueDels(dels)
 	s.p.stats.Evictions.Add(int64(evicted))
 	if err != nil {
@@ -569,26 +563,29 @@ func (s *session) handleSet(m *protocol.Message) {
 		m.Free()
 		return
 	}
+	if node != hint {
+		s.p.stats.Replaced.Add(1)
+	}
 
 	if !s.reserveWindow(1) {
 		// Shutdown: undo the reservation and consume the frame.
-		s.p.table.ReleaseChunk(lambdaIdx, size)
+		s.p.table.ReleaseChunk(node, size)
 		m.Free()
 		return
 	}
 	seq := s.p.nextSeq()
 	op := &setOp{
-		clientSeq: m.Seq, seq: seq, w: w, key: m.Key, idx: idx, node: lambdaIdx,
+		clientSeq: m.Seq, seq: seq, w: w, key: m.Key, idx: idx, node: node,
 		size: size, payload: m.Payload, sum: sum,
 	}
 	s.outstanding++
-	s.chunks[seq] = pendingChunk{set: op, node: lambdaIdx}
+	s.chunks[seq] = pendingChunk{set: op, node: node}
 	s.byClient[m.Seq] = pendingChunk{set: op}
-	if !s.p.nodes[lambdaIdx].submit(protocol.TSet, seq, ChunkKey(m.Key, idx), m.Payload, s.completions) {
+	if !s.p.nodes[node].submit(protocol.TSet, seq, ChunkKey(m.Key, idx), m.Payload, s.completions) {
 		s.outstanding--
 		delete(s.chunks, seq)
 		delete(s.byClient, m.Seq)
-		s.p.table.ReleaseChunk(lambdaIdx, size)
+		s.p.table.ReleaseChunk(node, size)
 		m.Free()
 		return
 	}
@@ -622,7 +619,7 @@ func (s *session) beginWrite(m *protocol.Message, migration bool) *writeOp {
 		streamSize = m.Arg(setArgStreamSize)
 		stripeData = m.Arg(setArgStripeData)
 	}
-	w := &writeOp{key: m.Key, gen: m.Arg(setArgPutGen), total: total, migration: migration}
+	w := &writeOp{key: m.Key, gen: m.Arg(setArgPutGen), total: total, migration: migration, nodes: newNodeSet(len(s.p.nodes))}
 	switch {
 	case migration && s.p.tombstoned(routeKey(m.Key)):
 		w.refused = true
@@ -1170,11 +1167,16 @@ func (s *session) completeSet(op *setOp, resp *protocol.Message) {
 		// bytes into the newer incarnation. Delete the node's copy too:
 		// it may have clobbered the new generation's chunk under the
 		// same key — a lost chunk is recoverable through parity, a
-		// silently mixed one is not.
+		// silently mixed one is not. The one copy left alone is a
+		// generation's whose newer incarnation placed the same chunk key
+		// on the same node (NewerOn): the node's copy may be the newer
+		// chunk, and a read-back checksum still catches it if not.
 		if superseded {
 			s.p.table.ReleaseChunk(op.node, op.size)
 		}
-		s.p.nodes[op.node].queueDel(ChunkKey(op.key, op.idx))
+		if recovery || !s.p.table.NewerOn(op.key, op.idx, op.node, epoch) {
+			s.p.nodes[op.node].queueDel(ChunkKey(op.key, op.idx))
+		}
 		text := "proxy: chunk superseded by a newer put"
 		if !recovery && w.migration {
 			// The source drops its copy on this text and no other: a

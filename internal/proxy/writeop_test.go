@@ -580,6 +580,63 @@ func TestWriteOpConformance(t *testing.T) {
 			},
 		},
 		{
+			// A buggy writer names one node for two chunks. The writer's
+			// node is a hint, so the second goes to a node the generation
+			// has not used, instead of being refused as a co-located
+			// chunk.
+			name: "a burst whose hints name one node twice", cold: true,
+			script: func(h *writeHarness) []uint64 {
+				seqs := h.burst(key, 7, woShards(h.t, woValue(7)), []int{0, 0, 2}, 0, 1, 2)
+				h.complete(3)
+				return seqs
+			},
+			want: []string{"ACK", "ACK", "ACK"}, present: 3,
+			verify: func(h *writeHarness) {
+				used := make(map[int]bool)
+				for i, c := range h.lookup(key).Chunks {
+					if used[c.Node] {
+						h.t.Errorf("chunk %d shares node %d with another chunk", i, c.Node)
+					}
+					used[c.Node] = true
+				}
+				h.readsBack(key, woValue(7))
+			},
+		},
+		{
+			// Chunk 0 is aimed at the one sleeping node. Every node is
+			// filled to within three quarters of a chunk of its capacity,
+			// so the awake ones hold no more bytes than the hint's node
+			// but have no room for the chunk, while the pool has room for
+			// the whole burst: the hint stands and nothing is evicted.
+			name: "awake candidates with no room", cold: true,
+			script: func(h *writeHarness) []uint64 {
+				for n := 0; n < 3; n++ {
+					h.nodeHas(n, "wo/wake") // the round trip leaves node n awake
+				}
+				shards := woShards(h.t, woValue(7))
+				ballast := make([]int64, len(h.p.nodes))
+				for n := range ballast {
+					ballast[n] = h.p.table.nodeCap - h.p.table.NodeUsed(n) - int64(3*len(shards[0])/4)
+					if _, _, err := h.p.table.Reserve(n, ballast[n], "wo/ballast"); err != nil {
+						h.t.Fatal(err)
+					}
+				}
+				seqs := h.burst(key, 7, shards, []int{3, 0, 1}, 0, 1, 2)
+				h.complete(3)
+				for n, b := range ballast {
+					h.p.table.ReleaseChunk(n, b)
+				}
+				if n := h.lookup(key).Chunks[0].Node; n != 3 {
+					h.t.Errorf("chunk 0 placed on node %d, which had no room; want its hint, node 3", n)
+				}
+				if n := h.p.Stats().Evictions.Load(); n != 0 {
+					h.t.Errorf("%d objects evicted, want 0", n)
+				}
+				return seqs
+			},
+			want: []string{"ACK", "ACK", "ACK"}, present: 3,
+		},
+		{
 			name: "recovery for an unknown object",
 			script: func(h *writeHarness) []uint64 {
 				return []uint64{h.set(setFrame{key: key, idx: 0, node: 0, gen: 7, payload: woShards(h.t, woValue(7))[0], recovery: true})}

@@ -190,22 +190,25 @@ func (b *InfiniCacheBackend) Cost() (float64, bool) {
 	return costmodel.LambdaCost(b.cache.Deployment().Platform.Ledger().Total()), true
 }
 
-// ReportLines surfaces the proxy-side hot-tier counters when the
-// deployment runs with WithHotTier.
+// ReportLines surfaces the proxy-side placement counters, and the
+// hot-tier ones when the deployment runs with WithHotTier.
 func (b *InfiniCacheBackend) ReportLines() []string {
-	var hits, misses, evictions int64
+	var sets, replaced, hits, misses, evictions int64
 	for _, p := range b.cache.Deployment().Proxies {
 		st := p.Stats()
+		sets += st.Puts.Load()
+		replaced += st.Replaced.Load()
 		hits += st.HotHits.Load()
 		misses += st.HotMisses.Load()
 		evictions += st.HotEvictions.Load()
 	}
+	lines := []string{fmt.Sprintf("proxy: %d chunk SETs, %d placed off their hint onto a running node", sets, replaced)}
 	if hits == 0 && evictions == 0 {
-		return nil
+		return lines
 	}
-	return []string{fmt.Sprintf(
+	return append(lines, fmt.Sprintf(
 		"hot tier: %d hits / %d proxy GETs served from proxy memory (%d evictions)",
-		hits, hits+misses, evictions)}
+		hits, hits+misses, evictions))
 }
 
 // Client exposes the backend's client so harnesses can read its
