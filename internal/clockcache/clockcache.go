@@ -19,11 +19,12 @@
 // # Contract
 //
 // A Cache tracks keys and accounting sizes only — values live with the
-// caller (the proxy's mapping table, the node's chunk store, the hot
-// tier's entry map), which is also responsible for locking: no method
-// here, Tier's included, is safe for concurrent use. Add/Touch set the reference bit;
-// Evict/EvictUntil run the hand; KeysByPriority orders MRU-first by
-// touch generation for the §4.2 backup metadata. A set where every
+// caller (the proxy's mapping table, which also holds the hot tier's
+// copies, and the node's chunk store), which is also responsible for
+// locking: no method here, Tier's included, is safe for concurrent use.
+// Add/Touch set the reference bit; Evict/EvictUntil run the hand;
+// KeysByPriority orders MRU-first by touch generation for the §4.2
+// backup metadata. A set where every
 // entry has size 1 doubles as a bounded key filter (Size() == Len()),
 // which is how Tier's ghost filter uses it.
 package clockcache

@@ -3,8 +3,9 @@ package clockcache
 // Tier is the hot-object tier's policy: which keys are resident and how
 // many bytes each accounts for, which keys have merely been seen (the
 // ghost filter), what may be admitted, and what is evicted to make room.
-// It holds no payloads and no locks — the live proxy wraps it with the
-// key → payload map and the token fence that concurrency needs
+// It holds no payloads and no locks — the live proxy runs it under its
+// mapping table's lock and keeps each resident object's payload on the
+// object's mapping entry, fenced by that entry's epoch
 // (internal/proxy/hottier.go), the simulator calls it bare — so both run
 // the same decisions on the same key stream.
 //

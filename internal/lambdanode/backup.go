@@ -151,7 +151,9 @@ func runBackupDest(ctx *lambdaemu.Context, cfg Config, st *nodeState, pl *Payloa
 	// proxy traffic — in particular preflight PINGs — so the proxy never
 	// concludes the node died mid-backup. Proxy GETs for keys that have
 	// not migrated yet jump the queue ("forwards the request to λs,
-	// responds to the proxy, and then caches the chunk").
+	// responds to the proxy, and then caches the chunk"). A key the
+	// proxy SETs or DELs here is newer than anything λs holds: it is
+	// neither fetched nor overwritten by a fetch already in flight.
 	var (
 		relaySeq   uint64
 		fetchSeq   uint64                             // seq of the in-flight fetch
@@ -159,6 +161,7 @@ func runBackupDest(ctx *lambdaemu.Context, cfg Config, st *nodeState, pl *Payloa
 		replyTo    []*protocol.Message                // proxy GETs waiting on inFlight
 		frontQueue []string                           // prioritised fetches (proxy demand)
 		deferred   = map[string][]*protocol.Message{} // proxy GETs per queued key
+		written    = map[string]bool{}                // keys the proxy SET or DEL
 	)
 	startFetch := func(key string) {
 		relaySeq++
@@ -177,7 +180,15 @@ func runBackupDest(ctx *lambdaemu.Context, cfg Config, st *nodeState, pl *Payloa
 			default:
 				return
 			}
-			if st.store.has(key) {
+			if st.store.has(key) || written[key] {
+				// Held already, or written by the proxy: the store
+				// answers whoever waited on the fetch.
+				for _, req := range deferred[key] {
+					if st.conn != nil {
+						serve(st.conn, st.store, ctx.FunctionName(), ctx.InstanceID(), req)
+					}
+				}
+				delete(deferred, key)
 				continue
 			}
 			startFetch(key)
@@ -186,7 +197,9 @@ func runBackupDest(ctx *lambdaemu.Context, cfg Config, st *nodeState, pl *Payloa
 		}
 	}
 	finishFetch := func(payload []byte, ok bool) {
-		if ok {
+		if written[inFlight] {
+			payload, ok = st.store.get(inFlight) // the proxy's write is newer
+		} else if ok {
 			st.store.set(inFlight, payload) // store owns the buffer now
 		}
 		for _, req := range replyTo {
@@ -227,7 +240,10 @@ func runBackupDest(ctx *lambdaemu.Context, cfg Config, st *nodeState, pl *Payloa
 				st.inbox = nil
 				continue
 			}
-			if msg.Type == protocol.TGet && !st.store.has(msg.Key) {
+			if msg.Type == protocol.TSet || msg.Type == protocol.TDel {
+				written[msg.Key] = true
+			}
+			if msg.Type == protocol.TGet && !st.store.has(msg.Key) && !written[msg.Key] {
 				// Not migrated yet: answered when the relay fetch lands.
 				if msg.Key == inFlight {
 					replyTo = append(replyTo, msg)

@@ -14,12 +14,13 @@ import (
 
 // Policy conformance: one seeded op stream is applied in lockstep to
 // the bare policy (clockcache.Tier, as the simulator runs it) and to the
-// live hotTier with real payloads. Every decision — hit, capture,
+// live tier — the mapping table's, with real payloads on real entries,
+// fenced by their epochs. Every decision — hit, capture,
 // admit, which keys an insert evicted, resident bytes — and the
 // resident set must agree after every op, and the digest of the live
 // side's decision stream must equal the recorded one, so a change to
 // any decision is deliberate, not merely self-consistent. It was first
-// recorded against the hotTier from before the policy moved into
+// recorded against the proxy's tier from before the policy moved into
 // clockcache (the move preserved behaviour), and re-recorded when
 // invalidation began returning a resident key to the ghost filter (the
 // stream changed by design: 1438 → 1730 hits, 3079 → 3101 read
@@ -72,52 +73,62 @@ func conformanceChunks(keyIdx int, o storedObject) [][]byte {
 	return chunks
 }
 
-// liveSide drives proxy.hotTier the way a session and the mapping table
-// do.
+// liveSide drives the mapping table's hot tier the way a session does.
 type liveSide struct {
 	t  *testing.T
-	h  *hotTier
+	tb *mappingTable
 	st *Stats
 }
 
 func (l *liveSide) settle(dec *tierDecision, key string, evictionsBefore int64) {
-	dec.inserted = l.h.resident(key)
+	dec.inserted = l.tb.hotResident(key)
 	dec.evicted = int(l.st.HotEvictions.Load() - evictionsBefore)
 	dec.bytes = l.st.HotBytes.Load()
 }
 
+// admit inserts one generation's payloads, captured from key's
+// incarnation epoch.
+func (l *liveSide) admit(keyIdx int, key string, o storedObject, epoch uint64) {
+	c := newHotCapture(key, epoch, o.size, conformanceD, conformanceTotal)
+	for i, chunk := range conformanceChunks(keyIdx, o) {
+		if chunk != nil {
+			c.add(i, chunk)
+		}
+	}
+	l.tb.AdmitHot(c)
+}
+
 func (l *liveSide) get(keyIdx int, key string, o storedObject, exists bool) (dec tierDecision) {
 	ev := l.st.HotEvictions.Load()
-	e, token, capture := l.h.get(key)
+	e, capture := l.tb.HotGet(key)
 	dec.hit, dec.capture = e != nil, capture
 	if e != nil {
 		got := storedObject{size: e.size, version: int(binary.LittleEndian.Uint32(e.chunks[0][4:]))}
 		if got != o || int(binary.LittleEndian.Uint32(e.chunks[0])) != keyIdx {
 			l.t.Fatalf("hit on %s served %+v, current generation is %+v", key, got, o)
 		}
-	} else if capture && exists && l.h.policy.Admits(o.size) {
-		l.h.insert(key, o.size, conformanceD, conformanceTotal, conformanceChunks(keyIdx, o), token)
+	} else if capture && exists && l.tb.tier.Admits(o.size) {
+		meta, _ := l.tb.Lookup(key)
+		l.admit(keyIdx, key, o, meta.Epoch)
 	}
 	l.settle(&dec, key, ev)
 	return dec
 }
 
-func (l *liveSide) put(keyIdx int, key string, o storedObject, existed bool) (dec tierDecision) {
+func (l *liveSide) put(keyIdx int, key string, o storedObject) (dec tierDecision) {
 	ev := l.st.HotEvictions.Load()
-	if existed {
-		l.h.invalidate(key) // BeginObject drops the old mapping entry first
-	}
-	admit, token := l.h.beginPut(key, o.size)
+	// BeginObject drops the old mapping entry, and its tier copy, first.
+	_, epoch, admit := l.tb.BeginObject(key, o.size, conformanceD, conformanceTotal, 0, 0)
 	dec.admit = admit
 	if admit {
-		l.h.insert(key, o.size, conformanceD, conformanceTotal, conformanceChunks(keyIdx, o), token)
+		l.admit(keyIdx, key, o, epoch)
 	}
 	l.settle(&dec, key, ev)
 	return dec
 }
 
 func (l *liveSide) del(key string) (dec tierDecision) {
-	l.h.invalidate(key)
+	l.tb.Drop(key)
 	l.settle(&dec, key, l.st.HotEvictions.Load())
 	return dec
 }
@@ -178,7 +189,7 @@ func TestHotPolicyConformance(t *testing.T) {
 	zipf := rand.NewZipf(rng, 1.1, 1, conformanceKeys-1)
 
 	var st Stats
-	live := &liveSide{t: t, h: newHotTier(conformanceCap, conformanceMaxObj, &st), st: &st}
+	live := &liveSide{t: t, tb: newHotTable(conformanceCap, conformanceMaxObj, &st), st: &st}
 	bare := &bareSide{p: clockcache.NewTier(conformanceCap, conformanceMaxObj), resident: make(map[string]bool)}
 	store := make(map[string]storedObject)
 
@@ -197,7 +208,7 @@ func TestHotPolicyConformance(t *testing.T) {
 		case r < 95:
 			op = 'P'
 			o = storedObject{size: conformanceSizes[rng.Intn(len(conformanceSizes))], version: o.version + 1}
-			lv, bv = live.put(keyIdx, key, o, exists), bare.put(key, o, exists)
+			lv, bv = live.put(keyIdx, key, o), bare.put(key, o, exists)
 			store[key] = o
 		default:
 			op = 'D'
@@ -207,8 +218,11 @@ func TestHotPolicyConformance(t *testing.T) {
 		if lv != bv {
 			t.Fatalf("op %d %c %s: live decided %+v, bare policy %+v", i, op, key, lv, bv)
 		}
-		residents := make([]string, 0, len(live.h.entries))
-		for k := range live.h.entries {
+		residents := make([]string, 0, len(bare.resident))
+		for k, e := range live.tb.objects {
+			if e.hot == nil {
+				continue
+			}
 			if !bare.resident[k] {
 				t.Fatalf("op %d %c %s: %s resident live, not in the bare policy", i, op, key, k)
 			}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"infinicache/internal/client"
+	"infinicache/internal/clockcache"
 	"infinicache/internal/lambdaemu"
 	"infinicache/internal/lambdanode"
 	"infinicache/internal/protocol"
@@ -319,6 +320,58 @@ func TestHotTierEvictionPressure(t *testing.T) {
 	}
 }
 
+// TestHotTierHitKeepsPoolRecency: a tier hit never reaches the nodes,
+// but it still sets the object's pool CLOCK bit, so a tier-resident
+// object read between writes keeps its mapping entry through pool
+// eviction while an unread object of the same age is evicted.
+func TestHotTierHitKeepsPoolRecency(t *testing.T) {
+	pool := &lambdanode.WarmPool{}
+	// 4 nodes of 1 MiB: ten 384 KiB objects (256 KiB under RS(2+1)) fill
+	// the pool.
+	p, c := warmStack(t, pool, 4, Config{NodeMemoryMB: 1, HotTierBytes: 1 << 20, HotMaxObjectBytes: 1 << 20}, hotClient)
+	ctx := context.Background()
+	val := func(i int) []byte { return bytes.Repeat([]byte{byte(i)}, 256<<10) }
+	put := func(key string, i int) {
+		t.Helper()
+		if err := c.PutCtx(ctx, key, val(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// mapped reads the table without touching the key's CLOCK bit.
+	mapped := func(key string) bool {
+		p.table.mu.Lock()
+		defer p.table.mu.Unlock()
+		return p.table.objects[key] != nil
+	}
+
+	// The hand's first sweep clears every bit and takes the oldest
+	// object, "first"; after that a bit is set only by a later access.
+	put("first", 0)
+	put("hot", 1)
+	put("hot", 1) // the second write admits it to the tier
+	put("cold", 2)
+	for i := 0; mapped("cold"); i++ {
+		if i == 40 {
+			t.Fatal("40 more objects than the pool holds, and the unread object is still mapped")
+		}
+		put(fmt.Sprintf("fill/%d", i), 3+i)
+		gets, hits := pool.Gets.Load(), p.Stats().HotHits.Load()
+		got, err := c.GetCtx(ctx, "hot")
+		if err != nil || !bytes.Equal(got, val(1)) {
+			t.Fatalf("after %d writes: GET hot = %v (%d bytes)", i+1, err, len(got))
+		}
+		if pool.Gets.Load() != gets || p.Stats().HotHits.Load() != hits+1 {
+			t.Fatalf("after %d writes: GET hot was not a tier hit", i+1)
+		}
+		if !mapped("hot") {
+			t.Fatalf("after %d writes: pool eviction took the object read between writes", i+1)
+		}
+	}
+	if p.Stats().Evictions.Load() == 0 {
+		t.Fatal("the unread object left the table without a pool eviction")
+	}
+}
+
 // TestHotTierDelInvalidates: a DEL must synchronously drop the
 // tier-resident copy — the next GET reports a miss instead of serving
 // the deleted object from proxy memory.
@@ -408,35 +461,59 @@ func TestCancelledPutLeavesCleanMiss(t *testing.T) {
 	}
 }
 
+// newHotTable is a mapping table with the hot tier on, as New builds
+// it, reporting to st.
+func newHotTable(capBytes, maxObjBytes int64, st *Stats) *mappingTable {
+	tb := newMappingTable(1, 1<<30)
+	tb.tier, tb.stats = clockcache.NewTier(capBytes, maxObjBytes), st
+	return tb
+}
+
+// hotResident reports whether key's entry holds a hot-tier copy.
+func (t *mappingTable) hotResident(key string) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	o := t.objects[key]
+	return o != nil && o.hot != nil
+}
+
+// admitOne admits a one-chunk object captured from key's incarnation
+// epoch.
+func admitOne(tb *mappingTable, key string, epoch uint64, chunk string) {
+	c := newHotCapture(key, epoch, 100, 1, 1)
+	c.add(0, []byte(chunk))
+	tb.AdmitHot(c)
+}
+
 // TestHotTierTokenFencing unit-tests the epoch fence: an insert whose
-// capture began before an invalidation must be dropped, never
+// capture began before a superseding write must be dropped, never
 // resurrecting a superseded payload.
 func TestHotTierTokenFencing(t *testing.T) {
 	var st Stats
-	h := newHotTier(1<<20, 1<<20, &st)
+	tb := newHotTable(1<<20, 1<<20, &st)
 
 	// First PUT ghost-registers, second admits.
-	if admit, _ := h.beginPut("k", 100); admit {
+	if _, _, admit := tb.BeginObject("k", 100, 1, 1, 0, 0); admit {
 		t.Fatal("first-touch PUT admitted; the ghost gate is not working")
 	}
-	admit, token := h.beginPut("k", 100)
+	_, epoch, admit := tb.BeginObject("k", 100, 1, 1, 0, 0)
 	if !admit {
 		t.Fatal("second-touch PUT not admitted")
 	}
 	// A superseding write lands between capture and insert.
-	h.invalidate("k")
-	h.insert("k", 100, 1, 1, [][]byte{[]byte("stale")}, token)
-	if e, _, _ := h.get("k"); e != nil {
+	tb.BeginObject("k", 100, 1, 1, 0, 0)
+	admitOne(tb, "k", epoch, "stale")
+	if e, _ := tb.HotGet("k"); e != nil {
 		t.Fatal("fenced insert landed; a stale payload could be served")
 	}
 
 	// Without interference the insert lands and hits.
-	admit, token = h.beginPut("k", 100)
+	_, epoch, admit = tb.BeginObject("k", 100, 1, 1, 0, 0)
 	if !admit {
 		t.Fatal("rewrite of a known key not admitted")
 	}
-	h.insert("k", 100, 1, 1, [][]byte{[]byte("fresh")}, token)
-	e, _, _ := h.get("k")
+	admitOne(tb, "k", epoch, "fresh")
+	e, _ := tb.HotGet("k")
 	if e == nil || string(e.chunks[0]) != "fresh" {
 		t.Fatal("clean insert did not land")
 	}
@@ -451,28 +528,28 @@ func TestHotTierTokenFencing(t *testing.T) {
 // the node path.
 func TestHotTierRefusesUnbuildableImage(t *testing.T) {
 	var st Stats
-	h := newHotTier(1<<20, 1<<20, &st)
+	tb := newHotTable(1<<20, 1<<20, &st)
 	admitTwice := func(key string) uint64 {
 		t.Helper()
-		h.beginPut(key, 100)
-		admit, token := h.beginPut(key, 100)
+		tb.BeginObject(key, 100, 1, 1, 0, 0)
+		_, epoch, admit := tb.BeginObject(key, 100, 1, 1, 0, 0)
 		if !admit {
 			t.Fatalf("second-touch PUT of a %d-byte key not admitted", len(key))
 		}
-		return token
+		return epoch
 	}
-	h.insert("k", 100, 1, 1, [][]byte{[]byte("fresh")}, admitTwice("k"))
+	admitOne(tb, "k", admitTwice("k"), "fresh")
 	before := st.HotBytes.Load()
 
 	long := strings.Repeat("x", protocol.MaxKeyLen+1)
-	h.insert(long, 100, 1, 1, [][]byte{[]byte("bytes")}, admitTwice(long))
-	if h.resident(long) {
+	admitOne(tb, long, admitTwice(long), "bytes")
+	if tb.hotResident(long) {
 		t.Fatal("an entry with no reply image was admitted")
 	}
 	if got := st.HotBytes.Load(); got != before {
 		t.Fatalf("HotBytes = %d after the refused insert, want %d", got, before)
 	}
-	if !h.resident("k") {
+	if !tb.hotResident("k") {
 		t.Fatal("the refused insert displaced a resident key")
 	}
 }

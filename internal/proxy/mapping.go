@@ -75,6 +75,11 @@ type objMeta struct {
 	// entries (whose Size is their own stripe's byte count).
 	StreamSize int64
 	StripeData int64
+
+	// hot is the object's hot-tier copy, nil unless the tier holds it
+	// (hottier.go). It is set and cleared under the table lock, in step
+	// with the policy's resident set, and goes with the entry on a drop.
+	hot *hotEntry
 }
 
 // stripeCount returns how many stripes this entry's object spans: 1
@@ -109,15 +114,11 @@ type mappingTable struct {
 	nodeCap  int64
 	epochSeq uint64 // source of objMeta.Epoch
 
-	// hot, when non-nil, is invalidated inside this table's critical
-	// sections: dropping an entry (overwrite, DEL, pool eviction, loss)
-	// invalidates the tier before the drop is visible, and BeginObject
-	// runs the tier's invalidate+admission under t.mu so the table's
-	// epoch order and the tier's invalidation order can never invert —
-	// two sessions racing PUTs to one key serialise both structures
-	// identically. Lock order is strictly table.mu → hotTier.mu; the
-	// tier never calls back into the table.
-	hot *hotTier
+	// tier is the hot tier's policy, nil when the tier is off: a key is
+	// resident exactly when its entry's hot copy is set. stats takes its
+	// Hot* counters.
+	tier  *clockcache.Tier
+	stats *Stats
 	// nodes is what Place reads of the node dispatchers; set once, so
 	// no SET converts the pool to an interface value.
 	nodes nodeStates
@@ -172,15 +173,6 @@ func (t *mappingTable) Lookup(key string) (objMeta, bool) {
 	return cp, true
 }
 
-// Touch sets key's CLOCK bit without copying its metadata — a GET
-// served from the hot tier still counts as pool-level recency, so the
-// tier must keep the object's node chunks from looking cold.
-func (t *mappingTable) Touch(key string) {
-	t.mu.Lock()
-	t.lru.Touch(key)
-	t.mu.Unlock()
-}
-
 // delta describes eviction work produced while reserving space: chunks
 // that must be deleted from nodes.
 type evictedChunk struct {
@@ -194,9 +186,10 @@ type evictedChunk struct {
 // incarnation's epoch is returned so the writing session can guard its
 // commits and end-of-generation cleanup against later overwrites.
 //
-// The hot tier's invalidate+admission decision runs under the same
-// critical section (see mappingTable.hot), so admit/token reflect the
-// tier state at exactly this epoch.
+// With the hot tier on, admit reports the policy's write-through
+// decision, taken under the same lock after the old entry (and its tier
+// copy) is gone; the generation's capture is admitted later against the
+// returned epoch (AdmitHot).
 //
 // streamSize/stripeData carry a multi-stripe head's stream geometry
 // (zero for legacy objects and stripe entries). Multi-stripe heads and
@@ -204,7 +197,7 @@ type evictedChunk struct {
 // whole objects and the ranged read path bypasses it, so only legacy
 // single-stripe objects (which a single-stripe streamed PUT is
 // indistinguishable from) earn residency.
-func (t *mappingTable) BeginObject(key string, size int64, d, total int, streamSize, stripeData int64) (dels []evictedChunk, epoch uint64, admit bool, token uint64) {
+func (t *mappingTable) BeginObject(key string, size int64, d, total int, streamSize, stripeData int64) (dels []evictedChunk, epoch uint64, admit bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if old, ok := t.objects[key]; ok {
@@ -229,10 +222,10 @@ func (t *mappingTable) BeginObject(key string, size int64, d, total int, streamS
 		StripeData:  stripeData,
 	}
 	t.lru.Add(key, size)
-	if _, stripe := protocol.ParseStripeKey(key); t.hot != nil && streamSize == 0 && stripe == 0 {
-		admit, token = t.hot.beginPut(key, size)
+	if _, stripe := protocol.ParseStripeKey(key); t.tier != nil && streamSize == 0 && stripe == 0 {
+		admit = t.tier.BeginPut(key, size)
 	}
-	return dels, t.epochSeq, admit, token
+	return dels, t.epochSeq, admit
 }
 
 // BeginObjectIfAbsent creates a fresh mapping entry for key only when
@@ -312,12 +305,12 @@ func (t *mappingTable) dropLocked(o *objMeta) []evictedChunk {
 }
 
 // dropOneLocked removes a single entry, releasing its memory
-// accounting, and returns the chunk deletions to push to nodes. Every
-// drop also invalidates the hot tier, so the tier can never hold an
-// object the table no longer maps.
+// accounting, and returns the chunk deletions to push to nodes. The
+// entry's hot-tier copy goes with it.
 func (t *mappingTable) dropOneLocked(o *objMeta) []evictedChunk {
-	if t.hot != nil {
-		t.hot.invalidate(o.Key)
+	if o.hot != nil {
+		t.tier.Invalidate(o.Key)
+		t.stats.HotBytes.Store(t.tier.Bytes())
 	}
 	var dels []evictedChunk
 	for i, c := range o.Chunks {

@@ -19,7 +19,7 @@ func TestChunkKey(t *testing.T) {
 
 func TestBeginCommitLookup(t *testing.T) {
 	tb := newTable()
-	dels, epoch, _, _ := tb.BeginObject("a", 1000, 2, 3, 0, 0)
+	dels, epoch, _ := tb.BeginObject("a", 1000, 2, 3, 0, 0)
 	if len(dels) != 0 {
 		t.Fatal("fresh BeginObject returned deletions")
 	}
@@ -49,7 +49,7 @@ func TestBeginCommitLookup(t *testing.T) {
 
 func TestLookupReturnsSnapshot(t *testing.T) {
 	tb := newTable()
-	_, epoch, _, _ := tb.BeginObject("a", 10, 1, 1, 0, 0)
+	_, epoch, _ := tb.BeginObject("a", 10, 1, 1, 0, 0)
 	tb.Reserve(0, 10, "a")
 	tb.CommitChunk("a", 0, 0, 10, epoch, 0)
 	meta, _ := tb.Lookup("a")
@@ -62,13 +62,13 @@ func TestLookupReturnsSnapshot(t *testing.T) {
 
 func TestOverwriteReturnsDeletions(t *testing.T) {
 	tb := newTable()
-	_, epoch, _, _ := tb.BeginObject("a", 100, 1, 2, 0, 0)
+	_, epoch, _ := tb.BeginObject("a", 100, 1, 2, 0, 0)
 	tb.Reserve(0, 50, "a")
 	tb.CommitChunk("a", 0, 0, 50, epoch, 0)
 	tb.Reserve(1, 50, "a")
 	tb.CommitChunk("a", 1, 1, 50, epoch, 0)
 
-	dels, _, _, _ := tb.BeginObject("a", 200, 1, 2, 0, 0)
+	dels, _, _ := tb.BeginObject("a", 200, 1, 2, 0, 0)
 	if len(dels) != 2 {
 		t.Fatalf("overwrite returned %d deletions, want 2", len(dels))
 	}
@@ -79,7 +79,7 @@ func TestOverwriteReturnsDeletions(t *testing.T) {
 
 func TestDrop(t *testing.T) {
 	tb := newTable()
-	_, epoch, _, _ := tb.BeginObject("a", 100, 1, 1, 0, 0)
+	_, epoch, _ := tb.BeginObject("a", 100, 1, 1, 0, 0)
 	tb.Reserve(2, 100, "a")
 	tb.CommitChunk("a", 0, 2, 100, epoch, 0)
 	dels := tb.Drop("a")
@@ -99,7 +99,7 @@ func TestReserveEvictsAtPoolPressure(t *testing.T) {
 	// Fill the pool with 4 x 1 MB objects (one chunk each).
 	for i := 0; i < 4; i++ {
 		key := fmt.Sprintf("o%d", i)
-		_, epoch, _, _ := tb.BeginObject(key, 1<<20, 1, 1, 0, 0)
+		_, epoch, _ := tb.BeginObject(key, 1<<20, 1, 1, 0, 0)
 		if _, _, err := tb.Reserve(i, 1<<20, key); err != nil {
 			t.Fatalf("reserve %d: %v", i, err)
 		}
@@ -121,7 +121,7 @@ func TestReserveEvictsAtPoolPressure(t *testing.T) {
 
 func TestReserveNeverEvictsProtected(t *testing.T) {
 	tb := newMappingTable(1, 1000)
-	_, epoch, _, _ := tb.BeginObject("self", 900, 1, 2, 0, 0)
+	_, epoch, _ := tb.BeginObject("self", 900, 1, 2, 0, 0)
 	if _, _, err := tb.Reserve(0, 600, "self"); err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestCommitWithoutObjectReleases(t *testing.T) {
 
 func TestMarkChunkLost(t *testing.T) {
 	tb := newTable()
-	_, epoch, _, _ := tb.BeginObject("a", 100, 2, 3, 0, 0)
+	_, epoch, _ := tb.BeginObject("a", 100, 2, 3, 0, 0)
 	for i := 0; i < 3; i++ {
 		tb.Reserve(i, 40, "a")
 		tb.CommitChunk("a", i, i, 40, epoch, 0)
@@ -235,12 +235,12 @@ func mustEpoch(t *testing.T, tb *mappingTable, key string) uint64 {
 // entry's chunks nor drop it.
 func TestEpochGuards(t *testing.T) {
 	tb := newTable()
-	_, oldEpoch, _, _ := tb.BeginObject("a", 100, 1, 2, 0, 0)
+	_, oldEpoch, _ := tb.BeginObject("a", 100, 1, 2, 0, 0)
 	tb.Reserve(0, 50, "a")
 	tb.CommitChunk("a", 0, 0, 50, oldEpoch, 0)
 
 	// Overwrite: a fresh incarnation replaces the entry.
-	_, newEpoch, _, _ := tb.BeginObject("a", 100, 1, 2, 0, 0)
+	_, newEpoch, _ := tb.BeginObject("a", 100, 1, 2, 0, 0)
 	tb.Reserve(1, 50, "a")
 	tb.CommitChunk("a", 0, 1, 50, newEpoch, 0)
 
@@ -281,7 +281,7 @@ func TestEpochGuards(t *testing.T) {
 // same checksum.
 func TestRecoveryContentFence(t *testing.T) {
 	tb := newTable()
-	_, epoch, _, _ := tb.BeginObject("a", 100, 1, 2, 0, 0)
+	_, epoch, _ := tb.BeginObject("a", 100, 1, 2, 0, 0)
 	tb.Reserve(0, 50, "a")
 	tb.CommitChunk("a", 0, 0, 50, epoch, 111)
 	tb.Reserve(1, 50, "a")
@@ -338,7 +338,7 @@ func TestRecoveryContentFence(t *testing.T) {
 // still land.
 func TestMovedChunkIgnoresOldNode(t *testing.T) {
 	tb := newTable()
-	_, epoch, _, _ := tb.BeginObject("a", 100, 1, 2, 0, 0)
+	_, epoch, _ := tb.BeginObject("a", 100, 1, 2, 0, 0)
 	tb.Reserve(0, 50, "a")
 	tb.CommitChunk("a", 0, 0, 50, epoch, 111)
 	tb.Reserve(1, 50, "a")
@@ -375,7 +375,7 @@ func TestMovedChunkIgnoresOldNode(t *testing.T) {
 // is left alone.
 func TestDropIfIncomplete(t *testing.T) {
 	tb := newTable()
-	_, epoch, _, _ := tb.BeginObject("a", 100, 2, 3, 0, 0)
+	_, epoch, _ := tb.BeginObject("a", 100, 2, 3, 0, 0)
 	tb.Reserve(0, 40, "a")
 	tb.CommitChunk("a", 0, 0, 40, epoch, 0) // 1 of 2 data shards: incomplete
 	if _, ok := tb.DropIfIncomplete("a", epoch); !ok {
@@ -386,7 +386,7 @@ func TestDropIfIncomplete(t *testing.T) {
 	}
 
 	// A complete entry must never be dropped by the failed-PUT path.
-	_, epoch, _, _ = tb.BeginObject("b", 100, 1, 2, 0, 0)
+	_, epoch, _ = tb.BeginObject("b", 100, 1, 2, 0, 0)
 	tb.Reserve(0, 50, "b")
 	tb.CommitChunk("b", 0, 0, 50, epoch, 0)
 	if _, ok := tb.DropIfIncomplete("b", epoch); ok {
@@ -394,7 +394,7 @@ func TestDropIfIncomplete(t *testing.T) {
 	}
 
 	// A superseded epoch must not drop the new incarnation.
-	_, epoch2, _, _ := tb.BeginObject("b", 100, 1, 2, 0, 0)
+	_, epoch2, _ := tb.BeginObject("b", 100, 1, 2, 0, 0)
 	if _, ok := tb.DropIfIncomplete("b", epoch); ok {
 		t.Fatal("stale epoch dropped the new incarnation")
 	}
@@ -403,7 +403,7 @@ func TestDropIfIncomplete(t *testing.T) {
 
 func TestUsedBytesAggregates(t *testing.T) {
 	tb := newTable()
-	_, epoch, _, _ := tb.BeginObject("a", 100, 1, 2, 0, 0)
+	_, epoch, _ := tb.BeginObject("a", 100, 1, 2, 0, 0)
 	tb.Reserve(0, 60, "a")
 	tb.CommitChunk("a", 0, 0, 60, epoch, 0)
 	tb.Reserve(3, 60, "a")
@@ -487,7 +487,7 @@ func TestPlace(t *testing.T) {
 			if row.total == 0 {
 				row.total = 4
 			}
-			_, epoch, _, _ := tb.BeginObject("k", 2*size, 2, row.total, 0, 0)
+			_, epoch, _ := tb.BeginObject("k", 2*size, 2, row.total, 0, 0)
 			for idx, n := range row.on {
 				tb.Reserve(n, size, "k")
 				tb.CommitChunk("k", idx, n, size, epoch, int64(idx))
@@ -553,9 +553,9 @@ func TestPlace(t *testing.T) {
 func TestNewerOn(t *testing.T) {
 	tb := newMappingTable(4, 1000)
 	tb.nodes = fakeNodes{up: map[int]bool{0: true, 1: true, 2: true, 3: true}}
-	_, old, _, _ := tb.BeginObject("k", 200, 2, 3, 0, 0)
+	_, old, _ := tb.BeginObject("k", 200, 2, 3, 0, 0)
 	tb.Place("k", 0, 2, 100, old, newNodeSet(4))
-	_, newer, _, _ := tb.BeginObject("k", 200, 2, 3, 0, 0)
+	_, newer, _ := tb.BeginObject("k", 200, 2, 3, 0, 0)
 	if tb.NewerOn("k", 0, 2, old) {
 		t.Fatal("the newer incarnation has placed nothing yet")
 	}

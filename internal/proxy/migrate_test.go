@@ -129,7 +129,7 @@ func TestUnfetchableKeyDropsOncePerEpoch(t *testing.T) {
 			key = k
 		}
 	}
-	_, epoch, _, _ := p0.table.BeginObject(key, 100, 2, 3, 0, 0)
+	_, epoch, _ := p0.table.BeginObject(key, 100, 2, 3, 0, 0)
 	p0.table.Reserve(0, 50, key)
 	p0.table.CommitChunk(key, 0, 0, 50, epoch, 0)
 

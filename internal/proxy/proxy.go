@@ -24,10 +24,10 @@
 //     goroutine; the in-flight window map is the one structure shared
 //     with its reader goroutine (guarded by nodeManager.mu — whoever
 //     deletes an entry owns that request's pending).
-//   - the mapping table and the hot tier — internally locked; any
-//     session may call them. Hot-tier entries are immutable after
-//     insert and their chunk buffers GC-owned, so sessions forward
-//     them without holding the tier lock.
+//   - the mapping table, with the hot tier inside it — internally
+//     locked; any session may call it. A resident object's tier copy
+//     is a field of its mapping entry, immutable once admitted and
+//     GC-owned, so sessions forward it without holding the table lock.
 //
 // # Consistency rules
 //
@@ -36,11 +36,12 @@
 // SetEpoch installs each published one. Its consistent-hash ring gives
 // every key exactly one owning proxy, so a request for a key owned
 // elsewhere is redirected, and ordering decisions are local: a PUT
-// generation invalidates the hot tier before its first chunk reaches a
-// node (beginPut), commits are epoch-guarded against superseded
-// incarnations (mapping.go), and loss verdicts earned against a
-// replaced entry neither drop nor taint the new one — see the "Hot
-// tier" section of ARCHITECTURE.md for the full coherence argument.
+// generation replaces the key's mapping entry, and with it the entry's
+// hot-tier copy, before its first chunk reaches a node (BeginObject),
+// commits and tier admissions are epoch-guarded against superseded
+// incarnations (mapping.go, hottier.go), and loss verdicts earned
+// against a replaced entry neither drop nor taint the new one — see the
+// "Hot tier" section of ARCHITECTURE.md for the full coherence argument.
 package proxy
 
 import (
@@ -51,6 +52,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"infinicache/internal/clockcache"
 	"infinicache/internal/cluster"
 	"infinicache/internal/lambdaemu"
 	"infinicache/internal/lambdanode"
@@ -129,15 +131,12 @@ func (c *Config) fillDefaults() {
 // Stats exposes the proxy's operation counters (all atomic).
 type Stats struct {
 	Gets          atomic.Int64 // object GET requests
-	GetHits       atomic.Int64 // object-level hits (>= d chunks returned)
-	GetMisses     atomic.Int64 // object unknown to the mapping table
 	ObjectLosses  atomic.Int64 // mapped objects that lost > p chunks
 	DegradedGets  atomic.Int64 // hits that needed EC reconstruction
 	ChunkMisses   atomic.Int64 // chunk requests answered MISS by a node
 	RangedGets    atomic.Int64 // ranged (sub-object) GET requests
 	NodeChunkGets atomic.Int64 // chunk GET requests submitted to nodes
 	Puts          atomic.Int64 // chunk SET requests from clients
-	Dels          atomic.Int64
 	Evictions     atomic.Int64 // objects evicted by the CLOCK policy
 	Invokes       atomic.Int64 // Lambda invocations issued
 	Reinvokes     atomic.Int64 // re-invocations after timeout/BYE races
@@ -158,12 +157,10 @@ type Stats struct {
 
 	// Membership / migration counters (all zero on a one-member ring,
 	// where the proxy owns every key).
-	Redirects         atomic.Int64 // WRONG_OWNER frames sent (stale client rings)
-	FallbackServes    atomic.Int64 // fallback redirects issued for not-yet-migrated keys
-	MigratedKeys      atomic.Int64 // keys streamed out and acked by their new owner
-	MigratedBytes     atomic.Int64 // chunk bytes those keys carried
-	MigrationDrops    atomic.Int64 // keys skipped mid-migration (unfetchable or refused)
-	BackupMetaDemoted atomic.Int64 // META entries demoted for being hot-tier resident
+	Redirects      atomic.Int64 // WRONG_OWNER frames sent (stale client rings)
+	MigratedKeys   atomic.Int64 // keys streamed out and acked by their new owner
+	MigratedBytes  atomic.Int64 // chunk bytes those keys carried
+	MigrationDrops atomic.Int64 // keys skipped mid-migration (unfetchable or refused)
 
 	// Fault-plane counters (chaos/integrity; zero in a healthy run).
 	ChecksumFailures atomic.Int64 // chunk payloads that failed CRC verification
@@ -187,7 +184,6 @@ type Proxy struct {
 	addr  string
 	nodes nodeManagers
 	table *mappingTable
-	hot   *hotTier // nil when Config.HotTierBytes == 0
 
 	seq atomic.Uint64
 
@@ -273,12 +269,9 @@ func New(cfg Config) (*Proxy, error) {
 	}
 	p.epoch.Store(cluster.NewEpoch(0, []cluster.Member{{Addr: p.addr, PoolSize: len(cfg.Nodes)}}))
 	p.table = newMappingTable(len(cfg.Nodes), int64(cfg.NodeMemoryMB)<<20)
+	p.table.stats = &p.stats
 	if cfg.HotTierBytes > 0 {
-		p.hot = newHotTier(cfg.HotTierBytes, cfg.HotMaxObjectBytes, &p.stats)
-		// The table invalidates the tier inside its own critical
-		// sections (overwrite, DEL, pool eviction, loss), keeping the
-		// two structures' orderings identical; see mappingTable.hot.
-		p.table.hot = p.hot
+		p.table.tier = clockcache.NewTier(cfg.HotTierBytes, cfg.HotMaxObjectBytes)
 	}
 	p.migBucket = netsim.NewBurstBucket(migRateBytes, migBurstBytes)
 	p.nodes = make(nodeManagers, len(cfg.Nodes))

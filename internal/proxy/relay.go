@@ -3,60 +3,10 @@ package proxy
 import (
 	"fmt"
 	"net"
-	"strings"
 	"time"
 
-	"infinicache/internal/bufpool"
-	"infinicache/internal/lambdanode"
 	"infinicache/internal/protocol"
 )
-
-// demoteMeta rewrites a backup META frame in flight (λs → λd through
-// the relay): chunks of hot-tier-resident objects are moved to the back
-// of the MRU-first list. The tier already guarantees those objects'
-// availability at the proxy, so the backup's limited streaming window
-// is better spent on chunks only the Lambda holds — the measured effect
-// lands in Stats.BackupMetaDemoted and the availability delta is
-// computed with stats.Delta over before/after summaries.
-func (p *Proxy) demoteMeta(m *protocol.Message) {
-	if m.Type != protocol.TMeta || p.hot == nil || len(m.Payload) == 0 {
-		return
-	}
-	out, demoted := demoteResident(m.Payload, p.hot.resident)
-	if demoted == 0 || out == nil {
-		return
-	}
-	bufpool.Put(m.Payload)
-	m.Payload = out
-	p.stats.BackupMetaDemoted.Add(int64(demoted))
-}
-
-// demoteResident stably partitions a META chunk list so chunks whose
-// parent object satisfies resident() sink to the back. Returns the
-// re-encoded list and how many entries were demoted; (nil, 0) when
-// nothing changes or the payload does not parse (forward untouched).
-func demoteResident(meta []byte, resident func(string) bool) ([]byte, int) {
-	entries, err := lambdanode.DecodeMeta(meta)
-	if err != nil {
-		return nil, 0
-	}
-	var front, back []lambdanode.ChunkMeta
-	for _, e := range entries {
-		obj := e.Key
-		if i := strings.LastIndexByte(obj, '#'); i >= 0 {
-			obj = obj[:i]
-		}
-		if resident(obj) {
-			back = append(back, e)
-		} else {
-			front = append(front, e)
-		}
-	}
-	if len(back) == 0 || len(front) == 0 {
-		return nil, 0 // nothing to reorder
-	}
-	return lambdanode.EncodeMeta(append(front, back...)), len(back)
-}
 
 // startRelay launches the backup relay of Figure 10 (step 2): a
 // listener that pairs the source λs and destination λd connections and
@@ -149,9 +99,8 @@ func (p *Proxy) runRelay(ln net.Listener) {
 	// re-wrapped. While more input is already buffered (those bytes are
 	// in flight from the peer, so the next Recv cannot stall the pipe),
 	// the outbound Pin window stays open and the backlog rides one
-	// flush. xform, when non-nil, may rewrite a frame in place before it
-	// goes out (the src→dst direction runs META demotion through it).
-	pipe := func(from, to *protocol.Conn, xform func(*protocol.Message), done chan<- struct{}) {
+	// flush. META goes through untouched like every other frame.
+	pipe := func(from, to *protocol.Conn, done chan<- struct{}) {
 		defer func() { done <- struct{}{} }()
 		for {
 			m, err := from.Recv()
@@ -159,18 +108,12 @@ func (p *Proxy) runRelay(ln net.Listener) {
 				return
 			}
 			to.Pin()
-			if xform != nil {
-				xform(m)
-			}
 			err = to.Forward(m.Type, m.Seq, m.Key, m.Addr, m.Args, m.Payload)
 			m.Recycle()
 			for err == nil && from.Buffered() > 0 {
 				if m, err = from.Recv(); err != nil {
 					to.Flush()
 					return
-				}
-				if xform != nil {
-					xform(m)
 				}
 				err = to.Forward(m.Type, m.Seq, m.Key, m.Addr, m.Args, m.Payload)
 				m.Recycle()
@@ -184,8 +127,8 @@ func (p *Proxy) runRelay(ln net.Listener) {
 		}
 	}
 	done := make(chan struct{}, 2)
-	go pipe(src, dst, p.demoteMeta, done)
-	go pipe(dst, src, nil, done)
+	go pipe(src, dst, done)
+	go pipe(dst, src, done)
 	select {
 	case <-done:
 	case <-p.done:

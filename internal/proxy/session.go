@@ -110,9 +110,9 @@ type session struct {
 
 	// admits queues the hot-tier inserts this wake's settled writes and
 	// completed reads earned. They run after the wake's flush
-	// (settleFlush), so admission — d checksums, frame encoding, the tier
+	// (settleFlush), so admission — d checksums, frame encoding, the table
 	// lock and CLOCK eviction — never delays the frame a client waits on;
-	// each capture's token still fences its late insert.
+	// each capture's epoch still fences its late insert (AdmitHot).
 	admits []*hotCapture
 
 	// writes holds the PUT generation this session has open per
@@ -184,7 +184,7 @@ type readOp struct {
 
 	// Read-through hot-tier admission: when the tier's ghost filter
 	// marked this key warm, the first d forwarded payloads are captured
-	// here and queued for insertion on the d-th; the capture's token
+	// here and queued for insertion on the d-th; the capture's epoch
 	// fences the insert against writes that land before it runs.
 	capture *hotCapture
 }
@@ -332,7 +332,7 @@ func (s *session) settleFlush() {
 // next GET already finds the entry.
 func (s *session) runAdmits() {
 	for i, c := range s.admits {
-		s.p.hot.admit(c)
+		s.p.table.AdmitHot(c)
 		s.admits[i] = nil
 	}
 	s.admits = s.admits[:0]
@@ -473,14 +473,10 @@ func (s *session) sendErr(seq uint64, key, text string) {
 // typically one writev and zero per-hit frame encoding. Small images
 // stage under the wake's pin and ride its flush instead. The image and
 // its chunk slices are immutable and GC-owned, so the replay needs no
-// tier lock and cannot race an invalidation. The mapping-table CLOCK
-// bit is still touched: a tier-served object must not look cold to
-// pool-level eviction.
-func (s *session) serveHot(seq uint64, key string, e *hotEntry) {
-	s.p.table.Touch(key)
+// table lock and cannot race a drop.
+func (s *session) serveHot(seq uint64, e *hotEntry) {
 	s.conn.SendPrebuilt(e.wire, seq)
 	s.needFlush = true
-	s.p.stats.GetHits.Add(1)
 }
 
 // handleSet stores one erasure-coded chunk on the node Place picks, the
@@ -636,18 +632,16 @@ func (s *session) beginWrite(m *protocol.Message, migration bool) *writeOp {
 		w.epoch, w.refused = epoch, !fresh
 	default:
 		// The first chunk of a new PUT generation (re)initialises the
-		// object's mapping entry — cache invalidation upon overwrite —
-		// and, in the same critical section, invalidates the hot tier
-		// (a concurrent GET can never observe the superseded payload)
-		// and decides write-through admission. Running both under the
-		// table lock keeps the table's epoch order and the tier's
-		// invalidation order identical even when two sessions race
-		// PUTs to one key.
-		dels, epoch, admit, token := s.p.table.BeginObject(m.Key, objSize, dShards, total, streamSize, stripeData)
+		// object's mapping entry — cache invalidation upon overwrite,
+		// which takes the old entry's hot-tier copy with it, so a
+		// concurrent GET can never observe the superseded payload — and
+		// decides write-through admission; the capture is fenced by the
+		// new entry's epoch.
+		dels, epoch, admit := s.p.table.BeginObject(m.Key, objSize, dShards, total, streamSize, stripeData)
 		s.p.queueDels(dels)
 		w.epoch = epoch
 		if admit {
-			w.capture = newHotCapture(m.Key, token, objSize, dShards, total)
+			w.capture = newHotCapture(m.Key, epoch, objSize, dShards, total)
 		}
 	}
 	s.writes[m.Key] = w
@@ -687,8 +681,8 @@ func (s *session) idleWrite(w *writeOp) {
 // frame of it has arrived and none is in flight (idleWrite), when a
 // newer generation of the key opens on this session (beginWrite), or at
 // session teardown (run). A clean generation's write-through capture is
-// queued for the hot tier behind the wake's flush (the epoch token
-// still rejects it if an overwrite or a DEL began meanwhile). Anything
+// queued for the hot tier behind the wake's flush (its epoch still
+// rejects it if an overwrite or a DEL began meanwhile). Anything
 // else is failed — a chunk did not commit, one is still in flight, or a
 // dense generation is short of frames — and a failed generation whose
 // mapping entry can never serve a GET — fewer than d chunks committed —
@@ -714,7 +708,6 @@ func (s *session) sendFallback(seq uint64, key string) bool {
 		return false
 	}
 	s.p.stats.Redirects.Add(1)
-	s.p.stats.FallbackServes.Add(1)
 	s.needFlush = true
 	s.conn.Send(&protocol.Message{
 		Type: protocol.TWrongOwner, Seq: seq, Key: key, Addr: owner,
@@ -740,15 +733,14 @@ func (s *session) handleGet(m *protocol.Message) {
 	if !authoritative && !s.checkOwner(m.Seq, m.Key) {
 		return
 	}
-	var token uint64
 	var capture bool
-	if s.p.hot != nil && !ranged {
+	if s.p.table.tier != nil && !ranged {
 		// Ranged GETs bypass the hot tier entirely: the tier caches
 		// whole objects and a sub-object read must not earn residency
 		// for (or be served) bytes it did not ask for.
 		var e *hotEntry
-		if e, token, capture = s.p.hot.get(m.Key); e != nil {
-			s.serveHot(m.Seq, m.Key, e)
+		if e, capture = s.p.table.HotGet(m.Key); e != nil {
+			s.serveHot(m.Seq, e)
 			return
 		}
 	}
@@ -761,7 +753,6 @@ func (s *session) handleGet(m *protocol.Message) {
 		if !authoritative && s.sendFallback(m.Seq, m.Key) {
 			return
 		}
-		s.p.stats.GetMisses.Add(1)
 		s.needFlush = true
 		s.conn.Send(&protocol.Message{Type: protocol.TMiss, Seq: m.Seq, Key: m.Key})
 		return
@@ -784,10 +775,11 @@ func (s *session) handleGet(m *protocol.Message) {
 		return
 	default:
 		ok = s.planWhole(op, meta, authoritative)
-		if ok && capture && s.p.hot.policy.Admits(meta.Size) {
+		if ok && capture && s.p.table.tier.Admits(meta.Size) {
 			// Ghost-warm key: read-admit by copying the first-d payloads as
-			// they stream through (whatever d chunks win the fan-in race).
-			op.capture = newHotCapture(m.Key, token, meta.Size, meta.DataShards, meta.TotalShards)
+			// they stream through (whatever d chunks win the fan-in race),
+			// fenced by the incarnation this read snapshotted.
+			op.capture = newHotCapture(m.Key, meta.Epoch, meta.Size, meta.DataShards, meta.TotalShards)
 		}
 	}
 	if ok {
@@ -998,7 +990,6 @@ func (s *session) completeRead(pc pendingChunk, resp *protocol.Message) {
 		// This DATA frame is what unblocks the client.
 		op.done = true
 		s.needFlush = true
-		s.p.stats.GetHits.Add(1)
 		if op.missed+op.failed > 0 {
 			s.p.stats.DegradedGets.Add(1)
 		}
@@ -1239,7 +1230,6 @@ func (s *session) objectLost(seq uint64, replyKey, entryKey string, epoch uint64
 }
 
 func (s *session) handleDel(m *protocol.Message) {
-	s.p.stats.Dels.Add(1)
 	if !s.checkOwner(m.Seq, m.Key) {
 		m.Free()
 		return
@@ -1248,9 +1238,9 @@ func (s *session) handleDel(m *protocol.Message) {
 	// late-arriving migration SET for this key is refused instead of
 	// resurrecting it.
 	s.p.noteTombstone(m.Key)
-	// Drop invalidates the hot tier inside the table's critical section
+	// Drop takes the entry's hot-tier copy with it under the table lock
 	// (dropLocked), so after the ACK below no GET can be served the
-	// deleted object from either structure.
+	// deleted object.
 	s.p.queueDels(s.p.table.Drop(m.Key))
 	s.needFlush = true
 	s.conn.Forward(protocol.TAck, m.Seq, m.Key, "", nil, nil)

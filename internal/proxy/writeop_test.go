@@ -338,7 +338,7 @@ func (h *writeHarness) check(when, key string, present int, resident bool, open 
 	if got != present {
 		h.t.Errorf("%s: %d chunks present (-1 = no entry), want %d", when, got, present)
 	}
-	if r := h.p.hot.resident(key); r != resident {
+	if r := h.p.table.hotResident(key); r != resident {
 		h.t.Errorf("%s: tier-resident = %v, want %v", when, r, resident)
 	}
 	if n := len(h.s.writes); n != open {
