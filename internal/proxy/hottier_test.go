@@ -464,8 +464,8 @@ func TestCancelledPutLeavesCleanMiss(t *testing.T) {
 // newHotTable is a mapping table with the hot tier on, as New builds
 // it, reporting to st.
 func newHotTable(capBytes, maxObjBytes int64, st *Stats) *mappingTable {
-	tb := newMappingTable(1, 1<<30)
-	tb.tier, tb.stats = clockcache.NewTier(capBytes, maxObjBytes), st
+	tb := NewMappingTable(1, 1<<30, clockcache.NewTier(capBytes, maxObjBytes))
+	tb.stats = st
 	return tb
 }
 

@@ -111,12 +111,17 @@ type mappingTable struct {
 	objects  map[string]*objMeta
 	lru      *clockcache.Cache
 	nodeUsed []int64
+	used     int64 // the sum of nodeUsed
+	// held is, per node, the entries with a chunk present on it and
+	// that chunk's index (one at most: no two chunks of an entry share
+	// a node).
+	held     []map[*objMeta]int
 	nodeCap  int64
 	epochSeq uint64 // source of objMeta.Epoch
 
-	// tier is the hot tier's policy, nil when the tier is off: a key is
-	// resident exactly when its entry's hot copy is set. stats takes its
-	// Hot* counters.
+	// tier is the hot tier's policy, nil when the tier is off: in a
+	// proxy a key is resident exactly when its entry's hot copy is set.
+	// stats takes its Hot* counters.
 	tier  *clockcache.Tier
 	stats *Stats
 	// nodes is what Place reads of the node dispatchers; set once, so
@@ -124,13 +129,36 @@ type mappingTable struct {
 	nodes nodeStates
 }
 
-func newMappingTable(nodes int, nodeCapBytes int64) *mappingTable {
-	return &mappingTable{
+// MappingTable is the mapping table as the simulator (internal/sim)
+// drives it: the same entries, placement, CLOCK eviction and repair
+// rules as a proxy's, with no node dispatchers behind it.
+type MappingTable = mappingTable
+
+// NewMappingTable returns an empty table over nodes nodes of
+// nodeCapBytes each. tier is the hot tier's policy, nil for none: every
+// entry the table drops leaves it, and BeginObject takes its
+// write-through decision. Every node reads as asleep until a proxy
+// installs its dispatchers.
+func NewMappingTable(nodes int, nodeCapBytes int64, tier *clockcache.Tier) *MappingTable {
+	t := &mappingTable{
 		objects:  make(map[string]*objMeta),
 		lru:      clockcache.New(),
 		nodeUsed: make([]int64, nodes),
+		held:     make([]map[*objMeta]int, nodes),
 		nodeCap:  nodeCapBytes,
+		tier:     tier,
+		nodes:    asleep{},
 	}
+	for i := range t.held {
+		t.held[i] = make(map[*objMeta]int)
+	}
+	return t
+}
+
+// account adds delta bytes to node's accounted usage.
+func (t *mappingTable) account(node int, delta int64) {
+	t.nodeUsed[node] += delta
+	t.used += delta
 }
 
 // Len returns the number of mapped objects.
@@ -144,11 +172,7 @@ func (t *mappingTable) Len() int {
 func (t *mappingTable) UsedBytes() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var s int64
-	for _, u := range t.nodeUsed {
-		s += u
-	}
-	return s
+	return t.used
 }
 
 // NodeUsed returns the accounted bytes for one node.
@@ -305,18 +329,21 @@ func (t *mappingTable) dropLocked(o *objMeta) []evictedChunk {
 }
 
 // dropOneLocked removes a single entry, releasing its memory
-// accounting, and returns the chunk deletions to push to nodes. The
-// entry's hot-tier copy goes with it.
+// accounting, and returns the chunk deletions to push to nodes. The key
+// leaves the hot tier, and the entry's copy goes with it.
 func (t *mappingTable) dropOneLocked(o *objMeta) []evictedChunk {
-	if o.hot != nil {
+	if t.tier != nil {
 		t.tier.Invalidate(o.Key)
+	}
+	if o.hot != nil {
 		t.stats.HotBytes.Store(t.tier.Bytes())
 	}
 	var dels []evictedChunk
 	for i, c := range o.Chunks {
 		if c.Size > 0 {
-			t.nodeUsed[c.Node] -= c.Size
+			t.account(c.Node, -c.Size)
 			if c.Present {
+				delete(t.held[c.Node], o)
 				dels = append(dels, evictedChunk{Node: c.Node, Key: ChunkKey(o.Key, i)})
 			}
 		}
@@ -363,14 +390,22 @@ type nodeStates interface {
 	load(i int) int
 }
 
-// nodeSet is a bitmap of node indexes: the nodes one PUT generation has
+// asleep is the node states of a table no proxy dispatches for: every
+// node asleep, so Place keeps each hint its writer's set allows.
+type asleep struct{}
+
+func (asleep) awake(int) bool { return false }
+func (asleep) load(int) int   { return 0 }
+
+// NodeSet is a bitmap of node indexes: the nodes one PUT generation has
 // placed chunks on.
-type nodeSet []uint64
+type NodeSet []uint64
 
-func newNodeSet(nodes int) nodeSet { return make(nodeSet, (nodes+63)/64) }
+// NewNodeSet returns an empty set over nodes nodes.
+func NewNodeSet(nodes int) NodeSet { return make(NodeSet, (nodes+63)/64) }
 
-func (s nodeSet) has(n int) bool { return s[n>>6]&(1<<(n&63)) != 0 }
-func (s nodeSet) add(n int)      { s[n>>6] |= 1 << (n & 63) }
+func (s NodeSet) has(n int) bool { return s[n>>6]&(1<<(n&63)) != 0 }
+func (s NodeSet) add(n int)      { s[n>>6] |= 1 << (n & 63) }
 
 // errNoObject answers a recovery SET whose object is not mapped: there
 // is nothing to repair.
@@ -404,7 +439,7 @@ var errNoObject = errors.New("proxy: recovery for unknown object")
 // rules it out. The pick joins gen, or for a recovery the lost slot, so
 // the next chunk of the same write avoids it; a generation's pick is
 // also recorded as aimed in its own entry's slot.
-func (t *mappingTable) Place(key string, idx, hint int, size int64, epoch uint64, gen nodeSet) (node int, dels []evictedChunk, evicted int, err error) {
+func (t *mappingTable) Place(key string, idx, hint int, size int64, epoch uint64, gen NodeSet) (node int, dels []evictedChunk, evicted int, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	o := t.objects[key]
@@ -429,7 +464,7 @@ func (t *mappingTable) Place(key string, idx, hint int, size int64, epoch uint64
 
 // pickLocked is Place's choice of node; o is key's current entry, nil
 // when there is none.
-func (t *mappingTable) pickLocked(o *objMeta, idx, hint int, size int64, gen nodeSet) int {
+func (t *mappingTable) pickLocked(o *objMeta, idx, hint int, size int64, gen NodeSet) int {
 	nodes := t.nodes
 	own := func(n int) bool {
 		if gen == nil {
@@ -443,17 +478,15 @@ func (t *mappingTable) pickLocked(o *objMeta, idx, hint int, size int64, gen nod
 	if (nodes.awake(hint) || o != nil && o.TotalShards >= len(t.nodeUsed)) && !own(hint) {
 		return hint
 	}
-	var total int64
-	for _, used := range t.nodeUsed {
-		total += used
-	}
 	best, bestLoad := -1, 0
-	for n, used := range t.nodeUsed {
-		if !nodes.awake(n) || used+size > t.nodeCap || used*int64(len(t.nodeUsed)) > total || own(n) || o != nil && o.occupied(-1, n) {
-			continue
-		}
-		if l := nodes.load(n); best < 0 || l < bestLoad || l == bestLoad && used < t.nodeUsed[best] {
-			best, bestLoad = n, l
+	if _, none := nodes.(asleep); !none {
+		for n, used := range t.nodeUsed {
+			if !nodes.awake(n) || used+size > t.nodeCap || used*int64(len(t.nodeUsed)) > t.used || own(n) || o != nil && o.occupied(-1, n) {
+				continue
+			}
+			if l := nodes.load(n); best < 0 || l < bestLoad || l == bestLoad && used < t.nodeUsed[best] {
+				best, bestLoad = n, l
+			}
 		}
 	}
 	if best >= 0 {
@@ -489,13 +522,6 @@ func (t *mappingTable) reserveLocked(node int, size int64, protect string) ([]ev
 	if size > poolCap {
 		return nil, 0, fmt.Errorf("%w: %d bytes > pool capacity %d", ErrNoCapacity, size, poolCap)
 	}
-	used := func() int64 {
-		var s int64
-		for _, u := range t.nodeUsed {
-			s += u
-		}
-		return s
-	}
 	var dels []evictedChunk
 	evicted := 0
 	// Protect the whole stripe family of the key being written: evicting
@@ -503,7 +529,7 @@ func (t *mappingTable) reserveLocked(node int, size int64, protect string) ([]ev
 	// cascade the very entry the write is building.
 	protectParent, _ := protocol.ParseStripeKey(protect)
 	skips := 0
-	for used()+size > poolCap {
+	for t.used+size > poolCap {
 		victim := t.lru.Evict()
 		if victim == nil {
 			break
@@ -525,10 +551,10 @@ func (t *mappingTable) reserveLocked(node int, size int64, protect string) ([]ev
 		dels = append(dels, t.dropLocked(o)...)
 		evicted++
 	}
-	if used()+size > poolCap {
+	if t.used+size > poolCap {
 		return dels, evicted, fmt.Errorf("%w: pool full", ErrNoCapacity)
 	}
-	t.nodeUsed[node] += size
+	t.account(node, size)
 	return dels, evicted, nil
 }
 
@@ -567,13 +593,15 @@ func (t *mappingTable) CommitChunk(key string, idx, node int, size int64, epoch 
 	}
 	if !ok {
 		// Release the reservation.
-		t.nodeUsed[node] -= size
+		t.account(node, -size)
 		return false
 	}
 	if old := o.Chunks[idx]; old.Size > 0 {
-		t.nodeUsed[old.Node] -= old.Size
+		t.account(old.Node, -old.Size)
+		delete(t.held[old.Node], o)
 	}
 	o.Chunks[idx] = chunkLoc{Node: node, Size: size, Present: true, Sum: sum}
+	t.held[node][o] = idx
 	return true
 }
 
@@ -642,10 +670,7 @@ func (t *mappingTable) NoteChunkCorrupt(key string, idx, node int, epoch uint64)
 	if c.Strikes++; c.Strikes < 2 {
 		return false
 	}
-	c.Present, c.Lost = false, true
-	o.Lost++
-	t.nodeUsed[c.Node] -= c.Size
-	c.Size = 0
+	t.loseLocked(o, idx)
 	return true
 }
 
@@ -673,7 +698,7 @@ func (t *mappingTable) DropIfIncomplete(key string, epoch uint64) ([]evictedChun
 func (t *mappingTable) ReleaseChunk(node int, size int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.nodeUsed[node] -= size
+	t.account(node, -size)
 }
 
 // MarkChunkLost flags a chunk as gone (node answered MISS after a
@@ -689,15 +714,35 @@ func (t *mappingTable) MarkChunkLost(key string, idx, node int, epoch uint64) in
 	if !ok || o.Epoch != epoch || idx < 0 || idx >= len(o.Chunks) {
 		return 0
 	}
-	c := &o.Chunks[idx]
-	if c.Present && c.Node == node {
-		c.Present, c.Lost = false, true
-		o.Lost++
-		// The bytes are no longer on the node.
-		t.nodeUsed[c.Node] -= c.Size
-		c.Size = 0
+	if c := o.Chunks[idx]; c.Present && c.Node == node {
+		t.loseLocked(o, idx)
 	}
 	return o.presentChunks()
+}
+
+// MarkNodeLost flags every chunk present on node as gone, in one call:
+// the node restarted empty, with no backup peer to take over its store.
+// Slots aimed at the node but not committed are left alone. It returns
+// how many chunks it marked.
+func (t *mappingTable) MarkNodeLost(node int) int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	n := len(t.held[node])
+	for o, idx := range t.held[node] {
+		t.loseLocked(o, idx)
+	}
+	return n
+}
+
+// loseLocked turns o's present chunk idx into a lost one: its bytes are no
+// longer on its node.
+func (t *mappingTable) loseLocked(o *objMeta, idx int) {
+	c := &o.Chunks[idx]
+	c.Present, c.Lost = false, true
+	o.Lost++
+	t.account(c.Node, -c.Size)
+	delete(t.held[c.Node], o)
+	c.Size = 0
 }
 
 // ChunkKey derives the unique chunk identifier IDobj_chunk (§3.1):

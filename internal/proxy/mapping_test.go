@@ -8,7 +8,7 @@ import (
 
 func newTable() *mappingTable {
 	// 4 nodes x 1 MB.
-	return newMappingTable(4, 1<<20)
+	return NewMappingTable(4, 1<<20, nil)
 }
 
 func TestChunkKey(t *testing.T) {
@@ -120,7 +120,7 @@ func TestReserveEvictsAtPoolPressure(t *testing.T) {
 }
 
 func TestReserveNeverEvictsProtected(t *testing.T) {
-	tb := newMappingTable(1, 1000)
+	tb := NewMappingTable(1, 1000, nil)
 	_, epoch, _ := tb.BeginObject("self", 900, 1, 2, 0, 0)
 	if _, _, err := tb.Reserve(0, 600, "self"); err != nil {
 		t.Fatal(err)
@@ -181,6 +181,62 @@ func TestMarkChunkLost(t *testing.T) {
 	}
 	if tb.MarkChunkLost("missing", 0, 0, 1) != 0 {
 		t.Fatal("unknown object should report 0")
+	}
+}
+
+// TestMarkNodeLost: a node that restarts empty loses exactly the chunks
+// present on it, in one call; slots lost earlier, aimed at it or not
+// yet committed stay as they are, and so do the other nodes.
+func TestMarkNodeLost(t *testing.T) {
+	tb := newTable()
+	_, ea, _ := tb.BeginObject("a", 100, 2, 3, 0, 0)
+	for i := 0; i < 3; i++ {
+		tb.Reserve(i, 40, "a")
+		tb.CommitChunk("a", i, i, 40, ea, 0)
+	}
+	// b's chunk 1 was lost on node 0 before, its chunk 0 sits on node 1.
+	_, eb, _ := tb.BeginObject("b", 30, 1, 2, 0, 0)
+	tb.Reserve(1, 30, "b")
+	tb.CommitChunk("b", 0, 1, 30, eb, 0)
+	tb.Reserve(0, 30, "b")
+	tb.CommitChunk("b", 1, 0, 30, eb, 0)
+	tb.MarkChunkLost("b", 1, 0, eb)
+	// c's chunk 0 is aimed at node 0 and not committed; chunk 1 is unwritten.
+	_, ec, _ := tb.BeginObject("c", 20, 1, 2, 0, 0)
+	if node, _, _, err := tb.Place("c", 0, 0, 20, ec, NewNodeSet(4)); err != nil || node != 0 {
+		t.Fatalf("Place = %d, %v; want node 0", node, err)
+	}
+
+	if n := tb.MarkNodeLost(0); n != 1 {
+		t.Fatalf("MarkNodeLost(0) marked %d, want 1", n)
+	}
+	if got := []int64{tb.NodeUsed(0), tb.NodeUsed(1), tb.NodeUsed(2), tb.UsedBytes()}; got[0] != 20 || got[1] != 70 || got[2] != 40 || got[3] != 130 {
+		t.Fatalf("node 0, 1, 2 and pool bytes = %v, want [20 70 40 130]", got)
+	}
+	if n := tb.MarkNodeLost(0); n != 0 {
+		t.Fatalf("second MarkNodeLost(0) marked %d, want 0", n)
+	}
+
+	a, _ := tb.Lookup("a")
+	if c := a.Chunks[0]; !c.Lost || c.Present {
+		t.Fatalf("a#0 = %+v, want lost", c)
+	}
+	if !a.Chunks[1].Present || !a.Chunks[2].Present {
+		t.Fatalf("a's chunks off node 0 = %+v, want present", a.Chunks[1:])
+	}
+	b, _ := tb.Lookup("b")
+	if !b.Chunks[0].Present || !b.Chunks[1].Lost || b.Lost != 1 {
+		t.Fatalf("b = %+v, want chunk 0 present and chunk 1 lost once", b)
+	}
+	c, _ := tb.Lookup("c")
+	if c0, c1 := c.Chunks[0], c.Chunks[1]; !c0.Aimed || c0.Lost || c1.Lost || c1.Present {
+		t.Fatalf("c = %+v, want chunk 0 aimed and chunk 1 unwritten", c.Chunks)
+	}
+
+	// A dropped entry's chunks are no longer the node's to lose.
+	tb.Drop("a")
+	if n := tb.MarkNodeLost(1); n != 1 {
+		t.Fatalf("MarkNodeLost(1) after dropping a marked %d, want 1 (b#0)", n)
 	}
 }
 
@@ -480,7 +536,7 @@ func TestPlace(t *testing.T) {
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
-			tb := newMappingTable(6, 1000)
+			tb := NewMappingTable(6, 1000, nil)
 			for n, b := range row.used {
 				tb.Reserve(n, b, "ballast")
 			}
@@ -495,9 +551,9 @@ func TestPlace(t *testing.T) {
 			for _, idx := range row.lost {
 				tb.MarkChunkLost("k", idx, row.on[idx], epoch)
 			}
-			var gen nodeSet
+			var gen NodeSet
 			if !row.repair {
-				gen = newNodeSet(6)
+				gen = NewNodeSet(6)
 				for _, n := range row.gen {
 					gen.add(n)
 				}
@@ -536,7 +592,7 @@ func TestPlace(t *testing.T) {
 	}
 
 	t.Run("repair of an unknown object", func(t *testing.T) {
-		tb := newMappingTable(6, 1000)
+		tb := NewMappingTable(6, 1000, nil)
 		tb.nodes = fakeNodes{}
 		if _, _, _, err := tb.Place("gone", 0, 1, size, 0, nil); !errors.Is(err, errNoObject) {
 			t.Fatalf("Place = %v, want errNoObject", err)
@@ -551,15 +607,15 @@ func TestPlace(t *testing.T) {
 // key's newer incarnation placed the same chunk key on the same node,
 // in flight or committed.
 func TestNewerOn(t *testing.T) {
-	tb := newMappingTable(4, 1000)
+	tb := NewMappingTable(4, 1000, nil)
 	tb.nodes = fakeNodes{up: map[int]bool{0: true, 1: true, 2: true, 3: true}}
 	_, old, _ := tb.BeginObject("k", 200, 2, 3, 0, 0)
-	tb.Place("k", 0, 2, 100, old, newNodeSet(4))
+	tb.Place("k", 0, 2, 100, old, NewNodeSet(4))
 	_, newer, _ := tb.BeginObject("k", 200, 2, 3, 0, 0)
 	if tb.NewerOn("k", 0, 2, old) {
 		t.Fatal("the newer incarnation has placed nothing yet")
 	}
-	tb.Place("k", 0, 2, 100, newer, newNodeSet(4))
+	tb.Place("k", 0, 2, 100, newer, NewNodeSet(4))
 	for _, c := range []struct {
 		idx, node int
 		epoch     uint64

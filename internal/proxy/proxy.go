@@ -268,11 +268,12 @@ func New(cfg Config) (*Proxy, error) {
 		sessions: make(map[*session]struct{}),
 	}
 	p.epoch.Store(cluster.NewEpoch(0, []cluster.Member{{Addr: p.addr, PoolSize: len(cfg.Nodes)}}))
-	p.table = newMappingTable(len(cfg.Nodes), int64(cfg.NodeMemoryMB)<<20)
-	p.table.stats = &p.stats
+	var tier *clockcache.Tier
 	if cfg.HotTierBytes > 0 {
-		p.table.tier = clockcache.NewTier(cfg.HotTierBytes, cfg.HotMaxObjectBytes)
+		tier = clockcache.NewTier(cfg.HotTierBytes, cfg.HotMaxObjectBytes)
 	}
+	p.table = NewMappingTable(len(cfg.Nodes), int64(cfg.NodeMemoryMB)<<20, tier)
+	p.table.stats = &p.stats
 	p.migBucket = netsim.NewBurstBucket(migRateBytes, migBurstBytes)
 	p.nodes = make(nodeManagers, len(cfg.Nodes))
 	p.table.nodes = p.nodes

@@ -143,7 +143,7 @@ type writeOp struct {
 	arrived   int    // frames answered or sent on to a node, refused ones included
 	inflight  int    // chunk SETs at the nodes
 	migration bool
-	nodes     nodeSet // where Place put the generation's chunks
+	nodes     NodeSet // where Place put the generation's chunks
 	// failed: a chunk did not commit (refused, store failed, cancelled,
 	// superseded). A failed generation must neither reach the hot tier
 	// nor leave a never-completable mapping entry behind.
@@ -532,7 +532,7 @@ func (s *session) handleSet(m *protocol.Message) {
 
 	// A recovery re-inserts one chunk of an existing object and has no
 	// generation: Place refuses it if the object vanished meanwhile.
-	var gen nodeSet
+	var gen NodeSet
 	var epoch uint64
 	if !recovery {
 		if w == nil {
@@ -615,7 +615,7 @@ func (s *session) beginWrite(m *protocol.Message, migration bool) *writeOp {
 		streamSize = m.Arg(setArgStreamSize)
 		stripeData = m.Arg(setArgStripeData)
 	}
-	w := &writeOp{key: m.Key, gen: m.Arg(setArgPutGen), total: total, migration: migration, nodes: newNodeSet(len(s.p.nodes))}
+	w := &writeOp{key: m.Key, gen: m.Arg(setArgPutGen), total: total, migration: migration, nodes: NewNodeSet(len(s.p.nodes))}
 	switch {
 	case migration && s.p.tombstoned(routeKey(m.Key)):
 		w.refused = true

@@ -5,10 +5,15 @@
 // of Figure 13, the fault-tolerance activity of Figure 14, and the
 // latency distributions of Figures 15 and 16.
 //
-// The simulator shares its policy code with the live system: the same
-// CLOCK eviction and the same hot-tier policy object (internal/clockcache:
-// Cache, Tier), the same reclaim policies (internal/lambdaemu), the same
-// pricing (internal/costmodel), and the same EC geometry rules.
+// The simulator runs the live proxy's mapping table
+// (proxy.NewMappingTable): its entries and epochs, placement, pool CLOCK
+// eviction, loss marking and repair rule. Its nodes read as asleep, so
+// Place keeps the model's random draw unless the entry's own chunks
+// rule that node out. It also shares the hot-tier policy object
+// (clockcache.Tier), the reclaim policies (internal/lambdaemu) and the
+// pricing (internal/costmodel). What is its own is the trace loop, the
+// reclaim process, backup rounds, latency and billing, so a gap between
+// simulated and live runs is in those models, not in bookkeeping.
 package sim
 
 import (
@@ -19,6 +24,7 @@ import (
 	"infinicache/internal/costmodel"
 	"infinicache/internal/lambdaemu"
 	"infinicache/internal/netsim"
+	"infinicache/internal/proxy"
 	"infinicache/internal/workload"
 )
 
@@ -76,34 +82,23 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// objState tracks one cached object.
-type objState struct {
-	size   int64
-	nodes  []int  // chunk -> node
-	lost   []bool // chunk destroyed by reclamation
-	synced []bool // chunk covered by the last completed backup round
-}
-
-func (o *objState) presentChunks() int {
-	n := 0
-	for _, l := range o.lost {
-		if !l {
-			n++
-		}
-	}
-	return n
-}
-
-// nodeState tracks one Lambda cache node in the model.
-type nodeState struct {
-	used     int64
+// simNode is one Lambda cache node's backup state in the model; what
+// it stores is the mapping table's.
+type simNode struct {
 	replicas int // 1 = primary only, 2 = primary + synced peer
-	// chunks maps object key -> chunk index resident on this node
-	// (placement never puts two chunks of one object on one node).
-	chunks map[string]int
-	// delta is the bytes written since the node's last completed backup
-	// (the delta-sync payload).
-	delta int64
+	// unsynced holds the chunks written to the node since its last
+	// completed backup round, by chunk key: the delta-sync payload, and
+	// what a reclaimed replica that absorbed them takes with it.
+	unsynced map[string]unsyncedChunk
+}
+
+// unsyncedChunk is one chunk of an object incarnation written to a
+// node since its last backup round.
+type unsyncedChunk struct {
+	key   string
+	idx   int
+	epoch uint64
+	size  int64
 }
 
 // HourBucket aggregates per-hour activity (Figures 13 and 14 series).
@@ -164,13 +159,6 @@ func Run(cfg Config, trace *workload.Trace) *Result {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	lm := &latencyModel{rng: rand.New(rand.NewSource(cfg.Seed + 1))}
 
-	nodeCap := int64(cfg.NodeMemoryMB) << 20
-	nodes := make([]nodeState, cfg.Nodes)
-	for i := range nodes {
-		nodes[i] = nodeState{replicas: 1, chunks: make(map[string]int)}
-	}
-	objects := make(map[string]*objState)
-	lru := clockcache.New()
 	bw := netsim.BandwidthForMemory(cfg.NodeMemoryMB)
 	pool := costmodel.Lambda{Nodes: cfg.Nodes, MemoryGB: float64(cfg.NodeMemoryMB) / 1024}
 
@@ -193,7 +181,9 @@ func Run(cfg Config, trace *workload.Trace) *Result {
 	// The proxy-resident hot tier is the live proxy's own policy object,
 	// run bare: the simulator is sequential, so none of the live tier's
 	// token fencing is needed, and a resident object accounts for its d
-	// data chunks (hotInsert), as live.
+	// data chunks (hotInsert), as live. The mapping table runs it as a
+	// proxy's does: every entry it drops leaves the tier, and BeginObject
+	// takes the write-through decision.
 	var hot *clockcache.Tier
 	if cfg.HotTierBytes > 0 {
 		hot = clockcache.NewTier(cfg.HotTierBytes, cfg.HotMaxObjectBytes)
@@ -202,79 +192,44 @@ func Run(cfg Config, trace *workload.Trace) *Result {
 		hot.Insert(key, chunkSize(size, d)*int64(d))
 	}
 
-	// Pool-level accounting (§3.2: eviction triggers on pool pressure).
-	poolCap := nodeCap * int64(cfg.Nodes)
-	var poolUsed int64
-
-	// dropObject releases an object's accounting. As in the live proxy,
-	// every mapping-entry drop also invalidates the hot tier.
-	drop := func(key string) {
-		if hot != nil {
-			hot.Invalidate(key)
+	// The mapping table is the live proxy's: entries, placement, pool
+	// eviction (§3.2) and repair. No node is awake in it, so Place keeps
+	// each chunk on the node the model draws unless the entry's own
+	// chunks rule that node out.
+	table := proxy.NewMappingTable(cfg.Nodes, int64(cfg.NodeMemoryMB)<<20, hot)
+	nodes := make([]simNode, cfg.Nodes)
+	for i := range nodes {
+		nodes[i] = simNode{replicas: 1, unsynced: make(map[string]unsyncedChunk)}
+	}
+	// store places chunk idx of key's incarnation epoch from hint and
+	// commits it: a generation's write with gen, a repair with gen nil.
+	// The chunks the table dropped leave their nodes' backup deltas.
+	store := func(key string, idx, hint int, size int64, epoch uint64, gen proxy.NodeSet) {
+		fence := epoch // a repair commits by content, outside any generation
+		if gen == nil {
+			fence = 0
 		}
-		o := objects[key]
-		if o == nil {
-			return
+		node, dels, _, err := table.Place(key, idx, hint, size, fence, gen)
+		for _, c := range dels {
+			delete(nodes[c.Node].unsynced, c.Key)
 		}
-		chunk := chunkSize(o.size, d)
-		for i, n := range o.nodes {
-			if !o.lost[i] {
-				nodes[n].used -= chunk
-				poolUsed -= chunk
-				delete(nodes[n].chunks, key)
-				if !o.synced[i] {
-					nodes[n].delta -= chunk
-				}
-			}
+		if err == nil && table.CommitChunk(key, idx, node, size, fence, 0) {
+			nodes[node].unsynced[proxy.ChunkKey(key, idx)] = unsyncedChunk{key: key, idx: idx, epoch: epoch, size: size}
 		}
-		delete(objects, key)
-		lru.Remove(key)
 	}
 
-	// insert places a (re)loaded object on random distinct nodes,
-	// evicting cold objects while the pool lacks free memory (§3.2:
-	// pool-level eviction at object granularity).
+	// insert (re)loads an object onto d+p distinct nodes drawn at random,
+	// as the client draws its placement.
 	insert := func(key string, size int64, now time.Duration) {
-		if o := objects[key]; o != nil {
-			drop(key)
+		dels, epoch, hotAdmit := table.BeginObject(key, size, d, total, 0, 0)
+		for _, c := range dels {
+			delete(nodes[c.Node].unsynced, c.Key)
 		}
-		// Write-through tier admission: BeginPut invalidates before any
-		// chunk lands and decides admission.
-		hotAdmit := false
-		if hot != nil {
-			hotAdmit = hot.BeginPut(key, size)
-		}
+		gen := proxy.NewNodeSet(cfg.Nodes)
 		chunk := chunkSize(size, d)
-		need := chunk * int64(total)
-		for poolUsed+need > poolCap && lru.Len() > 0 {
-			victim := lru.Evict()
-			if victim == nil {
-				break
-			}
-			if victim.Key == key {
-				lru.Add(victim.Key, victim.Size)
-				if lru.Len() == 1 {
-					break
-				}
-				continue
-			}
-			drop(victim.Key)
+		for i, hint := range rng.Perm(cfg.Nodes)[:total] {
+			store(key, i, hint, chunk, epoch, gen)
 		}
-		placement := rng.Perm(cfg.Nodes)[:total]
-		for i, n := range placement {
-			nodes[n].used += chunk
-			nodes[n].chunks[key] = i
-			nodes[n].delta += chunk
-		}
-		poolUsed += need
-		o := &objState{
-			size:   size,
-			nodes:  placement,
-			lost:   make([]bool, total),
-			synced: make([]bool, total),
-		}
-		objects[key] = o
-		lru.Add(key, size)
 		// Serving cost for storing d+p chunks (one invocation each).
 		dur := lambdaemu.CeilBillingCycle(transferTime(chunk, bw))
 		cost := float64(total)*costmodel.PricePerInvocation +
@@ -286,8 +241,8 @@ func Run(cfg Config, trace *workload.Trace) *Result {
 		}
 	}
 
-	// reclaimNode models the provider killing one instance of a node:
-	// with a synced peer the node survives (minus its unsynced delta);
+	// reclaim models the provider killing one instance of a node: with a
+	// synced peer the node survives (minus its unsynced delta);
 	// otherwise everything on it is gone.
 	reclaim := func(n int, now time.Duration) {
 		res.Reclaims++
@@ -301,34 +256,15 @@ func Run(cfg Config, trace *workload.Trace) *Result {
 			if rng.Intn(2) == 0 {
 				return
 			}
-			for key, i := range ns.chunks {
-				o := objects[key]
-				if o == nil || o.lost[i] || o.synced[i] {
-					continue
-				}
-				chunk := chunkSize(o.size, d)
-				o.lost[i] = true
-				ns.used -= chunk
-				poolUsed -= chunk
-				delete(ns.chunks, key)
+			for _, c := range ns.unsynced {
+				table.MarkChunkLost(c.key, c.idx, n, c.epoch)
 			}
-			ns.delta = 0
-			return
+		} else {
+			// Sole replica gone: the node restarts empty.
+			table.MarkNodeLost(n)
+			ns.replicas = 1
 		}
-		// Sole replica gone: the node restarts empty.
-		for key, i := range ns.chunks {
-			o := objects[key]
-			if o == nil || o.lost[i] {
-				continue
-			}
-			chunk := chunkSize(o.size, d)
-			o.lost[i] = true
-			ns.used -= chunk
-			poolUsed -= chunk
-		}
-		ns.chunks = make(map[string]int)
-		ns.delta = 0
-		ns.replicas = 1
+		clear(ns.unsynced)
 	}
 
 	// backupRound completes a delta-sync for every node: all surviving
@@ -337,23 +273,19 @@ func Run(cfg Config, trace *workload.Trace) *Result {
 	lastBackup := time.Duration(0)
 	backupRound := func(now time.Duration) {
 		for n := range nodes {
-			scan := time.Duration(float64(nodes[n].used) / metaScanRate * float64(time.Second))
-			xfer := transferTime(nodes[n].delta, bw)
-			dur := lambdaemu.CeilBillingCycle(scan + xfer)
+			var delta int64
+			for _, c := range nodes[n].unsynced {
+				delta += c.size
+			}
+			scan := time.Duration(float64(table.NodeUsed(n)) / metaScanRate * float64(time.Second))
+			dur := lambdaemu.CeilBillingCycle(scan + transferTime(delta, bw))
 			// Source and destination both bill for the round.
 			cost := 2*costmodel.PricePerInvocation +
 				2*dur.Seconds()*pool.MemoryGB*costmodel.PricePerGBSecond
 			res.BackupCost += cost
 			bucket(now).BackupCost += cost
 			nodes[n].replicas = 2
-			nodes[n].delta = 0
-		}
-		for _, o := range objects {
-			for i := range o.synced {
-				if !o.lost[i] {
-					o.synced[i] = true
-				}
-			}
+			clear(nodes[n].unsynced)
 		}
 	}
 
@@ -390,6 +322,9 @@ func Run(cfg Config, trace *workload.Trace) *Result {
 		b := bucket(rec.Time)
 		b.Gets++
 
+		// Lookup sets the entry's CLOCK bit, on a hot hit too.
+		o, mapped := table.Lookup(rec.Key)
+
 		// Hot tier first, as in the live session: a resident entry is
 		// served from proxy memory even when pool chunks were lost, and
 		// costs nothing (no invocations, no node transfer).
@@ -397,83 +332,61 @@ func Run(cfg Config, trace *workload.Trace) *Result {
 		if hot != nil {
 			hit, capture := hot.Get(rec.Key)
 			if hit {
-				o := objects[rec.Key]
-				size := rec.Size
-				if o != nil {
-					size = o.size
-				}
 				res.Hits++
 				b.Hits++
 				res.HotHits++
 				b.HotHits++
-				lru.Touch(rec.Key)
-				lat := lm.hotTier(size)
+				lat := lm.hotTier(o.Size)
 				res.LatencySeconds = append(res.LatencySeconds, lat.Seconds())
-				res.Sizes = append(res.Sizes, size)
+				res.Sizes = append(res.Sizes, o.Size)
 				continue
 			}
 			hotCapture = capture
 		}
 
-		o := objects[rec.Key]
+		present := 0
+		for _, c := range o.Chunks {
+			if c.Present {
+				present++
+			}
+		}
 		switch {
-		case o != nil && o.presentChunks() >= d:
+		case mapped && present >= d:
 			// HIT (possibly degraded).
 			res.Hits++
 			b.Hits++
-			lru.Touch(rec.Key)
-			missing := total - o.presentChunks()
-			lat := lm.infiniCache(o.size, d, bw, missing > 0)
+			lat := lm.infiniCache(o.Size, d, bw, present < total)
 			res.LatencySeconds = append(res.LatencySeconds, lat.Seconds())
-			res.Sizes = append(res.Sizes, o.size)
+			res.Sizes = append(res.Sizes, o.Size)
 			// Serving cost: every present chunk is one invocation.
-			chunk := chunkSize(o.size, d)
+			chunk := chunkSize(o.Size, d)
 			dur := lambdaemu.CeilBillingCycle(transferTime(chunk, bw))
-			n := float64(o.presentChunks())
+			n := float64(present)
 			cost := n*costmodel.PricePerInvocation + n*dur.Seconds()*pool.MemoryGB*costmodel.PricePerGBSecond
 			res.ServingCost += cost
 			b.ServingCost += cost
 			// Read-through tier admission: a ghost-warm GET captures the
 			// first d data chunks as they stream through the proxy.
-			if hotCapture && hot.Admits(o.size) {
-				hotInsert(rec.Key, o.size)
+			if hotCapture && hot.Admits(o.Size) {
+				hotInsert(rec.Key, o.Size)
 			}
-			if missing > 0 {
-				// EC recovery: reconstruct and re-insert lost chunks.
-				res.Recoveries += missing
-				b.Recoveries += missing
-				for i := range o.lost {
-					if o.lost[i] {
-						n := rng.Intn(cfg.Nodes)
-						// Avoid nodes already holding a chunk of this
-						// object (placement keeps chunks on distinct
-						// nodes).
-						for tries := 0; tries < 8; tries++ {
-							if _, dup := nodes[n].chunks[rec.Key]; !dup {
-								break
-							}
-							n = rng.Intn(cfg.Nodes)
-						}
-						o.nodes[i] = n
-						o.lost[i] = false
-						o.synced[i] = false
-						nodes[n].used += chunk
-						nodes[n].chunks[rec.Key] = i
-						nodes[n].delta += chunk
-						poolUsed += chunk
-					}
+			// EC recovery: reconstruct and re-insert the lost chunks, each
+			// from a random node as the client's repair SET draws it.
+			for i, c := range o.Chunks {
+				if c.Lost {
+					res.Recoveries++
+					b.Recoveries++
+					store(rec.Key, i, rng.Intn(cfg.Nodes), chunk, o.Epoch, nil)
 				}
 			}
-		case o != nil:
+		case mapped:
 			// Object lost: RESET from the backing store.
 			res.Resets++
 			b.Resets++
-			lat := lm.s3(o.size)
+			lat := lm.s3(o.Size)
 			res.LatencySeconds = append(res.LatencySeconds, lat.Seconds())
-			res.Sizes = append(res.Sizes, o.size)
-			size := o.size
-			drop(rec.Key)
-			insert(rec.Key, size, rec.Time)
+			res.Sizes = append(res.Sizes, o.Size)
+			insert(rec.Key, o.Size, rec.Time)
 		default:
 			// Cold miss: load from the backing store and insert.
 			res.ColdMisses++
@@ -493,11 +406,4 @@ func chunkSize(size int64, d int) int64 {
 
 func transferTime(bytes int64, bw float64) time.Duration {
 	return time.Duration(float64(bytes) / bw * float64(time.Second))
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
